@@ -1,10 +1,12 @@
 #include "common/fsio.h"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +29,21 @@ std::string temp_sibling(const std::string& path) {
 }
 
 }  // namespace
+
+bool is_orphaned_temp(const std::string& path) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  const std::size_t tag = name.rfind(".tmp.");
+  if (tag == std::string::npos) return false;
+  long pid = 0;
+  unsigned long long n = 0;
+  char tail = 0;  // "<pid>.<n>" must end the name
+  if (std::sscanf(name.c_str() + tag + 5, "%ld.%llu%c", &pid, &n, &tail) !=
+          2 ||
+      pid <= 0)
+    return false;
+  // kill(pid, 0) probes existence; EPERM means alive but not ours.
+  return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+}
 
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes, bool durable) {

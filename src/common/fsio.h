@@ -26,6 +26,13 @@ void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes,
                        bool durable = false);
 
+/// Whether `path` is a write_file_atomic temp file whose writer is gone:
+/// it has the `<target>.tmp.<pid>.<n>` shape and no process <pid> is
+/// alive. A temp file whose writer still runs may be mid-write, so it is
+/// never debris — in a directory several processes write into, only
+/// orphaned temps are safe to sweep.
+[[nodiscard]] bool is_orphaned_temp(const std::string& path);
+
 /// fsync a directory so a just-renamed/created entry inside it is durable.
 /// Throws std::runtime_error when the directory cannot be opened or synced.
 void fsync_dir(const std::string& dir);

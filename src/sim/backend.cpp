@@ -15,10 +15,10 @@
 #include <filesystem>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "common/env.h"
 #include "common/fsio.h"
-#include "sim/campaign.h"
 #include "sim/parallel.h"
 #include "sim/remote.h"
 #include "sim/warmstore.h"
@@ -309,35 +309,48 @@ InProcessBackend::InProcessBackend() : pool_(&ParallelRunner::shared()) {}
 
 void InProcessBackend::run(const std::vector<JobSpec>& jobs,
                            ResultSink& sink) {
-  pool_->for_each_index(jobs.size(), [&](std::size_t i) {
-    sink.push(jobs[i], run_job(jobs[i]));
+  // Group heads first: while one thread warms a parent, the others start
+  // other heads instead of queueing on that parent's single-flight.
+  const std::vector<std::size_t> heads = cold_group_heads(jobs);
+  std::vector<std::size_t> order;
+  order.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    if (heads[i] == i) order.push_back(i);
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    if (heads[i] != i) order.push_back(i);
+  pool_->for_each_index(order.size(), [&](std::size_t k) {
+    const JobSpec& job = jobs[order[k]];
+    sink.push(job, run_job(job));
   });
 }
 
 WorkerBackend::WorkerBackend() : WorkerBackend(Options()) {}
 
-WorkerBackend::WorkerBackend(Options options) : opts_(std::move(options)) {}
-
-void WorkerBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
-  if (jobs.empty()) return;
+WorkerBackend::WorkerBackend(Options options) {
   // One loopback host with max_processes slots: the batched remote
   // scheduler replaces the old one-subprocess-plus-two-files-per-job loop,
   // and its retry/scratch-guard error paths apply here for free.
   remote::HostSpec local;
   local.name = "local";
-  local.slots = opts_.max_processes != 0 ? opts_.max_processes
-                                         : ParallelRunner::default_jobs();
+  local.slots = options.max_processes != 0 ? options.max_processes
+                                           : ParallelRunner::default_jobs();
 
   RemoteBackend::Options o;
   o.hosts = {local};
-  o.worker_binary = opts_.worker_binary;
-  o.scratch_dir = opts_.scratch_dir;
-  o.batch_jobs = opts_.batch_jobs;
-  o.max_attempts = opts_.max_attempts;
-  o.keep_files = opts_.keep_files;
-  o.on_event = opts_.on_event;
-  o.warm_store = opts_.warm_store;
-  RemoteBackend(std::move(o)).run(jobs, sink);
+  o.worker_binary = std::move(options.worker_binary);
+  o.scratch_dir = std::move(options.scratch_dir);
+  o.batch_jobs = options.batch_jobs;
+  o.max_attempts = options.max_attempts;
+  o.keep_files = options.keep_files;
+  o.on_event = std::move(options.on_event);
+  o.warm_store = options.warm_store;
+  remote_ = std::make_unique<RemoteBackend>(std::move(o));
+}
+
+WorkerBackend::~WorkerBackend() = default;
+
+void WorkerBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
+  remote_->run(jobs, sink);
 }
 
 void record_argv0(const char* argv0) {
@@ -378,95 +391,78 @@ std::string default_worker_binary() {
 
 // ----------------------------------------------------------- run_experiment
 
-void resolve_parent_snapshots(std::vector<JobSpec>& jobs,
-                              ExperimentBackend& backend,
-                              const RunOptions& options) {
-  // Distinct unresolved parents in deterministic first-seen order (job
-  // vectors are expanded deterministically, so warm job ids are too).
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, const JobSpec*> proto;
-  for (const JobSpec& j : jobs) {
-    if (j.parent_key == 0 || j.snapshot) continue;
-    if (proto.emplace(j.parent_key, &j).second) order.push_back(j.parent_key);
+std::vector<std::size_t> cold_group_heads(const std::vector<JobSpec>& jobs) {
+  std::vector<std::size_t> heads(jobs.size());
+  std::unordered_map<std::uint64_t, std::size_t> first;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobSpec& j = jobs[i];
+    heads[i] = j.parent_key != 0 && !j.snapshot
+                   ? first.try_emplace(j.parent_key, i).first->second
+                   : i;
   }
-  if (order.empty()) return;
-
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<const std::vector<std::uint8_t>>>
-      bytes_of;
-  std::vector<JobSpec> warm_jobs;
-  std::size_t reused = 0;
-  for (const std::uint64_t key : order) {
-    std::shared_ptr<const std::vector<std::uint8_t>> b;
-    if (options.warm_store) b = options.warm_store->lookup(key);
-    if (!b) {
-      b = warmstore::recall(key);
-      // A recall with a store configured means the disk entry is missing
-      // (or was just discarded as corrupt): heal it from memory.
-      if (b && options.warm_store) options.warm_store->put(key, b);
-    }
-    if (b) {
-      bytes_of.emplace(key, std::move(b));
-      ++reused;
-    } else {
-      JobSpec w = warmstore::warm_job_of(*proto.at(key));
-      w.id = static_cast<std::uint32_t>(warm_jobs.size());
-      warm_jobs.push_back(std::move(w));
-    }
-  }
-
-  if (!warm_jobs.empty()) {
-    // Misses warm as one batch of ordinary jobs — parallel on any backend,
-    // and never on the coordinator thread. A separate sink keeps warm
-    // results (and their payloads) out of the experiment's result slots.
-    ResultSink warm_sink;
-    backend.warmup_backend().run(warm_jobs, warm_sink);
-    for (const JobSpec& w : warm_jobs) {
-      RunResult r = warm_sink.at(w.id);
-      if (!r.payload) {
-        throw std::runtime_error("warm job for parent " +
-                                 campaign::key_hex(w.parent_key) +
-                                 " returned no snapshot payload");
-      }
-      warmstore::publish(w.parent_key, r.payload);
-      if (options.warm_store) options.warm_store->put(w.parent_key, r.payload);
-      bytes_of.emplace(w.parent_key, std::move(r.payload));
-    }
-  }
-
-  for (JobSpec& j : jobs) {
-    if (j.parent_key != 0 && !j.snapshot)
-      j.snapshot = bytes_of.at(j.parent_key);
-  }
-  if (options.on_event) {
-    const std::string tag =
-        options.label.empty() ? "" : "[" + options.label + "] ";
-    options.on_event(tag + std::to_string(order.size()) + " parent(s): " +
-                     std::to_string(reused) + " reused, " +
-                     std::to_string(warm_jobs.size()) + " warmed");
-  }
+  return heads;
 }
 
-std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
-                                      ExperimentBackend& backend,
-                                      ResultSink& sink,
-                                      const RunOptions& options) {
-  std::vector<JobSpec> jobs = spec.expand();
-  resolve_parent_snapshots(jobs, backend, options);
-  backend.run(jobs, sink);
-  if (spec.mode != RunMode::Sampled || spec.sampled.target_half_width <= 0.0)
-    return sink.collect();
+std::vector<std::uint64_t> waited_parents(
+    const std::vector<JobSpec>& jobs, const std::vector<std::size_t>& heads,
+    std::size_t begin, std::size_t end) {
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (heads[i] < begin && std::find(keys.begin(), keys.end(),
+                                      jobs[i].parent_key) == keys.end())
+      keys.push_back(jobs[i].parent_key);
+  }
+  return keys;
+}
 
-  // SMARTS-style stopping rule: grow each point's fork set until the mean
-  // IPC is tight enough. All statistics derive from job results only, so
-  // the round structure — and therefore the final result vector — is
-  // identical for every backend.
+namespace {
+
+/// What the warm phase found: the distinct by-reference parents, and the
+/// ones neither the warm store nor the registry held (first-seen order).
+struct ParentScan {
+  std::size_t parents = 0;
+  std::vector<std::uint64_t> cold;
+};
+
+ParentScan attach_known_parents(std::vector<JobSpec>& jobs,
+                                const RunOptions& options) {
+  ParentScan scan;
+  std::unordered_map<std::uint64_t,
+                     std::shared_ptr<const std::vector<std::uint8_t>>>
+      known;
+  for (JobSpec& j : jobs) {
+    if (j.parent_key == 0 || j.snapshot) continue;
+    const auto [it, fresh] = known.try_emplace(j.parent_key);
+    if (fresh) {
+      ++scan.parents;
+      auto& b = it->second;
+      if (options.warm_store) b = options.warm_store->lookup(j.parent_key);
+      if (!b) {
+        b = warmstore::recall(j.parent_key);
+        // A recall with a store configured means the disk entry is missing
+        // (or was just discarded as corrupt): heal it from memory.
+        if (b && options.warm_store) options.warm_store->put(j.parent_key, b);
+      }
+      if (!b) scan.cold.push_back(j.parent_key);
+    }
+    j.snapshot = it->second;
+  }
+  return scan;
+}
+
+/// SMARTS-style stopping rule: grow each point's fork set until the mean
+/// IPC is tight enough. All statistics derive from job results only, so
+/// the round structure — and therefore the final result vector — is
+/// identical for every backend.
+void run_more_rounds(const ExperimentSpec& spec,
+                     const std::vector<JobSpec>& jobs,
+                     ExperimentBackend& backend, ResultSink& sink) {
   const Cycle stride = spec.sampled.fork_stride != 0 ? spec.sampled.fork_stride
                                                      : spec.measure / 2;
   const std::size_t points = spec.num_points();
   const std::uint32_t forks = spec.sampled.forks;
   std::vector<std::vector<std::uint32_t>> point_jobs(points);
-  std::vector<JobSpec> tmpl(points);  // carries each point's snapshot handle
+  std::vector<JobSpec> tmpl(points);  // carries each point's parent handle
   for (const JobSpec& j : jobs) {
     const std::size_t p = j.id / forks;
     if (point_jobs[p].empty()) tmpl[p] = j;
@@ -504,6 +500,41 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
     }
     if (more.empty()) break;
     backend.run(more, sink);
+  }
+}
+
+}  // namespace
+
+void resolve_parent_snapshots(std::vector<JobSpec>& jobs,
+                              ExperimentBackend& /*backend*/,
+                              const RunOptions& options) {
+  (void)attach_known_parents(jobs, options);
+}
+
+std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
+                                      ExperimentBackend& backend,
+                                      ResultSink& sink,
+                                      const RunOptions& options) {
+  std::vector<JobSpec> jobs = spec.expand();
+  const ParentScan scan = attach_known_parents(jobs, options);
+  backend.run(jobs, sink);
+  if (spec.mode == RunMode::Sampled && spec.sampled.target_half_width > 0.0)
+    run_more_rounds(spec, jobs, backend, sink);
+
+  // The cold parents warmed where their forks ran. Keep what this process
+  // holds (in-process backends) so a rerun reuses it; workers on local
+  // hosts already wrote the store directory themselves.
+  if (options.warm_store) {
+    for (const std::uint64_t key : scan.cold)
+      options.warm_store->put(key, warmstore::recall(key));
+  }
+  if (options.on_event && scan.parents != 0) {
+    const std::string tag =
+        options.label.empty() ? "" : "[" + options.label + "] ";
+    options.on_event(tag + std::to_string(scan.parents) + " parent(s): " +
+                     std::to_string(scan.parents - scan.cold.size()) +
+                     " reused, " + std::to_string(scan.cold.size()) +
+                     " warmed");
   }
   return sink.collect();
 }
@@ -611,30 +642,27 @@ int run_worker(const std::string& job_path, const std::string& result_path,
     std::optional<WarmStore> store;
     if (!store_dir.empty()) {
       store.emplace(store_dir);
-      // Pass 1: install every embedded parent snapshot before anything
-      // runs — batch-internal order must not matter, and one upload has to
-      // serve every later batch on this host.
+      // Install every embedded parent snapshot before anything runs —
+      // batch-internal order must not matter, and one upload has to serve
+      // every later batch on this host.
       for (const JobSpec& job : jobs) {
         if (job.parent_key != 0 && job.snapshot)
           store->put(job.parent_key, job.snapshot);
-      }
-      // Pass 2: resolve by-reference forks from the store. An unresolved
-      // fork stays by-ref and run_job re-warms it deterministically.
-      for (JobSpec& job : jobs) {
-        if (!job.warm_only && job.parent_key != 0 && !job.snapshot)
-          job.snapshot = store->lookup(job.parent_key);
       }
     }
     std::vector<std::pair<std::uint32_t, RunResult>> results;
     results.reserve(jobs.size());
     // Jobs run serially: the worker *process* is the unit of parallelism,
     // and serial execution keeps the worker bit-identical to run_job.
-    for (const JobSpec& job : jobs) {
+    for (JobSpec& job : jobs) {
+      // A by-reference fork takes its parent from the host store; on a
+      // miss run_job warms it here, and the capture goes into the store so
+      // every later batch on this host finds it.
+      if (store && !job.warm_only && job.parent_key != 0 && !job.snapshot)
+        job.snapshot = store->lookup(job.parent_key);
       results.emplace_back(job.id, run_job(job));
-      // A warm job's capture becomes a store entry immediately, so the
-      // scheduler can ship later forks of this parent by hash.
-      if (store && job.warm_only && job.parent_key != 0)
-        store->put(job.parent_key, results.back().second.payload);
+      if (store && job.parent_key != 0 && !job.snapshot)
+        store->put(job.parent_key, warmstore::recall(job.parent_key));
       // Streaming transports watch for these one-entry part files; the
       // atomic rename inside write_result_file is what makes existence
       // imply completeness on the coordinator side.

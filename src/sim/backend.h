@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -22,6 +23,7 @@
 namespace mflush {
 
 class ParallelRunner;
+class RemoteBackend;
 class WarmStore;
 
 /// Streaming result collection: an optional on_result callback fires as
@@ -66,11 +68,10 @@ class ExperimentBackend {
   [[nodiscard]] virtual std::string name() const = 0;
   virtual void run(const std::vector<JobSpec>& jobs, ResultSink& sink) = 0;
 
-  /// Backend that executes warm jobs (sampled-mode parent warm-ups). By
-  /// default the backend itself; decorators that must not intercept warm
-  /// work — e.g. the durable campaign wrapper, whose journal/cache only
-  /// tracks measured jobs (the warm store is the warm jobs' durability
-  /// layer) — forward to the wrapped backend.
+  /// Backend for explicit warm jobs (JobSpec::warm_only), by default the
+  /// backend itself. The library never calls it — a sampled fork warms
+  /// its own parent where it runs (run_job) — it is an extension point for
+  /// decorators that keep warm work apart, e.g. timing wrappers.
   [[nodiscard]] virtual ExperimentBackend& warmup_backend() noexcept {
     return *this;
   }
@@ -88,7 +89,9 @@ class SerialBackend final : public ExperimentBackend {
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
 };
 
-/// Jobs fan out across a ParallelRunner thread pool within this process.
+/// Jobs fan out across a ParallelRunner thread pool within this process,
+/// each cold parent group's head (see cold_group_heads) dispatched before
+/// any group's later forks.
 class InProcessBackend final : public ExperimentBackend {
  public:
   /// Default: the process-wide shared pool (MFLUSH_JOBS threads).
@@ -130,20 +133,23 @@ class WorkerBackend final : public ExperimentBackend {
     /// without it a transient worker crash is retried away invisibly.
     /// Same contract as RemoteBackend::Options::on_event.
     std::function<void(const std::string&)> on_event;
-    /// Coordinator-side warm store shared with the loopback worker: fork
-    /// jobs referencing parents present in it ship the hash, not the
-    /// bytes. Null disables warm shipping (bytes embed inline as before).
+    /// Coordinator-side warm store the loopback workers read and fill
+    /// directly, so forks always ship the parent's hash, never its bytes.
+    /// Null: the workers share a session store instead (see RemoteBackend).
     WarmStore* warm_store = nullptr;
   };
 
   WorkerBackend();  ///< default Options
   explicit WorkerBackend(Options options);
+  ~WorkerBackend() override;
 
   [[nodiscard]] std::string name() const override { return "worker"; }
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
 
  private:
-  Options opts_;
+  /// Lives as long as this backend, so its session warm store (no
+  /// coordinator store) serves every sampled round.
+  std::unique_ptr<RemoteBackend> remote_;
 };
 
 /// Removes its paths on destruction unless told to keep them — the worker
@@ -199,13 +205,14 @@ void record_argv0(const char* argv0);
 
 /// Knobs threaded through run_experiment / run_experiment_durable.
 struct RunOptions {
-  /// Warm store consulted and filled by the sampled-mode warm phase. Null
-  /// still works — missing parents warm as parallel backend jobs and are
-  /// shared through the in-process registry — but nothing persists across
-  /// processes.
+  /// Warm store consulted by the sampled-mode warm phase and filled by the
+  /// end of the run. Null still works — cold parents warm where their
+  /// forks run and are shared through the in-process registry — but
+  /// nothing persists across processes.
   WarmStore* warm_store = nullptr;
-  /// Warm-phase narration ("N parent(s): H reused, W warmed"). The CLI
-  /// wires report::event_printer(std::cerr, "warm-store: ").
+  /// Warm-phase narration, one line once the run is over ("N parent(s): H
+  /// reused, W warmed"). The CLI wires report::event_printer(std::cerr,
+  /// "warm-store: ").
   std::function<void(const std::string&)> on_event;
   /// Tenant tag prefixed onto warm-phase event lines ("[label] N
   /// parent(s): ..."): mflushd sets the campaign id here so concurrent
@@ -213,29 +220,48 @@ struct RunOptions {
   std::string label;
 };
 
+/// Heads of the cold parent groups in `jobs`: entry i is the index of the
+/// first job that references the same parent as job i *by reference*
+/// (parent_key set, snapshot not attached), or i itself when job i is that
+/// first job or no by-reference fork at all. A group's head warms the
+/// parent where it runs; schedulers start heads before the group's other
+/// forks and, when a group spans batches, hold the later batches until the
+/// head's batch has landed — so a parent warms once per host.
+[[nodiscard]] std::vector<std::size_t> cold_group_heads(
+    const std::vector<JobSpec>& jobs);
+
+/// The distinct cold parents jobs [begin, end) must wait for: those whose
+/// group head (`heads` = cold_group_heads(jobs)) lies before `begin`.
+[[nodiscard]] std::vector<std::uint64_t> waited_parents(
+    const std::vector<JobSpec>& jobs, const std::vector<std::size_t>& heads,
+    std::size_t begin, std::size_t end);
+
 /// The sampled-mode warm phase: attach parent snapshot bytes to every
-/// by-reference fork job in `jobs` (parent_key set, snapshot null). Each
-/// distinct parent resolves, in order: the warm store (options.warm_store),
-/// the in-process registry (healing the store entry back when one is
-/// configured), and finally a warm job executed on
-/// backend.warmup_backend() — all misses warm concurrently as one batch.
-/// After this returns every by-ref job carries its snapshot. No-op for job
-/// vectors without parent references (FullRun, pre-resolved forks).
+/// by-reference fork in `jobs` whose parent is already known — from the
+/// warm store (options.warm_store) or the in-process registry (healing the
+/// store entry back when one is configured). No simulation runs here and
+/// `backend` is not used: a fork whose parent is cold stays by-reference,
+/// and whichever process runs it warms the parent there
+/// (warmstore::parent_snapshot, once per process; a worker also stores it
+/// in its host store). No-op for job vectors without parent references
+/// (FullRun, pre-resolved forks).
 void resolve_parent_snapshots(std::vector<JobSpec>& jobs,
                               ExperimentBackend& backend,
                               const RunOptions& options = {});
 
 /// Execute a full spec on a backend. FullRun specs are expand()ed and run
-/// as one batch. Sampled specs first resolve parent snapshots (see
-/// resolve_parent_snapshots — warm-store lookups or parallel warm jobs,
-/// never coordinator-thread simulation), then run round by round: after
-/// each round the 95% confidence half-width of every point's mean IPC is
-/// computed from its fork results, and points whose relative half-width
-/// still exceeds sampled.target_half_width get another round of forks
-/// (continuing the fork_advance stride off the same parent snapshot) until
+/// as one batch. Sampled specs first attach every known parent (see
+/// resolve_parent_snapshots), then run round by round — each cold parent
+/// warming where its group's forks run, never on the coordinator thread:
+/// after each round the 95% confidence half-width of every point's mean
+/// IPC is computed from its fork results, and points whose relative
+/// half-width still exceeds sampled.target_half_width get another round of
+/// forks (continuing the fork_advance stride off the same parent) until
 /// they converge or sampled.max_rounds is reached — the SMARTS-style
 /// stopping rule. Deterministic for any backend: the rule only consumes
-/// job results, which are themselves backend-independent.
+/// job results, which are themselves backend-independent. By the end of
+/// the run every parent this process or a local worker warmed is in
+/// options.warm_store, and the warm-phase line has been narrated.
 ///
 /// Returns all results ordered by job id (sampled mode: round-0 forks for
 /// every point first, then continuation rounds in creation order).
@@ -298,9 +324,10 @@ decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 /// A non-empty `store_dir` opens the host-side WarmStore
 /// (`--worker-store`): embedded parent snapshots are installed into it
 /// before anything runs (so one upload serves every later batch on this
-/// host), by-reference forks resolve their bytes from it, and warm-job
-/// payloads are stored after capture. Without a store, by-ref forks fall
-/// back to run_job's deterministic in-process re-warm.
+/// host), by-reference forks resolve their bytes from it, and a parent a
+/// fork had to warm here (or a warm job captured) is stored as soon as it
+/// lands. Without a store, by-ref forks still warm their parent in-process
+/// through run_job.
 /// With `write_parts` (`--worker-parts`), every measured job's result is
 /// additionally written — atomically, as a one-entry result archive — to
 /// `result_path + ".r<job_id>"` the moment the job finishes, so a

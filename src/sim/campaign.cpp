@@ -44,11 +44,13 @@ constexpr std::size_t kMaxRecordBytes = 1u << 20;
 }
 
 /// Remove write-temp debris a crashed writer left in the cache (the rename
-/// never happened, so the entries are garbage by construction).
+/// never happened, so the entries are garbage by construction). Only
+/// orphaned temps go: the cache is shared, and a live writer's temp — e.g.
+/// another mflushd tenant's entry in flight — must survive to its rename.
 void sweep_temp_debris(const std::string& cache_dir) {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(cache_dir, ec)) {
-    if (entry.path().filename().string().find(".tmp.") != std::string::npos)
+    if (fsio::is_orphaned_temp(entry.path().string()))
       fs::remove(entry.path(), ec);
   }
 }
@@ -407,13 +409,6 @@ class DurableBackend final : public ExperimentBackend {
 
   [[nodiscard]] std::string name() const override {
     return "durable+" + inner_.name();
-  }
-
-  /// Warm jobs skip the journal/cache entirely — the warm store is their
-  /// durability layer — but still run on the *inner* backend's warm-up
-  /// executor, so a remote campaign warms on the pool.
-  [[nodiscard]] ExperimentBackend& warmup_backend() noexcept override {
-    return inner_.warmup_backend();
   }
 
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override {

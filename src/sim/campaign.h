@@ -204,8 +204,8 @@ class CampaignStore {
 /// "campaign: finished (<executed> executed, <cached> cached)" event.
 /// Returns the full job-id-ordered result vector, bit-identical to an
 /// uninterrupted run_experiment of the same spec. `options` carries the
-/// warm store / warm events for sampled specs (see RunOptions); warm jobs
-/// bypass the journal — the warm store is their durability layer.
+/// warm store / warm events for sampled specs (see RunOptions); warmed
+/// parents are never journaled — the warm store is their durability layer.
 std::vector<RunResult> run_experiment_durable(CampaignStore& store,
                                               ExperimentBackend& backend,
                                               ResultSink& sink,

@@ -14,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "common/archive.h"
@@ -110,6 +111,9 @@ struct Chunk {
   std::size_t begin = 0;
   std::size_t end = 0;
   unsigned attempts = 0;
+  /// Cold parents whose group head sits in an earlier chunk (see
+  /// cold_group_heads): this chunk waits until that chunk has landed.
+  std::vector<std::uint64_t> waits_for;
 };
 
 /// One JobMux::run call (one backend round of one campaign): the caller
@@ -120,14 +124,20 @@ struct Group {
   std::size_t pending = 0;
   std::exception_ptr error;
   std::condition_variable cv;
+  /// Cold parents of the chunks that landed: warmed where they ran (the
+  /// in-process registry, or the daemon's warm store via a worker).
+  std::unordered_set<std::uint64_t> landed;
 };
 
 /// The shared slot pool. Each slot thread owns one inner backend (a
 /// single-host RemoteBackend, or a SerialBackend for in-process serving)
 /// and pulls chunks from the campaign queues; the pick rule is strict
 /// fair share — the queued campaign with the fewest jobs served so far
-/// wins, ties broken by id for determinism. A failed chunk re-queues (any
-/// slot may retry it, so a sick host does not own its victims) up to
+/// wins, ties broken by id for determinism. Chunks are cut at parent-group
+/// boundaries, and a chunk holding later forks of a cold parent is not
+/// picked until the chunk with that group's head has landed — by then the
+/// parent is warm where every slot can reach it. A failed chunk re-queues
+/// (any slot may retry it, so a sick host does not own its victims) up to
 /// max_attempts, then fails its whole Group.
 class JobMux {
  public:
@@ -161,26 +171,36 @@ class JobMux {
 
   /// Run `jobs` for `owner`, blocking until all results are in `sink`.
   /// Chunks execute on an attempt-private staging sink and are pushed to
-  /// `sink` only on success, so a retried chunk never double-pushes.
+  /// `sink` only on success, so a retried chunk never double-pushes. An
+  /// owner already asked to cancel gets no chunks queued: its CANCEL may
+  /// have come before any queue existed for cancel() to drop.
   void run(CampaignRun& owner, const std::vector<JobSpec>& jobs,
            ResultSink& sink) {
     if (jobs.empty()) return;
     Group group;
     group.jobs = &jobs;
     group.sink = &sink;
+    const std::vector<std::size_t> heads = cold_group_heads(jobs);
     std::deque<Chunk> chunks;
-    for (std::size_t b = 0; b < jobs.size(); b += chunk_jobs_) {
+    for (const auto& [begin, end] :
+         remote::batch_ranges(jobs, chunk_jobs_, 1)) {
       Chunk c;
       c.owner = &owner;
       c.group = &group;
-      c.begin = b;
-      c.end = std::min(jobs.size(), b + chunk_jobs_);
-      chunks.push_back(c);
+      c.begin = begin;
+      c.end = end;
+      c.waits_for = waited_parents(jobs, heads, begin, end);
+      chunks.push_back(std::move(c));
     }
     group.pending = chunks.size();
     std::unique_lock lk(m_);
     if (stopping_)
       throw std::runtime_error("mflushd scheduler is shutting down");
+    {
+      const std::lock_guard olk(owner.m);
+      if (owner.cancel_requested)
+        throw std::runtime_error("campaign cancelled");
+    }
     std::deque<Chunk>& q = queues_[&owner];
     q.insert(q.end(), chunks.begin(), chunks.end());
     cv_.notify_all();
@@ -215,24 +235,35 @@ class JobMux {
     if (on_event_) on_event_(line);
   }
 
+  /// A chunk may start once every parent it waits for has landed — or
+  /// its group already failed, so it only has to drain.
+  [[nodiscard]] static bool ready(const Chunk& c) {
+    return c.group->error ||
+           std::all_of(c.waits_for.begin(), c.waits_for.end(),
+                       [&](std::uint64_t k) {
+                         return c.group->landed.contains(k);
+                       });
+  }
+
   [[nodiscard]] bool has_work_locked() const {
     for (const auto& [owner, q] : queues_)
-      if (!q.empty()) return true;
+      if (std::any_of(q.begin(), q.end(), ready)) return true;
     return false;
   }
 
   [[nodiscard]] Chunk pop_fair_locked() {
     CampaignRun* best = nullptr;
     for (const auto& [owner, q] : queues_) {
-      if (q.empty()) continue;
+      if (std::none_of(q.begin(), q.end(), ready)) continue;
       if (!best || owner->served < best->served ||
           (owner->served == best->served && owner->id < best->id)) {
         best = owner;
       }
     }
     std::deque<Chunk>& q = queues_[best];
-    Chunk c = q.front();
-    q.pop_front();
+    const auto it = std::find_if(q.begin(), q.end(), ready);
+    Chunk c = std::move(*it);
+    q.erase(it);
     best->served += c.end - c.begin;
     return c;
   }
@@ -268,6 +299,11 @@ class JobMux {
         chunk.owner->executed += measured;
       }
       const std::lock_guard lk(m_);
+      for (const JobSpec& job : slice) {
+        if (job.parent_key != 0 && !job.snapshot)
+          chunk.group->landed.insert(job.parent_key);
+      }
+      cv_.notify_all();
       if (--chunk.group->pending == 0) chunk.group->cv.notify_all();
     } catch (...) {
       const std::lock_guard lk(m_);
@@ -277,6 +313,7 @@ class JobMux {
                                std::to_string(all[chunk.end - 1].id);
       if (chunk.attempts >= max_attempts_ || stopping_) {
         if (!chunk.group->error) chunk.group->error = std::current_exception();
+        cv_.notify_all();  // the group's held chunks may drain now
         if (--chunk.group->pending == 0) chunk.group->cv.notify_all();
         event(what + " failed on slot " + std::to_string(slot) +
               " — attempts exhausted (" + std::to_string(chunk.attempts) +
@@ -304,8 +341,7 @@ class JobMux {
 };
 
 /// The ExperimentBackend facade one campaign's run_experiment_durable
-/// drives: run() enqueues into the shared mux and blocks. warmup_backend()
-/// is the default (itself), so warm jobs ride the same fair-share pool.
+/// drives: run() enqueues into the shared mux and blocks.
 class MuxBackend final : public ExperimentBackend {
  public:
   MuxBackend(JobMux& mux, CampaignRun& owner) : mux_(mux), owner_(owner) {}

@@ -29,7 +29,10 @@ RunResult run_point(const SimConfig& cfg, const Workload& workload,
   sim.run(warmup);
   sim.reset_stats();
   sim.run(measure);
-  RunResult r{workload.name, policy.label(), sim.metrics()};
+  RunResult r;
+  r.workload = workload.name;
+  r.policy = policy.label();
+  r.metrics = sim.metrics();
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -44,7 +47,10 @@ RunResult run_point_from_snapshot(const std::vector<std::uint8_t>& snapshot,
   sim->run(fork_advance);
   sim->reset_stats();
   sim->run(measure);
-  RunResult r{sim->workload().name, sim->policy().label(), sim->metrics()};
+  RunResult r;
+  r.workload = sim->workload().name;
+  r.policy = sim->policy().label();
+  r.metrics = sim->metrics();
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -176,8 +176,9 @@ SimConfig job_config(const JobSpec& job, std::uint32_t num_cores) {
 }
 
 /// Warm a catalog parent chip from scratch — the single definition every
-/// warm path shares (warm jobs, by-ref self-heal): bit-identity of forks
-/// rests on all of them producing the same capture.
+/// warm path shares (warm jobs, and through warm_job_of the forks that warm
+/// their own parent): bit-identity of forks rests on all of them producing
+/// the same capture.
 std::shared_ptr<const std::vector<std::uint8_t>> warm_parent_snapshot(
     const JobSpec& job) {
   if (!job.profiles.empty()) {
@@ -268,19 +269,13 @@ RunResult run_job(const JobSpec& job) {
     warmstore::publish(job.parent_key, r.payload);
     return r;
   }
-  auto snap = job.snapshot;
-  if (!snap && job.parent_key != 0) {
-    // By-ref fork whose bytes were not resolved (no store on this host, or
-    // the entry vanished): the snapshot is a pure function of (workload,
-    // policy, seed, warmup), so re-warming here is deterministic and the
-    // fork's metrics are unchanged. Publish so siblings warm at most once
-    // per process.
-    snap = warmstore::recall(job.parent_key);
-    if (!snap) {
-      snap = warm_parent_snapshot(job);
-      warmstore::publish(job.parent_key, snap);
-    }
-  }
+  // A by-ref fork whose bytes were not attached warms its parent here,
+  // once per process: the warm is a pure function of warm_job_of(job), the
+  // job every warm path runs, so the fork's metrics do not depend on where
+  // its parent was warmed.
+  const auto snap = job.snapshot || job.parent_key == 0
+                        ? job.snapshot
+                        : warmstore::parent_snapshot(job);
   if (snap)
     return run_point_from_snapshot(*snap, job.fork_advance, job.measure);
   if (!job.profiles.empty()) {
@@ -292,9 +287,11 @@ RunResult run_job(const JobSpec& job) {
     sim.run(job.warmup);
     sim.reset_stats();
     sim.run(job.measure);
-    RunResult r{job.workload.name.empty() ? sim.workload().name
-                                          : job.workload.name,
-                job.policy.label(), sim.metrics()};
+    RunResult r;
+    r.workload =
+        job.workload.name.empty() ? sim.workload().name : job.workload.name;
+    r.policy = job.policy.label();
+    r.metrics = sim.metrics();
     r.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -370,10 +367,10 @@ std::vector<JobSpec> ExperimentSpec::expand() const {
 
   // Sampled: one warmed parent per point, shared by its forks — but the
   // warm-up itself is NOT run here. Fork jobs reference the parent by
-  // content hash; the warm phase of run_experiment resolves the hashes
-  // from a WarmStore or warms the misses as ordinary backend jobs, so
-  // expansion costs no simulation and warm-up parallelism (and
-  // distribution) belongs to the backend.
+  // content hash; the warm phase of run_experiment attaches known parents
+  // and a cold one warms where its forks run, so expansion costs no
+  // simulation and warm-up parallelism (and distribution) belongs to the
+  // backend.
   const Cycle stride =
       sampled.fork_stride != 0 ? sampled.fork_stride : measure / 2;
   const std::size_t points = num_points();

@@ -85,16 +85,16 @@ struct JobSpec {
   MemModelKind mem_model = MemModelKind::Fixed;
   DramConfig dram{};
   /// Warm job: build the chip, run `warmup` cycles, capture the snapshot
-  /// into RunResult::payload. Emitted by the warm phase of run_experiment
-  /// so sampled-mode parents warm as ordinary (parallel, distributable)
-  /// backend jobs instead of coordinator work.
+  /// into RunResult::payload. warmstore::warm_job_of builds the one a
+  /// by-reference fork runs to warm its own parent.
   bool warm_only = false;
   /// Content hash of this job's warmed parent (warmstore::warm_key). On a
   /// fork job it lets the snapshot travel by reference: a host whose warm
   /// store already holds the parent resolves the hash locally instead of
-  /// receiving the bytes again; a host without the entry re-warms
-  /// deterministically. On a warm job it names the store entry the
-  /// captured snapshot is published under. 0 = no warm-store identity.
+  /// receiving the bytes; a host without the entry warms the parent
+  /// itself, deterministically (run_job). On a warm job it names the store
+  /// entry the captured snapshot is published under. 0 = no warm-store
+  /// identity.
   std::uint64_t parent_key = 0;
   std::shared_ptr<const std::vector<std::uint8_t>> snapshot;
 
@@ -153,10 +153,9 @@ struct ExperimentSpec {
   /// point, each referencing the point's warmed parent by content hash
   /// (`parent_key` = warmstore::warm_key) — expansion itself runs **no**
   /// warm-up simulation. The warm phase of run_experiment (sim/backend.h)
-  /// resolves the hashes against a WarmStore (or warms the missing parents
-  /// as ordinary backend jobs, in parallel) and attaches the bytes; the
-  /// stopping rule then builds additional fork rounds from the round-0
-  /// jobs' snapshot handles.
+  /// attaches the bytes of parents a WarmStore or the process already
+  /// holds; forks of a cold parent warm it where they run. The stopping
+  /// rule then builds additional fork rounds from the round-0 jobs.
   [[nodiscard]] std::vector<JobSpec> expand() const;
 
   // --- serialization -----------------------------------------------------

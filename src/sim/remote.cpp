@@ -183,16 +183,29 @@ std::vector<HostSpec> hosts_from_env() {
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
-    std::size_t jobs, std::size_t batch_jobs, std::size_t slots) {
-  if (jobs == 0) return {};
+    const std::vector<JobSpec>& jobs, std::size_t batch_jobs,
+    std::size_t slots) {
+  const std::size_t n = jobs.size();
+  if (n == 0) return {};
   std::size_t per = batch_jobs;
   if (per == 0)
-    per = std::max<std::size_t>(
-        1, jobs / std::max<std::size_t>(1, 4 * slots));
+    per = std::max<std::size_t>(1, n / std::max<std::size_t>(1, 4 * slots));
+  const auto splits_group = [&](std::size_t i) {
+    return jobs[i].parent_key != 0 &&
+           jobs[i].parent_key == jobs[i - 1].parent_key;
+  };
   std::vector<std::pair<std::size_t, std::size_t>> out;
-  out.reserve((jobs + per - 1) / per);
-  for (std::size_t begin = 0; begin < jobs; begin += per)
-    out.emplace_back(begin, std::min(jobs, begin + per));
+  out.reserve((n + per - 1) / per);
+  for (std::size_t begin = 0; begin < n;) {
+    std::size_t end = std::min(n, begin + per);
+    // Back off to the start of the group the cut would split — unless that
+    // group starts the batch (it outgrows the batch, so it spans batches).
+    std::size_t cut = end;
+    while (cut < n && cut > begin && splits_group(cut)) --cut;
+    if (cut > begin) end = cut;
+    out.emplace_back(begin, end);
+    begin = end;
+  }
   return out;
 }
 
@@ -303,6 +316,9 @@ struct Batch {
   std::size_t begin = 0;
   std::size_t end = 0;
   unsigned attempts = 0;
+  /// Cold parents whose group head sits in an earlier batch: this batch
+  /// starts only once the head's batch has landed (Scheduler::ready).
+  std::vector<std::uint64_t> waits_for;
 
   [[nodiscard]] std::string describe(
       const std::vector<JobSpec>& all_jobs) const {
@@ -316,24 +332,31 @@ struct Batch {
   }
 };
 
+/// Warm bookkeeping for one host-side store directory (every local host
+/// shares one). Guarded by the scheduler mutex.
+struct StoreState {
+  /// The store itself when it is on this machine (the coordinator's or the
+  /// session store): attached parents are put straight into it instead of
+  /// uploading, and presence can be checked on disk. Null for ssh hosts.
+  WarmStore* local = nullptr;
+  /// Parents known durably present — only marked after a batch that
+  /// carried (or warmed) them *succeeded*, because the worker installs
+  /// embedded parents before running anything. Marking at staging time
+  /// would race: a second by-hash batch could reach the host before the
+  /// first batch's worker installed the bytes.
+  std::unordered_set<std::uint64_t> present;
+  /// Cold parents an in-flight batch is warming into this store.
+  std::unordered_set<std::uint64_t> warming;
+};
+
 struct HostState {
   HostSpec spec;
   std::unique_ptr<Transport> transport;
   std::mutex prepare_mutex;
   bool prepared = false;
-  unsigned failures = 0;  // guarded by the scheduler mutex
-  bool dead = false;      // guarded by the scheduler mutex
-
-  /// The host's warm store IS the coordinator's (local host + configured
-  /// store): nothing ever uploads, forks always ship by hash.
-  bool warm_shared = false;
-  /// Parents known durably present in the host-side store — only marked
-  /// after a batch that carried (or warmed) them *succeeded*, because the
-  /// worker installs embedded parents before running anything. Marking at
-  /// staging time would race: a second by-hash batch could reach the host
-  /// before the first batch's worker installed the bytes.
-  std::mutex warm_mutex;
-  std::unordered_set<std::uint64_t> warm_present;
+  unsigned failures = 0;        // guarded by the scheduler mutex
+  bool dead = false;            // guarded by the scheduler mutex
+  StoreState* store = nullptr;  ///< null when the sweep has no parents
 
   void ensure_prepared() {
     const std::lock_guard lk(prepare_mutex);
@@ -345,8 +368,8 @@ struct HostState {
 
 /// Shared scheduler state: a queue of batches plus completion/abort
 /// bookkeeping. Work-stealing is the queue itself — every live host slot
-/// pulls the next batch, so a retired host's re-queued work drains onto
-/// whichever hosts stay healthy.
+/// pulls the first batch it may start, so a retired host's re-queued work
+/// drains onto whichever hosts stay healthy.
 struct Scheduler {
   std::mutex m;
   std::condition_variable cv;
@@ -361,11 +384,61 @@ struct Scheduler {
   std::exception_ptr first_error;
   std::function<void(const std::string&)> on_event;
 
+  const std::vector<JobSpec>* jobs = nullptr;
+  std::vector<std::size_t> heads;  ///< cold_group_heads(*jobs)
+  /// Cold parents held by some batch that has landed: the parent was
+  /// warmed in (or found in) that batch's host store.
+  std::unordered_set<std::uint64_t> landed;
+
   void event(const std::string& line) {
     if (on_event) on_event(line);
   }
   [[nodiscard]] bool finished() const {
     return aborted || done == total;
+  }
+
+  [[nodiscard]] Batch make_batch(std::size_t number, std::size_t begin,
+                                 std::size_t end) const {
+    Batch b;
+    b.number = number;
+    b.begin = begin;
+    b.end = end;
+    b.waits_for = waited_parents(*jobs, heads, begin, end);
+    return b;
+  }
+
+  /// Whether `host` may start `b`: each parent it waits for is in the
+  /// host's store already, or its head has landed elsewhere and no batch
+  /// is warming it into this store yet (then `b` warms it here).
+  [[nodiscard]] bool ready(const Batch& b, const HostState& host) const {
+    for (const std::uint64_t key : b.waits_for) {
+      if (host.store->present.contains(key)) continue;
+      if (!landed.contains(key) || host.store->warming.contains(key))
+        return false;
+    }
+    return true;
+  }
+
+  /// The cold parents `b` will warm into `host`'s store, now marked as
+  /// warming there. A parent already on disk in a local store is marked
+  /// present instead.
+  [[nodiscard]] std::vector<std::uint64_t> claim_warms(const Batch& b,
+                                                       HostState& host) {
+    std::vector<std::uint64_t> warms;
+    if (host.store == nullptr) return warms;
+    StoreState& st = *host.store;
+    for (std::size_t i = b.begin; i < b.end; ++i) {
+      const JobSpec& j = (*jobs)[i];
+      if (j.parent_key == 0 || j.snapshot ||
+          st.present.contains(j.parent_key))
+        continue;
+      if (st.local != nullptr && st.local->contains(j.parent_key)) {
+        st.present.insert(j.parent_key);
+      } else if (st.warming.insert(j.parent_key).second) {
+        warms.push_back(j.parent_key);
+      }
+    }
+    return warms;
   }
 };
 
@@ -393,13 +466,17 @@ struct Delivered {
   }
 };
 
+std::filesystem::path scratch_dir_of(const RemoteBackend::Options& opts) {
+  return opts.scratch_dir.empty() ? std::filesystem::temp_directory_path()
+                                  : std::filesystem::path(opts.scratch_dir);
+}
+
 /// One attempt of one batch: stage the job file, move it through the
 /// transport, validate and stream the results. Throws on any failure with
 /// the batch untouched; the scratch pair never outlives the attempt.
-void run_batch_once(HostState& host, const Batch& batch,
+void run_batch_once(Scheduler& sched, HostState& host, const Batch& batch,
                     const std::vector<JobSpec>& all_jobs,
                     const std::filesystem::path& scratch, bool keep_files,
-                    WarmStore* coordinator_store,
                     std::vector<UploadRecord>& uploads, Delivered& delivered,
                     ResultSink& sink) {
   host.ensure_prepared();
@@ -432,22 +509,24 @@ void run_batch_once(HostState& host, const Batch& batch,
   // The only copy of the slice, alive just while staging the job file
   // (the snapshot payloads inside are shared_ptr-shared, not duplicated).
   // With a host-side warm store this copy is also where fork snapshots are
-  // stripped: a parent already present on the host (or embedded once
-  // earlier in this same batch) travels as its content hash alone.
+  // stripped: a local store takes attached parents directly, and an ssh
+  // host already holding a parent (or receiving it once earlier in this
+  // same batch) gets its content hash alone.
   std::vector<JobSpec> slice(first, last);
-  if (!host.spec.warm_store_dir.empty()) {
-    const std::lock_guard lk(host.warm_mutex);
+  if (host.store != nullptr && host.store->local != nullptr) {
+    for (JobSpec& j : slice) {
+      if (j.parent_key == 0 || !j.snapshot) continue;
+      // put-if-absent is ~free when the entry exists.
+      host.store->local->put(j.parent_key, j.snapshot);
+      j.snapshot = nullptr;
+    }
+  } else if (host.store != nullptr) {
+    const std::lock_guard lk(sched.m);
     std::unordered_set<std::uint64_t> in_batch;
     for (JobSpec& j : slice) {
       if (j.parent_key == 0 || !j.snapshot) continue;
-      if (host.warm_shared) {
-        // The host reads the coordinator's own store directory: make sure
-        // the entry exists (put-if-absent is ~free when it does), then
-        // always ship by hash.
-        coordinator_store->put(j.parent_key, j.snapshot);
-        j.snapshot = nullptr;
-      } else if (host.warm_present.contains(j.parent_key) ||
-                 !in_batch.insert(j.parent_key).second) {
+      if (host.store->present.contains(j.parent_key) ||
+          !in_batch.insert(j.parent_key).second) {
         j.snapshot = nullptr;
       } else {
         uploads.push_back({j.parent_key, j.snapshot->size()});
@@ -541,35 +620,30 @@ void run_batch_once(HostState& host, const Batch& batch,
     if (delivered.claim(answered[i]->id))
       sink.push(*answered[i], std::move(results[i].second));
   }
-
-  // Success: every parent this batch referenced is now durably in the
-  // host-side store — the worker installs embedded copies before running
-  // and stores warm-job captures as they land — so later batches on this
-  // host ship hashes only.
-  if (!host.spec.warm_store_dir.empty() && !host.warm_shared) {
-    const std::lock_guard lk(host.warm_mutex);
-    for (const JobSpec& j : slice) {
-      if (j.parent_key != 0) host.warm_present.insert(j.parent_key);
-    }
-  }
 }
 
 void host_slot_loop(Scheduler& sched, HostState& host,
                     const std::vector<JobSpec>& all_jobs,
                     const std::filesystem::path& scratch, bool keep_files,
                     unsigned max_attempts, unsigned host_max_failures,
-                    WarmStore* coordinator_store, Delivered& delivered,
-                    ResultSink& sink) {
+                    Delivered& delivered, ResultSink& sink) {
   for (;;) {
     Batch batch;
+    std::vector<std::uint64_t> warms;
     {
       std::unique_lock lk(sched.m);
+      auto next = sched.queue.end();
       sched.cv.wait(lk, [&] {
-        return sched.finished() || host.dead || !sched.queue.empty();
+        if (sched.finished() || host.dead) return true;
+        next = std::find_if(
+            sched.queue.begin(), sched.queue.end(),
+            [&](const Batch& b) { return sched.ready(b, host); });
+        return next != sched.queue.end();
       });
       if (sched.finished() || host.dead) return;
-      batch = std::move(sched.queue.front());
-      sched.queue.pop_front();
+      batch = std::move(*next);
+      sched.queue.erase(next);
+      warms = sched.claim_warms(batch, host);
     }
 
     ++batch.attempts;
@@ -577,14 +651,16 @@ void host_slot_loop(Scheduler& sched, HostState& host,
     std::exception_ptr error;
     std::string error_text;
     try {
-      run_batch_once(host, batch, all_jobs, scratch, keep_files,
-                     coordinator_store, uploads, delivered, sink);
+      run_batch_once(sched, host, batch, all_jobs, scratch, keep_files,
+                     uploads, delivered, sink);
     } catch (const std::exception& e) {
       error = std::current_exception();
       error_text = e.what();
     }
 
     std::unique_lock lk(sched.m);
+    if (host.store != nullptr)
+      for (const std::uint64_t key : warms) host.store->warming.erase(key);
     if (!error) {
       for (const UploadRecord& u : uploads) {
         ++sched.uploads;
@@ -593,8 +669,22 @@ void host_slot_loop(Scheduler& sched, HostState& host,
                     campaign::key_hex(u.key) + " (" +
                     std::to_string(u.bytes) + " bytes)");
       }
+      for (const std::uint64_t key : warms) {
+        sched.event(host.spec.label() + ": warmed parent " +
+                    campaign::key_hex(key));
+      }
+      // Every parent this batch referenced is now durably in the host's
+      // store — the worker installs embedded copies before running and
+      // stores the parents it warms as they land — so later batches ship
+      // hashes only, and the group's waiting batches may start.
+      for (std::size_t i = batch.begin; i < batch.end; ++i) {
+        const JobSpec& j = all_jobs[i];
+        if (j.parent_key == 0) continue;
+        if (host.store != nullptr) host.store->present.insert(j.parent_key);
+        if (!j.snapshot) sched.landed.insert(j.parent_key);
+      }
       ++sched.done;
-      if (sched.finished()) sched.cv.notify_all();
+      sched.cv.notify_all();
       continue;
     }
 
@@ -616,20 +706,18 @@ void host_slot_loop(Scheduler& sched, HostState& host,
       // until the poison job sits alone in a batch and fails on its own
       // attempts. The halves are fresh batches with fresh budgets, so a
       // lineage stays bounded: at most 2N-1 batches of max_attempts each.
-      Batch left, right;
-      left.number = sched.next_batch_number++;
-      left.begin = batch.begin;
-      left.end = batch.begin + (batch.end - batch.begin) / 2;
-      right.number = sched.next_batch_number++;
-      right.begin = left.end;
-      right.end = batch.end;
+      const std::size_t mid = batch.begin + (batch.end - batch.begin) / 2;
+      Batch left = sched.make_batch(sched.next_batch_number++, batch.begin,
+                                    mid);
+      Batch right =
+          sched.make_batch(sched.next_batch_number++, mid, batch.end);
       sched.event(batch.describe(all_jobs) + " split into " +
                   left.describe(all_jobs) + " and " +
                   right.describe(all_jobs) +
                   " to isolate a possible poison job");
       ++sched.total;  // one batch became two
-      sched.queue.push_back(left);
-      sched.queue.push_back(right);
+      sched.queue.push_back(std::move(left));
+      sched.queue.push_back(std::move(right));
     } else {
       sched.queue.push_back(std::move(batch));
     }
@@ -656,6 +744,25 @@ RemoteBackend::RemoteBackend() : RemoteBackend(Options()) {}
 
 RemoteBackend::RemoteBackend(Options options) : opts_(std::move(options)) {}
 
+RemoteBackend::~RemoteBackend() {
+  if (!session_store_ || opts_.keep_files) return;
+  std::error_code ec;
+  std::filesystem::remove_all(session_store_->dir(), ec);
+}
+
+WarmStore& RemoteBackend::local_warm_store() {
+  if (opts_.warm_store != nullptr) return *opts_.warm_store;
+  if (!session_store_) {
+    static std::atomic<std::uint64_t> sessions{0};
+    session_store_ = std::make_unique<WarmStore>(
+        (scratch_dir_of(opts_) /
+         ("mflush-warm-" + std::to_string(::getpid()) + "-" +
+          std::to_string(sessions.fetch_add(1))))
+            .string());
+  }
+  return *session_store_;
+}
+
 void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
   if (jobs.empty()) return;
   if (opts_.max_attempts == 0)
@@ -678,41 +785,25 @@ void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
         "RemoteBackend: cannot locate the mflushsim worker binary (set "
         "MFLUSH_WORKER_BIN or Options::worker_binary)");
   }
-  const std::filesystem::path scratch =
-      opts_.scratch_dir.empty() ? std::filesystem::temp_directory_path()
-                                : std::filesystem::path(opts_.scratch_dir);
+  const std::filesystem::path scratch = scratch_dir_of(opts_);
 
-  // Warm-snapshot shipping: when the sweep references warmed parents,
-  // every host gets a warm store so each parent crosses to each host at
-  // most once. Session-scoped local stores (no coordinator store) are
-  // swept on exit.
-  std::vector<std::filesystem::path> session_stores;
-  struct StoreSweep {
-    std::vector<std::filesystem::path>& dirs;
-    bool keep;
-    ~StoreSweep() {
-      if (keep) return;
-      std::error_code ec;
-      for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
-    }
-  } sweep{session_stores, opts_.keep_files};
+  // Warm stores: when the sweep references warmed parents, every host gets
+  // one, so each parent warms (or uploads) at most once per store. All
+  // local hosts share one; each ssh host has its own under remote_dir.
   const bool has_parents =
       std::any_of(jobs.begin(), jobs.end(),
                   [](const JobSpec& j) { return j.parent_key != 0; });
+  StoreState local_store;
+  std::vector<StoreState> host_stores(hosts.size());
   if (has_parents) {
     for (HostSpec& h : hosts) {
-      if (!h.is_local()) {
+      if (h.is_local()) {
+        if (local_store.local == nullptr)
+          local_store.local = &local_warm_store();
+        h.warm_store_dir = local_store.local->dir();
+      } else {
         h.warm_store_dir =
             h.remote_dir + "/warmstore." + std::to_string(h.index);
-      } else if (opts_.warm_store != nullptr) {
-        h.warm_store_dir = opts_.warm_store->dir();
-      } else {
-        const auto dir =
-            scratch / ("mflush-warm-" + std::to_string(::getpid()) + "-h" +
-                       std::to_string(h.index));
-        std::filesystem::create_directories(dir);
-        session_stores.push_back(dir);
-        h.warm_store_dir = dir.string();
       }
     }
   }
@@ -720,7 +811,7 @@ void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
   std::size_t total_slots = 0;
   for (const HostSpec& h : hosts) total_slots += h.slots;
   const auto ranges =
-      remote::batch_ranges(jobs.size(), opts_.batch_jobs, total_slots);
+      remote::batch_ranges(jobs, opts_.batch_jobs, total_slots);
 
   Scheduler sched;
   Delivered delivered;
@@ -728,20 +819,19 @@ void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
   sched.next_batch_number = ranges.size();
   sched.live_hosts = hosts.size();
   sched.on_event = opts_.on_event;
-  for (std::size_t b = 0; b < ranges.size(); ++b) {
-    Batch batch;
-    batch.number = b;
-    batch.begin = ranges[b].first;
-    batch.end = ranges[b].second;
-    sched.queue.push_back(batch);
-  }
+  sched.jobs = &jobs;
+  sched.heads = cold_group_heads(jobs);
+  for (std::size_t b = 0; b < ranges.size(); ++b)
+    sched.queue.push_back(
+        sched.make_batch(b, ranges[b].first, ranges[b].second));
 
   std::vector<std::unique_ptr<HostState>> states;
   states.reserve(hosts.size());
   for (const HostSpec& h : hosts) {
     auto state = std::make_unique<HostState>();
     state->spec = h;
-    state->warm_shared = h.is_local() && opts_.warm_store != nullptr;
+    if (has_parents)
+      state->store = h.is_local() ? &local_store : &host_stores[h.index];
     if (opts_.transport_factory) {
       state->transport = opts_.transport_factory(h);
     } else if (h.is_local()) {
@@ -763,7 +853,7 @@ void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
       slots.emplace_back([&, host] {
         host_slot_loop(sched, *host, jobs, scratch, opts_.keep_files,
                        opts_.max_attempts, opts_.host_max_failures,
-                       opts_.warm_store, delivered, sink);
+                       delivered, sink);
       });
     }
   }

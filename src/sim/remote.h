@@ -24,7 +24,12 @@
 /// shared queue, a failed or unreachable host's batch is re-queued onto
 /// healthy hosts (bounded attempts per batch), and a host that keeps
 /// failing is retired while at least one other host survives. Results
-/// stream into the ResultSink as each batch lands; the backend contract —
+/// stream into the ResultSink as each batch lands. Batches are cut at
+/// parent-group boundaries, and a batch whose cold parent (see
+/// cold_group_heads) warms in an earlier batch waits until that batch has
+/// landed and put the parent in its host's store — so each parent warms
+/// once per host store, and its bytes never travel to the coordinator.
+/// The backend contract —
 /// full-SimMetrics bit-identity with SerialBackend — holds because every
 /// job still executes through run_job and doubles cross the wire as raw
 /// bytes.
@@ -51,8 +56,9 @@ struct HostSpec {
   std::size_t index = 0;  ///< dense pool index, assigned by RemoteBackend
   /// Host-side WarmStore directory (a path on the host itself), resolved
   /// by RemoteBackend when the sweep references warmed parents — not part
-  /// of the hosts grammar. Empty = no warm shipping for this host; every
-  /// fork embeds its snapshot bytes inline.
+  /// of the hosts grammar. Every `local` host gets the same directory.
+  /// Empty = no warm store on this host; forks embed attached snapshot
+  /// bytes inline and by-reference ones warm their parent per process.
   std::string warm_store_dir;
 
   [[nodiscard]] bool is_local() const noexcept {
@@ -81,12 +87,16 @@ struct HostSpec {
 /// silently comment out every later entry — use a hosts file instead).
 [[nodiscard]] std::vector<HostSpec> hosts_from_env();
 
-/// Contiguous [begin, end) job-index chunks for a sweep of `jobs` jobs.
+/// Contiguous [begin, end) job-index chunks for a sweep of `jobs`.
 /// `batch_jobs` == 0 picks an automatic size aiming at ~4 batches per host
 /// slot, so work stealing has slack to rebalance around a slow or failed
-/// host (floor 1 job per batch).
+/// host (floor 1 job per batch). Cuts fall only at parent-group boundaries
+/// (consecutive jobs sharing a parent_key): a batch that would end inside
+/// a group ends before it instead, unless the group alone outgrows the
+/// batch size — then it spans batches. FullRun jobs have no groups.
 [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
-    std::size_t jobs, std::size_t batch_jobs, std::size_t slots);
+    const std::vector<JobSpec>& jobs, std::size_t batch_jobs,
+    std::size_t slots);
 
 /// What a Transport throws: the batch is intact and may be re-queued.
 class TransportError : public std::runtime_error {
@@ -212,26 +222,32 @@ class RemoteBackend final : public ExperimentBackend {
         const remote::HostSpec&)>
         transport_factory;
     /// Serialized scheduler narration (batch failures, re-queues, host
-    /// retirements, parent snapshot uploads) — wire
-    /// report::event_printer(std::cerr) for the CLI.
+    /// retirements, parent snapshot uploads, parents warmed on a host) —
+    /// wire report::event_printer(std::cerr) for the CLI.
     std::function<void(const std::string&)> on_event;
-    /// Coordinator-side warm store. Local hosts share it directly (their
-    /// workers read the same directory, so no bytes ever ride the job
-    /// file); without it, each local host gets a session-scoped scratch
-    /// store and ssh hosts one under their remote_dir — either way a
-    /// parent's snapshot is uploaded at most once per host, and later
-    /// batches ship the 8-byte hash instead.
+    /// Coordinator-side warm store. All local hosts share it directly
+    /// (their workers read and fill the same directory, so no bytes ever
+    /// ride the job file); without it they share one session store that
+    /// lives as long as this backend. Each ssh host keeps a store under its
+    /// remote_dir, and an attached parent snapshot is uploaded to it at
+    /// most once — later batches ship the 8-byte hash instead.
     WarmStore* warm_store = nullptr;
   };
 
   RemoteBackend();  ///< default Options
   explicit RemoteBackend(Options options);
+  ~RemoteBackend() override;  ///< removes the session store
 
   [[nodiscard]] std::string name() const override { return "remote"; }
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
 
  private:
+  /// The store every local host reads: the coordinator's, else the
+  /// session store, made on first use and kept for this backend's life.
+  WarmStore& local_warm_store();
+
   Options opts_;
+  std::unique_ptr<WarmStore> session_store_;
 };
 
 }  // namespace mflush

@@ -1,9 +1,11 @@
 #include "sim/warmstore.h"
 
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
+#include <unordered_set>
 
 #include "common/archive.h"
 #include "common/fsio.h"
@@ -18,15 +20,18 @@ constexpr std::uint64_t kKeyMagic = 0x4d464c5553574b59ull;    // "MFLUSWKY"
 
 using Bytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
+struct Registry {
+  std::mutex m;
+  std::condition_variable landed;  ///< a warm finished (or failed)
+  std::unordered_map<std::uint64_t, Bytes> bytes;
+  std::unordered_set<std::uint64_t> warming;
+  std::uint64_t warms = 0;
+};
 
-std::unordered_map<std::uint64_t, Bytes>& registry() {
+Registry& registry() {
   // Leaked intentionally: snapshot bytes may be recalled from worker code
   // running during static destruction of other translation units.
-  static auto* r = new std::unordered_map<std::uint64_t, Bytes>();
+  static auto* r = new Registry();
   return *r;
 }
 
@@ -64,14 +69,53 @@ JobSpec warm_job_of(const JobSpec& fork) {
 
 void publish(std::uint64_t key, Bytes bytes) {
   if (key == 0 || !bytes) return;
-  const std::lock_guard lk(registry_mutex());
-  registry().emplace(key, std::move(bytes));
+  Registry& r = registry();
+  const std::lock_guard lk(r.m);
+  r.bytes.emplace(key, std::move(bytes));
 }
 
 Bytes recall(std::uint64_t key) {
-  const std::lock_guard lk(registry_mutex());
-  const auto it = registry().find(key);
-  return it == registry().end() ? nullptr : it->second;
+  Registry& r = registry();
+  const std::lock_guard lk(r.m);
+  const auto it = r.bytes.find(key);
+  return it == r.bytes.end() ? nullptr : it->second;
+}
+
+Bytes parent_snapshot(const JobSpec& fork) {
+  Registry& r = registry();
+  const std::uint64_t key = fork.parent_key;
+  {
+    std::unique_lock lk(r.m);
+    for (;;) {
+      if (const auto it = r.bytes.find(key); it != r.bytes.end())
+        return it->second;
+      if (r.warming.insert(key).second) break;
+      r.landed.wait(lk);
+    }
+    ++r.warms;
+  }
+  // This caller warms; siblings wait above until the bytes are published
+  // or the warm throws (then one of them takes over).
+  struct Release {
+    Registry& r;
+    std::uint64_t key;
+    ~Release() {
+      {
+        const std::lock_guard lk(r.m);
+        r.warming.erase(key);
+      }
+      r.landed.notify_all();
+    }
+  } release{r, key};
+  Bytes bytes = run_job(warm_job_of(fork)).payload;
+  publish(key, bytes);
+  return bytes;
+}
+
+std::uint64_t warm_count() {
+  Registry& r = registry();
+  const std::lock_guard lk(r.m);
+  return r.warms;
 }
 
 }  // namespace warmstore

@@ -56,13 +56,24 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// warm_key. This is the "map read-only state once per process" layer:
 /// every fork of a parent — across specs and rounds in the same process —
 /// shares one immutable byte vector. run_job feeds it (warm jobs publish
-/// their capture; by-ref forks publish self-heal re-warms) and the warm
-/// phase in run_experiment recalls it before warming anew. Put-if-absent;
-/// null keys/bytes are ignored.
+/// their capture; by-ref forks publish the parent they warmed) and the
+/// warm phase in run_experiment recalls it before leaving a parent cold.
+/// Put-if-absent; null keys/bytes are ignored.
 void publish(std::uint64_t key,
              std::shared_ptr<const std::vector<std::uint8_t>> bytes);
 [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> recall(
     std::uint64_t key);
+
+/// The parent snapshot of by-reference fork `fork` (keyed by its
+/// parent_key): the registry's copy, or a fresh warm of warm_job_of(fork),
+/// published before it is returned. Single-flight per key: concurrent
+/// callers for one parent block until the first caller's warm lands
+/// instead of repeating it; if that warm throws, a waiter takes over.
+[[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>>
+parent_snapshot(const JobSpec& fork);
+
+/// Warms parent_snapshot has run in this process (each one a cold key).
+[[nodiscard]] std::uint64_t warm_count();
 
 }  // namespace warmstore
 

@@ -77,8 +77,9 @@
 ///                             job's result to FILE.r<id> as it lands
 ///                             (streaming transports watch these)
 ///     --worker-store DIR      host-side warm store for --worker: embedded
-///                             parent snapshots are installed here and
-///                             by-hash forks resolve from here (set by
+///                             parent snapshots are installed here,
+///                             by-hash forks resolve from here, and a
+///                             parent a fork warms is stored here (set by
 ///                             RemoteBackend, rarely by hand)
 ///     --worker-bin PATH       worker binary for --backend worker/remote
 ///                             (default: this executable)

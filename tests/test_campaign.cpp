@@ -427,5 +427,45 @@ TEST_F(CampaignTest, NewSpecRotatesTheJournalButKeepsTheCache) {
   EXPECT_TRUE(fs::exists(dir_ / "spec.1.mfc"));
 }
 
+TEST_F(CampaignTest, TempSweepSparesLiveWritersAndRemovesOrphans) {
+  // A shared cache (mflushd) holds other writers' entries in flight: the
+  // create/resume sweep may only delete temps whose writer is gone.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);  // `child` is now dead
+
+  const fs::path cache = dir_ / "shared-cache";
+  fs::create_directories(cache);
+  const auto touch = [&](const std::string& name) {
+    std::ofstream(cache / name) << "partial";
+    return cache / name;
+  };
+  const fs::path live =
+      touch("0123456789abcdef.mfcr.tmp." + std::to_string(::getpid()) + ".7");
+  const fs::path orphan =
+      touch("fedcba9876543210.mfcr.tmp." + std::to_string(child) + ".3");
+  const fs::path foreign = touch("notes.tmp.txt");
+
+  CampaignStore::Options opts;
+  opts.cache_dir = cache.string();
+  { (void)CampaignStore::create(dir_.string(), small_spec(), opts); }
+  EXPECT_TRUE(fs::exists(live)) << "a live writer's temp was swept";
+  EXPECT_FALSE(fs::exists(orphan)) << "a dead writer's temp survived";
+  EXPECT_TRUE(fs::exists(foreign)) << "a non-temp file was swept";
+
+  // resume sweeps by the same rule.
+  const fs::path orphan2 =
+      touch("1111222233334444.mfcr.tmp." + std::to_string(child) + ".9");
+  { (void)CampaignStore::resume(dir_.string(), opts); }
+  EXPECT_TRUE(fs::exists(live));
+  EXPECT_FALSE(fs::exists(orphan2));
+
+  EXPECT_FALSE(fsio::is_orphaned_temp(live.string()));
+  EXPECT_FALSE(fsio::is_orphaned_temp(foreign.string()));
+  EXPECT_FALSE(fsio::is_orphaned_temp((cache / "x.tmp.12ab.3").string()));
+}
+
 }  // namespace
 }  // namespace mflush

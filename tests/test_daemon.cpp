@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <span>
@@ -407,6 +410,53 @@ TEST_F(DaemonTest, StatusListAndErrorsOneShots) {
   ASSERT_EQ(listed.type, daemon::MsgType::kOk);
   EXPECT_NE(listed.text.find(out.campaign), std::string::npos);
   EXPECT_NE(listed.text.find("finished"), std::string::npos);
+}
+
+TEST_F(DaemonTest, CancelBeforeTheCampaignQueuesIsHonoured) {
+  // The runner reads job 0's cache entry before it queues anything; making
+  // that entry a FIFO parks it there, so the CANCEL below lands while the
+  // campaign has no queue in the scheduler — the window in which a cancel
+  // used to be dropped and the campaign ran to completion.
+  using namespace std::chrono_literals;
+  const ExperimentSpec spec =
+      spec_of({"2W1"}, {PolicySpec::icount(), PolicySpec::mflush()});
+  const fs::path cache = dir_ / "data" / "cache";
+  fs::create_directories(cache);
+  const std::string fifo =
+      (cache / (campaign::key_hex(campaign::job_key(spec.expand()[0])) +
+                ".mfcr"))
+          .string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  start_daemon();
+
+  const daemon::SubmitOutcome accepted =
+      daemon::submit(address_, spec, /*follow=*/false);
+  daemon::Message cancel;
+  cancel.type = daemon::MsgType::kCancel;
+  cancel.campaign = accepted.campaign;
+  EXPECT_EQ(daemon::request(address_, cancel).type, daemon::MsgType::kOk);
+
+  // Release the runner: once the write end opens and closes, its read
+  // sees EOF — an unreadable entry, i.e. a cache miss — and it moves on
+  // to queue the jobs.
+  int fd = -1;
+  for (int i = 0; i < 1000 && fd < 0; ++i) {
+    fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd < 0) std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_GE(fd, 0) << "the campaign never read its cache entry";
+  ::close(fd);
+
+  daemon::Message status;
+  status.type = daemon::MsgType::kStatus;
+  status.campaign = accepted.campaign;
+  daemon::Message reply = daemon::request(address_, status);
+  for (int i = 0; i < 1000 && reply.text == "running"; ++i) {
+    std::this_thread::sleep_for(10ms);
+    reply = daemon::request(address_, status);
+  }
+  EXPECT_EQ(reply.text, "cancelled");
+  EXPECT_EQ(reply.executed, 0u);
 }
 
 TEST_F(DaemonTest, RejectsAnInvalidSpecWithoutDying) {

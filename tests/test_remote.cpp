@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -135,10 +137,16 @@ TEST(SshTransportTimeout, MalformedEnvIsAHardErrorAndValidOnesResolve) {
 
 // ---------------------------------------------------------------- batching
 
+/// batch_ranges over `n` FullRun jobs (no parent groups to respect).
+std::vector<std::pair<std::size_t, std::size_t>> plain_ranges(
+    std::size_t n, std::size_t batch_jobs, std::size_t slots) {
+  return remote::batch_ranges(std::vector<JobSpec>(n), batch_jobs, slots);
+}
+
 TEST(RemoteBatching, RangesCoverEveryJobExactlyOnce) {
   for (const std::size_t jobs : {1u, 2u, 7u, 16u, 100u}) {
     for (const std::size_t batch : {0u, 1u, 3u, 200u}) {
-      const auto ranges = remote::batch_ranges(jobs, batch, 4);
+      const auto ranges = plain_ranges(jobs, batch, 4);
       ASSERT_FALSE(ranges.empty());
       std::size_t expect_begin = 0;
       for (const auto& [begin, end] : ranges) {
@@ -149,17 +157,34 @@ TEST(RemoteBatching, RangesCoverEveryJobExactlyOnce) {
       EXPECT_EQ(expect_begin, jobs);
     }
   }
-  EXPECT_TRUE(remote::batch_ranges(0, 0, 4).empty());
+  EXPECT_TRUE(plain_ranges(0, 0, 4).empty());
 }
 
 TEST(RemoteBatching, AutoSizeAmortizesButKeepsStealingSlack) {
   // ~4 batches per slot: a 64-job sweep over 2 slots packs 8 jobs per
   // batch instead of 64 one-job subprocess spawns.
-  const auto ranges = remote::batch_ranges(64, 0, 2);
+  const auto ranges = plain_ranges(64, 0, 2);
   EXPECT_EQ(ranges.size(), 8u);
   EXPECT_EQ(ranges.front().second - ranges.front().first, 8u);
   // Tiny sweeps degenerate to one job per batch, never zero.
-  EXPECT_EQ(remote::batch_ranges(3, 0, 16).size(), 3u);
+  EXPECT_EQ(plain_ranges(3, 0, 16).size(), 3u);
+}
+
+TEST(RemoteBatching, RangesCutAtParentGroupBoundaries) {
+  // Three 4-fork groups (parent keys 1, 2, 3) behind two FullRun jobs.
+  std::vector<JobSpec> jobs(14);
+  for (std::size_t i = 2; i < jobs.size(); ++i)
+    jobs[i].parent_key = 1 + (i - 2) / 4;
+  using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+  // A cut that would split a group backs off to the group's start...
+  EXPECT_EQ(remote::batch_ranges(jobs, 5, 1),
+            (Ranges{{0, 2}, {2, 6}, {6, 10}, {10, 14}}));
+  // ...unless the group alone outgrows the batch: then it spans batches.
+  EXPECT_EQ(remote::batch_ranges(jobs, 3, 1),
+            (Ranges{{0, 2}, {2, 5}, {5, 6}, {6, 9}, {9, 10}, {10, 13},
+                    {13, 14}}));
+  // Without groups every cut falls at the batch size.
+  EXPECT_EQ(plain_ranges(14, 5, 1), (Ranges{{0, 5}, {5, 10}, {10, 14}}));
 }
 
 // ----------------------------------------------------- scheduler plumbing
@@ -499,6 +524,102 @@ TEST(RemoteBackendTest, MatchesSerialWithMidRunHostFailure) {
   RemoteBackend backend(opts);
   SerialBackend serial;
   expect_identical_runs(serial.run_collect(jobs), backend.run_collect(jobs));
+}
+
+/// In-process transport that logs when each batch (named by its job
+/// file) starts and ends, in one order shared by every host.
+class RecordingTransport final : public remote::Transport {
+ public:
+  struct Log {
+    std::mutex m;
+    std::vector<std::pair<bool, std::vector<std::uint32_t>>> entries;
+  };
+  explicit RecordingTransport(Log& log) : log_(log) {}
+  [[nodiscard]] std::string name() const override { return "test-record"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec&, const std::string& job_path,
+                 const std::string& result_path,
+                 const std::string&) override {
+    std::vector<std::uint32_t> ids;
+    for (const JobSpec& j : worker::read_job_file(job_path))
+      ids.push_back(j.id);
+    record(true, ids);
+    run_batch_in_process(job_path, result_path);
+    record(false, ids);
+  }
+
+ private:
+  void record(bool start, const std::vector<std::uint32_t>& ids) {
+    const std::lock_guard lk(log_.m);
+    log_.entries.emplace_back(start, ids);
+  }
+  Log& log_;
+};
+
+TEST(RemoteBackendTest, GroupsSpanningBatchesWaitForTheirHeadBatch) {
+  // Two hosts with separate stores (non-local names, injected transport),
+  // 2 parents x 6 forks in 2-job batches: every group spans 3 batches.
+  ExperimentSpec spec;
+  spec.workloads = {*workloads::by_name("2W1")};
+  spec.policies = {PolicySpec::icount(), PolicySpec::mflush()};
+  spec.warmup = 310;
+  spec.measure = 400;
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 6;
+  spec.sampled.fork_stride = 100;
+  const std::vector<JobSpec> jobs = spec.expand();
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "remote-group-test";
+  fs::remove_all(dir);
+  RecordingTransport::Log log;
+  RemoteBackend::Options opts;
+  opts.worker_binary = "unused-by-injected-transports";
+  opts.scratch_dir = dir.string();
+  opts.batch_jobs = 2;
+  remote::HostSpec a, b;
+  a.name = "host-a";
+  a.slots = 2;
+  a.remote_dir = (dir / "a").string();
+  b = a;
+  b.name = "host-b";
+  b.remote_dir = (dir / "b").string();
+  opts.hosts = {a, b};
+  opts.transport_factory = [&](const remote::HostSpec&) {
+    return std::make_unique<RecordingTransport>(log);
+  };
+  std::vector<std::string> events;
+  opts.on_event = [&](const std::string& e) { events.push_back(e); };
+  fs::create_directories(dir);
+  RemoteBackend backend(opts);
+  const std::vector<RunResult> results = backend.run_collect(jobs);
+
+  // A batch holding a group's later forks starts only after the batch
+  // holding its head (job 0 or 6) has ended.
+  const auto ended = [&](std::size_t upto, std::uint32_t head) {
+    for (std::size_t e = 0; e < upto; ++e) {
+      const auto& [start, ids] = log.entries[e];
+      if (!start && std::find(ids.begin(), ids.end(), head) != ids.end())
+        return true;
+    }
+    return false;
+  };
+  for (std::size_t e = 0; e < log.entries.size(); ++e) {
+    const auto& [start, ids] = log.entries[e];
+    const std::uint32_t head = ids.front() / 6 * 6;
+    if (start && ids.front() != head)
+      EXPECT_TRUE(ended(e, head)) << "batch from job " << ids.front();
+  }
+  // Each parent warms at most once per host store, and nothing uploads.
+  std::set<std::string> warmed;
+  for (const std::string& e : events) {
+    EXPECT_EQ(e.find("uploaded parent"), std::string::npos) << e;
+    if (e.find("warmed parent") != std::string::npos)
+      EXPECT_TRUE(warmed.insert(e).second) << "warmed twice: " << e;
+  }
+  EXPECT_GE(warmed.size(), 2u);
+  EXPECT_LE(warmed.size(), 4u);
+  expect_identical_runs(SerialBackend().run_collect(jobs), results);
+  fs::remove_all(dir);
 }
 
 TEST(RemoteBackendTest, DefaultPoolIsLoopbackFanOut) {

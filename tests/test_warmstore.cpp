@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -16,6 +17,8 @@
 #include "sim/campaign.h"
 #include "sim/cmp.h"
 #include "sim/experiment.h"
+#include "sim/parallel.h"
+#include "sim/remote.h"
 #include "sim/snapshot.h"
 #include "sim/warmstore.h"
 #include "sim/workloads.h"
@@ -438,6 +441,114 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
   EXPECT_EQ(hot.stats().stored, 0u);
   ASSERT_EQ(hot_events.size(), 1u);
   EXPECT_EQ(hot_events[0], "2 parent(s): 2 reused, 0 warmed");
+}
+
+// ------------------------------------------------------ forks warm parents
+
+/// `jobs` with each fork's parent attached the way the warm phase used to
+/// resolve it: the capture of warm_job_of(fork), warmed by hand (fixed
+/// memory, as warm_job_of builds it) without touching the registry.
+std::vector<JobSpec> resolved_by_hand(std::vector<JobSpec> jobs) {
+  std::unordered_map<std::uint64_t,
+                     std::shared_ptr<const std::vector<std::uint8_t>>>
+      parents;
+  for (JobSpec& j : jobs) {
+    auto& bytes = parents[j.parent_key];
+    if (!bytes) {
+      const JobSpec w = warmstore::warm_job_of(j);
+      CmpSimulator sim(w.workload, w.policy, w.seed);
+      sim.run(w.warmup);
+      bytes = std::make_shared<const std::vector<std::uint8_t>>(
+          snapshot::capture(sim));
+    }
+    j.snapshot = bytes;
+  }
+  return jobs;
+}
+
+TEST_F(WarmStoreTest, ByRefDramForkWarmsLikeTheResolvedFork) {
+  // A fork whose parent is cold warms it wherever it runs, through
+  // warm_job_of — which drops mem_model (a known defect, see ROADMAP) while
+  // the fork's own config keeps banked DRAM. Every backend must therefore
+  // match the fork resolved with the warm job's capture; warming with the
+  // fork's config instead gives different metrics. Each backend gets its
+  // own warmup, so the registry is cold for all three.
+  const auto dram_forks = [](Cycle warmup) {
+    ExperimentSpec spec = sampled_spec(warmup);
+    spec.mem_model = MemModelKind::BankedDram;
+    return spec.expand();
+  };
+
+  const std::uint64_t before = warmstore::warm_count();
+  const std::vector<JobSpec> serial_jobs = dram_forks(491);
+  expect_identical_results(SerialBackend().run_collect(serial_jobs),
+                           SerialBackend().run_collect(
+                               resolved_by_hand(serial_jobs)));
+  EXPECT_EQ(warmstore::warm_count() - before, 2u) << "registry was not cold";
+
+  const std::vector<JobSpec> inproc_jobs = dram_forks(492);
+  expect_identical_results(InProcessBackend().run_collect(inproc_jobs),
+                           SerialBackend().run_collect(
+                               resolved_by_hand(inproc_jobs)));
+
+  if (default_worker_binary().empty()) {
+    GTEST_SKIP() << "mflushsim worker binary not found";
+  }
+  RemoteBackend::Options ro;
+  ro.scratch_dir = dir_.string();
+  fs::create_directories(dir_);
+  RemoteBackend remote(ro);
+  const std::vector<JobSpec> remote_jobs = dram_forks(493);
+  expect_identical_results(remote.run_collect(remote_jobs),
+                           SerialBackend().run_collect(
+                               resolved_by_hand(remote_jobs)));
+}
+
+TEST_F(WarmStoreTest, ThreadsOverOnePointsForksWarmItsParentOnce) {
+  ExperimentSpec spec = sampled_spec(494);
+  spec.policies = {PolicySpec::mflush()};
+  spec.sampled.forks = 4;
+  ParallelRunner pool(3);
+  InProcessBackend inproc(pool);
+
+  const std::uint64_t before = warmstore::warm_count();
+  const std::vector<RunResult> results = run_experiment(spec, inproc);
+  EXPECT_EQ(warmstore::warm_count() - before, 1u)
+      << "sibling forks repeated their parent's warm";
+  expect_identical_results(
+      results, SerialBackend().run_collect(resolved_by_hand(spec.expand())));
+}
+
+TEST_F(WarmStoreTest, ColdPoolWarmsEachParentOnceAndUploadsNothing) {
+  if (default_worker_binary().empty()) {
+    GTEST_SKIP() << "mflushsim worker binary not found";
+  }
+  // Two local hosts, one slot each, no coordinator store, and two-job
+  // batches: each 6-fork group spans three batches across both hosts.
+  ExperimentSpec spec = sampled_spec(496);
+  spec.sampled.forks = 6;
+  remote::HostSpec host;
+  host.name = "local";
+  RemoteBackend::Options ro;
+  ro.hosts = {host, host};
+  ro.batch_jobs = 2;
+  ro.scratch_dir = dir_.string();
+  std::vector<std::string> events;
+  ro.on_event = [&](const std::string& e) { events.push_back(e); };
+  fs::create_directories(dir_);
+  RemoteBackend remote(ro);
+  const std::vector<RunResult> results = run_experiment(spec, remote);
+
+  std::multiset<std::string> warmed;
+  for (const std::string& e : events) {
+    EXPECT_EQ(e.find("uploaded parent"), std::string::npos) << e;
+    if (const auto at = e.find("warmed parent "); at != std::string::npos)
+      warmed.insert(e.substr(at));
+  }
+  EXPECT_EQ(warmed.size(), 2u);
+  EXPECT_EQ(std::set<std::string>(warmed.begin(), warmed.end()).size(), 2u);
+  expect_identical_results(
+      results, SerialBackend().run_collect(resolved_by_hand(spec.expand())));
 }
 
 }  // namespace
