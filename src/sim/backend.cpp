@@ -20,7 +20,6 @@
 #include "common/env.h"
 #include "common/fsio.h"
 #include "sim/parallel.h"
-#include "sim/remote.h"
 #include "sim/warmstore.h"
 
 extern char** environ;
@@ -309,8 +308,8 @@ InProcessBackend::InProcessBackend() : pool_(&ParallelRunner::shared()) {}
 
 void InProcessBackend::run(const std::vector<JobSpec>& jobs,
                            ResultSink& sink) {
-  // Group heads first: while one thread warms a parent, the others start
-  // other heads instead of queueing on that parent's single-flight.
+  // Parent-group heads first: while one thread warms a parent, the others
+  // start other heads instead of queueing on that parent's single-flight.
   const std::vector<std::size_t> heads = cold_group_heads(jobs);
   std::vector<std::size_t> order;
   order.reserve(jobs.size());
@@ -322,35 +321,6 @@ void InProcessBackend::run(const std::vector<JobSpec>& jobs,
     const JobSpec& job = jobs[order[k]];
     sink.push(job, run_job(job));
   });
-}
-
-WorkerBackend::WorkerBackend() : WorkerBackend(Options()) {}
-
-WorkerBackend::WorkerBackend(Options options) {
-  // One loopback host with max_processes slots: the batched remote
-  // scheduler replaces the old one-subprocess-plus-two-files-per-job loop,
-  // and its retry/scratch-guard error paths apply here for free.
-  remote::HostSpec local;
-  local.name = "local";
-  local.slots = options.max_processes != 0 ? options.max_processes
-                                           : ParallelRunner::default_jobs();
-
-  RemoteBackend::Options o;
-  o.hosts = {local};
-  o.worker_binary = std::move(options.worker_binary);
-  o.scratch_dir = std::move(options.scratch_dir);
-  o.batch_jobs = options.batch_jobs;
-  o.max_attempts = options.max_attempts;
-  o.keep_files = options.keep_files;
-  o.on_event = std::move(options.on_event);
-  o.warm_store = options.warm_store;
-  remote_ = std::make_unique<RemoteBackend>(std::move(o));
-}
-
-WorkerBackend::~WorkerBackend() = default;
-
-void WorkerBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
-  remote_->run(jobs, sink);
 }
 
 void record_argv0(const char* argv0) {
@@ -401,18 +371,6 @@ std::vector<std::size_t> cold_group_heads(const std::vector<JobSpec>& jobs) {
                    : i;
   }
   return heads;
-}
-
-std::vector<std::uint64_t> waited_parents(
-    const std::vector<JobSpec>& jobs, const std::vector<std::size_t>& heads,
-    std::size_t begin, std::size_t end) {
-  std::vector<std::uint64_t> keys;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (heads[i] < begin && std::find(keys.begin(), keys.end(),
-                                      jobs[i].parent_key) == keys.end())
-      keys.push_back(jobs[i].parent_key);
-  }
-  return keys;
 }
 
 namespace {

@@ -23,7 +23,6 @@
 namespace mflush {
 
 class ParallelRunner;
-class RemoteBackend;
 class WarmStore;
 
 /// Streaming result collection: an optional on_result callback fires as
@@ -105,55 +104,8 @@ class InProcessBackend final : public ExperimentBackend {
   ParallelRunner* pool_;
 };
 
-/// Jobs shell out to `mflushsim --worker` subprocesses speaking the
-/// job-file-in / result-file-out protocol below. Since the distributed
-/// sweep work this is a thin veneer over RemoteBackend (sim/remote.h) with
-/// a single loopback host: jobs run in *batches* per subprocess (not one
-/// process plus two files per job), failed batches retry with a fresh
-/// scratch stem, and the protocol files are scrubbed on every error path.
-class WorkerBackend final : public ExperimentBackend {
- public:
-  struct Options {
-    /// Worker binary; empty means default_worker_binary().
-    std::string worker_binary;
-    /// Concurrent worker processes; 0 means ParallelRunner::default_jobs().
-    unsigned max_processes = 0;
-    /// Directory for job/result files; empty means the system temp dir.
-    std::string scratch_dir;
-    /// Keep the protocol files after the run (debugging).
-    bool keep_files = false;
-    /// Jobs per worker invocation; 0 means the scheduler's auto sizing,
-    /// 1 reproduces the old one-subprocess-per-job pattern.
-    std::size_t batch_jobs = 0;
-    /// Total attempts per batch (>= 1) before the sweep fails. A worker
-    /// that exits nonzero, dies by signal, or writes a corrupt result is
-    /// retried on a fresh scratch stem up to this bound.
-    unsigned max_attempts = 3;
-    /// Serialized scheduler narration (batch failures and retries) —
-    /// without it a transient worker crash is retried away invisibly.
-    /// Same contract as RemoteBackend::Options::on_event.
-    std::function<void(const std::string&)> on_event;
-    /// Coordinator-side warm store the loopback workers read and fill
-    /// directly, so forks always ship the parent's hash, never its bytes.
-    /// Null: the workers share a session store instead (see RemoteBackend).
-    WarmStore* warm_store = nullptr;
-  };
-
-  WorkerBackend();  ///< default Options
-  explicit WorkerBackend(Options options);
-  ~WorkerBackend() override;
-
-  [[nodiscard]] std::string name() const override { return "worker"; }
-  void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
-
- private:
-  /// Lives as long as this backend, so its session warm store (no
-  /// coordinator store) serves every sampled round.
-  std::unique_ptr<RemoteBackend> remote_;
-};
-
-/// Removes its paths on destruction unless told to keep them — the worker
-/// and remote backends wrap every scratch .mfj/.mfr pair in one of these so
+/// Removes its paths on destruction unless told to keep them — the remote
+/// backend wraps every scratch .mfj/.mfr pair in one of these so
 /// protocol files cannot leak when a worker dies, writes a corrupt result,
 /// or a transport throws (the old post-success remove() calls were
 /// unreachable on those paths).
@@ -230,12 +182,6 @@ struct RunOptions {
 [[nodiscard]] std::vector<std::size_t> cold_group_heads(
     const std::vector<JobSpec>& jobs);
 
-/// The distinct cold parents jobs [begin, end) must wait for: those whose
-/// group head (`heads` = cold_group_heads(jobs)) lies before `begin`.
-[[nodiscard]] std::vector<std::uint64_t> waited_parents(
-    const std::vector<JobSpec>& jobs, const std::vector<std::size_t>& heads,
-    std::size_t begin, std::size_t end);
-
 /// The sampled-mode warm phase: attach parent snapshot bytes to every
 /// by-reference fork in `jobs` whose parent is already known — from the
 /// warm store (options.warm_store) or the in-process registry (healing the
@@ -291,8 +237,8 @@ namespace worker {
 inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Per-process unique scratch-file stem inside `dir` (pid + monotonic
-/// counter + leading job id), shared by the worker and remote backends so
-/// concurrent attempts can never collide on a file name.
+/// counter + leading job id), used by the remote backend so concurrent
+/// attempts can never collide on a file name.
 [[nodiscard]] std::string scratch_stem(const std::string& dir,
                                        std::uint32_t job_id);
 

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <filesystem>
 #include <map>
@@ -14,7 +12,6 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/archive.h"
@@ -73,10 +70,9 @@ enum class CampaignState : std::uint8_t {
   return "?";
 }
 
-/// One campaign's in-daemon life: runner thread, durable results log (for
-/// late-attaching followers), subscriber list, terminal state. `m` guards
-/// everything but `served`, which belongs to the mux's fair-share
-/// bookkeeping (guarded by the mux mutex).
+/// One campaign's in-daemon life: runner thread, scheduler tenant, durable
+/// results log (for late-attaching followers), subscriber list, terminal
+/// state. `m` guards the mutable fields.
 struct CampaignRun {
   std::string id;
   std::string dir;
@@ -89,272 +85,16 @@ struct CampaignRun {
   /// entry was durable (cache + journal) before it landed here, so a
   /// replay to a late subscriber only ever shows crash-survivable work.
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> log;
-  std::uint64_t executed = 0;  ///< measured jobs the mux ran (this session)
-  std::uint64_t total = 0;     ///< final result count, set at termination
+  std::uint64_t total = 0;  ///< final result count, set at termination
   std::uint64_t cached = 0;
   std::vector<std::shared_ptr<Conn>> subscribers;
   bool done_broadcast = false;
   Message done_msg;
 
+  /// The campaign's share of the pool; counts the jobs it executed this
+  /// session.
+  std::unique_ptr<RemoteBackend::Tenant> tenant;
   std::thread runner;
-  std::uint64_t served = 0;  ///< fair-share: jobs dispatched so far
-};
-
-// ---------------------------------------------------------------- JobMux
-
-struct Group;
-
-/// One fair-share dispatch unit: a contiguous slice of one Group's jobs.
-struct Chunk {
-  CampaignRun* owner = nullptr;
-  Group* group = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  unsigned attempts = 0;
-  /// Cold parents whose group head sits in an earlier chunk (see
-  /// cold_group_heads): this chunk waits until that chunk has landed.
-  std::vector<std::uint64_t> waits_for;
-};
-
-/// One JobMux::run call (one backend round of one campaign): the caller
-/// blocks until every chunk has landed or definitively failed.
-struct Group {
-  const std::vector<JobSpec>* jobs = nullptr;
-  ResultSink* sink = nullptr;
-  std::size_t pending = 0;
-  std::exception_ptr error;
-  std::condition_variable cv;
-  /// Cold parents of the chunks that landed: warmed where they ran (the
-  /// in-process registry, or the daemon's warm store via a worker).
-  std::unordered_set<std::uint64_t> landed;
-};
-
-/// The shared slot pool. Each slot thread owns one inner backend (a
-/// single-host RemoteBackend, or a SerialBackend for in-process serving)
-/// and pulls chunks from the campaign queues; the pick rule is strict
-/// fair share — the queued campaign with the fewest jobs served so far
-/// wins, ties broken by id for determinism. Chunks are cut at parent-group
-/// boundaries, and a chunk holding later forks of a cold parent is not
-/// picked until the chunk with that group's head has landed — by then the
-/// parent is warm where every slot can reach it. A failed chunk re-queues
-/// (any slot may retry it, so a sick host does not own its victims) up to
-/// max_attempts, then fails its whole Group.
-class JobMux {
- public:
-  JobMux(std::vector<std::unique_ptr<ExperimentBackend>> slots,
-         std::size_t chunk_jobs, unsigned max_attempts,
-         std::function<void(const std::string&)> on_event)
-      : chunk_jobs_(std::max<std::size_t>(1, chunk_jobs)),
-        max_attempts_(std::max(1u, max_attempts)),
-        on_event_(std::move(on_event)),
-        backends_(std::move(slots)) {
-    threads_.reserve(backends_.size());
-    for (std::size_t i = 0; i < backends_.size(); ++i)
-      threads_.emplace_back([this, i] { slot_loop(i); });
-  }
-
-  ~JobMux() { stop(); }
-
-  [[nodiscard]] std::size_t slots() const noexcept {
-    return backends_.size();
-  }
-
-  void stop() {
-    {
-      const std::lock_guard lk(m_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_)
-      if (t.joinable()) t.join();
-  }
-
-  /// Run `jobs` for `owner`, blocking until all results are in `sink`.
-  /// Chunks execute on an attempt-private staging sink and are pushed to
-  /// `sink` only on success, so a retried chunk never double-pushes. An
-  /// owner already asked to cancel gets no chunks queued: its CANCEL may
-  /// have come before any queue existed for cancel() to drop.
-  void run(CampaignRun& owner, const std::vector<JobSpec>& jobs,
-           ResultSink& sink) {
-    if (jobs.empty()) return;
-    Group group;
-    group.jobs = &jobs;
-    group.sink = &sink;
-    const std::vector<std::size_t> heads = cold_group_heads(jobs);
-    std::deque<Chunk> chunks;
-    for (const auto& [begin, end] :
-         remote::batch_ranges(jobs, chunk_jobs_, 1)) {
-      Chunk c;
-      c.owner = &owner;
-      c.group = &group;
-      c.begin = begin;
-      c.end = end;
-      c.waits_for = waited_parents(jobs, heads, begin, end);
-      chunks.push_back(std::move(c));
-    }
-    group.pending = chunks.size();
-    std::unique_lock lk(m_);
-    if (stopping_)
-      throw std::runtime_error("mflushd scheduler is shutting down");
-    {
-      const std::lock_guard olk(owner.m);
-      if (owner.cancel_requested)
-        throw std::runtime_error("campaign cancelled");
-    }
-    std::deque<Chunk>& q = queues_[&owner];
-    q.insert(q.end(), chunks.begin(), chunks.end());
-    cv_.notify_all();
-    group.cv.wait(lk, [&] { return group.pending == 0; });
-    // pending == 0 means no chunk of this group exists anywhere (queued or
-    // in flight), and groups of one owner are sequential — so an empty
-    // queue can be dropped. Without this, a restarted campaign's new
-    // CampaignRun would share the map with its predecessor's dangling key.
-    const auto it = queues_.find(&owner);
-    if (it != queues_.end() && it->second.empty()) queues_.erase(it);
-    if (group.error) std::rethrow_exception(group.error);
-  }
-
-  /// Drop `owner`'s queued (not in-flight) chunks; their groups fail with
-  /// a cancellation error, which unwinds the campaign runner.
-  void cancel(CampaignRun& owner) {
-    const std::lock_guard lk(m_);
-    const auto it = queues_.find(&owner);
-    if (it == queues_.end()) return;
-    for (Chunk& c : it->second) {
-      if (!c.group->error) {
-        c.group->error = std::make_exception_ptr(
-            std::runtime_error("campaign cancelled"));
-      }
-      if (--c.group->pending == 0) c.group->cv.notify_all();
-    }
-    it->second.clear();
-  }
-
- private:
-  void event(const std::string& line) {
-    if (on_event_) on_event_(line);
-  }
-
-  /// A chunk may start once every parent it waits for has landed — or
-  /// its group already failed, so it only has to drain.
-  [[nodiscard]] static bool ready(const Chunk& c) {
-    return c.group->error ||
-           std::all_of(c.waits_for.begin(), c.waits_for.end(),
-                       [&](std::uint64_t k) {
-                         return c.group->landed.contains(k);
-                       });
-  }
-
-  [[nodiscard]] bool has_work_locked() const {
-    for (const auto& [owner, q] : queues_)
-      if (std::any_of(q.begin(), q.end(), ready)) return true;
-    return false;
-  }
-
-  [[nodiscard]] Chunk pop_fair_locked() {
-    CampaignRun* best = nullptr;
-    for (const auto& [owner, q] : queues_) {
-      if (std::none_of(q.begin(), q.end(), ready)) continue;
-      if (!best || owner->served < best->served ||
-          (owner->served == best->served && owner->id < best->id)) {
-        best = owner;
-      }
-    }
-    std::deque<Chunk>& q = queues_[best];
-    const auto it = std::find_if(q.begin(), q.end(), ready);
-    Chunk c = std::move(*it);
-    q.erase(it);
-    best->served += c.end - c.begin;
-    return c;
-  }
-
-  void slot_loop(std::size_t slot) {
-    for (;;) {
-      Chunk chunk;
-      {
-        std::unique_lock lk(m_);
-        cv_.wait(lk, [&] { return stopping_ || has_work_locked(); });
-        if (stopping_) return;
-        chunk = pop_fair_locked();
-      }
-      execute(slot, chunk);
-    }
-  }
-
-  void execute(std::size_t slot, Chunk chunk) {
-    const std::vector<JobSpec>& all = *chunk.group->jobs;
-    const std::vector<JobSpec> slice(
-        all.begin() + static_cast<std::ptrdiff_t>(chunk.begin),
-        all.begin() + static_cast<std::ptrdiff_t>(chunk.end));
-    try {
-      ResultSink staged;
-      backends_[slot]->run(slice, staged);
-      std::uint64_t measured = 0;
-      for (const JobSpec& job : slice) {
-        chunk.group->sink->push(job, staged.at(job.id));
-        if (!job.warm_only) ++measured;
-      }
-      {
-        const std::lock_guard olk(chunk.owner->m);
-        chunk.owner->executed += measured;
-      }
-      const std::lock_guard lk(m_);
-      for (const JobSpec& job : slice) {
-        if (job.parent_key != 0 && !job.snapshot)
-          chunk.group->landed.insert(job.parent_key);
-      }
-      cv_.notify_all();
-      if (--chunk.group->pending == 0) chunk.group->cv.notify_all();
-    } catch (...) {
-      const std::lock_guard lk(m_);
-      ++chunk.attempts;
-      const std::string what = "campaign " + chunk.owner->id + " jobs " +
-                               std::to_string(all[chunk.begin].id) + "-" +
-                               std::to_string(all[chunk.end - 1].id);
-      if (chunk.attempts >= max_attempts_ || stopping_) {
-        if (!chunk.group->error) chunk.group->error = std::current_exception();
-        cv_.notify_all();  // the group's held chunks may drain now
-        if (--chunk.group->pending == 0) chunk.group->cv.notify_all();
-        event(what + " failed on slot " + std::to_string(slot) +
-              " — attempts exhausted (" + std::to_string(chunk.attempts) +
-              ")");
-      } else {
-        queues_[chunk.owner].push_back(chunk);
-        cv_.notify_all();
-        event(what + " failed on slot " + std::to_string(slot) +
-              " — re-queued (attempt " + std::to_string(chunk.attempts) +
-              " of " + std::to_string(max_attempts_) + ")");
-      }
-    }
-  }
-
-  const std::size_t chunk_jobs_;
-  const unsigned max_attempts_;
-  std::function<void(const std::string&)> on_event_;
-  std::vector<std::unique_ptr<ExperimentBackend>> backends_;
-
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::map<CampaignRun*, std::deque<Chunk>> queues_;
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-};
-
-/// The ExperimentBackend facade one campaign's run_experiment_durable
-/// drives: run() enqueues into the shared mux and blocks.
-class MuxBackend final : public ExperimentBackend {
- public:
-  MuxBackend(JobMux& mux, CampaignRun& owner) : mux_(mux), owner_(owner) {}
-
-  [[nodiscard]] std::string name() const override { return "mflushd-mux"; }
-
-  void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override {
-    mux_.run(owner_, jobs, sink);
-  }
-
- private:
-  JobMux& mux_;
-  CampaignRun& owner_;
 };
 
 // ---------------------------------------------------------------- Server
@@ -375,13 +115,11 @@ class Server {
     fs::create_directories(campaigns_dir());
     fs::create_directories(shared_cache_dir());
     warm_.emplace(warm_dir(), WarmStore::Options{});
-    mux_.emplace(make_slots(), opts_.chunk_jobs, opts_.max_attempts,
-                 opts_.on_event);
+    const std::size_t slots = start_pool();
     resume_existing();
     listen_fd_ = sockio::listen_on(opts_.address);
-    event("serving " + opts_.address + " (" +
-          std::to_string(mux_->slots()) + " slot(s), data " +
-          opts_.data_dir + ")");
+    event("serving " + opts_.address + " (" + std::to_string(slots) +
+          " slot(s), data " + opts_.data_dir + ")");
     if (opts_.on_ready) opts_.on_ready();
 
     for (;;) {
@@ -411,7 +149,6 @@ class Server {
     for (std::thread& t : draining)
       if (t.joinable()) t.join();
     join_campaigns();
-    mux_->stop();
     sockio::close_fd(listen_fd_);
     const std::string sock_path = sockio::unix_path_of(opts_.address);
     if (!sock_path.empty()) ::unlink(sock_path.c_str());
@@ -434,32 +171,30 @@ class Server {
     if (opts_.on_event) opts_.on_event(line);
   }
 
-  [[nodiscard]] std::vector<std::unique_ptr<ExperimentBackend>>
-  make_slots() {
-    std::vector<std::unique_ptr<ExperimentBackend>> slots;
-    if (opts_.hosts.empty()) {
-      const unsigned n =
+  /// One RemoteBackend over the whole pool, one job per batch so tenants
+  /// interleave (and RESULT frames stream) at job granularity. Without a
+  /// host pool it is one `local` host whose slots run the worker in-thread.
+  /// Returns the slot count.
+  std::size_t start_pool() {
+    RemoteBackend::Options ro;
+    ro.hosts = opts_.hosts;
+    if (ro.hosts.empty()) {
+      remote::HostSpec local;
+      local.name = "local";
+      local.slots =
           opts_.slots != 0 ? opts_.slots : ParallelRunner::default_jobs();
-      for (unsigned i = 0; i < n; ++i)
-        slots.push_back(std::make_unique<SerialBackend>());
-      return slots;
+      ro.hosts = {local};
+      ro.transport_factory = [](const remote::HostSpec&) {
+        return std::make_unique<remote::InProcessTransport>();
+      };
     }
-    // One backend per host *slot*, each seeing a single one-slot host:
-    // the fair-share mux is the scheduler, RemoteBackend the executor —
-    // and a chunk that fails here re-queues onto any other slot/host.
-    for (const remote::HostSpec& host : opts_.hosts) {
-      for (unsigned s = 0; s < host.slots; ++s) {
-        RemoteBackend::Options ro;
-        remote::HostSpec one = host;
-        one.slots = 1;
-        ro.hosts = {one};
-        ro.worker_binary = opts_.worker_binary;
-        ro.max_attempts = 1;  // retries belong to the mux, across slots
-        ro.warm_store = &*warm_;
-        ro.on_event = opts_.on_event;
-        slots.push_back(std::make_unique<RemoteBackend>(std::move(ro)));
-      }
-    }
+    ro.worker_binary = opts_.worker_binary;
+    ro.batch_jobs = 1;
+    ro.warm_store = &*warm_;
+    ro.on_event = opts_.on_event;
+    std::size_t slots = 0;
+    for (const remote::HostSpec& h : ro.hosts) slots += h.slots;
+    remote_.emplace(std::move(ro));
     return slots;
   }
 
@@ -489,6 +224,7 @@ class Server {
                                               const ExperimentSpec* spec) {
     auto c = std::make_shared<CampaignRun>();
     c->id = id;
+    c->tenant = std::make_unique<RemoteBackend::Tenant>(*remote_);
     c->dir = (fs::path(campaigns_dir()) / id).string();
     const bool fresh = !fs::exists(fs::path(c->dir) / "journal.wal");
     if (fresh && spec == nullptr)
@@ -555,12 +291,11 @@ class Server {
         event("campaign " + id + " warm: " + line);
       };
 
-      MuxBackend facade(*mux_, *c);
       ResultSink sink([this, c](const JobSpec& job, const RunResult& result) {
         deliver(*c, job, result);
       });
       const std::vector<RunResult> results =
-          run_experiment_durable(store, facade, sink, ropts);
+          run_experiment_durable(store, *c->tenant, sink, ropts);
       finish(c, results.size());
     } catch (const std::exception& e) {
       fail(c, e.what());
@@ -592,11 +327,12 @@ class Server {
     {
       const std::lock_guard lk(c->m);
       c->state = state;
+      const std::uint64_t executed = c->tenant->executed();
       c->total = total != 0 ? total : c->log.size();
-      c->cached = c->total >= c->executed ? c->total - c->executed : 0;
+      c->cached = c->total >= executed ? c->total - executed : 0;
       done.total = c->total;
       done.done = c->log.size();
-      done.executed = c->executed;
+      done.executed = executed;
       done.cached = c->cached;
       c->done_msg = done;
       c->done_broadcast = true;
@@ -750,7 +486,7 @@ class Server {
                      : c->done_msg.text;
     reply.done = c->log.size();
     reply.total = c->total != 0 ? c->total : c->announced_total;
-    reply.executed = c->executed;
+    reply.executed = c->tenant->executed();
     reply.cached = c->cached;
     conn->send(reply);
   }
@@ -774,7 +510,7 @@ class Server {
         if (running) c->cancel_requested = true;
       }
       if (running) {
-        mux_->cancel(*c);
+        c->tenant->cancel();
         reply.type = MsgType::kOk;
         reply.text = "campaign " + c->id + " cancelling";
         event("cancel requested for campaign " + c->id);
@@ -832,7 +568,7 @@ class Server {
 
   ServeOptions opts_;
   std::optional<WarmStore> warm_;
-  std::optional<JobMux> mux_;
+  std::optional<RemoteBackend> remote_;
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
 

@@ -19,13 +19,14 @@
 /// (`data_dir/warm`), so overlapping submissions from different tenants
 /// dedup against each other at job granularity.
 ///
-/// Execution: jobs from every live campaign are multiplexed onto a single
-/// shared slot pool (one single-host RemoteBackend per host slot when a
-/// pool is given, SerialBackend threads otherwise) by a fair-share
-/// scheduler — each dispatch goes to the queued campaign with the fewest
-/// jobs served so far, so a late 4-job sweep is not starved behind an
-/// early 400-job one. Results stream back to following clients as RESULT
-/// frames the moment they are durable.
+/// Execution: every live campaign is a tenant of one RemoteBackend over
+/// the whole pool (sim/remote.h), which dispatches one job at a time to
+/// the tenant with the fewest jobs dispatched so far — so a late 4-job
+/// sweep is not starved behind an early 400-job one — and retries,
+/// bisects and retires hosts per campaign round. Without a host pool the
+/// backend has one `local` host whose slots run the worker in-thread
+/// (remote::InProcessTransport). Results stream back to following clients
+/// as RESULT frames the moment they are durable.
 ///
 /// Restart contract: campaigns are resumed from their journals at
 /// startup, so SIGKILLing the daemon loses no completed work — exactly
@@ -39,19 +40,16 @@ struct ServeOptions {
   std::string address;
   /// Durable state root: campaigns/, cache/, warm/ live here.
   std::string data_dir;
-  /// Host pool; empty runs jobs in-process on SerialBackend slots.
+  /// Host pool; empty serves through one `local` host of `slots` slots
+  /// that runs each job in-thread. Either way a job that fails is retried
+  /// on another slot (3 attempts) before its campaign fails.
   std::vector<remote::HostSpec> hosts;
   /// Worker binary for the pool; empty means default_worker_binary().
+  /// Unused without a pool.
   std::string worker_binary;
   /// In-process slot count when `hosts` is empty; 0 means
   /// ParallelRunner::default_jobs().
   unsigned slots = 0;
-  /// Jobs per fair-share dispatch. 1 (the default) interleaves tenants at
-  /// job granularity and makes RESULT streaming per-job end to end.
-  std::size_t chunk_jobs = 1;
-  /// Attempts per chunk before its campaign fails (a chunk that fails on
-  /// one slot is re-queued onto another, RemoteBackend-style).
-  unsigned max_attempts = 3;
   /// Serialized narration ("mflushd: ..." lines).
   std::function<void(const std::string&)> on_event;
   /// Fires once the socket is listening (tests connect on it).

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/env.h"
-#include "sim/backend.h"
 #include "sim/snapshot.h"
 
 namespace mflush {
@@ -56,48 +55,6 @@ RunResult run_point_from_snapshot(const std::vector<std::uint8_t>& snapshot,
           .count();
   r.simulated_cycles = fork_advance + measure;
   return r;
-}
-
-std::vector<RunResult> run_sweep(const Workload& workload,
-                                 const std::vector<PolicySpec>& policies,
-                                 std::uint64_t seed, Cycle warmup,
-                                 Cycle measure) {
-  ExperimentSpec spec;
-  spec.name = "sweep";
-  spec.workloads = {workload};
-  spec.policies = policies;
-  spec.seeds = {seed};
-  spec.warmup = warmup;
-  spec.measure = measure;
-  InProcessBackend backend;
-  return run_experiment(spec, backend);
-}
-
-std::vector<std::vector<RunResult>> run_grid(
-    const std::vector<Workload>& workloads,
-    const std::vector<PolicySpec>& policies, std::uint64_t seed, Cycle warmup,
-    Cycle measure) {
-  ExperimentSpec spec;
-  spec.name = "grid";
-  spec.workloads = workloads;
-  spec.policies = policies;
-  spec.seeds = {seed};
-  spec.warmup = warmup;
-  spec.measure = measure;
-  InProcessBackend backend;
-  std::vector<RunResult> flat = run_experiment(spec, backend);
-
-  std::vector<std::vector<RunResult>> rows;
-  rows.reserve(workloads.size());
-  for (std::size_t w = 0; w < workloads.size(); ++w) {
-    const auto begin =
-        flat.begin() + static_cast<std::ptrdiff_t>(w * policies.size());
-    rows.emplace_back(
-        std::make_move_iterator(begin),
-        std::make_move_iterator(begin +
-                                static_cast<std::ptrdiff_t>(policies.size())));
-  }
-  return rows;
 }
 
 }  // namespace mflush

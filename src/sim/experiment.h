@@ -70,20 +70,4 @@ struct RunResult {
     const std::vector<std::uint8_t>& snapshot, Cycle fork_advance,
     Cycle measure);
 
-/// Sweep a workload across several policies (shared seed/interval).
-/// Convenience wrapper: builds a one-workload ExperimentSpec and runs it on
-/// the in-process backend (sim/backend.h); results are in policy order and
-/// bit-identical to the serial loop.
-[[nodiscard]] std::vector<RunResult> run_sweep(
-    const Workload& workload, const std::vector<PolicySpec>& policies,
-    std::uint64_t seed, Cycle warmup, Cycle measure);
-
-/// Fan a full workload x policy cross-product through the in-process
-/// backend. Row i holds `workloads[i]` under every policy, in policy order
-/// — the layout report::print_throughput expects.
-[[nodiscard]] std::vector<std::vector<RunResult>> run_grid(
-    const std::vector<Workload>& workloads,
-    const std::vector<PolicySpec>& policies, std::uint64_t seed, Cycle warmup,
-    Cycle measure);
-
 }  // namespace mflush

@@ -138,7 +138,7 @@ struct ExperimentSpec {
 
   /// Points = seeds x workloads x policies (seed-major, policy-minor: the
   /// flat index of (s, w, p) is (s*W + w)*P + p, so a single-seed spec
-  /// expands in the classic run_grid row-major layout).
+  /// expands workload-major: one row per workload, policies across).
   [[nodiscard]] std::size_t num_points() const noexcept {
     return seeds.size() * workloads.size() * policies.size();
   }

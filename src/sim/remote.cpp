@@ -232,6 +232,16 @@ void LocalTransport::run_batch(const HostSpec& host,
   }
 }
 
+void InProcessTransport::run_batch(const HostSpec& host,
+                                   const std::string& job_path,
+                                   const std::string& result_path,
+                                   const std::string& what) {
+  // run_worker reports its own failure on stderr.
+  if (worker::run_worker(job_path, result_path, host.warm_store_dir) != 0)
+    throw TransportError(host.label() + ": in-process worker failed on " +
+                         what);
+}
+
 SshTransport::SshTransport(std::string worker_binary, unsigned timeout_s)
     : bin_(std::move(worker_binary)),
       timeout_s_(timeout_s != 0
@@ -303,12 +313,25 @@ void SshTransport::run_batch(const HostSpec& host,
 
 // ---------------------------------------------------------- RemoteBackend
 
+namespace remote {
+
+struct TenantState {
+  explicit TenantState(std::uint64_t arrival) : order(arrival) {}
+  const std::uint64_t order;  ///< arrival order: the fair-share tie-break
+  std::uint64_t dispatched = 0;  ///< jobs handed to slots (pool mutex)
+  bool cancelled = false;        ///< pool mutex
+  std::atomic<std::uint64_t> executed{0};
+};
+
+}  // namespace remote
+
 namespace {
 
 using remote::HostSpec;
+using remote::TenantState;
 using remote::Transport;
 
-/// A [begin, end) slice of the run's job vector: no JobSpec copies wait
+/// A [begin, end) slice of the round's job vector: no JobSpec copies wait
 /// in the queue, which matters when thousands of sampled-mode jobs each
 /// embed a warmed snapshot.
 struct Batch {
@@ -317,7 +340,7 @@ struct Batch {
   std::size_t end = 0;
   unsigned attempts = 0;
   /// Cold parents whose group head sits in an earlier batch: this batch
-  /// starts only once the head's batch has landed (Scheduler::ready).
+  /// starts only once the head's batch has landed (Round::ready).
   std::vector<std::uint64_t> waits_for;
 
   [[nodiscard]] std::string describe(
@@ -333,8 +356,12 @@ struct Batch {
 };
 
 /// Warm bookkeeping for one host-side store directory (every local host
-/// shares one). Guarded by the scheduler mutex.
+/// shares one). Lives as long as the backend, so what one round shipped
+/// or warmed is known to every later round. Guarded by the pool mutex.
 struct StoreState {
+  /// The directory the host's workers open (--worker-store). The local
+  /// store's is set by the first round with parents.
+  std::string dir;
   /// The store itself when it is on this machine (the coordinator's or the
   /// session store): attached parents are put straight into it instead of
   /// uploading, and presence can be checked on disk. Null for ssh hosts.
@@ -352,93 +379,15 @@ struct StoreState {
 struct HostState {
   HostSpec spec;
   std::unique_ptr<Transport> transport;
+  StoreState* store = nullptr;
   std::mutex prepare_mutex;
   bool prepared = false;
-  unsigned failures = 0;        // guarded by the scheduler mutex
-  bool dead = false;            // guarded by the scheduler mutex
-  StoreState* store = nullptr;  ///< null when the sweep has no parents
 
   void ensure_prepared() {
     const std::lock_guard lk(prepare_mutex);
     if (prepared) return;
     transport->prepare(spec);
     prepared = true;
-  }
-};
-
-/// Shared scheduler state: a queue of batches plus completion/abort
-/// bookkeeping. Work-stealing is the queue itself — every live host slot
-/// pulls the first batch it may start, so a retired host's re-queued work
-/// drains onto whichever hosts stay healthy.
-struct Scheduler {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<Batch> queue;
-  std::size_t done = 0;
-  std::size_t total = 0;
-  std::size_t next_batch_number = 0;  ///< for batches minted by splitting
-  std::size_t live_hosts = 0;
-  std::size_t uploads = 0;       ///< parent snapshots shipped to hosts
-  std::size_t upload_bytes = 0;  ///< their total snapshot byte size
-  bool aborted = false;
-  std::exception_ptr first_error;
-  std::function<void(const std::string&)> on_event;
-
-  const std::vector<JobSpec>* jobs = nullptr;
-  std::vector<std::size_t> heads;  ///< cold_group_heads(*jobs)
-  /// Cold parents held by some batch that has landed: the parent was
-  /// warmed in (or found in) that batch's host store.
-  std::unordered_set<std::uint64_t> landed;
-
-  void event(const std::string& line) {
-    if (on_event) on_event(line);
-  }
-  [[nodiscard]] bool finished() const {
-    return aborted || done == total;
-  }
-
-  [[nodiscard]] Batch make_batch(std::size_t number, std::size_t begin,
-                                 std::size_t end) const {
-    Batch b;
-    b.number = number;
-    b.begin = begin;
-    b.end = end;
-    b.waits_for = waited_parents(*jobs, heads, begin, end);
-    return b;
-  }
-
-  /// Whether `host` may start `b`: each parent it waits for is in the
-  /// host's store already, or its head has landed elsewhere and no batch
-  /// is warming it into this store yet (then `b` warms it here).
-  [[nodiscard]] bool ready(const Batch& b, const HostState& host) const {
-    for (const std::uint64_t key : b.waits_for) {
-      if (host.store->present.contains(key)) continue;
-      if (!landed.contains(key) || host.store->warming.contains(key))
-        return false;
-    }
-    return true;
-  }
-
-  /// The cold parents `b` will warm into `host`'s store, now marked as
-  /// warming there. A parent already on disk in a local store is marked
-  /// present instead.
-  [[nodiscard]] std::vector<std::uint64_t> claim_warms(const Batch& b,
-                                                       HostState& host) {
-    std::vector<std::uint64_t> warms;
-    if (host.store == nullptr) return warms;
-    StoreState& st = *host.store;
-    for (std::size_t i = b.begin; i < b.end; ++i) {
-      const JobSpec& j = (*jobs)[i];
-      if (j.parent_key == 0 || j.snapshot ||
-          st.present.contains(j.parent_key))
-        continue;
-      if (st.local != nullptr && st.local->contains(j.parent_key)) {
-        st.present.insert(j.parent_key);
-      } else if (st.warming.insert(j.parent_key).second) {
-        warms.push_back(j.parent_key);
-      }
-    }
-    return warms;
   }
 };
 
@@ -449,7 +398,7 @@ struct UploadRecord {
   std::size_t bytes = 0;
 };
 
-/// Job ids already streamed into the sink this run. Incremental partial
+/// Job ids already streamed into the sink this round. Incremental partial
 /// streaming means a failed batch may have delivered some of its results
 /// before dying — and its retry (or split halves) will produce them
 /// again. Results are deterministic, but ResultSink::push throws on a
@@ -466,6 +415,88 @@ struct Delivered {
   }
 };
 
+/// One run() call: its batch queue plus completion/abort bookkeeping,
+/// guarded by the pool mutex. Host failure counts and retirements are the
+/// round's own, so a host retired here still serves every other round.
+struct Round {
+  TenantState* tenant = nullptr;
+  const std::vector<JobSpec>* jobs = nullptr;
+  ResultSink* sink = nullptr;
+  bool has_parents = false;
+  std::vector<std::size_t> heads;  ///< cold_group_heads(*jobs)
+  std::deque<Batch> queue;
+  std::size_t done = 0;
+  std::size_t total = 0;
+  std::size_t next_batch_number = 0;  ///< for batches minted by splitting
+  std::size_t in_flight = 0;
+  std::size_t live_hosts = 0;
+  std::vector<unsigned> failures;  ///< per host, by pool index
+  std::vector<bool> retired;       ///< per host, by pool index
+  std::size_t uploads = 0;         ///< parent snapshots shipped to hosts
+  std::size_t upload_bytes = 0;    ///< their total snapshot byte size
+  bool aborted = false;
+  std::exception_ptr first_error;
+  /// Cold parents held by some batch that has landed: the parent was
+  /// warmed in (or found in) that batch's host store.
+  std::unordered_set<std::uint64_t> landed;
+  Delivered delivered;
+
+  [[nodiscard]] bool finished() const { return aborted || done == total; }
+
+  /// The host's store, when this round references parents at all.
+  [[nodiscard]] StoreState* store_of(const HostState& host) const {
+    return has_parents ? host.store : nullptr;
+  }
+
+  [[nodiscard]] Batch make_batch(std::size_t number, std::size_t begin,
+                                 std::size_t end) const {
+    Batch b;
+    b.number = number;
+    b.begin = begin;
+    b.end = end;
+    // The distinct cold parents whose group head lies before `begin`.
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint64_t key = (*jobs)[i].parent_key;
+      const auto& w = b.waits_for;
+      if (heads[i] < begin && std::find(w.begin(), w.end(), key) == w.end())
+        b.waits_for.push_back(key);
+    }
+    return b;
+  }
+
+  /// Whether `host` may start `b`: each parent it waits for is in the
+  /// host's store already, or its head has landed elsewhere and no batch
+  /// is warming it into this store yet (then `b` warms it here).
+  [[nodiscard]] bool ready(const Batch& b, const HostState& host) const {
+    for (const std::uint64_t key : b.waits_for) {
+      if (host.store->present.contains(key)) continue;
+      if (!landed.contains(key) || host.store->warming.contains(key))
+        return false;
+    }
+    return true;
+  }
+
+  /// The cold parents `b` will warm into store `st`, now marked as warming
+  /// there. A parent already on disk in a local store is marked present
+  /// instead.
+  [[nodiscard]] std::vector<std::uint64_t> claim_warms(const Batch& b,
+                                                       StoreState* st) const {
+    std::vector<std::uint64_t> warms;
+    if (st == nullptr) return warms;
+    for (std::size_t i = b.begin; i < b.end; ++i) {
+      const JobSpec& j = (*jobs)[i];
+      if (j.parent_key == 0 || j.snapshot || st->present.contains(j.parent_key))
+        continue;
+      if (st->local != nullptr && st->local->contains(j.parent_key)) {
+        st->present.insert(j.parent_key);
+      } else if (st->warming.insert(j.parent_key).second) {
+        warms.push_back(j.parent_key);
+      }
+    }
+    return warms;
+  }
+};
+
 std::filesystem::path scratch_dir_of(const RemoteBackend::Options& opts) {
   return opts.scratch_dir.empty() ? std::filesystem::temp_directory_path()
                                   : std::filesystem::path(opts.scratch_dir);
@@ -474,8 +505,10 @@ std::filesystem::path scratch_dir_of(const RemoteBackend::Options& opts) {
 /// One attempt of one batch: stage the job file, move it through the
 /// transport, validate and stream the results. Throws on any failure with
 /// the batch untouched; the scratch pair never outlives the attempt.
-void run_batch_once(Scheduler& sched, HostState& host, const Batch& batch,
-                    const std::vector<JobSpec>& all_jobs,
+/// `st` is the host's store when the round references parents; `pool_m`
+/// guards its sets.
+void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
+                    const Batch& batch, const std::vector<JobSpec>& all_jobs,
                     const std::filesystem::path& scratch, bool keep_files,
                     std::vector<UploadRecord>& uploads, Delivered& delivered,
                     ResultSink& sink) {
@@ -513,19 +546,21 @@ void run_batch_once(Scheduler& sched, HostState& host, const Batch& batch,
   // host already holding a parent (or receiving it once earlier in this
   // same batch) gets its content hash alone.
   std::vector<JobSpec> slice(first, last);
-  if (host.store != nullptr && host.store->local != nullptr) {
+  HostSpec spec = host.spec;
+  if (st != nullptr) spec.warm_store_dir = st->dir;
+  if (st != nullptr && st->local != nullptr) {
     for (JobSpec& j : slice) {
       if (j.parent_key == 0 || !j.snapshot) continue;
       // put-if-absent is ~free when the entry exists.
-      host.store->local->put(j.parent_key, j.snapshot);
+      st->local->put(j.parent_key, j.snapshot);
       j.snapshot = nullptr;
     }
-  } else if (host.store != nullptr) {
-    const std::lock_guard lk(sched.m);
+  } else if (st != nullptr) {
+    const std::lock_guard lk(pool_m);
     std::unordered_set<std::uint64_t> in_batch;
     for (JobSpec& j : slice) {
       if (j.parent_key == 0 || !j.snapshot) continue;
-      if (host.store->present.contains(j.parent_key) ||
+      if (st->present.contains(j.parent_key) ||
           !in_batch.insert(j.parent_key).second) {
         j.snapshot = nullptr;
       } else {
@@ -579,7 +614,7 @@ void run_batch_once(Scheduler& sched, HostState& host, const Batch& batch,
     }
   } watcher_join{worker_done, watcher};
 
-  host.transport->run_batch(host.spec, job_path, result_path,
+  host.transport->run_batch(spec, job_path, result_path,
                             batch.describe(all_jobs));
 
   // Quiesce the watcher before touching the final file: from here on this
@@ -622,80 +657,204 @@ void run_batch_once(Scheduler& sched, HostState& host, const Batch& batch,
   }
 }
 
-void host_slot_loop(Scheduler& sched, HostState& host,
-                    const std::vector<JobSpec>& all_jobs,
-                    const std::filesystem::path& scratch, bool keep_files,
-                    unsigned max_attempts, unsigned host_max_failures,
-                    Delivered& delivered, ResultSink& sink) {
-  for (;;) {
-    Batch batch;
-    std::vector<std::uint64_t> warms;
+}  // namespace
+
+/// The scheduler every round shares: hosts with their transports and
+/// stores, the slot threads, and the live rounds. Work stealing is the
+/// round queues themselves — every slot pulls the first batch it may
+/// start, so a retired host's re-queued work drains onto whichever hosts
+/// stay healthy.
+struct RemoteBackend::Pool {
+  explicit Pool(const Options& options) : opts(options) {}
+  ~Pool() {
     {
-      std::unique_lock lk(sched.m);
-      auto next = sched.queue.end();
-      sched.cv.wait(lk, [&] {
-        if (sched.finished() || host.dead) return true;
-        next = std::find_if(
-            sched.queue.begin(), sched.queue.end(),
-            [&](const Batch& b) { return sched.ready(b, host); });
-        return next != sched.queue.end();
-      });
-      if (sched.finished() || host.dead) return;
-      batch = std::move(*next);
-      sched.queue.erase(next);
-      warms = sched.claim_warms(batch, host);
+      const std::lock_guard lk(m);
+      stopping = true;
     }
+    cv.notify_all();
+    for (std::thread& t : slots) t.join();
+  }
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
 
-    ++batch.attempts;
-    std::vector<UploadRecord> uploads;
-    std::exception_ptr error;
-    std::string error_text;
-    try {
-      run_batch_once(sched, host, batch, all_jobs, scratch, keep_files,
-                     uploads, delivered, sink);
-    } catch (const std::exception& e) {
-      error = std::current_exception();
-      error_text = e.what();
+  const Options& opts;
+  std::once_flag started;
+  std::atomic<std::uint64_t> next_tenant{0};
+  std::filesystem::path scratch;
+  std::vector<std::unique_ptr<HostState>> hosts;
+  std::size_t total_slots = 0;
+  bool has_local = false;
+  StoreState local_store;               ///< shared by every local host
+  std::vector<StoreState> host_stores;  ///< ssh hosts, by pool index
+
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<Round*> rounds;  ///< live rounds, arrival order
+  bool stopping = false;
+  std::vector<std::thread> slots;  ///< one per host slot, using all above
+
+  void event(const std::string& line) const {
+    if (opts.on_event) opts.on_event(line);
+  }
+
+  /// Resolve the hosts and their transports, then start one thread per
+  /// host slot. A throw leaves the pool empty, so a later run() retries.
+  void start() {
+    std::vector<HostSpec> specs = opts.hosts;
+    if (specs.empty()) {
+      HostSpec local;
+      local.name = "local";
+      local.slots = ParallelRunner::default_jobs();
+      specs.push_back(local);
     }
-
-    std::unique_lock lk(sched.m);
-    if (host.store != nullptr)
-      for (const std::uint64_t key : warms) host.store->warming.erase(key);
-    if (!error) {
-      for (const UploadRecord& u : uploads) {
-        ++sched.uploads;
-        sched.upload_bytes += u.bytes;
-        sched.event(host.spec.label() + ": uploaded parent " +
-                    campaign::key_hex(u.key) + " (" +
-                    std::to_string(u.bytes) + " bytes)");
+    std::string bin;
+    if (!opts.transport_factory) {
+      bin = opts.worker_binary.empty() ? default_worker_binary()
+                                       : opts.worker_binary;
+      if (bin.empty()) {
+        throw std::runtime_error(
+            "RemoteBackend: cannot locate the mflushsim worker binary (set "
+            "MFLUSH_WORKER_BIN or Options::worker_binary)");
       }
-      for (const std::uint64_t key : warms) {
-        sched.event(host.spec.label() + ": warmed parent " +
-                    campaign::key_hex(key));
-      }
-      // Every parent this batch referenced is now durably in the host's
-      // store — the worker installs embedded copies before running and
-      // stores the parents it warms as they land — so later batches ship
-      // hashes only, and the group's waiting batches may start.
-      for (std::size_t i = batch.begin; i < batch.end; ++i) {
-        const JobSpec& j = all_jobs[i];
-        if (j.parent_key == 0) continue;
-        if (host.store != nullptr) host.store->present.insert(j.parent_key);
-        if (!j.snapshot) sched.landed.insert(j.parent_key);
-      }
-      ++sched.done;
-      sched.cv.notify_all();
-      continue;
     }
+    std::vector<std::unique_ptr<HostState>> built;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      auto h = std::make_unique<HostState>();
+      h->spec = specs[i];
+      h->spec.index = i;
+      if (opts.transport_factory) {
+        h->transport = opts.transport_factory(h->spec);
+      } else if (h->spec.is_local()) {
+        h->transport = std::make_unique<remote::LocalTransport>(bin);
+      } else {
+        h->transport =
+            std::make_unique<remote::SshTransport>(bin, opts.ssh_timeout);
+      }
+      built.push_back(std::move(h));
+    }
+    // Warm stores: all local hosts share one; each ssh host has its own
+    // under remote_dir. A round uses them only when it references parents,
+    // so each parent warms (or uploads) at most once per store.
+    scratch = scratch_dir_of(opts);
+    hosts = std::move(built);
+    host_stores.resize(hosts.size());
+    for (auto& h : hosts) {
+      const std::size_t i = h->spec.index;
+      if (h->spec.is_local()) {
+        h->store = &local_store;
+        has_local = true;
+      } else {
+        h->store = &host_stores[i];
+        h->store->dir = h->spec.remote_dir + "/warmstore." + std::to_string(i);
+      }
+      total_slots += h->spec.slots;
+      for (unsigned s = 0; s < h->spec.slots; ++s)
+        slots.emplace_back([this, host = h.get()] { slot_loop(*host); });
+    }
+  }
 
-    ++host.failures;
-    sched.event(host.spec.label() + " failed " + batch.describe(all_jobs) +
-                " (attempt " + std::to_string(batch.attempts) + "/" +
-                std::to_string(max_attempts) + "): " + error_text);
-    if (batch.attempts >= max_attempts) {
-      if (!sched.first_error) sched.first_error = error;
-      sched.aborted = true;
-      sched.cv.notify_all();
+  /// Fair share: the first batch `host` may start from the tenant with
+  /// the fewest jobs dispatched (ties: the older tenant, then its older
+  /// round), skipping finished rounds and rounds that retired `host`.
+  [[nodiscard]] bool pick(const HostState& host, Round*& round,
+                          std::deque<Batch>::iterator& next) const {
+    const auto share = [](const Round* r) {
+      return std::pair(r->tenant->dispatched, r->tenant->order);
+    };
+    round = nullptr;
+    for (Round* r : rounds) {
+      if (r->finished() || r->retired[host.spec.index]) continue;
+      if (round != nullptr && share(r) >= share(round)) continue;
+      const auto it =
+          std::find_if(r->queue.begin(), r->queue.end(),
+                       [&](const Batch& b) { return r->ready(b, host); });
+      if (it == r->queue.end()) continue;
+      round = r;
+      next = it;
+    }
+    return round != nullptr;
+  }
+
+  void slot_loop(HostState& host) {
+    std::unique_lock lk(m);
+    for (;;) {
+      Round* round = nullptr;
+      std::deque<Batch>::iterator next;
+      cv.wait(lk, [&] { return stopping || pick(host, round, next); });
+      if (stopping) return;
+      Batch batch = std::move(*next);
+      round->queue.erase(next);
+      round->tenant->dispatched += batch.end - batch.begin;
+      ++round->in_flight;
+      StoreState* const st = round->store_of(host);
+      const std::vector<std::uint64_t> warms = round->claim_warms(batch, st);
+      ++batch.attempts;
+      lk.unlock();
+
+      std::vector<UploadRecord> uploads;
+      std::exception_ptr error;
+      std::string error_text;
+      try {
+        run_batch_once(m, host, st, batch, *round->jobs, scratch,
+                       opts.keep_files, uploads, round->delivered,
+                       *round->sink);
+      } catch (const std::exception& e) {
+        error = std::current_exception();
+        error_text = e.what();
+      }
+
+      lk.lock();
+      if (st != nullptr)
+        for (const std::uint64_t key : warms) st->warming.erase(key);
+      if (error) {
+        fail(*round, host, std::move(batch), error, error_text);
+      } else {
+        land(*round, host, st, batch, warms, uploads);
+      }
+      --round->in_flight;
+      cv.notify_all();
+    }
+  }
+
+  void land(Round& round, const HostState& host, StoreState* st,
+            const Batch& batch, const std::vector<std::uint64_t>& warms,
+            const std::vector<UploadRecord>& uploads) {
+    for (const UploadRecord& u : uploads) {
+      ++round.uploads;
+      round.upload_bytes += u.bytes;
+      event(host.spec.label() + ": uploaded parent " +
+            campaign::key_hex(u.key) + " (" + std::to_string(u.bytes) +
+            " bytes)");
+    }
+    for (const std::uint64_t key : warms)
+      event(host.spec.label() + ": warmed parent " + campaign::key_hex(key));
+    // Every parent this batch referenced is now durably in the host's
+    // store — the worker installs embedded copies before running and
+    // stores the parents it warms as they land — so later batches ship
+    // hashes only, and the group's waiting batches may start.
+    std::uint64_t measured = 0;
+    for (std::size_t i = batch.begin; i < batch.end; ++i) {
+      const JobSpec& j = (*round.jobs)[i];
+      if (!j.warm_only) ++measured;
+      if (j.parent_key == 0) continue;
+      if (st != nullptr) st->present.insert(j.parent_key);
+      if (!j.snapshot) round.landed.insert(j.parent_key);
+    }
+    round.tenant->executed += measured;
+    ++round.done;
+  }
+
+  void fail(Round& round, const HostState& host, Batch batch,
+            const std::exception_ptr& error, const std::string& error_text) {
+    const std::vector<JobSpec>& all_jobs = *round.jobs;
+    const std::size_t idx = host.spec.index;
+    ++round.failures[idx];
+    event(host.spec.label() + " failed " + batch.describe(all_jobs) +
+          " (attempt " + std::to_string(batch.attempts) + "/" +
+          std::to_string(opts.max_attempts) + "): " + error_text);
+    if (batch.attempts >= opts.max_attempts) {
+      if (!round.first_error) round.first_error = error;
+      round.aborted = true;
       return;
     }
     if (batch.end - batch.begin > 1) {
@@ -707,47 +866,49 @@ void host_slot_loop(Scheduler& sched, HostState& host,
       // attempts. The halves are fresh batches with fresh budgets, so a
       // lineage stays bounded: at most 2N-1 batches of max_attempts each.
       const std::size_t mid = batch.begin + (batch.end - batch.begin) / 2;
-      Batch left = sched.make_batch(sched.next_batch_number++, batch.begin,
-                                    mid);
+      Batch left =
+          round.make_batch(round.next_batch_number++, batch.begin, mid);
       Batch right =
-          sched.make_batch(sched.next_batch_number++, mid, batch.end);
-      sched.event(batch.describe(all_jobs) + " split into " +
-                  left.describe(all_jobs) + " and " +
-                  right.describe(all_jobs) +
-                  " to isolate a possible poison job");
-      ++sched.total;  // one batch became two
-      sched.queue.push_back(std::move(left));
-      sched.queue.push_back(std::move(right));
+          round.make_batch(round.next_batch_number++, mid, batch.end);
+      event(batch.describe(all_jobs) + " split into " +
+            left.describe(all_jobs) + " and " + right.describe(all_jobs) +
+            " to isolate a possible poison job");
+      ++round.total;  // one batch became two
+      round.queue.push_back(std::move(left));
+      round.queue.push_back(std::move(right));
     } else {
-      sched.queue.push_back(std::move(batch));
+      round.queue.push_back(std::move(batch));
     }
-    // Retire the host after repeated failures so its share of the sweep
+    // Retire the host from this round after repeated failures so its share
     // steals onto healthy hosts — but never the last one standing, whose
     // batches should run out their attempts instead.
-    if (!host.dead && host.failures >= host_max_failures &&
-        sched.live_hosts > 1) {
-      host.dead = true;
-      --sched.live_hosts;
-      sched.event(host.spec.label() + " retired after " +
-                  std::to_string(host.failures) +
-                  " failures; re-queued work steals onto the remaining " +
-                  std::to_string(sched.live_hosts) + " host(s)");
+    if (!round.retired[idx] && round.failures[idx] >= opts.host_max_failures &&
+        round.live_hosts > 1) {
+      round.retired[idx] = true;
+      --round.live_hosts;
+      event(host.spec.label() + " retired after " +
+            std::to_string(round.failures[idx]) +
+            " failures; re-queued work steals onto the remaining " +
+            std::to_string(round.live_hosts) + " host(s)");
     }
-    sched.cv.notify_all();
-    if (host.dead) return;
   }
-}
-
-}  // namespace
+};
 
 RemoteBackend::RemoteBackend() : RemoteBackend(Options()) {}
 
-RemoteBackend::RemoteBackend(Options options) : opts_(std::move(options)) {}
+RemoteBackend::RemoteBackend(Options options)
+    : opts_(std::move(options)), pool_(std::make_unique<Pool>(opts_)) {}
 
 RemoteBackend::~RemoteBackend() {
+  pool_.reset();
   if (!session_store_ || opts_.keep_files) return;
   std::error_code ec;
   std::filesystem::remove_all(session_store_->dir(), ec);
+}
+
+RemoteBackend::Pool& RemoteBackend::pool() {
+  std::call_once(pool_->started, [this] { pool_->start(); });
+  return *pool_;
 }
 
 WarmStore& RemoteBackend::local_warm_store() {
@@ -764,111 +925,91 @@ WarmStore& RemoteBackend::local_warm_store() {
 }
 
 void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
+  remote::TenantState tenant(pool_->next_tenant.fetch_add(1));
+  run_round(tenant, jobs, sink);
+}
+
+void RemoteBackend::run_round(remote::TenantState& tenant,
+                              const std::vector<JobSpec>& jobs,
+                              ResultSink& sink) {
   if (jobs.empty()) return;
   if (opts_.max_attempts == 0)
     throw std::runtime_error("RemoteBackend: max_attempts must be >= 1");
+  Pool& p = pool();
 
-  std::vector<HostSpec> hosts = opts_.hosts;
-  if (hosts.empty()) {
-    HostSpec local;
-    local.name = "local";
-    local.slots = ParallelRunner::default_jobs();
-    hosts.push_back(local);
-  }
-  for (std::size_t i = 0; i < hosts.size(); ++i) hosts[i].index = i;
-
-  const std::string bin = opts_.worker_binary.empty()
-                              ? default_worker_binary()
-                              : opts_.worker_binary;
-  if (bin.empty()) {
-    throw std::runtime_error(
-        "RemoteBackend: cannot locate the mflushsim worker binary (set "
-        "MFLUSH_WORKER_BIN or Options::worker_binary)");
-  }
-  const std::filesystem::path scratch = scratch_dir_of(opts_);
-
-  // Warm stores: when the sweep references warmed parents, every host gets
-  // one, so each parent warms (or uploads) at most once per store. All
-  // local hosts share one; each ssh host has its own under remote_dir.
-  const bool has_parents =
+  Round round;
+  round.tenant = &tenant;
+  round.jobs = &jobs;
+  round.sink = &sink;
+  round.has_parents =
       std::any_of(jobs.begin(), jobs.end(),
                   [](const JobSpec& j) { return j.parent_key != 0; });
-  StoreState local_store;
-  std::vector<StoreState> host_stores(hosts.size());
-  if (has_parents) {
-    for (HostSpec& h : hosts) {
-      if (h.is_local()) {
-        if (local_store.local == nullptr)
-          local_store.local = &local_warm_store();
-        h.warm_store_dir = local_store.local->dir();
-      } else {
-        h.warm_store_dir =
-            h.remote_dir + "/warmstore." + std::to_string(h.index);
-      }
-    }
-  }
-
-  std::size_t total_slots = 0;
-  for (const HostSpec& h : hosts) total_slots += h.slots;
-  const auto ranges =
-      remote::batch_ranges(jobs, opts_.batch_jobs, total_slots);
-
-  Scheduler sched;
-  Delivered delivered;
-  sched.total = ranges.size();
-  sched.next_batch_number = ranges.size();
-  sched.live_hosts = hosts.size();
-  sched.on_event = opts_.on_event;
-  sched.jobs = &jobs;
-  sched.heads = cold_group_heads(jobs);
+  round.heads = cold_group_heads(jobs);
+  const auto ranges = remote::batch_ranges(jobs, opts_.batch_jobs,
+                                           p.total_slots);
+  round.total = ranges.size();
+  round.next_batch_number = ranges.size();
+  round.live_hosts = p.hosts.size();
+  round.failures.assign(p.hosts.size(), 0);
+  round.retired.assign(p.hosts.size(), false);
   for (std::size_t b = 0; b < ranges.size(); ++b)
-    sched.queue.push_back(
-        sched.make_batch(b, ranges[b].first, ranges[b].second));
+    round.queue.push_back(
+        round.make_batch(b, ranges[b].first, ranges[b].second));
 
-  std::vector<std::unique_ptr<HostState>> states;
-  states.reserve(hosts.size());
-  for (const HostSpec& h : hosts) {
-    auto state = std::make_unique<HostState>();
-    state->spec = h;
-    if (has_parents)
-      state->store = h.is_local() ? &local_store : &host_stores[h.index];
-    if (opts_.transport_factory) {
-      state->transport = opts_.transport_factory(h);
-    } else if (h.is_local()) {
-      state->transport = std::make_unique<remote::LocalTransport>(bin);
-    } else {
-      state->transport =
-          std::make_unique<remote::SshTransport>(bin, opts_.ssh_timeout);
-    }
-    states.push_back(std::move(state));
+  std::unique_lock lk(p.m);
+  if (tenant.cancelled) throw std::runtime_error("campaign cancelled");
+  if (round.has_parents && p.has_local && p.local_store.local == nullptr) {
+    p.local_store.local = &local_warm_store();
+    p.local_store.dir = p.local_store.local->dir();
   }
+  p.rounds.push_back(&round);
+  p.cv.notify_all();
+  p.cv.wait(lk, [&] { return round.finished() && round.in_flight == 0; });
+  p.rounds.erase(std::find(p.rounds.begin(), p.rounds.end(), &round));
+  lk.unlock();
 
-  std::vector<std::thread> slots;
-  slots.reserve(std::min<std::size_t>(total_slots, ranges.size()));
-  for (auto& state : states) {
-    HostState* const host = state.get();
-    const unsigned n = static_cast<unsigned>(
-        std::min<std::size_t>(host->spec.slots, ranges.size()));
-    for (unsigned s = 0; s < n; ++s) {
-      slots.emplace_back([&, host] {
-        host_slot_loop(sched, *host, jobs, scratch, opts_.keep_files,
-                       opts_.max_attempts, opts_.host_max_failures,
-                       delivered, sink);
-      });
-    }
+  if (round.uploads > 0) {
+    p.event("warm store: " + std::to_string(round.uploads) +
+            " parent upload(s), " + std::to_string(round.upload_bytes) +
+            " bytes shipped to the pool");
   }
-  for (std::thread& t : slots) t.join();
-
-  if (sched.uploads > 0) {
-    sched.event("warm store: " + std::to_string(sched.uploads) +
-                " parent upload(s), " + std::to_string(sched.upload_bytes) +
-                " bytes shipped to the pool");
-  }
-  if (sched.first_error) std::rethrow_exception(sched.first_error);
-  if (sched.done != sched.total) {
+  if (round.first_error) std::rethrow_exception(round.first_error);
+  if (round.done != round.total) {
     throw std::runtime_error(
         "RemoteBackend: sweep ended with unfinished batches");
   }
+}
+
+RemoteBackend::Tenant::Tenant(RemoteBackend& backend)
+    : backend_(backend),
+      state_(std::make_unique<remote::TenantState>(
+          backend.pool_->next_tenant.fetch_add(1))) {}
+
+RemoteBackend::Tenant::~Tenant() = default;
+
+void RemoteBackend::Tenant::run(const std::vector<JobSpec>& jobs,
+                                ResultSink& sink) {
+  backend_.run_round(*state_, jobs, sink);
+}
+
+void RemoteBackend::Tenant::cancel() {
+  Pool& p = *backend_.pool_;
+  const std::lock_guard lk(p.m);
+  state_->cancelled = true;
+  for (Round* r : p.rounds) {
+    if (r->tenant != state_.get() || r->queue.empty()) continue;
+    r->queue.clear();
+    if (!r->first_error) {
+      r->first_error =
+          std::make_exception_ptr(std::runtime_error("campaign cancelled"));
+    }
+    r->aborted = true;
+  }
+  p.cv.notify_all();
+}
+
+std::uint64_t RemoteBackend::Tenant::executed() const {
+  return state_->executed.load();
 }
 
 }  // namespace mflush

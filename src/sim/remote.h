@@ -29,10 +29,20 @@
 /// cold_group_heads) warms in an earlier batch waits until that batch has
 /// landed and put the parent in its host's store — so each parent warms
 /// once per host store, and its bytes never travel to the coordinator.
-/// The backend contract —
-/// full-SimMetrics bit-identity with SerialBackend — holds because every
-/// job still executes through run_job and doubles cross the wire as raw
-/// bytes.
+///
+/// One scheduler serves many callers. The slot threads, the prepared
+/// transports and the per-store warm bookkeeping live as long as the
+/// backend; each run() call is a *tenant round* with its own batches,
+/// retries, host failure counts and retirements, and concurrent calls are
+/// allowed. An idle slot takes the first ready batch of the tenant with the
+/// fewest jobs dispatched so far (ties: the older tenant), so a small sweep
+/// is not starved behind a large one. A plain run() is a tenant of its own;
+/// a Tenant handle groups several rounds under one share and can cancel
+/// them — mflushd gives each campaign one.
+///
+/// The backend contract — full-SimMetrics bit-identity with SerialBackend —
+/// holds because every job still executes through run_job and doubles
+/// cross the wire as raw bytes.
 namespace mflush {
 namespace remote {
 
@@ -160,6 +170,19 @@ class LocalTransport final : public Transport {
   std::atomic<unsigned> dispatched_{0};
 };
 
+/// In-thread transport: the batch runs through worker::run_worker on the
+/// slot thread itself — the full job/result file protocol, host store
+/// included, without a subprocess or a worker binary. mflushd serves
+/// through it when no host pool is given.
+class InProcessTransport final : public Transport {
+ public:
+  [[nodiscard]] std::string name() const override { return "inprocess"; }
+  void prepare(const HostSpec&) override {}
+  void run_batch(const HostSpec& host, const std::string& job_path,
+                 const std::string& result_path,
+                 const std::string& what) override;
+};
+
 /// ssh/scp transport: prepare() ships the worker binary once per host
 /// (mkdir -p; scp; chmod +x), run_batch() copies the job file over, runs
 /// the worker remotely, copies the result file back, and best-effort
@@ -187,6 +210,9 @@ class SshTransport final : public Transport {
   std::string bin_;
   unsigned timeout_s_;
 };
+
+/// One tenant's fair-share count and cancel flag (defined in remote.cpp).
+struct TenantState;
 
 }  // namespace remote
 
@@ -216,8 +242,10 @@ class RemoteBackend final : public ExperimentBackend {
     unsigned ssh_timeout = 0;
     /// Keep the local protocol files after the run (debugging).
     bool keep_files = false;
-    /// Transport per host; null means LocalTransport for `local` hosts
-    /// and SshTransport otherwise. Tests inject failing transports here.
+    /// Transport per host, made once on the first run(); null means
+    /// LocalTransport for `local` hosts and SshTransport otherwise (the
+    /// worker binary is only resolved then). mflushd picks
+    /// InProcessTransport here; tests inject failing transports.
     std::function<std::unique_ptr<remote::Transport>(
         const remote::HostSpec&)>
         transport_factory;
@@ -234,20 +262,61 @@ class RemoteBackend final : public ExperimentBackend {
     WarmStore* warm_store = nullptr;
   };
 
+  class Tenant;
+
   RemoteBackend();  ///< default Options
   explicit RemoteBackend(Options options);
-  ~RemoteBackend() override;  ///< removes the session store
+  /// Stops the slot threads and removes the session store. Every run()
+  /// must have returned.
+  ~RemoteBackend() override;
+  RemoteBackend(const RemoteBackend&) = delete;
+  RemoteBackend& operator=(const RemoteBackend&) = delete;
 
   [[nodiscard]] std::string name() const override { return "remote"; }
+  /// One tenant round of its own; blocks until every batch has landed or
+  /// one ran out of attempts. The first call resolves the pool (worker
+  /// binary, transports) and starts the slot threads.
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
 
  private:
+  struct Pool;
+
+  void run_round(remote::TenantState& tenant, const std::vector<JobSpec>& jobs,
+                 ResultSink& sink);
+  /// The pool, resolved and started on first use.
+  Pool& pool();
   /// The store every local host reads: the coordinator's, else the
   /// session store, made on first use and kept for this backend's life.
   WarmStore& local_warm_store();
 
   Options opts_;
   std::unique_ptr<WarmStore> session_store_;
+  std::unique_ptr<Pool> pool_;
+};
+
+/// A tenant of a shared RemoteBackend: every run() through the handle is a
+/// round of the same tenant, so its rounds share one fair-share count. It
+/// must not outlive the backend.
+class RemoteBackend::Tenant final : public ExperimentBackend {
+ public:
+  explicit Tenant(RemoteBackend& backend);
+  ~Tenant() override;
+
+  [[nodiscard]] std::string name() const override { return "remote"; }
+  /// A round of this tenant. Throws "campaign cancelled" when cancel()
+  /// dropped some of its batches, or came before it.
+  void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
+
+  /// Drop the tenant's queued batches and refuse later rounds; in-flight
+  /// batches finish and still deliver.
+  void cancel();
+
+  /// Measured jobs of this tenant's batches that succeeded.
+  [[nodiscard]] std::uint64_t executed() const;
+
+ private:
+  RemoteBackend& backend_;
+  std::unique_ptr<remote::TenantState> state_;
 };
 
 }  // namespace mflush

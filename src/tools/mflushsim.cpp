@@ -52,7 +52,9 @@
 ///                             nothing: on restart every journaled campaign
 ///                             resumes its delta. Requires --data; --hosts
 ///                             and --jobs shape the pool as for --backend
-///                             remote (no hosts: in-process slots)
+///                             remote (no hosts: one local host of --jobs
+///                             slots running jobs in-thread, no worker
+///                             subprocesses)
 ///     --data DIR              mflushd state root: DIR/campaigns/<id>/,
 ///                             DIR/cache (shared result cache), DIR/warm
 ///     --connect ADDR          client mode: talk to the mflushd at ADDR;
@@ -156,9 +158,9 @@ void usage(const char* argv0) {
          "DIR reuses sampled-mode warm-up state across runs and specs by\n"
          "content hash (campaigns default to DIR/warm). --serve ADDR runs\n"
          "mflushd, a coordinator that multiplexes submitted specs onto one\n"
-         "shared pool as durable campaigns under --data DIR; --connect\n"
-         "ADDR with --submit/--status/--cancel/--list/--shutdown talks to\n"
-         "it.\n";
+         "shared pool (--hosts, else --jobs slots running jobs in-thread)\n"
+         "as durable campaigns under --data DIR; --connect ADDR with\n"
+         "--submit/--status/--cancel/--list/--shutdown talks to it.\n";
 }
 
 void print_results(const std::vector<RunResult>& results, bool csv) {
@@ -354,7 +356,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Worker mode: the WorkerBackend subprocess entry point. Everything the
+  // Worker mode: the remote backend's subprocess entry point. Everything the
   // run needs is inside the job file.
   if (!worker_job.empty()) {
     return worker::run_worker(
@@ -600,20 +602,15 @@ int main(int argc, char** argv) {
       } else {
         backend = std::make_unique<InProcessBackend>();
       }
-    } else if (backend_arg == "worker") {
-      WorkerBackend::Options opts;
-      opts.worker_binary = worker_bin;
-      opts.max_processes = jobs;
-      opts.warm_store = ropts.warm_store;
-      // Narrate retries to stderr: a transient worker crash must leave a
-      // trace even though the sweep survives it.
-      opts.on_event = report::event_printer(std::cerr);
-      backend = std::make_unique<WorkerBackend>(std::move(opts));
-    } else if (backend_arg == "remote") {
+    } else if (backend_arg == "worker" || backend_arg == "remote") {
+      // worker: one loopback host of --jobs slots, whatever the pool says.
       RemoteBackend::Options opts;
       opts.worker_binary = worker_bin;
-      opts.hosts = !hosts_file.empty() ? remote::read_hosts_file(hosts_file)
-                                       : remote::hosts_from_env();
+      if (backend_arg == "remote") {
+        opts.hosts = !hosts_file.empty()
+                         ? remote::read_hosts_file(hosts_file)
+                         : remote::hosts_from_env();
+      }
       if (opts.hosts.empty() && jobs != 0) {
         // No pool described: loopback fan-out, --jobs concurrent workers.
         remote::HostSpec local;
@@ -621,6 +618,8 @@ int main(int argc, char** argv) {
         local.slots = jobs;
         opts.hosts.push_back(local);
       }
+      // Narrate retries to stderr: a transient worker crash must leave a
+      // trace even though the sweep survives it.
       opts.on_event = report::event_printer(std::cerr);
       opts.warm_store = ropts.warm_store;
       backend = std::make_unique<RemoteBackend>(std::move(opts));

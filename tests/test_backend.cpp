@@ -14,6 +14,8 @@
 #include "core/factory.h"
 #include "sim/backend.h"
 #include "sim/cmp.h"
+#include "sim/parallel.h"
+#include "sim/remote.h"
 #include "sim/snapshot.h"
 #include "sim/workloads.h"
 #include "trace/spec2000.h"
@@ -185,9 +187,20 @@ void expect_identical_runs(const std::vector<RunResult>& a,
   }
 }
 
+/// The `--backend worker` pool: RemoteBackend over one `local` host of
+/// `slots` worker slots (0: ParallelRunner::default_jobs()).
+RemoteBackend::Options loopback(unsigned slots = 0) {
+  remote::HostSpec local;
+  local.name = "local";
+  local.slots = slots != 0 ? slots : ParallelRunner::default_jobs();
+  RemoteBackend::Options o;
+  o.hosts = {local};
+  return o;
+}
+
 TEST(Backend, CrossBackendDeterminism) {
   // The redesign's core guarantee: serial loop == SerialBackend ==
-  // InProcessBackend == WorkerBackend over a workload x policy grid,
+  // InProcessBackend == the worker pool over a workload x policy grid,
   // full SimMetrics equality.
   ExperimentSpec spec;
   spec.name = "xbackend";
@@ -213,7 +226,7 @@ TEST(Backend, CrossBackendDeterminism) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  WorkerBackend worker;
+  RemoteBackend worker(loopback());
   expect_identical_runs(reference, worker.run_collect(jobs));
 }
 
@@ -252,7 +265,7 @@ TEST(Backend, CrossBackendDeterminismUnderDramModel) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  WorkerBackend worker;
+  RemoteBackend worker(loopback());
   expect_identical_runs(reference, worker.run_collect(jobs));
 }
 
@@ -281,7 +294,7 @@ TEST(Backend, WorkerBackendRunsProfileAndForkJobs) {
       snapshot::capture(donor));
 
   SerialBackend serial;
-  WorkerBackend worker;
+  RemoteBackend worker(loopback());
   expect_identical_runs(serial.run_collect({custom, fork}),
                         worker.run_collect({custom, fork}));
 }
@@ -392,12 +405,11 @@ class FakeWorkerTest : public ::testing::Test {
     return n;
   }
 
-  [[nodiscard]] WorkerBackend::Options script_options(
+  [[nodiscard]] RemoteBackend::Options script_options(
       const std::string& script) const {
-    WorkerBackend::Options o;
+    RemoteBackend::Options o = loopback(1);
     o.worker_binary = script;
     o.scratch_dir = dir_.string();
-    o.max_processes = 1;
     o.batch_jobs = 1;
     o.max_attempts = 2;
     return o;
@@ -412,9 +424,9 @@ class FakeWorkerTest : public ::testing::Test {
     return spec.expand();
   }
 
-  void expect_failure_containing(WorkerBackend::Options opts,
+  void expect_failure_containing(RemoteBackend::Options opts,
                                  const std::vector<std::string>& needles) {
-    WorkerBackend backend(std::move(opts));
+    RemoteBackend backend(std::move(opts));
     try {
       (void)backend.run_collect(tiny_jobs());
       FAIL() << "expected the sweep to fail";
@@ -465,7 +477,7 @@ TEST_F(FakeWorkerTest, RetriesAreBoundedPerBatchWithSplitting) {
   const std::string count = (dir_ / "invocations").string();
   const std::string script =
       write_script("echo x >> \"" + count + "\"\nexit 9\n");
-  WorkerBackend::Options opts = script_options(script);
+  RemoteBackend::Options opts = script_options(script);
   opts.batch_jobs = 2;
   opts.max_attempts = 2;
   expect_failure_containing(std::move(opts), {"code 9"});
@@ -493,10 +505,10 @@ TEST_F(FakeWorkerTest, PoisonJobOnlySinksItsOwnBatchMates) {
       "case \"$2\" in *-job1-*) exit 9;; esac\n"
       "if [ ! -e \"" + marker + "\" ]; then : > \"" + marker +
       "\"; exit 9; fi\nexec \"" + real + "\" \"$@\"\n");
-  WorkerBackend::Options opts = script_options(script);
+  RemoteBackend::Options opts = script_options(script);
   opts.batch_jobs = 2;
   opts.max_attempts = 2;
-  WorkerBackend backend(std::move(opts));
+  RemoteBackend backend(std::move(opts));
   const std::vector<JobSpec> jobs = tiny_jobs();
 
   ResultSink sink;
@@ -526,9 +538,9 @@ TEST_F(FakeWorkerTest, TransientFailureRetriesThenSucceeds) {
   const std::string script = write_script(
       "if [ ! -e \"" + marker + "\" ]; then : > \"" + marker +
       "\"; exit 7; fi\nexec \"" + real + "\" \"$@\"\n");
-  WorkerBackend::Options opts = script_options(script);
+  RemoteBackend::Options opts = script_options(script);
   opts.max_attempts = 3;
-  WorkerBackend backend(std::move(opts));
+  RemoteBackend backend(std::move(opts));
   const std::vector<JobSpec> jobs = tiny_jobs();
 
   SerialBackend serial;

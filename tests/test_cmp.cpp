@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/factory.h"
+#include "sim/backend.h"
 #include "sim/cmp.h"
 #include "sim/experiment.h"
 #include "sim/workloads.h"
@@ -138,9 +139,14 @@ TEST(Experiment, RunPointWarmsThenMeasures) {
 }
 
 TEST(Experiment, SweepCoversAllPolicies) {
-  const auto rs = run_sweep(wl("2W1"),
-                            {PolicySpec::icount(), PolicySpec::mflush()}, 1,
-                            1000, 2000);
+  ExperimentSpec spec;
+  spec.workloads = {wl("2W1")};
+  spec.policies = {PolicySpec::icount(), PolicySpec::mflush()};
+  spec.seeds = {1};
+  spec.warmup = 1000;
+  spec.measure = 2000;
+  InProcessBackend backend;
+  const auto rs = run_experiment(spec, backend);
   ASSERT_EQ(rs.size(), 2u);
   EXPECT_EQ(rs[0].policy, "ICOUNT");
   EXPECT_EQ(rs[1].policy, "MFLUSH");

@@ -132,12 +132,26 @@ TEST(ParallelRunner, MatchesSerialSweep) {
   }
 }
 
+/// A one-seed spec over `ws` x `ps` (500 warm-up cycles, `measure`).
+ExperimentSpec grid_spec(const std::vector<Workload>& ws,
+                         const std::vector<PolicySpec>& ps, Cycle measure) {
+  ExperimentSpec spec;
+  spec.workloads = ws;
+  spec.policies = ps;
+  spec.seeds = {1};
+  spec.warmup = 500;
+  spec.measure = measure;
+  return spec;
+}
+
 TEST(ParallelRunner, RunSweepGoesThroughSharedPool) {
-  // run_sweep is routed through the engine; its output layout (policy
-  // order) must be unchanged from the serial days.
+  // A one-workload sweep on the shared pool keeps the serial days' output
+  // layout (policy order).
   const Workload w = *workloads::by_name("2W1");
-  const auto rs = run_sweep(
-      w, {PolicySpec::icount(), PolicySpec::mflush()}, 1, 500, 1'500);
+  InProcessBackend backend;
+  const auto rs = run_experiment(
+      grid_spec({w}, {PolicySpec::icount(), PolicySpec::mflush()}, 1'500),
+      backend);
   ASSERT_EQ(rs.size(), 2u);
   EXPECT_EQ(rs[0].policy, "ICOUNT");
   EXPECT_EQ(rs[1].policy, "MFLUSH");
@@ -150,12 +164,16 @@ TEST(RunGrid, LayoutMatchesWorkloadRowsPolicyColumns) {
                                     *workloads::by_name("2W2")};
   const std::vector<PolicySpec> ps = {PolicySpec::icount(),
                                       PolicySpec::flush_spec(30)};
-  const auto rows = run_grid(ws, ps, 1, 500, 1'000);
-  ASSERT_EQ(rows.size(), 2u);
-  ASSERT_EQ(rows[0].size(), 2u);
-  EXPECT_EQ(rows[0][0].workload, "2W1");
-  EXPECT_EQ(rows[0][1].policy, "FLUSH-S30");
-  EXPECT_EQ(rows[1][0].workload, "2W2");
+  // One seed: the flat results are workload rows, policy columns.
+  InProcessBackend backend;
+  const auto flat = run_experiment(grid_spec(ws, ps, 1'000), backend);
+  const auto at = [&](std::size_t w, std::size_t p) -> const RunResult& {
+    return flat[w * ps.size() + p];
+  };
+  ASSERT_EQ(flat.size(), 2u * 2u);  // 2 workload rows x 2 policy columns
+  EXPECT_EQ(at(0, 0).workload, "2W1");
+  EXPECT_EQ(at(0, 1).policy, "FLUSH-S30");
+  EXPECT_EQ(at(1, 0).workload, "2W2");
 }
 
 TEST(RunPoint, SelfReportsThroughput) {

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -193,28 +198,6 @@ TEST(RemoteBatching, RangesCutAtParentGroupBoundaries) {
 // exercise the scheduler (work stealing, re-queue, retirement, scratch
 // hygiene) without needing the mflushsim binary on disk.
 
-/// Run one batch in-process through run_job — the full file protocol
-/// without a subprocess.
-void run_batch_in_process(const std::string& job_path,
-                          const std::string& result_path) {
-  const std::vector<JobSpec> jobs = worker::read_job_file(job_path);
-  std::vector<std::pair<std::uint32_t, RunResult>> results;
-  results.reserve(jobs.size());
-  for (const JobSpec& job : jobs) results.emplace_back(job.id, run_job(job));
-  worker::write_result_file(result_path, results);
-}
-
-class InProcessTransport final : public remote::Transport {
- public:
-  [[nodiscard]] std::string name() const override { return "test-inproc"; }
-  void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec&, const std::string& job_path,
-                 const std::string& result_path,
-                 const std::string&) override {
-    run_batch_in_process(job_path, result_path);
-  }
-};
-
 /// Cross-transport rendezvous: broken transports count their failures /
 /// in-flight batches here, gated healthy transports wait on it so the
 /// broken host is guaranteed scheduler time before the queue drains (this
@@ -223,6 +206,9 @@ struct BrokenRendezvous {
   std::mutex m;
   std::condition_variable cv;
   int broken_events = 0;
+  /// Events gated transports wait for; tests spanning several rounds
+  /// raise it in between.
+  int gate = 2;
 
   void bump() {
     const std::lock_guard lk(m);
@@ -235,6 +221,11 @@ struct BrokenRendezvous {
     std::unique_lock lk(m);
     (void)cv.wait_for(lk, std::chrono::seconds(2),
                       [&] { return broken_events >= n; });
+  }
+  void await_gate() {
+    std::unique_lock lk(m);
+    (void)cv.wait_for(lk, std::chrono::seconds(2),
+                      [&] { return broken_events >= gate; });
   }
 };
 
@@ -271,15 +262,16 @@ class GatedInProcessTransport final : public remote::Transport {
       : rendezvous_(rendezvous) {}
   [[nodiscard]] std::string name() const override { return "test-gated"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec&, const std::string& job_path,
+  void run_batch(const remote::HostSpec& host, const std::string& job_path,
                  const std::string& result_path,
-                 const std::string&) override {
-    rendezvous_.await(2);
-    run_batch_in_process(job_path, result_path);
+                 const std::string& what) override {
+    rendezvous_.await_gate();
+    inner_.run_batch(host, job_path, result_path, what);
   }
 
  private:
   BrokenRendezvous& rendezvous_;
+  remote::InProcessTransport inner_;
 };
 
 std::vector<JobSpec> small_grid_jobs() {
@@ -453,7 +445,7 @@ TEST(RemoteBackendTest, ScratchDirLeftCleanOnSuccessAndFailure) {
   opts.scratch_dir = scratch.string();
   opts.batch_jobs = 2;
   opts.transport_factory = [](const remote::HostSpec&) {
-    return std::make_unique<InProcessTransport>();
+    return std::make_unique<remote::InProcessTransport>();
   };
   const std::vector<JobSpec> jobs = small_grid_jobs();
   (void)RemoteBackend(opts).run_collect(jobs);
@@ -484,7 +476,7 @@ TEST(RemoteBackendTest, KeepFilesLeavesTheProtocolPairs) {
   opts.batch_jobs = 4;
   opts.keep_files = true;
   opts.transport_factory = [](const remote::HostSpec&) {
-    return std::make_unique<InProcessTransport>();
+    return std::make_unique<remote::InProcessTransport>();
   };
   std::vector<JobSpec> jobs = small_grid_jobs();
   jobs.resize(4);
@@ -498,6 +490,382 @@ TEST(RemoteBackendTest, KeepFilesLeavesTheProtocolPairs) {
   EXPECT_EQ(job_files, 1u);
   EXPECT_EQ(result_files, 1u);
   fs::remove_all(scratch);
+}
+
+/// An ssh-style store (non-`local` host name) learns each attached parent
+/// once for the backend's lifetime: a second run ships hashes only.
+TEST(RemoteBackendTest, AnSshStoreReceivesEachParentOnceAcrossRuns) {
+  ExperimentSpec spec;
+  spec.workloads = {*workloads::by_name("2W1")};
+  spec.policies = {PolicySpec::icount(), PolicySpec::mflush()};
+  spec.warmup = 330;
+  spec.measure = 400;
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 2;
+  spec.sampled.fork_stride = 100;
+  std::vector<JobSpec> jobs = spec.expand();
+  SerialBackend serial;
+  // The serial run warms both parents into the process registry; the warm
+  // phase then attaches them, as a hot coordinator would.
+  const std::vector<RunResult> expected = serial.run_collect(jobs);
+  resolve_parent_snapshots(jobs, serial);
+  for (const JobSpec& j : jobs) ASSERT_TRUE(j.snapshot) << "job " << j.id;
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "remote-upload-test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  RemoteBackend::Options opts;
+  opts.scratch_dir = dir.string();
+  remote::HostSpec node;
+  node.name = "node-a";
+  node.remote_dir = (dir / "a").string();
+  opts.hosts = {node};
+  opts.transport_factory = [](const remote::HostSpec&) {
+    return std::make_unique<remote::InProcessTransport>();
+  };
+  std::vector<std::string> events;
+  opts.on_event = [&](const std::string& e) { events.push_back(e); };
+  RemoteBackend backend(opts);
+  expect_identical_runs(expected, backend.run_collect(jobs));
+  expect_identical_runs(expected, backend.run_collect(jobs));
+
+  std::map<std::string, int> uploads;
+  const std::string tag = "uploaded parent ";
+  for (const std::string& e : events) {
+    const std::size_t at = e.find(tag);
+    if (at != std::string::npos)
+      ++uploads[e.substr(at + tag.size(), e.find(' ', at + tag.size()) -
+                                              at - tag.size())];
+  }
+  EXPECT_EQ(uploads.size(), 2u);
+  for (const auto& [key, n] : uploads) EXPECT_EQ(n, 1) << "parent " << key;
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------------------ tenants
+//
+// One backend, several concurrent run() calls: each is a tenant round
+// with its own retries and retirements, fair-shared over the slots.
+
+/// `n` FullRun jobs of one workload (seeds 1..n): transports tell tenants
+/// apart by workload name.
+std::vector<JobSpec> tenant_jobs(const std::string& workload, std::size_t n) {
+  ExperimentSpec spec;
+  spec.workloads = {*workloads::by_name(workload)};
+  spec.policies = {PolicySpec::icount()};
+  spec.seeds.clear();
+  for (std::uint64_t s = 1; s <= n; ++s) spec.seeds.push_back(s);
+  spec.warmup = 200;
+  spec.measure = 300;
+  return spec.expand();
+}
+
+/// In-process transport that shows each batch's host and jobs to a hook
+/// before running it; the hook may block (to order the threads) or throw
+/// (to fail the batch). One hook serves every host.
+class HookedTransport final : public remote::Transport {
+ public:
+  using Hook = std::function<void(const remote::HostSpec&,
+                                  const std::vector<JobSpec>&)>;
+  explicit HookedTransport(const Hook& hook) : hook_(hook) {}
+  [[nodiscard]] std::string name() const override { return "test-hooked"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec& host, const std::string& job_path,
+                 const std::string& result_path,
+                 const std::string& what) override {
+    hook_(host, worker::read_job_file(job_path));
+    inner_.run_batch(host, job_path, result_path, what);
+  }
+
+ private:
+  const Hook& hook_;
+  remote::InProcessTransport inner_;
+};
+
+/// One-job batches over one slot per named host, every host running
+/// through `hook`.
+RemoteBackend::Options hooked_pool(const std::vector<std::string>& names,
+                                   const HookedTransport::Hook& hook) {
+  RemoteBackend::Options opts;
+  for (const std::string& name : names) {
+    remote::HostSpec h;
+    h.name = name;
+    opts.hosts.push_back(h);
+  }
+  opts.batch_jobs = 1;
+  opts.transport_factory = [&hook](const remote::HostSpec&) {
+    return std::make_unique<HookedTransport>(hook);
+  };
+  return opts;
+}
+
+TEST(RemoteTenants, ConcurrentRunsOnOneBackendMatchSerial) {
+  RemoteBackend::Options opts;
+  remote::HostSpec host;
+  host.name = "local";
+  host.slots = 2;
+  opts.hosts = {host};
+  opts.batch_jobs = 1;
+  opts.transport_factory = [](const remote::HostSpec&) {
+    return std::make_unique<remote::InProcessTransport>();
+  };
+  RemoteBackend backend(opts);
+  const std::vector<JobSpec> a = small_grid_jobs();
+  const std::vector<JobSpec> b = tenant_jobs("4W1", 4);
+  auto fa = std::async(std::launch::async,
+                       [&] { return backend.run_collect(a); });
+  auto fb = std::async(std::launch::async,
+                       [&] { return backend.run_collect(b); });
+  const std::vector<RunResult> got_a = fa.get();
+  const std::vector<RunResult> got_b = fb.get();
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(a), got_a);
+  expect_identical_runs(serial.run_collect(b), got_b);
+}
+
+TEST(RemoteTenants, FairShareLetsASmallTenantOvertakeABigOne) {
+  // One slot. The big tenant's first batch holds it until the small
+  // tenant has arrived; from then on the tenant with fewer jobs dispatched
+  // goes next, ties to the older tenant: big, small, big, small, big...
+  using namespace std::chrono_literals;
+  std::mutex m;
+  std::condition_variable cv;
+  bool small_started = false;
+  std::vector<std::string> order;
+  const HookedTransport::Hook hook = [&](const remote::HostSpec&,
+                                         const std::vector<JobSpec>& jobs) {
+    std::unique_lock lk(m);
+    order.push_back(jobs.front().workload.name);
+    cv.notify_all();
+    if (order.size() != 1) return;
+    (void)cv.wait_for(lk, 10s, [&] { return small_started; });
+    lk.unlock();
+    std::this_thread::sleep_for(200ms);  // the small tenant queues meanwhile
+  };
+  RemoteBackend backend(hooked_pool({"solo"}, hook));
+  const std::vector<JobSpec> big = tenant_jobs("2W1", 20);
+  const std::vector<JobSpec> small = tenant_jobs("2W3", 2);
+
+  auto fb = std::async(std::launch::async,
+                       [&] { return backend.run_collect(big); });
+  {
+    std::unique_lock lk(m);
+    (void)cv.wait_for(lk, 10s, [&] { return !order.empty(); });
+    small_started = true;
+  }
+  cv.notify_all();
+  const std::vector<RunResult> got_small = backend.run_collect(small);
+  const std::vector<RunResult> got_big = fb.get();
+
+  ASSERT_EQ(order.size(), 22u);
+  EXPECT_EQ(order[0], "2W1");
+  EXPECT_EQ(order[1], "2W3");
+  EXPECT_EQ(order[2], "2W1");
+  EXPECT_EQ(order[3], "2W3");
+  const auto last_of = [&](const std::string& w) {
+    return std::find(order.rbegin(), order.rend(), w).base() - order.begin();
+  };
+  EXPECT_LT(last_of("2W3"), last_of("2W1"))
+      << "the small tenant finished after the big one's last batch began";
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(big), got_big);
+  expect_identical_runs(serial.run_collect(small), got_small);
+}
+
+TEST(RemoteTenants, CancelDropsQueuedBatchesAndLetsInFlightOnesFinish) {
+  using namespace std::chrono_literals;
+  std::mutex m;
+  std::condition_variable cv;
+  bool released = false;
+  std::vector<std::string> started;
+  const HookedTransport::Hook hook = [&](const remote::HostSpec&,
+                                         const std::vector<JobSpec>& jobs) {
+    std::unique_lock lk(m);
+    started.push_back(jobs.front().workload.name);
+    cv.notify_all();
+    if (jobs.front().workload.name == "2W1")
+      (void)cv.wait_for(lk, 10s, [&] { return released; });
+  };
+  RemoteBackend backend(hooked_pool({"solo"}, hook));
+  RemoteBackend::Tenant tenant(backend);
+  const std::vector<JobSpec> a = tenant_jobs("2W1", 6);
+  const std::vector<JobSpec> b = tenant_jobs("2W3", 3);
+
+  ResultSink a_sink;
+  auto fa = std::async(std::launch::async, [&] { tenant.run(a, a_sink); });
+  {
+    std::unique_lock lk(m);
+    (void)cv.wait_for(lk, 10s, [&] { return !started.empty(); });
+  }
+  auto fb = std::async(std::launch::async,
+                       [&] { return backend.run_collect(b); });
+  tenant.cancel();
+  {
+    const std::lock_guard lk(m);
+    released = true;
+  }
+  cv.notify_all();
+
+  try {
+    fa.get();
+    FAIL() << "expected the cancelled round to throw";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("campaign cancelled"),
+              std::string::npos)
+        << e.what();
+  }
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(b), fb.get());
+  // The in-flight batch finished and delivered; the queued ones never ran.
+  EXPECT_EQ(a_sink.completed(), 1u);
+  EXPECT_EQ(tenant.executed(), 1u);
+  // A cancelled tenant queues nothing more.
+  ResultSink again;
+  EXPECT_THROW(tenant.run(a, again), std::runtime_error);
+  const std::lock_guard lk(m);
+  EXPECT_EQ(std::count(started.begin(), started.end(), "2W1"), 1);
+}
+
+/// Fails its first `failures` batches, then runs them in-process; every
+/// outcome is a rendezvous event.
+class FlakyTransport final : public remote::Transport {
+ public:
+  FlakyTransport(BrokenRendezvous& rendezvous, int failures)
+      : rendezvous_(rendezvous), failures_(failures) {}
+  [[nodiscard]] std::string name() const override { return "test-flaky"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec& host, const std::string& job_path,
+                 const std::string& result_path,
+                 const std::string& what) override {
+    if (failures_.fetch_sub(1) > 0) {
+      rendezvous_.bump();
+      throw remote::TransportError(host.label() + ": flaked on " + what);
+    }
+    inner_.run_batch(host, job_path, result_path, what);
+    rendezvous_.bump();
+  }
+
+ private:
+  BrokenRendezvous& rendezvous_;
+  std::atomic<int> failures_;
+  remote::InProcessTransport inner_;
+};
+
+TEST(RemoteTenants, AHostRetiredInOneRunServesTheNext) {
+  BrokenRendezvous rendezvous;
+  RemoteBackend::Options opts;
+  remote::HostSpec healthy, flaky;
+  healthy.name = "healthy";
+  flaky.name = "flaky";
+  opts.hosts = {healthy, flaky};
+  opts.batch_jobs = 1;
+  opts.max_attempts = 8;
+  opts.host_max_failures = 2;
+  opts.transport_factory = [&](const remote::HostSpec& host)
+      -> std::unique_ptr<remote::Transport> {
+    if (host.name == "flaky")
+      return std::make_unique<FlakyTransport>(rendezvous, 2);
+    return std::make_unique<GatedInProcessTransport>(rendezvous);
+  };
+  std::vector<std::string> events;
+  std::mutex events_mutex;
+  opts.on_event = [&](const std::string& line) {
+    const std::lock_guard lk(events_mutex);
+    events.push_back(line);
+  };
+  RemoteBackend backend(opts);
+  SerialBackend serial;
+
+  // Run 1: the flaky host fails twice and is retired.
+  const std::vector<JobSpec> first = small_grid_jobs();
+  expect_identical_runs(serial.run_collect(first),
+                        backend.run_collect(first));
+  const auto retirements = [&] {
+    const std::lock_guard lk(events_mutex);
+    return std::count_if(events.begin(), events.end(), [](const auto& e) {
+      return e.find("flaky#1 retired") != std::string::npos;
+    });
+  };
+  ASSERT_EQ(retirements(), 1);
+
+  // Run 2: the healthy host waits until the flaky one has run a batch,
+  // which it can only do if its retirement ended with run 1.
+  {
+    const std::lock_guard lk(rendezvous.m);
+    rendezvous.gate = 3;
+  }
+  const std::vector<JobSpec> second = tenant_jobs("2W1", 2);
+  expect_identical_runs(serial.run_collect(second),
+                        backend.run_collect(second));
+  EXPECT_EQ(retirements(), 1);
+  const std::lock_guard lk(rendezvous.m);
+  EXPECT_GE(rendezvous.broken_events, 3) << "flaky#1 ran nothing in run 2";
+}
+
+TEST(RemoteTenants, APoisonTenantRetiresNoHostForAnother) {
+  // Tenant A's only job is poison. Its first failure retires that host
+  // for A, its second attempt holds the other host until tenant B is done
+  // — so B can only finish on the host A retired.
+  using namespace std::chrono_literals;
+  std::mutex m;
+  std::condition_variable cv;
+  int poison_attempts = 0;
+  bool b_done = false;
+  std::vector<std::string> b_hosts;
+  const HookedTransport::Hook hook = [&](const remote::HostSpec& host,
+                                         const std::vector<JobSpec>& jobs) {
+    std::unique_lock lk(m);
+    if (jobs.front().workload.name != "2W3") {
+      b_hosts.push_back(host.label());
+      return;
+    }
+    const int attempt = ++poison_attempts;
+    cv.notify_all();
+    if (attempt == 2) (void)cv.wait_for(lk, 10s, [&] { return b_done; });
+    throw remote::TransportError(host.label() + ": poisoned job");
+  };
+  RemoteBackend::Options opts = hooked_pool({"alpha", "beta"}, hook);
+  opts.max_attempts = 3;
+  opts.host_max_failures = 1;
+  std::vector<std::string> events;
+  std::mutex events_mutex;
+  opts.on_event = [&](const std::string& line) {
+    const std::lock_guard lk(events_mutex);
+    events.push_back(line);
+  };
+  RemoteBackend backend(opts);
+
+  const std::vector<JobSpec> a = tenant_jobs("2W3", 1);
+  const std::vector<JobSpec> b = tenant_jobs("2W1", 3);
+  auto fa = std::async(std::launch::async,
+                       [&] { return backend.run_collect(a); });
+  {
+    std::unique_lock lk(m);
+    (void)cv.wait_for(lk, 10s, [&] { return poison_attempts >= 2; });
+  }
+  const std::vector<RunResult> got_b = backend.run_collect(b);
+  {
+    const std::lock_guard lk(m);
+    b_done = true;
+  }
+  cv.notify_all();
+  EXPECT_THROW((void)fa.get(), std::exception);
+
+  std::string retired;
+  {
+    const std::lock_guard lk(events_mutex);
+    for (const std::string& e : events) {
+      const std::size_t at = e.find(" retired");
+      if (at == std::string::npos) continue;
+      EXPECT_TRUE(retired.empty()) << "second retirement: " << e;
+      retired = e.substr(0, at);
+    }
+  }
+  ASSERT_FALSE(retired.empty()) << "the poison job retired no host";
+  const std::lock_guard lk(m);
+  ASSERT_EQ(b_hosts.size(), 3u);
+  for (const std::string& h : b_hosts) EXPECT_EQ(h, retired);
+  expect_identical_runs(SerialBackend().run_collect(b), got_b);
 }
 
 // ------------------------------------------- end-to-end with the binary
@@ -537,14 +905,14 @@ class RecordingTransport final : public remote::Transport {
   explicit RecordingTransport(Log& log) : log_(log) {}
   [[nodiscard]] std::string name() const override { return "test-record"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec&, const std::string& job_path,
+  void run_batch(const remote::HostSpec& host, const std::string& job_path,
                  const std::string& result_path,
-                 const std::string&) override {
+                 const std::string& what) override {
     std::vector<std::uint32_t> ids;
     for (const JobSpec& j : worker::read_job_file(job_path))
       ids.push_back(j.id);
     record(true, ids);
-    run_batch_in_process(job_path, result_path);
+    inner_.run_batch(host, job_path, result_path, what);
     record(false, ids);
   }
 
@@ -554,6 +922,7 @@ class RecordingTransport final : public remote::Transport {
     log_.entries.emplace_back(start, ids);
   }
   Log& log_;
+  remote::InProcessTransport inner_;
 };
 
 TEST(RemoteBackendTest, GroupsSpanningBatchesWaitForTheirHeadBatch) {

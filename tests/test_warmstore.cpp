@@ -368,6 +368,18 @@ TEST_F(WarmStoreTest, ColdAndHotStoreRunsMatchSerial) {
   EXPECT_EQ(hot.stats().stored, 0u);
 }
 
+/// The `--backend worker` pool: one `local` host of `slots` worker slots
+/// reading and filling `store`.
+RemoteBackend::Options loopback(unsigned slots, WarmStore& store) {
+  remote::HostSpec local;
+  local.name = "local";
+  local.slots = slots;
+  RemoteBackend::Options o;
+  o.hosts = {local};
+  o.warm_store = &store;
+  return o;
+}
+
 TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim worker binary not found";
@@ -393,10 +405,7 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
   // (payloads return over the result protocol), forks then ship by hash
   // into the shared host-side store.
   WarmStore store(dir_.string());
-  WorkerBackend::Options wo;
-  wo.max_processes = 2;
-  wo.warm_store = &store;
-  WorkerBackend worker(std::move(wo));
+  RemoteBackend worker(loopback(2, store));
   std::vector<std::string> events;
   RunOptions rw;
   rw.warm_store = &store;
@@ -425,10 +434,7 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
 
   // Hot rerun on a fresh instance: every parent is reused from disk.
   WarmStore hot(dir_.string());
-  WorkerBackend::Options wo2;
-  wo2.max_processes = 2;
-  wo2.warm_store = &hot;
-  WorkerBackend worker2(std::move(wo2));
+  RemoteBackend worker2(loopback(2, hot));
   std::vector<std::string> hot_events;
   RunOptions rh;
   rh.warm_store = &hot;
