@@ -10,19 +10,18 @@
 #include <unordered_map>
 #include <vector>
 
-/// Minimal binary serialization for snapshot/fork checkpointing.
+/// Minimal binary serialization shared by every on-disk and wire format.
 ///
 /// The archive is a flat little-endian byte stream with no per-field
 /// framing: writer and reader must agree on the exact field sequence, which
-/// is version-gated by the snapshot header (sim/snapshot.h). Only
+/// each format version-gates in its header (common/envelope.h). Only
 /// trivially-copyable value types are serialized directly; containers are
 /// length-prefixed. Nothing here allocates on the read path beyond the
 /// containers being filled.
 namespace mflush {
 
-/// FNV-1a over a byte span — the trailing-checksum hash shared by every
-/// archive-based file format (snapshots, experiment specs, worker job and
-/// result files).
+/// FNV-1a over a byte span — the checksum common/envelope seals and frames
+/// every format with, and the content hash behind store keys.
 [[nodiscard]] inline std::uint64_t fnv1a(
     std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 14695981039346656037ull;
@@ -95,7 +94,7 @@ class ArchiveReader {
 
   void get_bytes(void* p, std::size_t n) {
     if (n > data_.size() - pos_)
-      throw std::runtime_error("snapshot archive truncated");
+      throw std::runtime_error("archive truncated");
     std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
   }
@@ -153,7 +152,7 @@ class ArchiveReader {
   [[nodiscard]] std::size_t checked_size(std::uint64_t n,
                                          std::size_t elem_size) const {
     if (n > (data_.size() - pos_) / elem_size)
-      throw std::runtime_error("snapshot archive truncated");
+      throw std::runtime_error("archive truncated");
     return static_cast<std::size_t>(n);
   }
 

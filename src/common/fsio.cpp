@@ -106,7 +106,14 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path,
   if (!in)
     throw std::runtime_error(std::string("cannot open ") + what + ": " +
                              path);
+  // A directory or FIFO opens fine but has no size: tellg() is -1, which
+  // must never become a vector length.
+  std::error_code ec;
   const std::streamsize size = in.tellg();
+  if (!std::filesystem::is_regular_file(path, ec) || size < 0) {
+    throw std::runtime_error(std::string("cannot read ") + what + ": " +
+                             path + " (not a regular file)");
+  }
   in.seekg(0);
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(bytes.data()), size);

@@ -37,8 +37,9 @@ void write_file_atomic(const std::string& path,
 /// Throws std::runtime_error when the directory cannot be opened or synced.
 void fsync_dir(const std::string& dir);
 
-/// Whole-file read into a byte vector; throws naming `what` and the path
-/// when the file cannot be opened or read.
+/// Whole-file read into a byte vector; throws std::runtime_error naming
+/// `what` and the path when the path is not a regular file or cannot be
+/// opened or read.
 [[nodiscard]] std::vector<std::uint8_t> read_file_bytes(
     const std::string& path, const char* what);
 

@@ -18,6 +18,7 @@
 #include <unordered_map>
 
 #include "common/env.h"
+#include "common/envelope.h"
 #include "common/fsio.h"
 #include "sim/parallel.h"
 #include "sim/warmstore.h"
@@ -129,46 +130,6 @@ std::pair<std::uint32_t, RunResult> get_result(ArchiveReader& ar) {
 
 constexpr std::uint64_t kJobMagic = 0x4d464c55534a4f42ull;     // "MFLUSJOB"
 constexpr std::uint64_t kResultMagic = 0x4d464c5553524553ull;  // "MFLUSRES"
-
-/// Appends the trailing checksum and publishes the file via write-temp +
-/// atomic rename, so a reader (or a crash) can never observe a partially
-/// written protocol file. Scratch protocol files skip the fsync (durable
-/// results are the campaign layer's job).
-void write_archive_file(const std::string& path, ArchiveWriter&& ar) {
-  ar.put(fnv1a(ar.bytes()));
-  fsio::write_file_atomic(path, ar.bytes(), /*durable=*/false);
-}
-
-/// Validate trailing checksum + leading magic on a complete archive byte
-/// stream; strips the checksum in place. `name` identifies the source
-/// (a path, usually) in error messages.
-void check_archive(std::vector<std::uint8_t>& bytes, std::uint64_t magic,
-                   const char* what, const std::string& name) {
-  if (bytes.size() < sizeof(std::uint64_t))
-    throw std::runtime_error(std::string(what) + " truncated: " + name);
-  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body, sizeof(stored));
-  if (fnv1a({bytes.data(), body}) != stored) {
-    throw std::runtime_error(std::string(what) + " checksum mismatch: " +
-                             name);
-  }
-  bytes.resize(body);
-
-  std::uint64_t seen = 0;
-  if (bytes.size() >= sizeof(seen))
-    std::memcpy(&seen, bytes.data(), sizeof(seen));
-  if (seen != magic)
-    throw std::runtime_error(std::string("not a ") + what + ": " + name);
-}
-
-std::vector<std::uint8_t> read_checked_file(const std::string& path,
-                                            std::uint64_t magic,
-                                            const char* what) {
-  std::vector<std::uint8_t> bytes = fsio::read_file_bytes(path, what);
-  check_archive(bytes, magic, what, path);
-  return bytes;
-}
 
 /// argv[0] recorded at startup (record_argv0), the off-Linux fallback for
 /// default_worker_binary.
@@ -525,59 +486,48 @@ std::string scratch_stem(const std::string& dir, std::uint32_t job_id) {
 void write_job_file(const std::string& path,
                     const std::vector<JobSpec>& jobs) {
   ArchiveWriter ar;
-  ar.put(kJobMagic);
-  ar.put(kProtocolVersion);
+  envelope::put_header(ar, kJobMagic, kProtocolVersion);
   ar.put<std::uint64_t>(jobs.size());
   for (const JobSpec& j : jobs) j.save(ar);
-  write_archive_file(path, std::move(ar));
+  envelope::seal(ar);
+  // Scratch protocol files skip the fsync: durable results are the
+  // campaign layer's job. The atomic rename still hides partial files.
+  fsio::write_file_atomic(path, ar.bytes(), /*durable=*/false);
 }
 
 std::vector<JobSpec> read_job_file(const std::string& path) {
-  const auto bytes = read_checked_file(path, kJobMagic, "mflush job file");
-  ArchiveReader ar(bytes);
-  (void)ar.get<std::uint64_t>();  // magic, verified above
-  if (const auto v = ar.get<std::uint32_t>(); v != kProtocolVersion) {
-    throw std::runtime_error("job file protocol version " +
-                             std::to_string(v) + " incompatible with " +
-                             std::to_string(kProtocolVersion));
-  }
+  const auto bytes = fsio::read_file_bytes(path, "mflush job file");
+  const std::string what = "mflush job file " + path;
+  ArchiveReader ar(envelope::unseal(bytes, what));
+  envelope::expect_header(ar, kJobMagic, kProtocolVersion, what);
   const auto n = ar.get<std::uint64_t>();
   std::vector<JobSpec> jobs;
   jobs.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) jobs.push_back(JobSpec::load(ar));
-  if (!ar.done())
-    throw std::runtime_error("job file has trailing bytes: " + path);
+  if (!ar.done()) throw std::runtime_error(what + ": trailing bytes");
   return jobs;
 }
 
 std::vector<std::uint8_t> encode_results(
     const std::vector<std::pair<std::uint32_t, RunResult>>& results) {
   ArchiveWriter ar;
-  ar.put(kResultMagic);
-  ar.put(kProtocolVersion);
+  envelope::put_header(ar, kResultMagic, kProtocolVersion);
   ar.put<std::uint64_t>(results.size());
   for (const auto& [id, r] : results) put_result(ar, id, r);
-  ar.put(fnv1a(ar.bytes()));
+  envelope::seal(ar);
   return ar.take();
 }
 
 std::vector<std::pair<std::uint32_t, RunResult>> decode_results(
     std::span<const std::uint8_t> bytes, const std::string& what) {
-  std::vector<std::uint8_t> body(bytes.begin(), bytes.end());
-  check_archive(body, kResultMagic, "mflush result file", what);
-  ArchiveReader ar(body);
-  (void)ar.get<std::uint64_t>();  // magic, verified above
-  if (const auto v = ar.get<std::uint32_t>(); v != kProtocolVersion) {
-    throw std::runtime_error("result file protocol version " +
-                             std::to_string(v) + " incompatible with " +
-                             std::to_string(kProtocolVersion));
-  }
+  const std::string name = "mflush result file " + what;
+  ArchiveReader ar(envelope::unseal(bytes, name));
+  envelope::expect_header(ar, kResultMagic, kProtocolVersion, name);
   const auto n = ar.get<std::uint64_t>();
   std::vector<std::pair<std::uint32_t, RunResult>> results;
   results.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) results.push_back(get_result(ar));
-  if (!ar.done())
-    throw std::runtime_error("result file has trailing bytes: " + what);
+  if (!ar.done()) throw std::runtime_error(name + ": trailing bytes");
   return results;
 }
 

@@ -226,10 +226,10 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 
 // ------------------------------------------------------ worker protocol
 //
-// Both files are flat ArchiveWriter streams: magic, version, u64 count,
-// the entries, and a trailing FNV-1a checksum over everything before it.
-// Readers reject bad magic, version skew, checksum mismatch and trailing
-// bytes outright — a corrupt job must fail loudly, never half-run.
+// Both files are sealed envelopes (common/envelope.h): magic, version,
+// u64 count, the entries, trailing FNV-1a. Readers reject bad magic,
+// version skew, checksum mismatch and trailing bytes outright — a corrupt
+// job must fail loudly, never half-run.
 namespace worker {
 
 /// v2: JobSpec gained warm_only + parent_key (with a by-reference snapshot

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/env.h"
+#include "common/envelope.h"
 #include "common/fsio.h"
 
 namespace mflush {
@@ -21,8 +22,6 @@ namespace fs = std::filesystem;
 
 constexpr std::uint64_t kJournalMagic = 0x4d464c555357414cull;  // "MFLUSWAL"
 constexpr std::uint64_t kKeyMagic = 0x4d464c55534b4559ull;      // "MFLUSKEY"
-constexpr std::size_t kHeaderBytes =
-    sizeof(std::uint64_t) + sizeof(std::uint32_t);
 /// state(u8) + job_id(u32) + key(u64) + aux(u64)
 constexpr std::size_t kPayloadBytes = 21;
 /// Sanity bound on a record's length prefix: anything larger than this is
@@ -38,23 +37,6 @@ constexpr std::size_t kMaxRecordBytes = 1u << 20;
 [[nodiscard]] std::string default_cache_dir(const std::string& dir) {
   return (fs::path(dir) / "cache").string();
 }
-[[nodiscard]] std::string cache_entry_path(const std::string& cache_dir,
-                                           std::uint64_t key) {
-  return (fs::path(cache_dir) / (key_hex(key) + ".mfcr")).string();
-}
-
-/// Remove write-temp debris a crashed writer left in the cache (the rename
-/// never happened, so the entries are garbage by construction). Only
-/// orphaned temps go: the cache is shared, and a live writer's temp — e.g.
-/// another mflushd tenant's entry in flight — must survive to its rename.
-void sweep_temp_debris(const std::string& cache_dir) {
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(cache_dir, ec)) {
-    if (fsio::is_orphaned_temp(entry.path().string()))
-      fs::remove(entry.path(), ec);
-  }
-}
-
 }  // namespace
 
 std::uint64_t job_key(const JobSpec& job) {
@@ -83,45 +65,27 @@ std::size_t Frontier::count(JobState s) const {
 
 Frontier replay(std::span<const std::uint8_t> bytes) {
   Frontier f;
-  if (bytes.size() < kHeaderBytes) {
+  if (bytes.size() < envelope::kHeaderBytes) {
     // A journal that died before its header was durable: nothing was ever
     // dispatched under it, so the consistent frontier is empty.
     f.torn = !bytes.empty();
     return f;
   }
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  std::memcpy(&version, bytes.data() + sizeof(magic), sizeof(version));
-  if (magic != kJournalMagic)
-    throw std::runtime_error("campaign journal: bad magic (not a journal)");
-  if (version != kFormatVersion) {
-    throw std::runtime_error(
-        "campaign journal: format version " + std::to_string(version) +
-        " incompatible with " + std::to_string(kFormatVersion));
-  }
+  ArchiveReader header(bytes);
+  envelope::expect_header(header, kJournalMagic, kFormatVersion,
+                          "campaign journal");
 
-  std::size_t pos = kHeaderBytes;
-  f.valid_bytes = pos;
-  while (pos < bytes.size()) {
-    // Every exit from here on is a torn/truncated/corrupt tail: stop at
-    // the last fully-checksummed record and report the tear.
-    if (bytes.size() - pos < sizeof(std::uint32_t)) break;
-    std::uint32_t len = 0;
-    std::memcpy(&len, bytes.data() + pos, sizeof(len));
-    if (len == 0 || len > kMaxRecordBytes ||
-        static_cast<std::size_t>(len) + sizeof(std::uint64_t) >
-            bytes.size() - pos - sizeof(len)) {
+  // Every stop from here on is a torn/truncated/corrupt tail: the frontier
+  // is the last fully-checksummed record.
+  std::size_t pos = envelope::kHeaderBytes;
+  for (;;) {
+    const envelope::Unframed rec_frame =
+        envelope::unframe(bytes.subspan(pos), kMaxRecordBytes);
+    if (rec_frame.status != envelope::FrameStatus::kFrame ||
+        rec_frame.payload.size() != kPayloadBytes) {
       break;
     }
-    const auto payload = bytes.subspan(pos + sizeof(len), len);
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + pos + sizeof(len) + len,
-                sizeof(stored));
-    if (fnv1a(payload) != stored) break;
-    if (payload.size() != kPayloadBytes) break;
-
-    ArchiveReader ar(payload);
+    ArchiveReader ar(rec_frame.payload);
     JournalRecord rec;
     const auto state = ar.get<std::uint8_t>();
     if (state < static_cast<std::uint8_t>(JobState::kDispatched) ||
@@ -134,9 +98,9 @@ Frontier replay(std::span<const std::uint8_t> bytes) {
     rec.aux = ar.get<std::uint64_t>();
     f.jobs[rec.key] = rec;  // later transitions supersede earlier ones
     ++f.records;
-    pos += sizeof(len) + len + sizeof(stored);
-    f.valid_bytes = pos;
+    pos += rec_frame.consumed;
   }
+  f.valid_bytes = pos;
   f.torn = f.valid_bytes != bytes.size();
   return f;
 }
@@ -148,9 +112,18 @@ Frontier replay(std::span<const std::uint8_t> bytes) {
 CampaignStore::CampaignStore(std::string dir, ExperimentSpec spec,
                              Options options)
     : dir_(std::move(dir)),
-      cache_dir_(options.cache_dir.empty()
-                     ? campaign::default_cache_dir(dir_)
-                     : options.cache_dir),
+      cache_(std::make_unique<BlobStore>(
+          options.cache_dir.empty() ? campaign::default_cache_dir(dir_)
+                                    : options.cache_dir,
+          "mfcr",
+          [on_event = options.on_event](std::uint64_t key,
+                                        const std::string& why) {
+            // A corrupt entry is a miss, not an error: it is gone, and the
+            // job re-executes and republishes it.
+            if (on_event)
+              on_event("cache entry " + campaign::key_hex(key) +
+                       " unreadable (" + why + ") — re-executing");
+          })),
       spec_(std::move(spec)),
       opts_(std::move(options)),
       kill_after_(
@@ -158,7 +131,7 @@ CampaignStore::CampaignStore(std::string dir, ExperimentSpec spec,
 
 CampaignStore::CampaignStore(CampaignStore&& other) noexcept
     : dir_(std::move(other.dir_)),
-      cache_dir_(std::move(other.cache_dir_)),
+      cache_(std::move(other.cache_)),
       spec_(std::move(other.spec_)),
       opts_(std::move(other.opts_)),
       frontier_(std::move(other.frontier_)),
@@ -182,7 +155,6 @@ CampaignStore CampaignStore::create(const std::string& dir,
 
   CampaignStore store(dir, spec, std::move(options));
   fs::create_directories(dir);
-  fs::create_directories(store.cache_dir_);
   const std::string journal = campaign::journal_path(dir);
   const std::vector<std::uint8_t> spec_bytes = spec.to_bytes();
   if (fs::exists(journal)) {
@@ -213,7 +185,6 @@ CampaignStore CampaignStore::create(const std::string& dir,
   }
   fsio::write_file_atomic(campaign::spec_path(dir), spec_bytes,
                           /*durable=*/true);
-  campaign::sweep_temp_debris(store.cache_dir_);
   store.open_journal(/*fresh=*/true, 0);
   return store;
 }
@@ -231,7 +202,6 @@ CampaignStore CampaignStore::resume(const std::string& dir,
       fsio::read_file_bytes(campaign::spec_path(dir), "campaign spec");
   CampaignStore store(dir, ExperimentSpec::from_bytes(spec_bytes),
                       std::move(options));
-  fs::create_directories(store.cache_dir_);
 
   const auto journal_bytes =
       fsio::read_file_bytes(campaign::journal_path(dir), "campaign journal");
@@ -242,11 +212,10 @@ CampaignStore CampaignStore::resume(const std::string& dir,
                 std::to_string(journal_bytes.size()) +
                 " — truncating to the last consistent record");
   }
-  campaign::sweep_temp_debris(store.cache_dir_);
   // A headerless journal (crash before the header fsync) starts over; an
   // intact one is truncated to its consistent prefix so appends land
   // directly after the last good record.
-  const bool fresh = store.frontier_.valid_bytes < campaign::kHeaderBytes;
+  const bool fresh = store.frontier_.valid_bytes < envelope::kHeaderBytes;
   store.open_journal(fresh, store.frontier_.valid_bytes);
 
   using campaign::JobState;
@@ -272,8 +241,8 @@ void CampaignStore::open_journal(bool fresh, std::size_t keep_bytes) {
   }
   if (fresh) {
     ArchiveWriter header;
-    header.put(campaign::kJournalMagic);
-    header.put(campaign::kFormatVersion);
+    envelope::put_header(header, campaign::kJournalMagic,
+                         campaign::kFormatVersion);
     const auto& bytes = header.bytes();
     if (::write(journal_fd_, bytes.data(), bytes.size()) !=
         static_cast<::ssize_t>(bytes.size())) {
@@ -300,10 +269,8 @@ void CampaignStore::append(
     payload.put(rec.job_id);
     payload.put(rec.key);
     payload.put(rec.aux);
-    buf.put<std::uint32_t>(
-        static_cast<std::uint32_t>(payload.bytes().size()));
-    buf.put_bytes(payload.bytes().data(), payload.bytes().size());
-    buf.put(fnv1a(payload.bytes()));
+    const std::vector<std::uint8_t> framed = envelope::frame(payload.bytes());
+    buf.put_bytes(framed.data(), framed.size());
   }
 
   const std::lock_guard lk(journal_mutex_);
@@ -345,12 +312,11 @@ void CampaignStore::record_dispatched(const std::vector<JobSpec>& jobs) {
 void CampaignStore::record_done(const JobSpec& job, const RunResult& result) {
   const std::uint64_t key = campaign::job_key(job);
   // Cache entries store slot id 0: the id is campaign-relative, the entry
-  // is content-addressed. Published (atomic rename, fsync'd) BEFORE the
+  // is content-addressed. Published (put-if-absent, durable) BEFORE the
   // done record, so a durable done record always points at a durable file.
   const std::vector<std::uint8_t> bytes =
       worker::encode_results({{0, result}});
-  fsio::write_file_atomic(campaign::cache_entry_path(cache_dir_, key), bytes,
-                          /*durable=*/true);
+  cache_->put(key, bytes);
 
   campaign::JournalRecord rec;
   rec.state = campaign::JobState::kDone;
@@ -377,21 +343,14 @@ void CampaignStore::record_failed(const JobSpec& job, unsigned attempts) {
 
 std::optional<RunResult> CampaignStore::cached(const JobSpec& job) const {
   const std::uint64_t key = campaign::job_key(job);
-  const std::string path = campaign::cache_entry_path(cache_dir_, key);
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return std::nullopt;
-  try {
-    auto results = worker::decode_results(
-        fsio::read_file_bytes(path, "campaign cache entry"), path);
+  std::optional<RunResult> out;
+  cache_->get(key, [&](std::vector<std::uint8_t> entry) {
+    auto results = worker::decode_results(entry, cache_->path_of(key));
     if (results.size() != 1)
-      throw std::runtime_error("expected exactly one result: " + path);
-    return std::move(results.front().second);
-  } catch (const std::exception& e) {
-    // A corrupt entry is a miss, not an error: re-execute and overwrite.
-    event(std::string("cache entry ") + campaign::key_hex(key) +
-          " unreadable (" + e.what() + ") — re-executing");
-    return std::nullopt;
-  }
+      throw std::runtime_error("expected exactly one result");
+    out = std::move(results.front().second);
+  });
+  return out;
 }
 
 // ----------------------------------------------------- durable run adapter

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "sim/backend.h"
+#include "sim/blobstore.h"
 
 /// Durable campaigns: crash-survivable, resumable experiment runs.
 ///
@@ -19,13 +21,13 @@
 ///   DIR/spec.mfc      canonical ExperimentSpec archive (binary form)
 ///   DIR/journal.wal   append-only, checksummed, fsync-per-record journal
 ///                     of job state transitions
-///   DIR/cache/        content-addressed result store, one file per
-///                     completed job keyed by job_key() hex (relocatable
-///                     via Options::cache_dir — mflushd shares one cache
-///                     across every tenant's campaign)
+///   DIR/cache/        content-addressed result store (a BlobStore), one
+///                     file per completed job keyed by job_key() hex
+///                     (relocatable via Options::cache_dir — mflushd
+///                     shares one cache across every tenant's campaign)
 ///
 /// The journal is a classic write-ahead log at file granularity: every
-/// record is length-prefixed and carries its own FNV-1a checksum, appended
+/// record is an envelope::frame (length prefix + FNV-1a checksum), appended
 /// with a single write() and fsync'd before the in-memory transition is
 /// acted on. Replay stops at the first bad record (torn tail, truncated
 /// length, checksum mismatch), so a SIGKILL at *any* byte offset recovers
@@ -151,9 +153,6 @@ class CampaignStore {
 
   [[nodiscard]] const ExperimentSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
-  [[nodiscard]] const std::string& cache_dir() const noexcept {
-    return cache_dir_;
-  }
   [[nodiscard]] const campaign::Frontier& frontier() const noexcept {
     return frontier_;
   }
@@ -161,17 +160,19 @@ class CampaignStore {
   /// Journal one dispatched record per job (one write, one fsync).
   void record_dispatched(const std::vector<JobSpec>& jobs);
 
-  /// Publish the result to the cache (atomic rename, fsync'd), then
-  /// journal the done record. After this returns, a crash at any point
-  /// leaves the result recoverable.
+  /// Publish the result to the cache (put-if-absent: an entry already
+  /// there holds the same bytes and is left alone), then journal the done
+  /// record. After this returns, a crash at any point leaves the result
+  /// recoverable.
   void record_done(const JobSpec& job, const RunResult& result);
 
   /// Journal a failed attempt; the job is pending again on resume.
   void record_failed(const JobSpec& job, unsigned attempts);
 
   /// The cached result for this job's content key, when a valid cache
-  /// entry exists (corrupt or mismatched entries read as a miss and are
-  /// re-executed). This is the resume/cross-spec-overlap fast path.
+  /// entry exists (a corrupt or mismatched entry is deleted, narrated, and
+  /// read as a miss, so the job re-executes and republishes it). This is
+  /// the resume/cross-spec-overlap fast path.
   [[nodiscard]] std::optional<RunResult> cached(const JobSpec& job) const;
 
   void event(const std::string& line) const;
@@ -183,7 +184,8 @@ class CampaignStore {
   void append(const std::vector<campaign::JournalRecord>& records);
 
   std::string dir_;
-  std::string cache_dir_;
+  /// The result cache (owned through a pointer: CampaignStore moves).
+  std::unique_ptr<BlobStore> cache_;
   ExperimentSpec spec_;
   Options opts_;
   campaign::Frontier frontier_;

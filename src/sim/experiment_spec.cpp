@@ -4,10 +4,10 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/envelope.h"
 #include "common/fsio.h"
 #include "sim/cmp.h"
 #include "sim/snapshot.h"
@@ -29,24 +29,6 @@ Workload get_workload(ArchiveReader& ar) {
   w.name = ar.get_string();
   ar.get_vec(w.codes);
   return w;
-}
-
-void put_policy(ArchiveWriter& ar, const PolicySpec& p) {
-  ar.put(static_cast<std::uint8_t>(p.kind));
-  ar.put(p.trigger);
-  ar.put(p.mcreg_history);
-  ar.put(static_cast<std::uint8_t>(p.mcreg_agg));
-  ar.put(p.preventive);
-}
-
-PolicySpec get_policy(ArchiveReader& ar) {
-  PolicySpec p;
-  p.kind = static_cast<PolicySpec::Kind>(ar.get<std::uint8_t>());
-  p.trigger = ar.get<Cycle>();
-  p.mcreg_history = ar.get<std::uint32_t>();
-  p.mcreg_agg = static_cast<PolicySpec::McRegAgg>(ar.get<std::uint8_t>());
-  p.preventive = ar.get<bool>();
-  return p;
 }
 
 // BenchmarkProfile is written field-wise in declaration order; any profile
@@ -103,36 +85,6 @@ BenchmarkProfile get_profile(ArchiveReader& ar) {
   p.icache_lines = ar.get<std::uint32_t>();
   p.mean_bb_len = ar.get<std::uint32_t>();
   return p;
-}
-
-// DramConfig is written field-wise in declaration order; any knob
-// added/removed must bump the enclosing format version (spec/job).
-void put_dram(ArchiveWriter& ar, const DramConfig& d) {
-  ar.put(d.channels);
-  ar.put(d.banks_per_channel);
-  ar.put(d.row_bytes);
-  ar.put(d.t_row_hit);
-  ar.put(d.t_row_miss);
-  ar.put(d.t_row_conflict);
-  ar.put(d.channel_gap);
-  ar.put(d.far_base);
-  ar.put(d.far_bytes);
-  ar.put(d.far_extra);
-}
-
-DramConfig get_dram(ArchiveReader& ar) {
-  DramConfig d;
-  d.channels = ar.get<std::uint32_t>();
-  d.banks_per_channel = ar.get<std::uint32_t>();
-  d.row_bytes = ar.get<std::uint32_t>();
-  d.t_row_hit = ar.get<std::uint32_t>();
-  d.t_row_miss = ar.get<std::uint32_t>();
-  d.t_row_conflict = ar.get<std::uint32_t>();
-  d.channel_gap = ar.get<std::uint32_t>();
-  d.far_base = ar.get<Addr>();
-  d.far_bytes = ar.get<std::uint64_t>();
-  d.far_extra = ar.get<std::uint32_t>();
-  return d;
 }
 
 /// Throwing wrapper over the shared workloads::resolve front door.
@@ -194,6 +146,55 @@ std::shared_ptr<const std::vector<std::uint8_t>> warm_parent_snapshot(
 }
 
 }  // namespace
+
+void put_policy(ArchiveWriter& ar, const PolicySpec& p) {
+  ar.put(static_cast<std::uint8_t>(p.kind));
+  ar.put(p.trigger);
+  ar.put(p.mcreg_history);
+  ar.put(static_cast<std::uint8_t>(p.mcreg_agg));
+  ar.put(p.preventive);
+}
+
+PolicySpec get_policy(ArchiveReader& ar) {
+  PolicySpec p;
+  p.kind = static_cast<PolicySpec::Kind>(ar.get<std::uint8_t>());
+  p.trigger = ar.get<Cycle>();
+  p.mcreg_history = ar.get<std::uint32_t>();
+  p.mcreg_agg = static_cast<PolicySpec::McRegAgg>(ar.get<std::uint8_t>());
+  p.preventive = ar.get<bool>();
+  return p;
+}
+
+// DramConfig is written field-wise in declaration order; any knob
+// added/removed must bump the enclosing format versions (spec/job and
+// the snapshot's config echo).
+void put_dram(ArchiveWriter& ar, const DramConfig& d) {
+  ar.put(d.channels);
+  ar.put(d.banks_per_channel);
+  ar.put(d.row_bytes);
+  ar.put(d.t_row_hit);
+  ar.put(d.t_row_miss);
+  ar.put(d.t_row_conflict);
+  ar.put(d.channel_gap);
+  ar.put(d.far_base);
+  ar.put(d.far_bytes);
+  ar.put(d.far_extra);
+}
+
+DramConfig get_dram(ArchiveReader& ar) {
+  DramConfig d;
+  d.channels = ar.get<std::uint32_t>();
+  d.banks_per_channel = ar.get<std::uint32_t>();
+  d.row_bytes = ar.get<std::uint32_t>();
+  d.t_row_hit = ar.get<std::uint32_t>();
+  d.t_row_miss = ar.get<std::uint32_t>();
+  d.t_row_conflict = ar.get<std::uint32_t>();
+  d.channel_gap = ar.get<std::uint32_t>();
+  d.far_base = ar.get<Addr>();
+  d.far_bytes = ar.get<std::uint64_t>();
+  d.far_extra = ar.get<std::uint32_t>();
+  return d;
+}
 
 // ------------------------------------------------------------------ JobSpec
 
@@ -400,8 +401,7 @@ std::vector<JobSpec> ExperimentSpec::expand() const {
 
 std::vector<std::uint8_t> ExperimentSpec::to_bytes() const {
   ArchiveWriter ar;
-  ar.put(kSpecMagic);
-  ar.put(kSpecVersion);
+  envelope::put_header(ar, kSpecMagic, kSpecVersion);
   ar.put_string(name);
   ar.put<std::uint64_t>(workloads.size());
   for (const Workload& w : workloads) put_workload(ar, w);
@@ -417,29 +417,14 @@ std::vector<std::uint8_t> ExperimentSpec::to_bytes() const {
   ar.put(sampled.max_rounds);
   ar.put(static_cast<std::uint8_t>(mem_model));
   put_dram(ar, dram);
-  ar.put(fnv1a(ar.bytes()));
+  envelope::seal(ar);
   return ar.take();
 }
 
 ExperimentSpec ExperimentSpec::from_bytes(
     std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < sizeof(std::uint64_t))
-    throw std::runtime_error("experiment spec: truncated");
-  const auto body = bytes.first(bytes.size() - sizeof(std::uint64_t));
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body.size(), sizeof(stored));
-  if (fnv1a(body) != stored)
-    throw std::runtime_error(
-        "experiment spec: checksum mismatch (corrupt file?)");
-
-  ArchiveReader ar(body);
-  if (ar.get<std::uint64_t>() != kSpecMagic)
-    throw std::runtime_error("experiment spec: bad magic");
-  if (const auto v = ar.get<std::uint32_t>(); v != kSpecVersion) {
-    throw std::runtime_error("experiment spec: format version " +
-                             std::to_string(v) + " incompatible with " +
-                             std::to_string(kSpecVersion));
-  }
+  ArchiveReader ar(envelope::unseal(bytes, "experiment spec"));
+  envelope::expect_header(ar, kSpecMagic, kSpecVersion, "experiment spec");
   ExperimentSpec spec;
   spec.name = ar.get_string();
   const auto num_w = ar.get<std::uint64_t>();
@@ -629,15 +614,7 @@ ExperimentSpec ExperimentSpec::from_text(std::string_view text) {
 }
 
 ExperimentSpec ExperimentSpec::read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in)
-    throw std::runtime_error("cannot open experiment spec: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("experiment spec read failed: " + path);
-
+  const auto bytes = fsio::read_file_bytes(path, "experiment spec");
   std::uint64_t magic = 0;
   if (bytes.size() >= sizeof(magic))
     std::memcpy(&magic, bytes.data(), sizeof(magic));

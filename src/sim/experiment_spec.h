@@ -117,6 +117,12 @@ struct JobSpec {
   void save_content(ArchiveWriter& ar) const;
 };
 
+// Field-wise archive forms shared by the spec, job and snapshot formats.
+void put_policy(ArchiveWriter& ar, const PolicySpec& p);
+[[nodiscard]] PolicySpec get_policy(ArchiveReader& ar);
+void put_dram(ArchiveWriter& ar, const DramConfig& d);
+[[nodiscard]] DramConfig get_dram(ArchiveReader& ar);
+
 /// Execute one job to completion (the single definition of "run a point"
 /// every backend shares — cross-backend bit-identity rests on this).
 [[nodiscard]] RunResult run_job(const JobSpec& job);

@@ -1,11 +1,12 @@
 #include "sim/snapshot.h"
 
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/archive.h"
+#include "common/envelope.h"
 #include "common/fsio.h"
+#include "sim/experiment_spec.h"
 
 namespace mflush::snapshot {
 namespace {
@@ -13,168 +14,49 @@ namespace {
 constexpr std::uint64_t kMagic = 0x4d464c5553534e50ull;  // "MFLUSSNP"
 
 // SimConfig is written field-wise (not memcpy'd) so struct padding never
-// leaks into the stream and the config echo compares byte-exactly.
+// leaks into the stream and the config echo compares byte-exactly. One
+// field list in stream order serves both directions; memory_model (an enum
+// carried as u8) and the DRAM knobs follow it.
+template <class Cfg, class F>
+void config_fields(Cfg& cfg, F&& f) {
+  auto& c = cfg.core;
+  auto& m = cfg.mem;
+  f(cfg.num_cores, c.threads_per_core, c.fetch_width, c.fetch_threads,
+    c.decode_width, c.rename_width, c.issue_width, c.commit_width,
+    c.fetch_stages, c.decode_stages, c.rename_stages, c.int_queue_entries,
+    c.fp_queue_entries, c.mem_queue_entries, c.int_units, c.fp_units,
+    c.ldst_units, c.int_phys_regs, c.fp_phys_regs, c.rob_entries,
+    c.ras_entries, c.lat_int_alu, c.lat_int_mul, c.lat_fp_alu, c.lat_fp_mul,
+    c.lat_branch, c.perceptron_table, c.local_history_entries,
+    c.history_bits, c.btb_entries, c.btb_ways, c.model_wrong_path,
+    m.line_bytes, m.l1i_bytes, m.l1i_ways, m.l1i_banks, m.l1d_bytes,
+    m.l1d_ways, m.l1d_banks, m.l1_latency, m.itlb_entries, m.dtlb_entries,
+    m.tlb_miss_penalty, m.page_bytes, m.l2_bytes, m.l2_ways, m.l2_banks,
+    m.l2_bank_latency, m.bus_latency, m.memory_latency, m.mshr_entries);
+}
+
 void put_config(ArchiveWriter& ar, const SimConfig& cfg) {
-  ar.put(cfg.num_cores);
-  const CoreConfig& c = cfg.core;
-  ar.put(c.threads_per_core);
-  ar.put(c.fetch_width);
-  ar.put(c.fetch_threads);
-  ar.put(c.decode_width);
-  ar.put(c.rename_width);
-  ar.put(c.issue_width);
-  ar.put(c.commit_width);
-  ar.put(c.fetch_stages);
-  ar.put(c.decode_stages);
-  ar.put(c.rename_stages);
-  ar.put(c.int_queue_entries);
-  ar.put(c.fp_queue_entries);
-  ar.put(c.mem_queue_entries);
-  ar.put(c.int_units);
-  ar.put(c.fp_units);
-  ar.put(c.ldst_units);
-  ar.put(c.int_phys_regs);
-  ar.put(c.fp_phys_regs);
-  ar.put(c.rob_entries);
-  ar.put(c.ras_entries);
-  ar.put(c.lat_int_alu);
-  ar.put(c.lat_int_mul);
-  ar.put(c.lat_fp_alu);
-  ar.put(c.lat_fp_mul);
-  ar.put(c.lat_branch);
-  ar.put(c.perceptron_table);
-  ar.put(c.local_history_entries);
-  ar.put(c.history_bits);
-  ar.put(c.btb_entries);
-  ar.put(c.btb_ways);
-  ar.put(c.model_wrong_path);
-  const MemConfig& m = cfg.mem;
-  ar.put(m.line_bytes);
-  ar.put(m.l1i_bytes);
-  ar.put(m.l1i_ways);
-  ar.put(m.l1i_banks);
-  ar.put(m.l1d_bytes);
-  ar.put(m.l1d_ways);
-  ar.put(m.l1d_banks);
-  ar.put(m.l1_latency);
-  ar.put(m.itlb_entries);
-  ar.put(m.dtlb_entries);
-  ar.put(m.tlb_miss_penalty);
-  ar.put(m.page_bytes);
-  ar.put(m.l2_bytes);
-  ar.put(m.l2_ways);
-  ar.put(m.l2_banks);
-  ar.put(m.l2_bank_latency);
-  ar.put(m.bus_latency);
-  ar.put(m.memory_latency);
-  ar.put(m.mshr_entries);
-  ar.put(static_cast<std::uint8_t>(m.memory_model));
-  ar.put(m.dram.channels);
-  ar.put(m.dram.banks_per_channel);
-  ar.put(m.dram.row_bytes);
-  ar.put(m.dram.t_row_hit);
-  ar.put(m.dram.t_row_miss);
-  ar.put(m.dram.t_row_conflict);
-  ar.put(m.dram.channel_gap);
-  ar.put(m.dram.far_base);
-  ar.put(m.dram.far_bytes);
-  ar.put(m.dram.far_extra);
+  config_fields(cfg, [&](const auto&... v) { (ar.put(v), ...); });
+  ar.put(static_cast<std::uint8_t>(cfg.mem.memory_model));
+  put_dram(ar, cfg.mem.dram);
   ar.put(cfg.seed);
   ar.put(cfg.prewarm_l2);
 }
 
 SimConfig get_config(ArchiveReader& ar) {
   SimConfig cfg;
-  cfg.num_cores = ar.get<std::uint32_t>();
-  CoreConfig& c = cfg.core;
-  c.threads_per_core = ar.get<std::uint32_t>();
-  c.fetch_width = ar.get<std::uint32_t>();
-  c.fetch_threads = ar.get<std::uint32_t>();
-  c.decode_width = ar.get<std::uint32_t>();
-  c.rename_width = ar.get<std::uint32_t>();
-  c.issue_width = ar.get<std::uint32_t>();
-  c.commit_width = ar.get<std::uint32_t>();
-  c.fetch_stages = ar.get<std::uint32_t>();
-  c.decode_stages = ar.get<std::uint32_t>();
-  c.rename_stages = ar.get<std::uint32_t>();
-  c.int_queue_entries = ar.get<std::uint32_t>();
-  c.fp_queue_entries = ar.get<std::uint32_t>();
-  c.mem_queue_entries = ar.get<std::uint32_t>();
-  c.int_units = ar.get<std::uint32_t>();
-  c.fp_units = ar.get<std::uint32_t>();
-  c.ldst_units = ar.get<std::uint32_t>();
-  c.int_phys_regs = ar.get<std::uint32_t>();
-  c.fp_phys_regs = ar.get<std::uint32_t>();
-  c.rob_entries = ar.get<std::uint32_t>();
-  c.ras_entries = ar.get<std::uint32_t>();
-  c.lat_int_alu = ar.get<std::uint32_t>();
-  c.lat_int_mul = ar.get<std::uint32_t>();
-  c.lat_fp_alu = ar.get<std::uint32_t>();
-  c.lat_fp_mul = ar.get<std::uint32_t>();
-  c.lat_branch = ar.get<std::uint32_t>();
-  c.perceptron_table = ar.get<std::uint32_t>();
-  c.local_history_entries = ar.get<std::uint32_t>();
-  c.history_bits = ar.get<std::uint32_t>();
-  c.btb_entries = ar.get<std::uint32_t>();
-  c.btb_ways = ar.get<std::uint32_t>();
-  c.model_wrong_path = ar.get<bool>();
-  MemConfig& m = cfg.mem;
-  m.line_bytes = ar.get<std::uint32_t>();
-  m.l1i_bytes = ar.get<std::uint32_t>();
-  m.l1i_ways = ar.get<std::uint32_t>();
-  m.l1i_banks = ar.get<std::uint32_t>();
-  m.l1d_bytes = ar.get<std::uint32_t>();
-  m.l1d_ways = ar.get<std::uint32_t>();
-  m.l1d_banks = ar.get<std::uint32_t>();
-  m.l1_latency = ar.get<std::uint32_t>();
-  m.itlb_entries = ar.get<std::uint32_t>();
-  m.dtlb_entries = ar.get<std::uint32_t>();
-  m.tlb_miss_penalty = ar.get<std::uint32_t>();
-  m.page_bytes = ar.get<std::uint32_t>();
-  m.l2_bytes = ar.get<std::uint32_t>();
-  m.l2_ways = ar.get<std::uint32_t>();
-  m.l2_banks = ar.get<std::uint32_t>();
-  m.l2_bank_latency = ar.get<std::uint32_t>();
-  m.bus_latency = ar.get<std::uint32_t>();
-  m.memory_latency = ar.get<std::uint32_t>();
-  m.mshr_entries = ar.get<std::uint32_t>();
-  m.memory_model = static_cast<MemModelKind>(ar.get<std::uint8_t>());
-  m.dram.channels = ar.get<std::uint32_t>();
-  m.dram.banks_per_channel = ar.get<std::uint32_t>();
-  m.dram.row_bytes = ar.get<std::uint32_t>();
-  m.dram.t_row_hit = ar.get<std::uint32_t>();
-  m.dram.t_row_miss = ar.get<std::uint32_t>();
-  m.dram.t_row_conflict = ar.get<std::uint32_t>();
-  m.dram.channel_gap = ar.get<std::uint32_t>();
-  m.dram.far_base = ar.get<Addr>();
-  m.dram.far_bytes = ar.get<std::uint64_t>();
-  m.dram.far_extra = ar.get<std::uint32_t>();
+  config_fields(cfg, [&](auto&... v) {
+    ((v = ar.get<std::remove_reference_t<decltype(v)>>()), ...);
+  });
+  cfg.mem.memory_model = static_cast<MemModelKind>(ar.get<std::uint8_t>());
+  cfg.mem.dram = get_dram(ar);
   cfg.seed = ar.get<std::uint64_t>();
   cfg.prewarm_l2 = ar.get<bool>();
   return cfg;
 }
 
-void put_policy(ArchiveWriter& ar, const PolicySpec& p) {
-  ar.put(static_cast<std::uint8_t>(p.kind));
-  ar.put(p.trigger);
-  ar.put(p.mcreg_history);
-  ar.put(static_cast<std::uint8_t>(p.mcreg_agg));
-  ar.put(p.preventive);
-}
-
-PolicySpec get_policy(ArchiveReader& ar) {
-  PolicySpec p;
-  p.kind = static_cast<PolicySpec::Kind>(ar.get<std::uint8_t>());
-  p.trigger = ar.get<Cycle>();
-  p.mcreg_history = ar.get<std::uint32_t>();
-  p.mcreg_agg = static_cast<PolicySpec::McRegAgg>(ar.get<std::uint8_t>());
-  p.preventive = ar.get<bool>();
-  return p;
-}
-
 void put_header(ArchiveWriter& ar, const CmpSimulator& sim) {
-  ar.put(kMagic);
-  ar.put(kFormatVersion);
+  envelope::put_header(ar, kMagic, kFormatVersion);
   put_config(ar, sim.config());
   ar.put_string(sim.workload().name);
   ar.put_vec(sim.workload().codes);
@@ -188,33 +70,13 @@ struct Header {
 };
 
 Header get_header(ArchiveReader& ar) {
-  if (ar.get<std::uint64_t>() != kMagic)
-    throw std::runtime_error("not a mflush snapshot (bad magic)");
-  const auto version = ar.get<std::uint32_t>();
-  if (version != kFormatVersion) {
-    throw std::runtime_error(
-        "snapshot format version " + std::to_string(version) +
-        " incompatible with " + std::to_string(kFormatVersion));
-  }
+  envelope::expect_header(ar, kMagic, kFormatVersion, "snapshot");
   Header h;
   h.cfg = get_config(ar);
   h.workload.name = ar.get_string();
   ar.get_vec(h.workload.codes);
   h.policy = get_policy(ar);
   return h;
-}
-
-/// Split off and verify the trailing checksum; returns the payload view.
-std::span<const std::uint8_t> checked_body(
-    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < sizeof(std::uint64_t))
-    throw std::runtime_error("snapshot truncated");
-  const auto body = bytes.first(bytes.size() - sizeof(std::uint64_t));
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body.size(), sizeof(stored));
-  if (fnv1a(body) != stored)
-    throw std::runtime_error("snapshot checksum mismatch (corrupt file?)");
-  return body;
 }
 
 }  // namespace
@@ -229,8 +91,7 @@ std::vector<std::uint8_t> capture(const CmpSimulator& sim) {
   ArchiveWriter ar;
   put_header(ar, sim);
   sim.save_state(ar);
-  const std::uint64_t sum = fnv1a(ar.bytes());
-  ar.put(sum);
+  envelope::seal(ar);
   return ar.take();
 }
 
@@ -240,7 +101,7 @@ void restore(CmpSimulator& sim, std::span<const std::uint8_t> bytes) {
         "cannot restore into a simulator built from ad-hoc benchmark "
         "profiles (its workload codes are placeholders)");
   }
-  ArchiveReader ar(checked_body(bytes));
+  ArchiveReader ar(envelope::unseal(bytes, "snapshot"));
   const Header h = get_header(ar);
 
   // The target simulator must be the identical experiment: compare the
@@ -265,7 +126,7 @@ void restore(CmpSimulator& sim, std::span<const std::uint8_t> bytes) {
 }
 
 std::unique_ptr<CmpSimulator> make(std::span<const std::uint8_t> bytes) {
-  ArchiveReader ar(checked_body(bytes));
+  ArchiveReader ar(envelope::unseal(bytes, "snapshot"));
   const Header h = get_header(ar);
   auto sim = std::make_unique<CmpSimulator>(h.cfg, h.workload, h.policy);
   sim->load_state(ar);
@@ -282,14 +143,7 @@ void save_file(const std::string& path, const CmpSimulator& sim) {
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("cannot open snapshot file: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("snapshot read failed: " + path);
-  return bytes;
+  return fsio::read_file_bytes(path, "snapshot file");
 }
 
 std::unique_ptr<CmpSimulator> load_file(const std::string& path) {

@@ -1,14 +1,11 @@
 #include "sim/warmstore.h"
 
 #include <condition_variable>
-#include <cstring>
-#include <filesystem>
 #include <stdexcept>
-#include <system_error>
 #include <unordered_set>
 
 #include "common/archive.h"
-#include "common/fsio.h"
+#include "common/envelope.h"
 #include "sim/campaign.h"
 #include "sim/snapshot.h"
 
@@ -33,6 +30,40 @@ Registry& registry() {
   // running during static destruction of other translation units.
   static auto* r = new Registry();
   return *r;
+}
+
+constexpr char kEntryWhat[] = "warm-store entry";
+
+std::vector<std::uint8_t> encode_entry(std::uint64_t key,
+                                       const std::vector<std::uint8_t>& snap) {
+  ArchiveWriter ar;
+  envelope::put_header(ar, kEntryMagic, warmstore::kFormatVersion);
+  ar.put(snapshot::kFormatVersion);
+  ar.put(key);
+  ar.put_vec(snap);
+  envelope::seal(ar);
+  return ar.take();
+}
+
+/// The snapshot inside a warm entry, cut out of the entry buffer in place
+/// (no second snapshot-sized buffer). Throws on any damage.
+Bytes decode_entry(std::uint64_t key, std::vector<std::uint8_t> entry) {
+  ArchiveReader ar(envelope::unseal(entry, kEntryWhat));
+  envelope::expect_header(ar, kEntryMagic, warmstore::kFormatVersion,
+                          kEntryWhat);
+  if (const auto v = ar.get<std::uint32_t>(); v != snapshot::kFormatVersion)
+    throw std::runtime_error("snapshot format version " + std::to_string(v));
+  if (ar.get<std::uint64_t>() != key)
+    throw std::runtime_error("key echo mismatch");
+  const auto len = ar.get<std::uint64_t>();
+  if (len > ar.remaining()) throw std::runtime_error("archive truncated");
+  if (len < ar.remaining()) throw std::runtime_error("trailing bytes");
+  const std::size_t start =
+      entry.size() - sizeof(std::uint64_t) - static_cast<std::size_t>(len);
+  entry.erase(entry.begin(),
+              entry.begin() + static_cast<std::ptrdiff_t>(start));
+  entry.resize(static_cast<std::size_t>(len));
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(entry));
 }
 
 }  // namespace
@@ -123,9 +154,12 @@ std::uint64_t warm_count() {
 // ---------------------------------------------------------------- WarmStore
 
 WarmStore::WarmStore(std::string dir, Options options)
-    : dir_(std::move(dir)), opts_(std::move(options)) {
-  std::filesystem::create_directories(dir_);
-}
+    : opts_(std::move(options)),
+      blobs_(std::move(dir), "mfws",
+             [this](std::uint64_t key, const std::string& why) {
+               event("entry " + campaign::key_hex(key) + " corrupt (" + why +
+                     ") -- discarded for re-warm");
+             }) {}
 
 void WarmStore::event(const std::string& line) const {
   if (!opts_.on_event) return;
@@ -136,67 +170,19 @@ void WarmStore::event(const std::string& line) const {
   }
 }
 
-std::string WarmStore::path_of(std::uint64_t key) const {
-  return (std::filesystem::path(dir_) / (campaign::key_hex(key) + ".mfws"))
-      .string();
-}
-
 std::shared_ptr<const std::vector<std::uint8_t>> WarmStore::lookup(
     std::uint64_t key) {
   const std::lock_guard lk(m_);
   if (const auto it = memo_.find(key); it != memo_.end()) {
-    ++stats_.hits;
+    ++memo_hits_;
     return it->second;
   }
-  const std::string path = path_of(key);
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  try {
-    const std::vector<std::uint8_t> file =
-        fsio::read_file_bytes(path, "warm-store entry");
-    if (file.size() < sizeof(std::uint64_t))
-      throw std::runtime_error("truncated");
-    const std::size_t body = file.size() - sizeof(std::uint64_t);
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, file.data() + body, sizeof(stored));
-    if (fnv1a({file.data(), body}) != stored)
-      throw std::runtime_error("checksum mismatch");
-    ArchiveReader ar({file.data(), body});
-    if (ar.get<std::uint64_t>() != kEntryMagic)
-      throw std::runtime_error("bad magic");
-    if (const auto v = ar.get<std::uint32_t>();
-        v != warmstore::kFormatVersion) {
-      throw std::runtime_error("store format version " + std::to_string(v));
-    }
-    if (const auto v = ar.get<std::uint32_t>();
-        v != snapshot::kFormatVersion) {
-      throw std::runtime_error("snapshot format version " +
-                               std::to_string(v));
-    }
-    if (ar.get<std::uint64_t>() != key)
-      throw std::runtime_error("key echo mismatch");
-    std::vector<std::uint8_t> snap;
-    ar.get_vec(snap);
-    if (!ar.done()) throw std::runtime_error("trailing bytes");
-    auto bytes =
-        std::make_shared<const std::vector<std::uint8_t>>(std::move(snap));
-    memo_.emplace(key, bytes);
-    ++stats_.hits;
-    return bytes;
-  } catch (const std::exception& e) {
-    // A damaged entry is a miss, not an error: delete it so the parent is
-    // transparently re-warmed and the slot rewritten — the PR 6
-    // corrupt-cache policy at warm-store granularity.
-    std::filesystem::remove(path, ec);
-    ++stats_.corrupt_discarded;
-    ++stats_.misses;
-    event("entry " + campaign::key_hex(key) + " corrupt (" + e.what() +
-          ") -- discarded for re-warm");
-    return nullptr;
-  }
+  Bytes bytes;
+  blobs_.get(key, [&](std::vector<std::uint8_t> entry) {
+    bytes = decode_entry(key, std::move(entry));
+  });
+  if (bytes) memo_.emplace(key, bytes);
+  return bytes;
 }
 
 void WarmStore::put(std::uint64_t key,
@@ -204,35 +190,21 @@ void WarmStore::put(std::uint64_t key,
   if (key == 0 || !bytes) return;
   const std::lock_guard lk(m_);
   if (memo_.contains(key)) return;
-  const std::string path = path_of(key);
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    memo_.emplace(key, std::move(bytes));
-    return;
-  }
-  ArchiveWriter ar;
-  ar.put(kEntryMagic);
-  ar.put(warmstore::kFormatVersion);
-  ar.put(snapshot::kFormatVersion);
-  ar.put(key);
-  ar.put_vec(*bytes);
-  ar.put(fnv1a(ar.bytes()));
-  fsio::write_file_atomic(path, ar.bytes(), /*durable=*/true);
-  ++stats_.stored;
-  stats_.bytes_written += ar.bytes().size();
+  // Checked before encoding: an existing entry costs no snapshot copy.
+  if (!blobs_.contains(key)) blobs_.put(key, encode_entry(key, *bytes));
   memo_.emplace(key, std::move(bytes));
 }
 
 bool WarmStore::contains(std::uint64_t key) const {
   const std::lock_guard lk(m_);
-  if (memo_.contains(key)) return true;
-  std::error_code ec;
-  return std::filesystem::exists(path_of(key), ec);
+  return memo_.contains(key) || blobs_.contains(key);
 }
 
 WarmStore::Stats WarmStore::stats() const {
   const std::lock_guard lk(m_);
-  return stats_;
+  Stats s = blobs_.stats();
+  s.hits += memo_hits_;
+  return s;
 }
 
 }  // namespace mflush

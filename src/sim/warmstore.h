@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/blobstore.h"
 #include "sim/experiment_spec.h"
 
 /// Content-addressed store of warmed parent snapshots.
@@ -15,9 +16,9 @@
 /// Warm-up dominates sampled campaigns, and the warmed state of a parent
 /// chip is a pure function of (workload, profiles, policy, seed, warmup
 /// cycles) plus the snapshot format — so it is cacheable by content hash
-/// exactly like PR 6's result cache. A WarmStore is an on-disk directory of
-/// `<16-hex-key>.mfws` entries (checksummed archives written via
-/// fsio::write_file_atomic) shared across specs, campaigns, backends, and —
+/// exactly like the campaign result cache. A WarmStore is a BlobStore
+/// directory of `<16-hex-key>.mfws` entries (sealed envelopes,
+/// common/envelope.h) shared across specs, campaigns, backends, and —
 /// through the worker protocol's `--worker-store` — remote hosts: a host
 /// whose store already holds a parent receives the 8-byte hash instead of
 /// the multi-megabyte snapshot.
@@ -32,9 +33,9 @@ namespace mflush {
 
 namespace warmstore {
 
-/// v1: entry = magic, store version, snapshot version, key echo,
-/// length-prefixed snapshot bytes, trailing FNV-1a. Bump on ANY change to
-/// this layout or to the key derivation below.
+/// v1: entry = envelope header (magic, store version), snapshot version,
+/// key echo, length-prefixed snapshot bytes, envelope seal. Bump on ANY
+/// change to this layout or to the key derivation below.
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 /// Content hash naming a fork job's warmed parent: FNV-1a over a domain
@@ -77,11 +78,11 @@ parent_snapshot(const JobSpec& fork);
 
 }  // namespace warmstore
 
-/// One warm-store directory. Thread-safe; cheap to construct (lazy I/O).
-/// Instances keep a per-instance memo of entries they have read or written,
-/// so repeated lookups of a hot parent cost one disk read per process —
-/// but the *disk* is the source of truth shared between instances,
-/// processes, and hosts.
+/// One warm-store directory: a BlobStore (persistence, corrupt-entry
+/// healing, counters) plus a per-instance memo of entries read or written,
+/// so repeated lookups of a hot parent cost one disk read per process — but
+/// the *disk* is the source of truth shared between instances, processes,
+/// and hosts. Thread-safe.
 class WarmStore {
  public:
   struct Options {
@@ -97,38 +98,30 @@ class WarmStore {
     std::string label;
   };
 
-  /// Counters for report::summarize. hits/misses count lookup()s;
-  /// `stored` counts entries this instance wrote (put-if-absent skips are
-  /// not stores); corrupt_discarded counts damaged entries healed by
-  /// deletion.
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stored = 0;
-    std::uint64_t corrupt_discarded = 0;
-    std::uint64_t bytes_written = 0;
-  };
+  /// hits/misses count lookup()s, memo hits included.
+  using Stats = BlobStore::Stats;
 
   /// Creates `dir` (and parents) if missing; throws on failure.
   explicit WarmStore(std::string dir, Options options = {});
 
-  [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
-  [[nodiscard]] std::string path_of(std::uint64_t key) const;
+  [[nodiscard]] const std::string& dir() const noexcept {
+    return blobs_.dir();
+  }
+  [[nodiscard]] std::string path_of(std::uint64_t key) const {
+    return blobs_.path_of(key);
+  }
 
-  /// Fetch a parent's snapshot bytes, or null on miss. A damaged entry is
-  /// a miss, not an error: it is deleted (so the parent re-warms and the
-  /// slot is rewritten) and counted in Stats::corrupt_discarded.
+  /// A parent's snapshot bytes, or null on a miss (a damaged entry is a
+  /// miss: deleted and narrated, so the parent re-warms and is rewritten).
   [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> lookup(
       std::uint64_t key);
 
-  /// Durably store a parent's snapshot bytes (put-if-absent: an existing
-  /// entry — ours or a concurrent writer's — is left alone; atomic rename
-  /// makes the race safe either way). No-op for null key/bytes.
+  /// Durably store a parent's snapshot bytes, put-if-absent. No-op for
+  /// null key/bytes.
   void put(std::uint64_t key,
            std::shared_ptr<const std::vector<std::uint8_t>> bytes);
 
-  /// Whether an entry file exists on disk (no validation — lookup decides
-  /// whether it is usable).
+  /// Whether an entry exists (no validation — lookup decides).
   [[nodiscard]] bool contains(std::uint64_t key) const;
 
   [[nodiscard]] Stats stats() const;
@@ -139,13 +132,13 @@ class WarmStore {
  private:
   void event(const std::string& line) const;
 
-  std::string dir_;
   Options opts_;
+  BlobStore blobs_;
   mutable std::mutex m_;
   std::unordered_map<std::uint64_t,
                      std::shared_ptr<const std::vector<std::uint8_t>>>
       memo_;
-  Stats stats_;
+  std::uint64_t memo_hits_ = 0;
 };
 
 }  // namespace mflush

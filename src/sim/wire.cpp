@@ -1,15 +1,11 @@
 #include "sim/wire.h"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "common/sockio.h"
 
 namespace mflush::daemon {
 namespace {
-
-constexpr std::size_t kLenBytes = sizeof(std::uint32_t);
-constexpr std::size_t kSumBytes = sizeof(std::uint64_t);
 
 bool valid_type(std::uint8_t t) noexcept {
   return t >= static_cast<std::uint8_t>(MsgType::kSubmit) &&
@@ -86,54 +82,29 @@ Message Message::load(ArchiveReader& ar) {
 
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
   ArchiveWriter payload;
-  payload.put(kFrameMagic);
-  payload.put(kProtocolVersion);
+  envelope::put_header(payload, kFrameMagic, kProtocolVersion);
   msg.save(payload);
-  const std::vector<std::uint8_t>& body = payload.bytes();
-  if (body.size() > kMaxFrameBytes)
+  if (payload.bytes().size() > kMaxFrameBytes)
     throw std::runtime_error("MFLUSNET frame exceeds " +
                              std::to_string(kMaxFrameBytes) + " bytes");
-
-  ArchiveWriter frame;
-  frame.put(static_cast<std::uint32_t>(body.size()));
-  frame.put_bytes(body.data(), body.size());
-  frame.put(fnv1a(body));
-  return frame.take();
+  return envelope::frame(payload.bytes());
 }
 
 Extract try_extract(std::span<const std::uint8_t> buffer) {
   Extract out;
-  if (buffer.size() < kLenBytes) return out;  // kNeedMore
-  std::uint32_t len = 0;
-  std::memcpy(&len, buffer.data(), kLenBytes);
-  if (len == 0 || len > kMaxFrameBytes)
-    return bad("MFLUSNET frame length " + std::to_string(len) +
-               " out of range");
-  const std::size_t whole = kLenBytes + static_cast<std::size_t>(len) +
-                            kSumBytes;
-  if (buffer.size() < whole) return out;  // kNeedMore
-
-  const std::span<const std::uint8_t> body = buffer.subspan(kLenBytes, len);
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, buffer.data() + kLenBytes + len, kSumBytes);
-  if (fnv1a(body) != stored) return bad("MFLUSNET frame checksum mismatch");
-
-  ArchiveReader ar(body);
+  const envelope::Unframed u = envelope::unframe(buffer, kMaxFrameBytes);
+  if (u.status == ExtractStatus::kNeedMore) return out;
+  if (u.status == ExtractStatus::kBad) return bad("MFLUSNET " + u.error);
   try {
-    if (ar.get<std::uint64_t>() != kFrameMagic)
-      return bad("bad MFLUSNET frame magic");
-    const auto version = ar.get<std::uint32_t>();
-    if (version != kProtocolVersion)
-      return bad("MFLUSNET protocol version " + std::to_string(version) +
-                 " (this build speaks " + std::to_string(kProtocolVersion) +
-                 ")");
+    ArchiveReader ar(u.payload);
+    envelope::expect_header(ar, kFrameMagic, kProtocolVersion, "frame");
     out.msg = Message::load(ar);
     if (!ar.done()) return bad("MFLUSNET frame has trailing bytes");
   } catch (const std::exception& e) {
-    return bad(std::string("MFLUSNET frame malformed: ") + e.what());
+    return bad(std::string("MFLUSNET ") + e.what());
   }
   out.status = ExtractStatus::kFrame;
-  out.consumed = whole;
+  out.consumed = u.consumed;
   return out;
 }
 

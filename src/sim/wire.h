@@ -8,10 +8,12 @@
 #include <vector>
 
 #include "common/archive.h"
+#include "common/envelope.h"
 
 /// MFLUSNET — the mflushd wire protocol.
 ///
-/// A connection is a stream of self-delimiting frames:
+/// A connection is a stream of self-delimiting frames
+/// (envelope::frame, common/envelope.h):
 ///
 ///   [u32 payload_len][payload bytes][u64 fnv1a(payload)]
 ///
@@ -103,11 +105,9 @@ struct Message {
 /// Encode one complete frame (length prefix + payload + checksum).
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Message& msg);
 
-enum class ExtractStatus : std::uint8_t {
-  kNeedMore = 0,  ///< prefix of a valid frame — read more bytes
-  kFrame = 1,     ///< one frame decoded; `consumed` bytes may be dropped
-  kBad = 2,       ///< protocol error — close the connection
-};
+/// kNeedMore: read more bytes; kFrame: one frame decoded, `consumed` bytes
+/// may be dropped; kBad: protocol error — close the connection.
+using ExtractStatus = envelope::FrameStatus;
 
 struct Extract {
   ExtractStatus status = ExtractStatus::kNeedMore;

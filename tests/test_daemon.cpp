@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/archive.h"
+#include "common/envelope.h"
 #include "sim/backend.h"
 #include "sim/campaign.h"
 #include "sim/daemon.h"
@@ -98,39 +99,9 @@ TEST(Wire, DecodesBackToBackFramesIncrementally) {
   EXPECT_EQ(first.consumed + second.consumed, stream.size());
 }
 
-TEST(Wire, EveryTruncationIsNeedMoreNeverAFrame) {
-  const auto frame = daemon::encode_frame(full_message());
-  for (std::size_t n = 0; n < frame.size(); ++n) {
-    const daemon::Extract ex =
-        daemon::try_extract(std::span(frame).first(n));
-    // A prefix must never decode as a complete frame, and an honest
-    // truncation must never kill the connection either — the bytes are
-    // simply still in flight.
-    ASSERT_NE(ex.status, daemon::ExtractStatus::kFrame) << "prefix " << n;
-    ASSERT_EQ(ex.status, daemon::ExtractStatus::kNeedMore) << "prefix " << n;
-  }
-}
-
-TEST(Wire, EverySingleBitFlipIsRejected) {
-  const auto frame = daemon::encode_frame(full_message());
-  for (std::size_t byte = 0; byte < frame.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> damaged = frame;
-      damaged[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      const daemon::Extract ex = daemon::try_extract(damaged);
-      // A flip in the length prefix may legitimately read as "need more
-      // bytes" (the announced frame got longer); everything else must be
-      // kBad. What can never happen is a successful decode.
-      ASSERT_NE(ex.status, daemon::ExtractStatus::kFrame)
-          << "byte " << byte << " bit " << bit;
-      if (byte >= sizeof(std::uint32_t)) {
-        ASSERT_EQ(ex.status, daemon::ExtractStatus::kBad)
-            << "byte " << byte << " bit " << bit;
-        ASSERT_FALSE(ex.error.empty());
-      }
-    }
-  }
-}
+// Every truncation (need more, never a frame) and every single-bit flip
+// (never a frame; damage past the length prefix is fatal) are fuzzed with
+// the other formats by the shared harness in test_envelope.cpp.
 
 TEST(Wire, OversizedAndZeroLengthPrefixesAreFatal) {
   // 256 MiB announced: must fail fast, not wait for bytes that will never
@@ -146,15 +117,6 @@ TEST(Wire, OversizedAndZeroLengthPrefixesAreFatal) {
             daemon::ExtractStatus::kBad);
 }
 
-std::vector<std::uint8_t> frame_of_payload(
-    const std::vector<std::uint8_t>& payload) {
-  ArchiveWriter out;
-  out.put(static_cast<std::uint32_t>(payload.size()));
-  out.put_bytes(payload.data(), payload.size());
-  out.put(fnv1a(payload));
-  return {out.bytes().begin(), out.bytes().end()};
-}
-
 TEST(Wire, WrongProtocolVersionIsRejectedByName) {
   // A valid checksum over a payload from "the future": the version gate,
   // not the checksum, must reject it — and say so.
@@ -163,9 +125,8 @@ TEST(Wire, WrongProtocolVersionIsRejectedByName) {
   payload.put(daemon::kProtocolVersion + 1);
   daemon::Message m;
   m.save(payload);
-  const auto frame =
-      frame_of_payload({payload.bytes().begin(), payload.bytes().end()});
-  const daemon::Extract ex = daemon::try_extract(frame);
+  const daemon::Extract ex =
+      daemon::try_extract(envelope::frame(payload.bytes()));
   ASSERT_EQ(ex.status, daemon::ExtractStatus::kBad);
   EXPECT_NE(ex.error.find("version"), std::string::npos) << ex.error;
 }
@@ -176,8 +137,7 @@ TEST(Wire, WrongMagicAndTrailingBytesAreRejected) {
     payload.put(~daemon::kFrameMagic);
     payload.put(daemon::kProtocolVersion);
     daemon::Message{}.save(payload);
-    const auto ex = daemon::try_extract(
-        frame_of_payload({payload.bytes().begin(), payload.bytes().end()}));
+    const auto ex = daemon::try_extract(envelope::frame(payload.bytes()));
     EXPECT_EQ(ex.status, daemon::ExtractStatus::kBad);
   }
   {
@@ -186,8 +146,7 @@ TEST(Wire, WrongMagicAndTrailingBytesAreRejected) {
     payload.put(daemon::kProtocolVersion);
     daemon::Message{}.save(payload);
     payload.put(std::uint8_t{0});  // one stray byte after the message
-    const auto ex = daemon::try_extract(
-        frame_of_payload({payload.bytes().begin(), payload.bytes().end()}));
+    const auto ex = daemon::try_extract(envelope::frame(payload.bytes()));
     EXPECT_EQ(ex.status, daemon::ExtractStatus::kBad);
   }
 }

@@ -154,21 +154,9 @@ TEST(ExperimentSpec, FileRoundTripSniffsBothFormats) {
 
 // ------------------------------------------------------ corruption handling
 
-TEST(ExperimentSpec, RejectsCorruptBinary) {
-  std::vector<std::uint8_t> bytes = demo_spec().to_bytes();
-  // Any single flipped payload byte must trip the checksum.
-  bytes[bytes.size() / 2] ^= 0x40;
-  EXPECT_THROW((void)ExperimentSpec::from_bytes(bytes), std::runtime_error);
-}
-
-TEST(ExperimentSpec, RejectsTruncatedBinary) {
-  std::vector<std::uint8_t> bytes = demo_spec().to_bytes();
-  bytes.resize(bytes.size() - 9);
-  EXPECT_THROW((void)ExperimentSpec::from_bytes(bytes), std::runtime_error);
-  EXPECT_THROW((void)ExperimentSpec::from_bytes(
-                   std::span<const std::uint8_t>(bytes.data(), 3)),
-               std::runtime_error);
-}
+// Binary damage (every truncation, every flipped bit, wrong magic or
+// version, trailing bytes) is covered for the spec archive alongside every
+// other format by the shared harness in test_envelope.cpp.
 
 TEST(ExperimentSpec, RejectsMalformedText) {
   EXPECT_THROW((void)ExperimentSpec::from_text("bogus_key 1\n"),

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -304,6 +308,28 @@ TEST_F(WarmStoreTest, TruncatedEntryIsAMissNotAnError) {
   EXPECT_EQ(reader.stats().corrupt_discarded, 1u);
   EXPECT_EQ(reader.stats().misses, 1u);
   EXPECT_FALSE(fs::exists(path)) << "a corrupt entry must be deleted";
+}
+
+TEST_F(WarmStoreTest, ConstructionSweepsOnlyOrphanedTemps) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);  // `child` is now dead
+
+  fs::create_directories(dir_);
+  const auto touch = [&](const std::string& name) {
+    std::ofstream(dir_ / name) << "partial";
+    return dir_ / name;
+  };
+  const fs::path orphan =
+      touch("0123456789abcdef.mfws.tmp." + std::to_string(child) + ".0");
+  const fs::path live =
+      touch("fedcba9876543210.mfws.tmp." + std::to_string(::getpid()) + ".0");
+
+  { WarmStore store(dir_.string()); }
+  EXPECT_FALSE(fs::exists(orphan)) << "a dead writer's temp survived";
+  EXPECT_TRUE(fs::exists(live)) << "a live writer's temp was swept";
 }
 
 // ----------------------------------------------------------------- sharing

@@ -34,6 +34,11 @@ Checks (each can be selected with --check, default all):
                 must hard-error, never silently default. Any other call
                 site of `getenv` is a finding.
 
+  envelope      Every checksummed format is sealed or framed by
+                common/envelope. Writing a trailing checksum
+                (`put(fnv1a(`) or comparing one (`fnv1a(...) ==/!=`)
+                anywhere else is a finding.
+
 Exit status: 0 clean, 1 findings, 2 tool error.
 """
 
@@ -677,6 +682,31 @@ def check_getenv(model: TreeModel, allow_files: list[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# check: checksum framing outside common/envelope
+# ---------------------------------------------------------------------------
+
+ENVELOPE_FILES = ("common/envelope.h", "common/envelope.cpp")
+_FNV_CALL = r"fnv1a\s*\((?:[^()]|\([^()]*\))*\)"
+_ENVELOPE_RE = re.compile(
+    rf"\bput\s*(?:<[^>]*>)?\s*\(\s*fnv1a\s*\(|{_FNV_CALL}\s*[!=]=|[!=]=\s*fnv1a\s*\("
+)
+
+
+def check_envelope(model: TreeModel) -> list[str]:
+    findings = []
+    for fm in model.files:
+        if fm.path.replace("\\", "/").endswith(ENVELOPE_FILES):
+            continue
+        for m in _ENVELOPE_RE.finditer(fm.clean):
+            findings.append(
+                f"{fm.path}:{cpplite.line_of(fm.clean, m.start())}: "
+                f"hand-rolled checksum framing — seal/unseal or "
+                f"frame/unframe through common/envelope.h instead"
+            )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -697,8 +727,8 @@ def main(argv: list[str]) -> int:
     )
     ap.add_argument(
         "--check",
-        default="completeness,padding,getenv",
-        help="comma list: completeness,padding,getenv",
+        default="completeness,padding,getenv,envelope",
+        help="comma list: completeness,padding,getenv,envelope",
     )
     ap.add_argument("--cxx", default=os.environ.get("CXX", "c++"))
     ap.add_argument(
@@ -719,7 +749,7 @@ def main(argv: list[str]) -> int:
     model = build_model(paths)
 
     checks = {c.strip() for c in args.check.split(",") if c.strip()}
-    unknown = checks - {"completeness", "padding", "getenv"}
+    unknown = checks - {"completeness", "padding", "getenv", "envelope"}
     if unknown:
         print(f"mflush-lint: unknown checks: {sorted(unknown)}", file=sys.stderr)
         return 2
@@ -731,6 +761,8 @@ def main(argv: list[str]) -> int:
         findings += check_padding(model, args.cxx, [root, *src_roots])
     if "getenv" in checks:
         findings += check_getenv(model, args.getenv_allow)
+    if "envelope" in checks:
+        findings += check_envelope(model)
 
     for f in findings:
         print(f"mflush-lint: {f}")

@@ -50,6 +50,15 @@ CASES = {
         ["getenv", "common/env.h"],
         [],
     ),
+    "bad_envelope.cpp": (
+        1,
+        [
+            "bad_envelope.cpp:19: hand-rolled checksum framing",
+            "bad_envelope.cpp:25: hand-rolled checksum framing",
+            "2 finding(s)",
+        ],
+        [],
+    ),
 }
 
 
