@@ -79,12 +79,17 @@ class FetchPolicy {
   /// NOT be an exact no-op (a CoreControl call, or any state or counter
   /// change), given the policy's current state and assuming no
   /// load-lifecycle callback arrives first. A callback invalidates the
-  /// horizon — the event kernel re-queries after any tick that delivered
-  /// one. Returning `now + 1` means "not quiescent: tick me every cycle";
-  /// kNeverCycle means quiescent until a callback. The horizon must be
-  /// sound (never later than the first real action) or decoupled-clock
-  /// execution diverges from lockstep. Priority-only policies (no on_cycle
-  /// override) are quiescent forever.
+  /// horizon. Two consumers trust it: the event kernel, which sleeps a
+  /// core until the horizon (re-querying after any tick that delivered a
+  /// callback), and the core's heartbeat, which skips on_cycle before the
+  /// horizon while no callback has arrived since the last run — in both
+  /// clock modes. Returning `now + 1` means "not quiescent: tick me every
+  /// cycle"; kNeverCycle means quiescent until a callback. The horizon
+  /// must be sound (never later than the first real action); an unsound
+  /// one changes results in lockstep and decoupled execution alike, so
+  /// comparing the two modes does not check it. Debug builds run every
+  /// skipped on_cycle and assert it is an exact no-op. Priority-only
+  /// policies (no on_cycle override) are quiescent forever.
   [[nodiscard]] virtual Cycle quiescent_until(Cycle /*now*/) const {
     return kNeverCycle;
   }

@@ -1,14 +1,24 @@
 #include "pipeline/iq.h"
 
-#include <algorithm>
-
 namespace mflush {
 
 bool IssueQueue::remove(UopHandle h) {
-  const auto it = std::find(entries_.begin(), entries_.end(), h);
-  if (it == entries_.end()) return false;
-  entries_.erase(it);
-  return true;
+  // Issue and completion mostly take old entries, squashes young ones, so
+  // the search closes in from both ends at once.
+  std::size_t lo = 0;
+  std::size_t hi = entries_.size();
+  while (lo < hi) {
+    if (entries_[lo] == h) {
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(lo));
+      return true;
+    }
+    if (entries_[--hi] == h) {
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(hi));
+      return true;
+    }
+    ++lo;
+  }
+  return false;
 }
 
 std::uint32_t IssueQueue::count_for(const UopPool& pool, ThreadId tid) const {

@@ -10,8 +10,10 @@ namespace mflush {
 
 /// One issue queue (int, fp, or ld/st), shared among the core's contexts.
 ///
-/// Entries keep insertion (age) order; issue selection scans oldest-first.
-/// Removal is O(n) with n ≤ 64, which is cheap and keeps the order exact.
+/// Entries keep insertion (age) order; issue selects from the operand
+/// wakeup's ready lists (pipeline/wakeup.h), not from here. The vector
+/// stays compact — its bytes are the snapshot's — so removal is a search
+/// from both ends plus an erase, O(n) with n ≤ 64.
 class IssueQueue {
  public:
   explicit IssueQueue(std::uint32_t capacity) : cap_(capacity) {
@@ -27,7 +29,7 @@ class IssueQueue {
   /// Remove a specific entry (issued or squashed); returns true if found.
   bool remove(UopHandle h);
 
-  /// Oldest-first view for the issue selector.
+  /// Entries, oldest first.
   [[nodiscard]] const std::vector<UopHandle>& entries() const noexcept {
     return entries_;
   }

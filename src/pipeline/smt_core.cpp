@@ -14,6 +14,8 @@ SmtCore::SmtCore(CoreId id, const SimConfig& cfg, MemoryHierarchy& mem,
       cfg_(cfg),
       fe_depth_(cfg.core.fetch_stages + cfg.core.decode_stages +
                 cfg.core.rename_stages),
+      fe_cap_(static_cast<std::size_t>(cfg.core.fetch_width) *
+              (fe_depth_ + 2)),
       mem_(mem),
       policy_(std::move(policy)),
       traces_(std::move(traces)),
@@ -26,7 +28,9 @@ SmtCore::SmtCore(CoreId id, const SimConfig& cfg, MemoryHierarchy& mem,
       iq_int_(cfg.core.int_queue_entries),
       iq_fp_(cfg.core.fp_queue_entries),
       iq_mem_(cfg.core.mem_queue_entries),
-      fu_(cfg.core) {
+      fu_(cfg.core),
+      wakeup_(cfg.core.int_phys_regs + cfg.core.fp_phys_regs,
+              pool_.slots()) {
   assert(policy_ != nullptr);
   assert(!traces_.empty() && traces_.size() <= kMaxContexts);
   const auto n = traces_.size();
@@ -78,17 +82,45 @@ void SmtCore::tick(Cycle now) {
     // Every pipeline stage would no-op; only the policy heartbeat runs
     // (it may gate/ungate, but cannot clear a hard block — only a memory
     // completion can, and none arrived this cycle).
-    policy_->on_cycle(now, *this);
+    policy_heartbeat(now);
     return;
   }
   fu_.begin_cycle();
   do_memory_completions(now);
   do_commit(now);
   do_writeback(now);
+#ifndef NDEBUG
+  check_ready_lists();
+#endif
   do_issue(now);
   do_dispatch(now);
-  policy_->on_cycle(now, *this);
+  policy_heartbeat(now);
   do_fetch(now);
+#ifndef NDEBUG
+  check_ready_lists();
+#endif
+}
+
+void SmtCore::policy_heartbeat(Cycle now) {
+  // Sound by FetchPolicy::quiescent_until's contract: with no callback
+  // since the last run, the policy's state is as that run left it, and
+  // on_cycle is an exact no-op before the horizon it implies. The horizon
+  // is computed on the first tick without a callback (asking as of the
+  // previous cycle, so a horizon of `now` means "run now"), not after
+  // every run: while callbacks arrive every cycle it is never needed.
+  if (!policy_dirty_) {
+    if (policy_wake_ == kNoHorizon)
+      policy_wake_ = policy_->quiescent_until(now - 1);
+    if (now < policy_wake_) {
+#ifndef NDEBUG
+      check_skipped_heartbeat(now);
+#endif
+      return;
+    }
+  }
+  policy_->on_cycle(now, *this);
+  policy_dirty_ = false;
+  policy_wake_ = kNoHorizon;
 }
 
 bool SmtCore::all_threads_stalled() const {
@@ -114,6 +146,100 @@ bool SmtCore::sources_ready(const MicroOp& u) const noexcept {
   }
   return true;
 }
+
+// ---------------------------------------------------------------------------
+// operand wakeup
+// ---------------------------------------------------------------------------
+
+void SmtCore::enqueue_for_wakeup(UopHandle h) {
+  const MicroOp& u = pool_[h];
+  std::array<std::uint32_t, 2> waits{OperandWakeup::kNoReg,
+                                     OperandWakeup::kNoReg};
+  for (int i = 0; i < 2; ++i) {
+    const PhysReg r = u.src_phys[i];
+    if (r == kNoPhysReg) continue;
+    if (RenameMap::is_fp_reg(u.ins.src[i])) {
+      if (!fp_regs_.ready(r)) waits[i] = int_regs_.size() + r;
+    } else if (!int_regs_.ready(r)) {
+      waits[i] = r;
+    }
+  }
+  const auto list = is_memory(u.ins.cls) ? OperandWakeup::kLoad
+                    : is_fp(u.ins.cls)   ? OperandWakeup::kFp
+                                         : OperandWakeup::kInt;
+  wakeup_.enqueue(h, list, waits);
+}
+
+void SmtCore::write_reg(LogReg dst, PhysReg r) {
+  if (RenameMap::is_fp_reg(dst)) {
+    fp_regs_.set_ready(r);
+    wakeup_.wake(int_regs_.size() + r);
+  } else {
+    int_regs_.set_ready(r);
+    wakeup_.wake(r);
+  }
+}
+
+void SmtCore::rebuild_derived_state() {
+  // Stamps only order candidates within one queue, so re-entering each
+  // queue's uops in its saved age order reproduces the issue order.
+  wakeup_.clear();
+  for (const IssueQueue* q : {&iq_int_, &iq_fp_})
+    for (const UopHandle h : q->entries()) enqueue_for_wakeup(h);
+  for (const UopHandle h : lsq_unissued_) enqueue_for_wakeup(h);
+  policy_dirty_ = true;
+}
+
+std::vector<UopHandle> SmtCore::ready_uops(const IssueQueue& q) const {
+  const auto list = &q == &iq_int_  ? OperandWakeup::kInt
+                    : &q == &iq_fp_ ? OperandWakeup::kFp
+                                    : OperandWakeup::kLoad;
+  std::vector<UopHandle> out;
+  for (const OperandWakeup::Ready& r : wakeup_.ready(list)) out.push_back(r.h);
+  return out;
+}
+
+#ifndef NDEBUG
+namespace {
+/// Any response action on a skipped heartbeat breaks the horizon contract.
+class NoActionControl final : public CoreControl {
+ public:
+  bool flush_after_load(std::uint64_t) override { return fail(); }
+  bool stall_until_load(std::uint64_t) override { return fail(); }
+  void set_fetch_gate(ThreadId, bool) override { fail(); }
+
+ private:
+  static bool fail() {
+    assert(false && "policy acted inside its quiescent horizon");
+    return false;
+  }
+};
+}  // namespace
+
+void SmtCore::check_skipped_heartbeat(Cycle now) {
+  // The reference path: run the on_cycle the heartbeat skips and require
+  // the exact no-op quiescent_until promised (no action, same state bytes).
+  ArchiveWriter before;
+  policy_->save_state(before);
+  NoActionControl ctrl;
+  policy_->on_cycle(now, ctrl);
+  ArchiveWriter after;
+  policy_->save_state(after);
+  assert(before.bytes() == after.bytes() &&
+         "policy state changed inside its quiescent horizon");
+}
+
+void SmtCore::check_ready_lists() const {
+  for (const IssueQueue* q : {&iq_int_, &iq_fp_, &iq_mem_}) {
+    std::vector<UopHandle> want;
+    for (const UopHandle h : q->entries()) {
+      const MicroOp& u = pool_[h];
+      if (!u.issued && !u.is_store() && sources_ready(u)) want.push_back(h);
+    }
+    assert(ready_uops(*q) == want && "ready list diverged from a rescan");
+  }
+}
+#endif
 
 Cycle SmtCore::next_local_event(Cycle now) const {
   if (exec_live_ != 0) return now + 1;  // a local completion writes back soon
@@ -155,14 +281,8 @@ Cycle SmtCore::next_local_event(Cycle now) const {
     }
   }
   // Issue: every queued-but-unissued uop must be waiting on a frozen
-  // source register. The int/fp queues hold only unissued entries (entries
-  // leave at issue); issued loads are excluded from lsq_unissued_.
-  for (const IssueQueue* q : {&iq_int_, &iq_fp_}) {
-    for (const UopHandle h : q->entries())
-      if (sources_ready(pool_[h])) return now + 1;
-  }
-  for (const UopHandle h : lsq_unissued_)
-    if (sources_ready(pool_[h])) return now + 1;
+  // source register, i.e. no ready list holds a candidate.
+  if (wakeup_.any_ready()) return now + 1;
   return horizon;
 }
 
@@ -207,10 +327,13 @@ void SmtCore::do_memory_completions(Cycle now) {
   for (const L2PathEvent& e : mem_.l2_events(id_)) {
     ++inflight_dmiss_[e.tid];  // L1DMISSCOUNT metric
     policy_->on_load_l2_path(e.tid, e.token, e.bank, e.cycle);
+    policy_dirty_ = true;
   }
   mem_.l2_events(id_).clear();
-  for (const L2PathEvent& e : mem_.l2_miss_events(id_))
+  for (const L2PathEvent& e : mem_.l2_miss_events(id_)) {
     policy_->on_load_l2_miss(e.tid, e.token, e.bank, e.cycle);
+    policy_dirty_ = true;
+  }
   mem_.l2_miss_events(id_).clear();
 
   for (const MemCompletion& c : mem_.completions(id_)) {
@@ -227,6 +350,7 @@ void SmtCore::do_memory_completions(Cycle now) {
       --inflight_dmiss_[c.tid];
     policy_->on_load_resolved(c.tid, c.token, c.issue_cycle, now,
                               c.l2_accessed, c.l2_hit, c.l2_bank);
+    policy_dirty_ = true;
     // Release any fetch stall waiting on this load (FLUSH/STALL response).
     ThreadFetchState& fs = fstate_[c.tid];
     if (!fs.stall_tokens.empty()) {
@@ -239,10 +363,7 @@ void SmtCore::do_memory_completions(Cycle now) {
     MicroOp& u = pool_[h];
     u.completed = true;
     u.ready_at = now;
-    if (u.dst_phys != kNoPhysReg) {
-      (RenameMap::is_fp_reg(u.ins.dst) ? fp_regs_ : int_regs_)
-          .set_ready(u.dst_phys);
-    }
+    if (u.dst_phys != kNoPhysReg) write_reg(u.ins.dst, u.dst_phys);
     u.mem_token = 0;
     iq_mem_.remove(h);  // frees the LSQ entry
   }
@@ -263,14 +384,7 @@ void SmtCore::do_commit(Cycle now) {
       if (u.is_store()) {
         // Stores retire by writing to memory: they need ready sources and
         // a load/store port this cycle.
-        const bool ready =
-            (RenameMap::is_fp_reg(u.ins.src[0])
-                 ? fp_regs_.ready(u.src_phys[0])
-                 : int_regs_.ready(u.src_phys[0])) &&
-            (RenameMap::is_fp_reg(u.ins.src[1])
-                 ? fp_regs_.ready(u.src_phys[1])
-                 : int_regs_.ready(u.src_phys[1]));
-        if (!ready || !fu_.try_take(InstrClass::Store)) break;
+        if (!sources_ready(u) || !fu_.try_take(InstrClass::Store)) break;
         mem_.request_store(id_, t, u.ins.eff_addr, now);
         iq_mem_.remove(h);
         assert(preissue_[t] > 0);
@@ -324,10 +438,7 @@ void SmtCore::do_writeback(Cycle now) {
     MicroOp& u = pool_[h];
     if (!u.in_use || u.completed || !u.issued) continue;  // squashed above
     u.completed = true;
-    if (u.dst_phys != kNoPhysReg) {
-      (RenameMap::is_fp_reg(u.ins.dst) ? fp_regs_ : int_regs_)
-          .set_ready(u.dst_phys);
-    }
+    if (u.dst_phys != kNoPhysReg) write_reg(u.ins.dst, u.dst_phys);
     if (u.is_load()) iq_mem_.remove(h);  // wrong-path loads complete locally
     if (u.is_control() && inflight_ctrl_[u.tid] > 0) --inflight_ctrl_[u.tid];
     assert(exec_live_ > 0);
@@ -358,43 +469,42 @@ void SmtCore::do_writeback(Cycle now) {
 void SmtCore::do_issue(Cycle now) {
   std::uint32_t width = cfg_.core.issue_width;
 
-  // One readiness predicate, shared with next_local_event's sleep proof:
-  // the two must never diverge or a core could sleep past an issuable uop.
-  auto ready = [this](const MicroOp& u) { return sources_ready(u); };
+  // Selection walks each queue's ready list, oldest first: exactly the
+  // queue's entries whose sources are ready, in age order. Every candidate
+  // it passes issues, so the issued ones are the list's prefix.
 
   // Integer and FP queues: entries leave at issue.
-  for (IssueQueue* q : {&iq_int_, &iq_fp_}) {
-    scratch_issue_.clear();
-    for (const UopHandle h : q->entries()) {
-      if (width == 0) break;
+  for (const auto& [q, list] : {std::pair{&iq_int_, OperandWakeup::kInt},
+                                std::pair{&iq_fp_, OperandWakeup::kFp}}) {
+    const auto& ready = wakeup_.ready(list);
+    std::size_t n = 0;
+    for (; n < ready.size() && width > 0; ++n) {
+      const UopHandle h = ready[n].h;
       MicroOp& u = pool_[h];
-      if (!ready(u)) continue;
       if (!fu_.try_take(u.ins.cls)) break;  // class units exhausted
       u.issued = true;
       u.stage = PipeStage::Queue;  // occupancy_stage maps issued->Execute
       u.ready_at = now + FuBudget::latency(cfg_.core, u.ins.cls);
       exec_wheel_.schedule(u.ready_at, now, {h, pool_.generation(h)});
       ++exec_live_;
-      scratch_issue_.push_back(h);
+      q->remove(h);
       assert(preissue_[u.tid] > 0);
       --preissue_[u.tid];
       ++stats_.instructions_issued;
       --width;
     }
-    for (const UopHandle h : scratch_issue_) q->remove(h);
+    wakeup_.pop_front(list, n);
   }
 
   // Memory queue: loads issue to the hierarchy but keep their LSQ entry
-  // until the data returns (stores wait for commit), so selection walks
-  // the age-ordered unissued-load list rather than the whole queue.
-  bool any_load_issued = false;
-  for (const UopHandle h : lsq_unissued_) {
-    if (width == 0) break;
+  // until the data returns (stores wait for commit).
+  const auto& ready = wakeup_.ready(OperandWakeup::kLoad);
+  std::size_t n = 0;
+  for (; n < ready.size() && width > 0; ++n) {
+    const UopHandle h = ready[n].h;
     MicroOp& u = pool_[h];
-    if (!ready(u)) continue;
     if (!fu_.try_take(InstrClass::Load)) break;
     u.issued = true;
-    any_load_issued = true;
     assert(preissue_[u.tid] > 0);
     --preissue_[u.tid];
     ++stats_.instructions_issued;
@@ -413,11 +523,24 @@ void SmtCore::do_issue(Cycle now) {
       ++stats_.loads_issued;
       policy_->on_load_issued(u.tid, token, mem_.l2_bank_of(u.ins.eff_addr),
                               now);
+      policy_dirty_ = true;
     }
   }
-  if (any_load_issued)
-    std::erase_if(lsq_unissued_,
-                  [this](UopHandle h) { return pool_[h].issued; });
+  if (n > 0) {
+    // The issued loads are lsq_unissued_'s entries in the same (age)
+    // order, so one merge pass drops them all.
+    std::size_t k = 0;
+    std::size_t out = 0;
+    for (const UopHandle h : lsq_unissued_) {
+      if (k < n && ready[k].h == h)
+        ++k;
+      else
+        lsq_unissued_[out++] = h;
+    }
+    assert(k == n);
+    lsq_unissued_.resize(out);
+    wakeup_.pop_front(OperandWakeup::kLoad, n);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -472,6 +595,7 @@ void SmtCore::do_dispatch(Cycle now) {
       rob_[t].push_back(h);
       q.insert(h);
       if (&q == &iq_mem_ && u.is_load()) lsq_unissued_.push_back(h);
+      if (!u.is_store()) enqueue_for_wakeup(h);
       ++preissue_[t];
       frontend_[t].pop_front();
       --width;
@@ -484,12 +608,14 @@ void SmtCore::do_dispatch(Cycle now) {
 // ---------------------------------------------------------------------------
 
 void SmtCore::do_fetch(Cycle now) {
-  // Skip the priority computation when no context may fetch this cycle
-  // (checked after on_cycle so same-cycle ungating is honoured; every
-  // policy's fetch_order is a pure function of the view, so skipping it
-  // cannot change later decisions).
+  // Skip the priority computation when no context may fetch this cycle,
+  // being blocked, gated or out of fetch-buffer room (checked after
+  // on_cycle so same-cycle ungating is honoured; every policy's
+  // fetch_order is a pure function of the view, so skipping it cannot
+  // change later decisions).
   bool any_can_fetch = false;
-  for (const ThreadFetchState& fs : fstate_) any_can_fetch |= fs.can_fetch();
+  for (ThreadId t = 0; t < fstate_.size(); ++t)
+    any_can_fetch |= fstate_[t].can_fetch() && frontend_[t].size() < fe_cap_;
   if (!any_can_fetch) return;
 
   CoreView view;
@@ -524,14 +650,7 @@ std::uint32_t SmtCore::fetch_thread(ThreadId t, std::uint32_t budget,
   ThreadFetchState& fs = fstate_[t];
   std::uint32_t fetched = 0;
 
-  // Bounded fetch buffer: fetch stalls when the front-end backs up (also
-  // caps how far a wrong path can run ahead of its branch). The buffer must
-  // cover the full front-end delay (fe_depth cycles at fetch_width) plus
-  // slack, or fetch cannot stream.
-  const std::size_t fe_cap =
-      static_cast<std::size_t>(cfg_.core.fetch_width) * (fe_depth_ + 2);
-
-  while (budget > 0 && frontend_[t].size() < fe_cap) {
+  while (budget > 0 && frontend_[t].size() < fe_cap_) {
     // Determine the pc of the next instruction on the (possibly wrong)
     // fetch path.
     TraceInstr ins;
@@ -606,10 +725,6 @@ std::uint32_t SmtCore::fetch_thread(ThreadId t, std::uint32_t budget,
       ++stats_.fetched_wrong_path;
     } else if (!u.wrong_path) {
       ++fs.next_seq;
-      if (u.mispredicted && !u.pred_taken) {
-        // Mispredicted as not-taken: the wrong path starts at the next
-        // sequential pc, which the front-end keeps fetching.
-      }
     }
 
     frontend_[t].push_back(h);
@@ -645,6 +760,7 @@ void SmtCore::remove_squashed_uop(UopHandle h, SquashCause cause, Cycle now) {
       assert(preissue_[u.tid] > 0);
       --preissue_[u.tid];
       if (u.is_load()) std::erase(lsq_unissued_, h);
+      wakeup_.remove(h);
     }
     // Issued-but-incomplete uops with no hierarchy token live on the exec
     // wheel (right-path loads wait on the hierarchy instead). Their wheel
@@ -719,6 +835,7 @@ bool SmtCore::flush_after_load(std::uint64_t mem_token) {
   fstate_[t].stall_tokens.push_back(mem_token);
   ++stats_.policy_flush_events;
   policy_->on_thread_flushed(t, mem_token);
+  policy_dirty_ = true;
   return true;
 }
 

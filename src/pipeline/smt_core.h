@@ -20,6 +20,7 @@
 #include "pipeline/rename.h"
 #include "pipeline/rob.h"
 #include "pipeline/uop.h"
+#include "pipeline/wakeup.h"
 #include "trace/bbdict.h"
 #include "trace/instr.h"
 
@@ -110,8 +111,16 @@ class SmtCore final : public CoreControl {
 
   /// Snapshot support: serialize/restore all mutable core state (including
   /// the policy's). The core must have been built from the same config.
+  /// load_state restores the serialized state only: call
+  /// rebuild_derived_state() before the next tick.
   void save_state(ArchiveWriter& ar) const;
   void load_state(ArchiveReader& ar);
+
+  /// Recompute the state derived from the serialized pipeline: the operand
+  /// wakeup (wait lists, pending-source counts, ready lists) and the
+  /// cached policy horizon. None of it is serialized, so snapshot bytes do
+  /// not depend on it.
+  void rebuild_derived_state();
 
   // CoreControl (policy response actions)
   bool flush_after_load(std::uint64_t mem_token) override;
@@ -138,6 +147,9 @@ class SmtCore final : public CoreControl {
   [[nodiscard]] const IssueQueue& iq_int() const noexcept { return iq_int_; }
   [[nodiscard]] const IssueQueue& iq_fp() const noexcept { return iq_fp_; }
   [[nodiscard]] const IssueQueue& iq_mem() const noexcept { return iq_mem_; }
+  /// Issue candidates of queue `q` (for the mem queue: its unissued
+  /// loads), oldest first — the ready list issue selects from.
+  [[nodiscard]] std::vector<UopHandle> ready_uops(const IssueQueue& q) const;
   [[nodiscard]] std::uint32_t free_int_regs() const noexcept {
     return int_regs_.free_count();
   }
@@ -156,10 +168,29 @@ class SmtCore final : public CoreControl {
   /// stage: drained pipeline, all contexts hard-blocked, no memory events.
   [[nodiscard]] bool all_threads_stalled() const;
 
-  /// Source-readiness predicate used by both do_issue and
-  /// next_local_event's sleep proof — a single definition so the two can
-  /// never diverge.
+  /// Source readiness from the register file's ready bits. Store
+  /// retirement (do_commit and next_local_event's commit clause) uses it;
+  /// issue uses the ready lists the operand wakeup keeps instead.
   [[nodiscard]] bool sources_ready(const MicroOp& u) const noexcept;
+
+  /// Enter a queued, unissued non-store uop into operand wakeup, waiting
+  /// on each source register not yet ready.
+  void enqueue_for_wakeup(UopHandle h);
+  /// Mark `r` (the destination of logical `dst`) ready and wake its
+  /// consumers — besides register allocation, the only writer of a ready
+  /// bit.
+  void write_reg(LogReg dst, PhysReg r);
+  /// Run the policy heartbeat unless its cached quiescence horizon is
+  /// still ahead and no load-lifecycle callback arrived since the last run.
+  void policy_heartbeat(Cycle now);
+#ifndef NDEBUG
+  /// Debug cross-check: the ready lists equal a brute-force scan of the
+  /// queues for unissued non-store uops whose sources are ready.
+  void check_ready_lists() const;
+  /// Debug reference for a skipped heartbeat: on_cycle must be an exact
+  /// no-op there (no CoreControl call, unchanged saved policy state).
+  void check_skipped_heartbeat(Cycle now);
+#endif
 
   void do_memory_completions(Cycle now);
   void do_commit(Cycle now);
@@ -185,6 +216,11 @@ class SmtCore final : public CoreControl {
   SimConfig cfg_;  // lint: transient — ctor config
   // fetch+decode+rename stage count
   std::uint32_t fe_depth_;  // lint: transient — ctor config
+  // Bounded fetch buffer per thread: fetch stalls when the front-end backs
+  // up (also capping how far a wrong path runs ahead of its branch). It
+  // covers the full front-end delay (fe_depth cycles at fetch_width) plus
+  // slack, or fetch could not stream.
+  std::size_t fe_cap_;  // lint: transient — ctor config
   MemoryHierarchy& mem_;
   std::unique_ptr<FetchPolicy> policy_;
   // lint: transient — rebound by the owning chip on restore
@@ -218,15 +254,22 @@ class SmtCore final : public CoreControl {
   };
   WakeupWheel<ExecEntry> exec_wheel_{64};  ///< issued, completing at ready_at
   std::uint32_t exec_live_ = 0;  ///< wheel entries whose uop is still live
-  /// Not-yet-issued loads of the mem queue, in age order. The issue stage
-  /// selects from this instead of rescanning the whole LSQ (whose entries
-  /// are mostly issued loads awaiting data and stores awaiting commit).
+  /// Not-yet-issued loads of the mem queue, in age order (the LSQ's other
+  /// entries are issued loads awaiting data and stores awaiting commit).
+  /// Serialized; restore rebuilds the load ready list from it.
   std::vector<UopHandle> lsq_unissued_;
   std::unordered_map<std::uint64_t, UopHandle> load_by_token_;
 
+  /// Issue candidates per queue (registers numbered int first, then fp).
+  OperandWakeup wakeup_;  // lint: transient — derived, rebuilt on restore
+  // Policy heartbeat cache: on_cycle is skipped before policy_wake_ unless
+  // a load-lifecycle callback arrived since its last run.
+  static constexpr Cycle kNoHorizon = 0;  ///< not computed since last run
+  Cycle policy_wake_ = kNoHorizon;  // lint: transient — derived cache
+  bool policy_dirty_ = true;  // lint: transient — derived, set on restore
+
   std::vector<ExecEntry> scratch_due_;     // lint: transient — scratch
   std::vector<UopHandle> scratch_ready_;   // lint: transient — scratch
-  std::vector<UopHandle> scratch_issue_;   // lint: transient — scratch
 
   Cycle now_ = 0;
   CoreStats stats_;

@@ -85,7 +85,8 @@ class UopPool {
     } else {
       h = free_.back();
       free_.pop_back();
-      pool_[h] = MicroOp{};
+      static const MicroOp kFresh{};  // one copy, no temporary per fetch
+      pool_[h] = kFresh;
     }
     ++gen_[h];
     pool_[h].in_use = true;
@@ -104,6 +105,8 @@ class UopPool {
   [[nodiscard]] std::size_t live() const noexcept {
     return pool_.size() - free_.size();
   }
+  /// Slots allocated so far (handles are below this).
+  [[nodiscard]] std::size_t slots() const noexcept { return pool_.size(); }
   [[nodiscard]] std::uint32_t generation(UopHandle h) const noexcept {
     return gen_[h];
   }

@@ -240,6 +240,11 @@ void CmpSimulator::load_state(ArchiveReader& ar) {
   for (auto& core : cores_) core->load_state(ar);
 }
 
+void CmpSimulator::restore_state(ArchiveReader& ar) {
+  load_state(ar);
+  for (auto& core : cores_) core->rebuild_derived_state();
+}
+
 SimMetrics CmpSimulator::metrics() const {
   SimMetrics m;
   m.cycles = cores_.empty() ? 0 : cores_[0]->stats().cycles;

@@ -97,8 +97,10 @@ class CmpSimulator {
   /// Snapshot support (sim/snapshot.h wraps these in a versioned file
   /// format): serialize/restore every piece of mutable simulation state —
   /// clock, trace sources, memory hierarchy, cores, policies, stats.
+  /// restore_state is load_state followed by each core's
+  /// rebuild_derived_state (its unserialized scheduling state).
   void save_state(ArchiveWriter& ar) const;
-  void load_state(ArchiveReader& ar);
+  void restore_state(ArchiveReader& ar);
 
   /// Per-core local clock: while `asleep`, the core is not ticked and its
   /// cycle counter lags the chip clock from `slept_at` (the last cycle it
@@ -123,6 +125,7 @@ class CmpSimulator {
   }
 
  private:
+  void load_state(ArchiveReader& ar);
   void build(const std::vector<BenchmarkProfile>& profiles);
   void run_lockstep(Cycle end);
 

@@ -117,7 +117,7 @@ void restore(CmpSimulator& sim, std::span<const std::uint8_t> bytes) {
   if (h.policy != sim.policy())
     throw std::runtime_error("snapshot policy does not match simulator");
 
-  sim.load_state(ar);
+  sim.restore_state(ar);
   if (!ar.done()) {
     // Layout drift guard: a longer-than-expected payload means the writer
     // had fields this reader does not know about (a missed version bump).
@@ -129,7 +129,7 @@ std::unique_ptr<CmpSimulator> make(std::span<const std::uint8_t> bytes) {
   ArchiveReader ar(envelope::unseal(bytes, "snapshot"));
   const Header h = get_header(ar);
   auto sim = std::make_unique<CmpSimulator>(h.cfg, h.workload, h.policy);
-  sim->load_state(ar);
+  sim->restore_state(ar);
   if (!ar.done())
     throw std::runtime_error("snapshot has trailing bytes (layout drift?)");
   return sim;

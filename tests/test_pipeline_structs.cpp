@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
+#include "common/archive.h"
 #include "common/config.h"
+#include "common/rng.h"
+#include "core/fetch_policy.h"
 #include "pipeline/fu.h"
 #include "pipeline/iq.h"
 #include "pipeline/regfile.h"
 #include "pipeline/rename.h"
 #include "pipeline/rob.h"
 #include "pipeline/uop.h"
+#include "pipeline/wakeup.h"
 
 namespace mflush {
 namespace {
@@ -110,6 +118,59 @@ TEST(IssueQueue, FullAtCapacity) {
   EXPECT_TRUE(q.full());
 }
 
+TEST(IssueQueue, RemovingAnAbsentHandleReturnsFalse) {
+  IssueQueue q(4);
+  EXPECT_FALSE(q.remove(7));  // never inserted
+  q.insert(7);
+  q.insert(8);
+  EXPECT_TRUE(q.remove(7));
+  EXPECT_FALSE(q.remove(7));  // already removed
+  EXPECT_FALSE(q.remove(9));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.full());
+}
+
+TEST(IssueQueue, KeepsAgeOrderAcrossChurn) {
+  // Interleave inserts with removals from the front, middle and back for
+  // many times the capacity, checking against a reference list.
+  IssueQueue q(8);
+  std::vector<UopHandle> ref;
+  Xoshiro256 rng(42);
+  UopHandle next = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (!q.full() && (ref.empty() || rng.next_below(3) != 0)) {
+      q.insert(next);
+      ref.push_back(next++);
+    } else {
+      const auto i = static_cast<std::size_t>(rng.next_below(ref.size()));
+      ASSERT_TRUE(q.remove(ref[i]));
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    ASSERT_EQ(q.entries(), ref) << "step " << step;
+    ASSERT_EQ(q.size(), ref.size());
+  }
+}
+
+TEST(IssueQueue, SaveWritesTheLiveEntriesInAgeOrder) {
+  IssueQueue q(8);
+  for (UopHandle h : {9u, 2u, 7u, 4u, 11u}) q.insert(h);
+  q.remove(2);
+  q.remove(11);
+  q.insert(5);
+  ArchiveWriter saved;
+  q.save(saved);
+  ArchiveWriter plain;
+  plain.put_vec(std::vector<UopHandle>{9, 7, 4, 5});
+  EXPECT_EQ(saved.bytes(), plain.bytes());
+
+  IssueQueue back(8);
+  ArchiveReader ar(saved.bytes());
+  back.load(ar);
+  EXPECT_EQ(back.entries(), (std::vector<UopHandle>{9, 7, 4, 5}));
+  EXPECT_TRUE(back.remove(7));
+  EXPECT_FALSE(back.remove(2));
+}
+
 TEST(IssueQueue, CountForThread) {
   UopPool pool(4);
   const auto a = pool.alloc();
@@ -124,6 +185,118 @@ TEST(IssueQueue, CountForThread) {
   q.insert(c);
   EXPECT_EQ(q.count_for(pool, 0), 2u);
   EXPECT_EQ(q.count_for(pool, 1), 1u);
+}
+
+// ------------------------------------------------------------ OperandWakeup
+
+std::vector<UopHandle> ready_handles(const OperandWakeup& w,
+                                     OperandWakeup::List list) {
+  std::vector<UopHandle> out;
+  for (const auto& r : w.ready(list)) out.push_back(r.h);
+  return out;
+}
+
+constexpr std::uint32_t kNone = OperandWakeup::kNoReg;
+
+TEST(OperandWakeup, WokenUopsJoinTheReadyListInEnqueueOrder) {
+  OperandWakeup w(8, 4);
+  w.enqueue(0, OperandWakeup::kInt, {3, kNone});
+  w.enqueue(1, OperandWakeup::kInt, {kNone, kNone});  // ready at once
+  w.enqueue(2, OperandWakeup::kInt, {3, 4});
+  w.enqueue(3, OperandWakeup::kFp, {4, 4});  // both sources on one register
+  EXPECT_EQ(ready_handles(w, OperandWakeup::kInt), (std::vector<UopHandle>{1}));
+  w.wake(3);
+  EXPECT_EQ(ready_handles(w, OperandWakeup::kInt),
+            (std::vector<UopHandle>{0, 1}));
+  EXPECT_TRUE(ready_handles(w, OperandWakeup::kFp).empty());
+  w.wake(4);
+  EXPECT_EQ(ready_handles(w, OperandWakeup::kInt),
+            (std::vector<UopHandle>{0, 1, 2}));
+  EXPECT_EQ(ready_handles(w, OperandWakeup::kFp), (std::vector<UopHandle>{3}));
+  w.pop_front(OperandWakeup::kInt, 2);
+  EXPECT_EQ(ready_handles(w, OperandWakeup::kInt), (std::vector<UopHandle>{2}));
+  EXPECT_TRUE(w.any_ready());
+}
+
+TEST(OperandWakeup, RemovedUopsLeaveWaitListsAndReadyLists) {
+  // Three waiters on register 5: unlink the middle one, then the head,
+  // then drop a ready uop; a later wake must reach only the survivor.
+  OperandWakeup w(8, 6);
+  w.enqueue(0, OperandWakeup::kLoad, {5, kNone});
+  w.enqueue(1, OperandWakeup::kLoad, {5, 6});
+  w.enqueue(2, OperandWakeup::kLoad, {5, kNone});  // heads register 5's list
+  w.enqueue(3, OperandWakeup::kLoad, {kNone, kNone});
+  w.remove(1);
+  w.remove(2);
+  w.remove(3);
+  w.remove(3);  // already gone: a no-op
+  EXPECT_FALSE(w.any_ready());
+  w.wake(6);  // uop 1 waited here too; it must not come back
+  w.wake(5);
+  EXPECT_EQ(ready_handles(w, OperandWakeup::kLoad),
+            (std::vector<UopHandle>{0}));
+  // A removed slot can be enqueued again (the pool reuses it).
+  w.enqueue(1, OperandWakeup::kLoad, {7, kNone});
+  w.wake(7);
+  EXPECT_EQ(ready_handles(w, OperandWakeup::kLoad),
+            (std::vector<UopHandle>{0, 1}));
+}
+
+TEST(OperandWakeup, ClearForgetsEverything) {
+  OperandWakeup w(4, 2);
+  w.enqueue(0, OperandWakeup::kInt, {kNone, kNone});
+  w.enqueue(1, OperandWakeup::kInt, {2, kNone});
+  w.clear();
+  EXPECT_FALSE(w.any_ready());
+  w.wake(2);
+  EXPECT_FALSE(w.any_ready());
+}
+
+// ------------------------------------------------------------- icount_order
+
+/// The reference: stable sort of ascending thread ids by icount.
+std::array<ThreadId, kMaxContexts> reference_order(const CoreView& view) {
+  std::array<ThreadId, kMaxContexts> order{};
+  for (std::uint32_t i = 0; i < view.num_threads; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.begin() + view.num_threads,
+                   [&view](ThreadId a, ThreadId b) {
+                     return view.icount[a] < view.icount[b];
+                   });
+  return order;
+}
+
+void expect_matches_reference(const CoreView& view) {
+  std::array<ThreadId, kMaxContexts> got{};
+  icount_order(view, got);
+  const auto want = reference_order(view);
+  for (std::uint32_t i = 0; i < view.num_threads; ++i)
+    ASSERT_EQ(got[i], want[i]) << "position " << i;
+}
+
+TEST(IcountOrder, MatchesStableSortExhaustivelyUpToFourThreads) {
+  for (std::uint32_t n = 1; n <= 4; ++n) {
+    std::uint32_t combos = 1;
+    for (std::uint32_t i = 0; i < n; ++i) combos *= 4;
+    for (std::uint32_t c = 0; c < combos; ++c) {
+      CoreView view;
+      view.num_threads = n;
+      for (std::uint32_t t = 0, v = c; t < n; ++t, v /= 4) view.icount[t] = v % 4;
+      expect_matches_reference(view);
+    }
+  }
+}
+
+TEST(IcountOrder, MatchesStableSortOnRandomEightThreadViews) {
+  Xoshiro256 rng(7);
+  for (int trial = 0; trial < 20000; ++trial) {
+    CoreView view;
+    view.num_threads = 8;
+    // Narrow ranges force ties; wide ones exercise long insertion runs.
+    const std::uint32_t range = trial % 2 == 0 ? 4 : 200;
+    for (std::uint32_t t = 0; t < 8; ++t)
+      view.icount[t] = static_cast<std::uint32_t>(rng.next_below(range));
+    expect_matches_reference(view);
+  }
 }
 
 // -------------------------------------------------------------- PhysRegFile

@@ -238,10 +238,10 @@ TEST(Factory, BuildsEveryKind) {
 
 // ------------------------------------------------- quiescence horizons
 
-/// The horizon contract the decoupled clock relies on: every on_cycle
-/// strictly before quiescent_until(now) must be an exact no-op — no
-/// response actions AND no state or counter change (checked by comparing
-/// serialized policy state before/after).
+/// The horizon contract the decoupled clock and the core's heartbeat both
+/// rely on: every on_cycle strictly before quiescent_until(now) must be an
+/// exact no-op — no response actions AND no state or counter change
+/// (checked by comparing serialized policy state before/after).
 void expect_noop_through_horizon(FetchPolicy& p, Cycle now,
                                  Cycle probe_limit = 512) {
   const Cycle h = p.quiescent_until(now);

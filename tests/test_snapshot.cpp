@@ -72,6 +72,50 @@ INSTANTIATE_TEST_SUITE_P(Policies, SnapshotDeterminism,
                                            "stall-s30", "mflush",
                                            "mflush-h4avg"));
 
+/// The operand-wakeup state (waiter lists, pending-source counts, ready
+/// lists) is derived, not serialized: restore rebuilds it from the queues.
+/// Capture while uops wait on in-flight loads; the rebuilt ready lists
+/// must equal the continuous run's, and the resumed run must match.
+TEST(Snapshot, RestoreRebuildsWakeupState) {
+  const Workload wl = *workloads::by_name("4W2");
+  const PolicySpec policy = PolicySpec::mflush();
+  CmpSimulator continuous(wl, policy, /*seed=*/7);
+  continuous.run(kWarm);
+  const std::vector<std::uint8_t> bytes = snapshot::capture(continuous);
+
+  SimConfig cfg = SimConfig::paper_default(wl.num_cores());
+  cfg.seed = 7;
+  CmpSimulator resumed(cfg, wl, policy);
+  snapshot::restore(resumed, bytes);
+
+  std::size_t waiting = 0;
+  std::size_t loads_in_flight = 0;
+  for (CoreId c = 0; c < continuous.num_cores(); ++c) {
+    const SmtCore& a = continuous.core(c);
+    const SmtCore& b = resumed.core(c);
+    EXPECT_EQ(a.ready_uops(a.iq_int()), b.ready_uops(b.iq_int()));
+    EXPECT_EQ(a.ready_uops(a.iq_fp()), b.ready_uops(b.iq_fp()));
+    EXPECT_EQ(a.ready_uops(a.iq_mem()), b.ready_uops(b.iq_mem()));
+    for (const IssueQueue* q : {&a.iq_int(), &a.iq_fp(), &a.iq_mem()}) {
+      std::size_t candidates = 0;
+      for (const UopHandle h : q->entries()) {
+        const MicroOp& u = a.pool()[h];
+        if (!u.issued && !u.is_store()) ++candidates;
+        if (u.is_load() && u.issued && !u.completed) ++loads_in_flight;
+      }
+      waiting += candidates - a.ready_uops(*q).size();
+    }
+  }
+  EXPECT_GT(waiting, 0u) << "no uop was waiting on a source at capture";
+  EXPECT_GT(loads_in_flight, 0u) << "no load was in flight at capture";
+
+  continuous.reset_stats();
+  continuous.run(kMeasure);
+  resumed.reset_stats();
+  resumed.run(kMeasure);
+  expect_same_metrics(continuous.metrics(), resumed.metrics());
+}
+
 TEST(Snapshot, MakeReconstructsFromEmbeddedHeader) {
   const Workload wl = *workloads::by_name("2W4");
   CmpSimulator donor(wl, PolicySpec::mflush(), /*seed=*/3);
