@@ -24,22 +24,13 @@ class Btb {
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(entries_);
-    ar.put(tick_);
-    ar.put(hits_);
-    ar.put(misses_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(entries_);
-    tick_ = ar.get<std::uint64_t>();
-    hits_ = ar.get<std::uint64_t>();
-    misses_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(entries_, tick_, hits_, misses_);
   }
 
-  /// Public (and with explicit padding) because entries_ is serialized by
-  /// raw memcpy: the layout is part of the snapshot format, and the lint's
-  /// layout probe must be able to offsetof it.
+  /// Explicit padding because entries_ is serialized by raw memcpy, which
+  /// accepts only records without padding holes (RawArchivable).
   struct Entry {
     Addr tag = 0;
     Addr target = 0;

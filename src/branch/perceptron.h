@@ -41,19 +41,10 @@ class PerceptronPredictor {
     return mispreds_;
   }
 
-  void save(ArchiveWriter& ar) const {
-    for (const auto& w : weights_) ar.put_vec(w);
-    ar.put_vec(global_history_);
-    ar.put_vec(local_history_);
-    ar.put(preds_);
-    ar.put(mispreds_);
-  }
-  void load(ArchiveReader& ar) {
-    for (auto& w : weights_) ar.get_vec(w);
-    ar.get_vec(global_history_);
-    ar.get_vec(local_history_);
-    preds_ = ar.get<std::uint64_t>();
-    mispreds_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    for (auto& w : weights_) ar.io(w);
+    ar.io(global_history_, local_history_, preds_, mispreds_);
   }
 
  private:

@@ -38,15 +38,9 @@ class Ras {
     return static_cast<std::uint32_t>(stack_.size());
   }
 
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(stack_);
-    ar.put(top_);
-    ar.put(depth_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(stack_);
-    top_ = ar.get<std::uint32_t>();
-    depth_ = ar.get<std::uint32_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(stack_, top_, depth_);
   }
 
  private:

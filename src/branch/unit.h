@@ -50,15 +50,10 @@ class BranchUnit {
   }
   [[nodiscard]] const Btb& btb() const noexcept { return btb_; }
 
-  void save(ArchiveWriter& ar) const {
-    perceptron_.save(ar);
-    btb_.save(ar);
-    for (const Ras& r : ras_) r.save(ar);
-  }
-  void load(ArchiveReader& ar) {
-    perceptron_.load(ar);
-    btb_.load(ar);
-    for (Ras& r : ras_) r.load(ar);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(perceptron_, btb_);
+    for (Ras& r : ras_) ar.io(r);
   }
 
  private:

@@ -59,6 +59,18 @@ struct CoreConfig {
   std::uint32_t btb_ways = 4;
 
   bool model_wrong_path = true;  ///< fetch down mispredicted paths (bbdict)
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(threads_per_core, fetch_width, fetch_threads, decode_width,
+          rename_width, issue_width, commit_width, fetch_stages, decode_stages,
+          rename_stages, int_queue_entries, fp_queue_entries,
+          mem_queue_entries, int_units, fp_units, ldst_units, int_phys_regs,
+          fp_phys_regs, rob_entries, ras_entries, lat_int_alu, lat_int_mul,
+          lat_fp_alu, lat_fp_mul, lat_branch, perceptron_table,
+          local_history_entries, history_bits, btb_entries, btb_ways);
+    ar.flag(model_wrong_path, "CoreConfig::model_wrong_path");
+  }
 };
 
 /// Which timing model backs main memory (mem/memory.h seam).
@@ -100,6 +112,12 @@ struct DramConfig {
   std::uint32_t far_extra = 800;
 
   bool operator==(const DramConfig&) const = default;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(channels, banks_per_channel, row_bytes, t_row_hit, t_row_miss,
+          t_row_conflict, channel_gap, far_base, far_bytes, far_extra);
+  }
 };
 
 /// Cache hierarchy parameters (Fig. 1, "Cache Hierarchy Parameters").
@@ -155,6 +173,17 @@ struct MemConfig {
     if (num_cores == 0) return 0;
     return (bus_latency + l2_bank_latency) * (num_cores - 1);
   }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(line_bytes, l1i_bytes, l1i_ways, l1i_banks, l1d_bytes, l1d_ways,
+          l1d_banks, l1_latency, itlb_entries, dtlb_entries, tlb_miss_penalty,
+          page_bytes, l2_bytes, l2_ways, l2_banks, l2_bank_latency,
+          bus_latency, memory_latency, mshr_entries);
+    ar.enum_u8(memory_model, MemModelKind::Fixed, MemModelKind::BankedDram,
+               "MemConfig::memory_model");
+    ar.io(dram);
+  }
 };
 
 /// Whole-chip configuration.
@@ -187,6 +216,12 @@ struct SimConfig {
 
   /// Validate invariants; returns an empty string when OK, else a message.
   [[nodiscard]] std::string validate() const;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(num_cores, core, mem, seed);
+    ar.flag(prewarm_l2, "SimConfig::prewarm_l2");
+  }
 };
 
 }  // namespace mflush

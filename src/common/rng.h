@@ -61,15 +61,6 @@ class Xoshiro256 {
   /// Bernoulli trial with probability p.
   constexpr bool chance(double p) noexcept { return next_double() < p; }
 
-  /// Snapshot support: the four state words fully determine the stream.
-  [[nodiscard]] constexpr std::array<std::uint64_t, 4> state()
-      const noexcept {
-    return s_;
-  }
-  constexpr void set_state(const std::array<std::uint64_t, 4>& s) noexcept {
-    s_ = s;
-  }
-
   /// Geometric-ish positive integer with mean approximately `mean`
   /// (clamped to [1, cap]). Used for dependency distances.
   constexpr std::uint64_t geometric(double mean, std::uint64_t cap) noexcept {
@@ -95,6 +86,8 @@ class Xoshiro256 {
     return (x << k) | (x >> (64 - k));
   }
 
+  /// The whole stream state: snapshots memcpy the generator as one raw
+  /// record (common/archive.h).
   std::array<std::uint64_t, 4> s_;
 };
 

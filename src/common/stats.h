@@ -34,24 +34,9 @@ class RunningStat {
 
   void reset() noexcept { *this = RunningStat{}; }
 
-  // Field-wise in declaration order: all members are 8-byte scalars, so
-  // the stream bytes are identical to the former whole-object memcpy —
-  // without exposing the private layout to raw put()/get().
-  void save(ArchiveWriter& ar) const {
-    ar.put(n_);
-    ar.put(mean_);
-    ar.put(m2_);
-    ar.put(sum_);
-    ar.put(min_);
-    ar.put(max_);
-  }
-  void load(ArchiveReader& ar) {
-    n_ = ar.get<std::uint64_t>();
-    mean_ = ar.get<double>();
-    m2_ = ar.get<double>();
-    sum_ = ar.get<double>();
-    min_ = ar.get<double>();
-    max_ = ar.get<double>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(n_, mean_, m2_, sum_, min_, max_);
   }
 
  private:
@@ -109,17 +94,9 @@ class Histogram {
 
   bool operator==(const Histogram&) const = default;
 
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(bins_);
-    ar.put(overflow_);
-    ar.put(total_);
-    ar.put(sum_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(bins_);
-    overflow_ = ar.get<std::uint64_t>();
-    total_ = ar.get<std::uint64_t>();
-    sum_ = ar.get<double>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(bins_, overflow_, total_, sum_);
   }
 
  private:

@@ -106,53 +106,20 @@ class WakeupWheel {
     return best;
   }
 
-  void save(ArchiveWriter& ar) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    ar.put<std::uint64_t>(buckets_.size());
-    for (const auto& b : buckets_) {
-      ar.put<std::uint64_t>(b.size());
-      for (const Slot& s : b) {
-        ar.put(s.at);
-        ar.put(s.release);
-        ar.put(s.v);
-      }
-    }
-    ar.put<std::uint64_t>(far_.size());
-    for (const Slot& s : far_) {
-      ar.put(s.at);
-      ar.put(s.release);
-      ar.put(s.v);
-    }
-  }
-
-  void load(ArchiveReader& ar) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto nb = ar.get<std::uint64_t>();
-    if (nb != buckets_.size())
-      throw std::runtime_error("wakeup wheel span mismatch");
-    count_ = 0;
-    for (auto& b : buckets_) {
-      b.clear();
-      const auto n = ar.get<std::uint64_t>();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const Cycle at = ar.get<Cycle>();
-        const Cycle release = ar.get<Cycle>();
-        b.push_back(Slot{at, release, ar.get<T>()});
-        ++count_;
-      }
-    }
-    far_.clear();
-    const auto nf = ar.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < nf; ++i) {
-      const Cycle at = ar.get<Cycle>();
-      const Cycle release = ar.get<Cycle>();
-      far_.push_back(Slot{at, release, ar.get<T>()});
-      ++count_;
-    }
-    next_valid_ = false;
+  /// The bucket count is ctor geometry: echoed, and checked on load.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.fixed_count(buckets_.size(), "wakeup wheel span");
+    for (auto& b : buckets_) ar.io(b);
+    ar.io(far_);
+    ar.on_load([this] {
+      count_ = far_.size();
+      for (const auto& b : buckets_) count_ += b.size();
+      next_valid_ = false;
 #ifndef NDEBUG
-    last_pop_valid_ = false;
+      last_pop_valid_ = false;
 #endif
+    });
   }
 
  private:
@@ -160,6 +127,11 @@ class WakeupWheel {
     Cycle at;       ///< requested due cycle (what next_due reports)
     Cycle release;  ///< actual pop cycle: max(at, schedule_now + 1)
     T v;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar.io(at, release, v);
+    }
   };
 
   [[nodiscard]] Cycle scan_min_at() const noexcept {
@@ -207,7 +179,7 @@ class WakeupWheel {
   std::vector<std::vector<Slot>> buckets_;
   Cycle mask_;  // lint: transient — ctor geometry (bucket count - 1)
   std::vector<Slot> far_;
-  std::size_t count_ = 0;   // lint: transient — recounted while load refills
+  std::size_t count_ = 0;   // lint: transient — recounted on load
   bool strict_release_;     // lint: transient — ctor debug mode
   // Memoized next_due: load invalidates, the next query rescans.
   mutable Cycle next_cached_ = kNeverCycle;  // lint: transient — memo cache

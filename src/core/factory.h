@@ -70,6 +70,15 @@ struct PolicySpec {
   [[nodiscard]] static std::optional<PolicySpec> parse(std::string_view s);
 
   bool operator==(const PolicySpec&) const = default;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.enum_u8(kind, Kind::Icount, Kind::Mflush, "PolicySpec::kind");
+    ar.io(trigger, mcreg_history);
+    ar.enum_u8(mcreg_agg, McRegAgg::Last, McRegAgg::Avg,
+               "PolicySpec::mcreg_agg");
+    ar.flag(preventive, "PolicySpec::preventive");
+  }
 };
 
 /// Instantiate the policy for one core of an `cfg.num_cores`-core chip.

@@ -40,17 +40,8 @@ void FlushPolicy::on_load_resolved(ThreadId tid, std::uint64_t token,
   }
 }
 
-void FlushPolicy::save_state(ArchiveWriter& ar) const {
-  outstanding_.save(ar);
-  ar.put(flush_token_);
-  ar.put(counters_);
-}
-
-void FlushPolicy::load_state(ArchiveReader& ar) {
-  outstanding_.load(ar);
-  flush_token_ = ar.get<decltype(flush_token_)>();
-  counters_ = ar.get<Counters>();
-}
+void FlushPolicy::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
+void FlushPolicy::load_state(ArchiveReader& ar) { ar.walk(*this); }
 
 Cycle FlushPolicy::quiescent_until(Cycle now) const {
   Cycle h = kNeverCycle;

@@ -55,11 +55,14 @@ class FlushPolicy final : public FetchPolicy {
   [[nodiscard]] Cycle quiescent_until(Cycle now) const override;
   void save_state(ArchiveWriter& ar) const override;
   void load_state(ArchiveReader& ar) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(outstanding_, flush_token_, counters_);
+  }
 
-  /// Public (and with explicit padding) because outstanding_ entries are
-  /// serialized by raw memcpy inside TokenTable: the layout is part of the
-  /// snapshot format, and the lint's layout probe must be able to
-  /// offsetof it.
+  /// Explicit padding because outstanding_ entries are serialized by raw
+  /// memcpy inside TokenTable, which accepts only records without padding
+  /// holes (RawArchivable, common/archive.h).
   struct Outstanding {
     ThreadId tid = 0;
     std::uint8_t _pad0[4] = {};  ///< explicit padding: canonical bytes

@@ -107,29 +107,8 @@ Cycle MflushPolicy::quiescent_until(Cycle now) const {
   return h > now ? h : now + 1;
 }
 
-void MflushPolicy::save_state(ArchiveWriter& ar) const {
-  for (const McRegFile& file : mcreg_) {
-    ar.put_vec(file.samples);
-    ar.put(file.next);
-    ar.put(file.valid);
-  }
-  outstanding_.save(ar);
-  ar.put(flush_token_);
-  ar.put(gated_);
-  ar.put(counters_);
-}
-
-void MflushPolicy::load_state(ArchiveReader& ar) {
-  for (McRegFile& file : mcreg_) {
-    ar.get_vec(file.samples);
-    file.next = ar.get<std::uint32_t>();
-    file.valid = ar.get<std::uint32_t>();
-  }
-  outstanding_.load(ar);
-  flush_token_ = ar.get<decltype(flush_token_)>();
-  gated_ = ar.get<decltype(gated_)>();
-  counters_ = ar.get<Counters>();
-}
+void MflushPolicy::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
+void MflushPolicy::load_state(ArchiveReader& ar) { ar.walk(*this); }
 
 void MflushPolicy::on_cycle(Cycle now, CoreControl& ctrl) {
   std::array<bool, kMaxContexts> suspicious{};

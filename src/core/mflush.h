@@ -89,11 +89,15 @@ class MflushPolicy final : public FetchPolicy {
   [[nodiscard]] Cycle quiescent_until(Cycle now) const override;
   void save_state(ArchiveWriter& ar) const override;
   void load_state(ArchiveReader& ar) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    for (McRegFile& file : mcreg_) ar.io(file);
+    ar.io(outstanding_, flush_token_, gated_, counters_);
+  }
 
-  /// Public (and with explicit padding) because outstanding_ entries are
-  /// serialized by raw memcpy inside TokenTable: the layout is part of the
-  /// snapshot format, and the lint's layout probe must be able to
-  /// offsetof it.
+  /// Explicit padding because outstanding_ entries are serialized by raw
+  /// memcpy inside TokenTable, which accepts only records without padding
+  /// holes (RawArchivable, common/archive.h).
   struct Outstanding {
     ThreadId tid = 0;
     std::uint8_t _pad0[4] = {};  ///< explicit padding: canonical bytes
@@ -110,6 +114,11 @@ class MflushPolicy final : public FetchPolicy {
     std::vector<std::uint8_t> samples;  ///< ring, oldest overwritten
     std::uint32_t next = 0;
     std::uint32_t valid = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar.io(samples, next, valid);
+    }
   };
 
   MflushConfig cfg_;  // lint: transient — ctor config

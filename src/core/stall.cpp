@@ -23,15 +23,8 @@ void StallPolicy::on_load_resolved(ThreadId tid, std::uint64_t token,
   if (stall_token_[tid] == token) stall_token_[tid] = 0;
 }
 
-void StallPolicy::save_state(ArchiveWriter& ar) const {
-  outstanding_.save(ar);
-  ar.put(stall_token_);
-}
-
-void StallPolicy::load_state(ArchiveReader& ar) {
-  outstanding_.load(ar);
-  stall_token_ = ar.get<decltype(stall_token_)>();
-}
+void StallPolicy::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
+void StallPolicy::load_state(ArchiveReader& ar) { ar.walk(*this); }
 
 Cycle StallPolicy::quiescent_until(Cycle now) const {
   Cycle h = kNeverCycle;

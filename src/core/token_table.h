@@ -50,11 +50,10 @@ class TokenTable {
     return entries_;
   }
 
-  void save(ArchiveWriter& ar) const {
-    static_assert(std::is_trivially_copyable_v<Entry>);
-    ar.put_vec(entries_);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(entries_);
   }
-  void load(ArchiveReader& ar) { ar.get_vec(entries_); }
 
  private:
   std::vector<Entry> entries_;

@@ -26,6 +26,11 @@ struct EnergyReport {
   }
 
   bool operator==(const EnergyReport&) const = default;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(committed_units, flush_wasted_units, branch_wasted_units);
+  }
 };
 
 /// Wasted units for a per-stage squash histogram: each squashed instruction

@@ -45,21 +45,10 @@ class SharedBus {
     return e;
   }
 
-  void save(ArchiveWriter& ar) const {
-    for (const auto& q : per_core_) ar.put_deque(q);
-    ar.put(rr_next_);
-    ar.put(busy_until_);
-    ar.put_deque(in_flight_);
-    ar.put(transfers_);
-    ar.put(queue_wait_cycles_);
-  }
-  void load(ArchiveReader& ar) {
-    for (auto& q : per_core_) ar.get_deque(q);
-    rr_next_ = ar.get<std::uint32_t>();
-    busy_until_ = ar.get<Cycle>();
-    ar.get_deque(in_flight_);
-    transfers_ = ar.get<std::uint64_t>();
-    queue_wait_cycles_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    for (auto& q : per_core_) ar.io(q);
+    ar.io(rr_next_, busy_until_, in_flight_, transfers_, queue_wait_cycles_);
   }
 
   [[nodiscard]] std::uint64_t transfers() const noexcept { return transfers_; }
@@ -86,9 +75,7 @@ class SharedBus {
     return !per_core_[core].empty();
   }
 
-  /// Public because per_core_ queues are serialized by raw memcpy: the
-  /// layout is part of the snapshot format, and the lint's layout probe
-  /// must be able to offsetof it (two 8-byte scalars — no padding).
+  /// Serialized by raw memcpy (two 8-byte scalars — no padding).
   struct Queued {
     std::uint64_t payload;
     Cycle enqueued;

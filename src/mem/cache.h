@@ -60,22 +60,13 @@ class SetAssocCache {
     misses_ = 0;
   }
 
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(lines_);
-    ar.put(tick_);
-    ar.put(hits_);
-    ar.put(misses_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(lines_);
-    tick_ = ar.get<std::uint64_t>();
-    hits_ = ar.get<std::uint64_t>();
-    misses_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(lines_, tick_, hits_, misses_);
   }
 
-  /// Public (and with explicit padding) because lines_ is serialized by
-  /// raw memcpy: the layout is part of the snapshot format, and the lint's
-  /// layout probe must be able to offsetof it.
+  /// Explicit padding because lines_ is serialized by raw memcpy, which
+  /// accepts only records without padding holes (RawArchivable).
   struct Line {
     Addr tag = 0;
     std::uint64_t lru = 0;

@@ -80,28 +80,14 @@ class BankedDramMemory final : public MemoryModel {
   [[nodiscard]] const MemModelStats& stats() const override { return stats_; }
   void reset_stats() override { stats_.reset(); }
 
-  void save(ArchiveWriter& ar) const override {
-    // Bank records field-wise (canonical bytes without padding members);
-    // geometry is ctor config, so counts are implied and checked on load
-    // via the snapshot's config echo.
-    for (const Bank& b : banks_) {
-      ar.put(b.busy_until);
-      ar.put(b.open_row);
-      ar.put(b.row_valid);
-    }
-    ar.put_vec(channels_);
-    wheel_.save(ar);
-    stats_.save(ar);
-  }
-  void load(ArchiveReader& ar) override {
-    for (Bank& b : banks_) {
-      b.busy_until = ar.get<Cycle>();
-      b.open_row = ar.get<std::uint64_t>();
-      b.row_valid = ar.get<bool>();
-    }
-    ar.get_vec(channels_);
-    wheel_.load(ar);
-    stats_.load(ar);
+  void save_state(ArchiveWriter& ar) const override { ar.walk(*this); }
+  void load_state(ArchiveReader& ar) override { ar.walk(*this); }
+  /// Geometry is ctor config, so the bank count is implied and checked on
+  /// load via the snapshot's config echo.
+  template <class Ar>
+  void fields(Ar& ar) {
+    for (Bank& b : banks_) ar.io(b);
+    ar.io(channels_, wheel_, stats_);
   }
 
   /// Per-bank row-buffer + reservation state (serialized field-wise).
@@ -109,6 +95,12 @@ class BankedDramMemory final : public MemoryModel {
     Cycle busy_until = 0;        ///< current service window ends here
     std::uint64_t open_row = 0;  ///< valid when row_valid
     bool row_valid = false;      ///< false until the bank's first access
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar.io(busy_until, open_row);
+      ar.flag(row_valid, "BankedDramMemory::Bank::row_valid");
+    }
   };
 
   // Geometry/state accessors (tests).

@@ -141,8 +141,11 @@ void MemoryHierarchy::process_l1(const Req& r, Cycle now) {
   const bool hit = cache.access(r.addr, r.kind == MemKind::Store);
   if (hit) {
     if (r.kind != MemKind::Store) {
-      completions_[r.core].push_back(MemCompletion{
-          r.token, r.tid, r.kind, r.issue, now, false, false, 0});
+      completions_[r.core].push_back(MemCompletion{.token = r.token,
+                                                   .tid = r.tid,
+                                                   .kind = r.kind,
+                                                   .issue_cycle = r.issue,
+                                                   .done_cycle = now});
     }
     return;
   }
@@ -220,8 +223,15 @@ void MemoryHierarchy::complete_line_fetch(std::uint64_t payload, Cycle now,
     const std::uint32_t bank = l2_.bank_of(f.line);
     for (const auto& w : waiters) {
       if (w.kind != MemKind::Store) {
-        completions_[f.core].push_back(MemCompletion{
-            w.token, w.tid, w.kind, w.issue_cycle, now, true, l2_hit, bank});
+        completions_[f.core].push_back(
+            MemCompletion{.token = w.token,
+                          .tid = w.tid,
+                          .kind = w.kind,
+                          .issue_cycle = w.issue_cycle,
+                          .done_cycle = now,
+                          .l2_accessed = true,
+                          .l2_hit = l2_hit,
+                          .l2_bank = bank});
       }
       if (w.kind == MemKind::Load) {
         const auto lat = static_cast<double>(now - w.issue_cycle);
@@ -362,61 +372,24 @@ Cycle MemoryHierarchy::next_event_cycle_for(CoreId c, Cycle now) const {
   return e > now ? e : now + 1;
 }
 
-void MemoryHierarchy::save_state(ArchiveWriter& ar) const {
-  for (const SetAssocCache& c : l1i_) c.save(ar);
-  for (const SetAssocCache& c : l1d_) c.save(ar);
-  for (const Tlb& t : itlb_) t.save(ar);
-  for (const Tlb& t : dtlb_) t.save(ar);
-  for (const Mshr& m : mshr_) m.save(ar);
-  bus_.save(ar);
-  l2_.save(ar);
-  memory_->save(ar);
-  l1_wheel_.save(ar);
-  for (const auto& q : mshr_overflow_) ar.put_deque(q);
-  ar.put_vec(fetch_pool_);
-  ar.put_vec(fetch_free_);
-  for (const auto& v : completions_) ar.put_vec(v);
-  for (const auto& v : l2_events_) ar.put_vec(v);
-  for (const auto& v : l2_miss_events_) ar.put_vec(v);
-  ar.put(next_token_);
-  ar.put(next_order_);
-  ar.put(stats_.loads);
-  ar.put(stats_.stores);
-  ar.put(stats_.ifetches);
-  ar.put(stats_.dtlb_misses);
-  ar.put(stats_.itlb_misses);
-  ar.put(stats_.l1_writebacks);
-  stats_.l2_load_hit_time.save(ar);
-  stats_.l2_load_miss_time.save(ar);
+template <class Ar>
+void MemoryHierarchy::fields(Ar& ar) {
+  for (SetAssocCache& c : l1i_) ar.io(c);
+  for (SetAssocCache& c : l1d_) ar.io(c);
+  for (Tlb& t : itlb_) ar.io(t);
+  for (Tlb& t : dtlb_) ar.io(t);
+  for (Mshr& m : mshr_) ar.io(m);
+  ar.io(bus_, l2_, *memory_, l1_wheel_);
+  for (auto& q : mshr_overflow_) ar.io(q);
+  ar.io(fetch_pool_, fetch_free_);
+  for (auto& v : completions_) ar.io(v);
+  for (auto& v : l2_events_) ar.io(v);
+  for (auto& v : l2_miss_events_) ar.io(v);
+  ar.io(next_token_, next_order_, stats_);
 }
 
-void MemoryHierarchy::load_state(ArchiveReader& ar) {
-  for (SetAssocCache& c : l1i_) c.load(ar);
-  for (SetAssocCache& c : l1d_) c.load(ar);
-  for (Tlb& t : itlb_) t.load(ar);
-  for (Tlb& t : dtlb_) t.load(ar);
-  for (Mshr& m : mshr_) m.load(ar);
-  bus_.load(ar);
-  l2_.load(ar);
-  memory_->load(ar);
-  l1_wheel_.load(ar);
-  for (auto& q : mshr_overflow_) ar.get_deque(q);
-  ar.get_vec(fetch_pool_);
-  ar.get_vec(fetch_free_);
-  for (auto& v : completions_) ar.get_vec(v);
-  for (auto& v : l2_events_) ar.get_vec(v);
-  for (auto& v : l2_miss_events_) ar.get_vec(v);
-  next_token_ = ar.get<std::uint64_t>();
-  next_order_ = ar.get<std::uint64_t>();
-  stats_.loads = ar.get<std::uint64_t>();
-  stats_.stores = ar.get<std::uint64_t>();
-  stats_.ifetches = ar.get<std::uint64_t>();
-  stats_.dtlb_misses = ar.get<std::uint64_t>();
-  stats_.itlb_misses = ar.get<std::uint64_t>();
-  stats_.l1_writebacks = ar.get<std::uint64_t>();
-  stats_.l2_load_hit_time.load(ar);
-  stats_.l2_load_miss_time.load(ar);
-}
+void MemoryHierarchy::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
+void MemoryHierarchy::load_state(ArchiveReader& ar) { ar.walk(*this); }
 
 void MemoryHierarchy::reset_stats() {
   stats_.reset();

@@ -25,10 +25,12 @@ struct MemCompletion {
   std::uint64_t token = 0;
   ThreadId tid = 0;
   MemKind kind = MemKind::Load;
+  std::uint8_t _pad0[3] = {};  ///< explicit padding: canonical bytes
   Cycle issue_cycle = 0;
   Cycle done_cycle = 0;
   bool l2_accessed = false;  ///< true if the access went past L1
   bool l2_hit = false;       ///< valid when l2_accessed
+  std::uint8_t _pad1[2] = {};  ///< explicit padding: canonical bytes
   std::uint32_t l2_bank = 0; ///< valid when l2_accessed
 };
 
@@ -56,6 +58,12 @@ struct MemStats {
 
   void reset() {
     *this = MemStats{};
+  }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(loads, stores, ifetches, dtlb_misses, itlb_misses, l1_writebacks,
+          l2_load_hit_time, l2_load_miss_time);
   }
 };
 
@@ -133,6 +141,8 @@ class MemoryHierarchy {
   /// Snapshot support: serialize/restore all mutable hierarchy state.
   void save_state(ArchiveWriter& ar) const;
   void load_state(ArchiveReader& ar);
+  template <class Ar>
+  void fields(Ar& ar);
 
   /// Warm-start support: install a line into the L2 tag array directly
   /// (no timing, no traffic). The scaled-down simulation windows are far
@@ -150,10 +160,9 @@ class MemoryHierarchy {
     return *memory_;
   }
 
-  // The two transaction records below are public (and carry explicit
-  // padding) because they are serialized by raw memcpy: their layout is
-  // part of the snapshot format, and the lint's layout probe must be able
-  // to offsetof them.
+  // The two transaction records below carry explicit padding because they
+  // are serialized by raw memcpy, which accepts only records without
+  // padding holes (RawArchivable, common/archive.h).
 
   /// Core-side access waiting on the L1 pipeline (and TLB walk).
   struct Req {

@@ -86,36 +86,15 @@ class L2Cache {
     return false;
   }
 
-  void save(ArchiveWriter& ar) const {
-    for (const SetAssocCache& s : slices_) s.save(ar);
-    for (const Bank& b : banks_) {
-      ar.put_deque(b.queue);
-      ar.put(b.current);
-      ar.put(b.done_at);
-      ar.put(b.busy);
-    }
-    ar.put(hits_);
-    ar.put(misses_);
-    ar.put(writebacks_);
-    ar.put(busy_cycles_);
-  }
-  void load(ArchiveReader& ar) {
-    for (SetAssocCache& s : slices_) s.load(ar);
-    for (Bank& b : banks_) {
-      ar.get_deque(b.queue);
-      b.current = ar.get<BankRequest>();
-      b.done_at = ar.get<Cycle>();
-      b.busy = ar.get<bool>();
-    }
-    hits_ = ar.get<std::uint64_t>();
-    misses_ = ar.get<std::uint64_t>();
-    writebacks_ = ar.get<std::uint64_t>();
-    busy_cycles_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    for (SetAssocCache& s : slices_) ar.io(s);
+    for (Bank& b : banks_) ar.io(b);
+    ar.io(hits_, misses_, writebacks_, busy_cycles_);
   }
 
-  /// Public (and with explicit padding) because bank queues are serialized
-  /// by raw memcpy: the layout is part of the snapshot format, and the
-  /// lint's layout probe must be able to offsetof it.
+  /// Explicit padding because bank queues are serialized by raw memcpy,
+  /// which accepts only records without padding holes (RawArchivable).
   struct BankRequest {
     Addr addr = 0;
     std::uint64_t payload = 0;
@@ -129,6 +108,12 @@ class L2Cache {
     BankRequest current{};
     Cycle done_at = 0;
     bool busy = false;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar.io(queue, current, done_at);
+      ar.flag(busy, "L2Cache::Bank::busy");
+    }
   };
 
   std::uint32_t line_bytes_;    // lint: transient — ctor geometry

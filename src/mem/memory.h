@@ -30,25 +30,10 @@ struct MemModelStats {
 
   void reset() noexcept { *this = MemModelStats{}; }
 
-  void save(ArchiveWriter& ar) const {
-    ar.put(reads);
-    ar.put(writes);
-    ar.put(row_hits);
-    ar.put(row_misses);
-    ar.put(row_conflicts);
-    ar.put(far_accesses);
-    ar.put(bank_busy_cycles);
-    ar.put(chan_busy_cycles);
-  }
-  void load(ArchiveReader& ar) {
-    reads = ar.get<std::uint64_t>();
-    writes = ar.get<std::uint64_t>();
-    row_hits = ar.get<std::uint64_t>();
-    row_misses = ar.get<std::uint64_t>();
-    row_conflicts = ar.get<std::uint64_t>();
-    far_accesses = ar.get<std::uint64_t>();
-    bank_busy_cycles = ar.get<std::uint64_t>();
-    chan_busy_cycles = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(reads, writes, row_hits, row_misses, row_conflicts, far_accesses,
+          bank_busy_cycles, chan_busy_cycles);
   }
 };
 
@@ -98,8 +83,8 @@ class MemoryModel {
   /// accesses are untouched — see MemModelStats.
   virtual void reset_stats() = 0;
 
-  virtual void save(ArchiveWriter& ar) const = 0;
-  virtual void load(ArchiveReader& ar) = 0;
+  virtual void save_state(ArchiveWriter& ar) const = 0;
+  virtual void load_state(ArchiveReader& ar) = 0;
 };
 
 /// Fixed-latency fully-pipelined main memory (Fig. 1) — the default model,
@@ -144,18 +129,14 @@ class FixedLatencyMemory final : public MemoryModel {
   [[nodiscard]] const MemModelStats& stats() const override { return stats_; }
   void reset_stats() override { stats_.reset(); }
 
-  void save(ArchiveWriter& ar) const override {
-    ar.put_deque(in_flight_);
-    stats_.save(ar);
-  }
-  void load(ArchiveReader& ar) override {
-    ar.get_deque(in_flight_);
-    stats_.load(ar);
+  void save_state(ArchiveWriter& ar) const override { ar.walk(*this); }
+  void load_state(ArchiveReader& ar) override { ar.walk(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(in_flight_, stats_);
   }
 
-  /// Public because in_flight_ is serialized by raw memcpy: the layout is
-  /// part of the snapshot format, and the lint's layout probe must be able
-  /// to offsetof it (two 8-byte scalars — no padding).
+  /// Serialized by raw memcpy (two 8-byte scalars — no padding).
   struct Pending {
     Cycle done_at;
     std::uint64_t payload;

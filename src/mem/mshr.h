@@ -75,25 +75,10 @@ class Mshr {
     return alloc_failures_;
   }
 
-  void save(ArchiveWriter& ar) const {
-    for (const Entry& e : entries_) {
-      ar.put(e.line);
-      ar.put_vec(e.waiters);
-      ar.put(e.valid);
-      ar.put(e.miss_known);
-    }
-    ar.put(live_);
-    ar.put(alloc_failures_);
-  }
-  void load(ArchiveReader& ar) {
-    for (Entry& e : entries_) {
-      e.line = ar.get<Addr>();
-      ar.get_vec(e.waiters);
-      e.valid = ar.get<bool>();
-      e.miss_known = ar.get<bool>();
-    }
-    live_ = ar.get<std::uint32_t>();
-    alloc_failures_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    for (Entry& e : entries_) ar.io(e);
+    ar.io(live_, alloc_failures_);
   }
 
  private:
@@ -102,6 +87,13 @@ class Mshr {
     std::vector<MshrWaiter> waiters;
     bool valid = false;
     bool miss_known = false;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar.io(line, waiters);
+      ar.flag(valid, "Mshr::Entry::valid");
+      ar.flag(miss_known, "Mshr::Entry::miss_known");
+    }
   };
 
   std::vector<Entry> entries_;

@@ -29,30 +29,14 @@ class Tlb {
     misses_ = 0;
   }
 
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(nodes_);
-    ar.put_map(map_);
-    ar.put(head_);
-    ar.put(tail_);
-    ar.put(used_);
-    ar.put(hits_);
-    ar.put(misses_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(nodes_);
-    ar.get_map(map_);
-    head_ = ar.get<std::uint32_t>();
-    tail_ = ar.get<std::uint32_t>();
-    used_ = ar.get<std::uint32_t>();
-    hits_ = ar.get<std::uint64_t>();
-    misses_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(nodes_, map_, head_, tail_, used_, hits_, misses_);
   }
 
   static constexpr std::uint32_t kNull = 0xffffffff;
 
-  /// Public because nodes_ is serialized by raw memcpy: the layout is part
-  /// of the snapshot format, and the lint's layout probe must be able to
-  /// offsetof it (8 + 4 + 4 bytes — no padding).
+  /// Serialized by raw memcpy (8 + 4 + 4 bytes — no padding).
   struct Node {
     Addr page = 0;
     std::uint32_t prev = kNull;

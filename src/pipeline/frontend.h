@@ -36,6 +36,17 @@ struct ThreadFetchState {
   // Monotonic per-thread program order (right + wrong path interleaved).
   std::uint64_t next_local_order = 0;
 
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(next_seq);
+    ar.flag(wrong_path, "ThreadFetchState::wrong_path");
+    ar.io(wp_base, wp_k, last_fetch_line);
+    ar.flag(icache_wait, "ThreadFetchState::icache_wait");
+    ar.io(icache_token);
+    ar.flag(gated, "ThreadFetchState::gated");
+    ar.io(stall_tokens, next_local_order);
+  }
+
   [[nodiscard]] bool hard_blocked() const noexcept {
     return icache_wait || !stall_tokens.empty();
   }

@@ -38,8 +38,10 @@ class IssueQueue {
   [[nodiscard]] std::uint32_t count_for(const UopPool& pool,
                                         ThreadId tid) const;
 
-  void save(ArchiveWriter& ar) const { ar.put_vec(entries_); }
-  void load(ArchiveReader& ar) { ar.get_vec(entries_); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(entries_);
+  }
 
  private:
   std::vector<UopHandle> entries_;

@@ -35,15 +35,9 @@ class PhysRegFile {
     return static_cast<std::uint32_t>(ready_.size());
   }
 
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(ready_);
-    ar.put_vec(free_);
-    ar.put_vec(allocated_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(ready_);
-    ar.get_vec(free_);
-    ar.get_vec(allocated_);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(ready_, free_, allocated_);
   }
 
  private:

@@ -37,8 +37,10 @@ class RenameMap {
   /// Commit: the previous mapping is dead, free it.
   void commit_release(LogReg dst, PhysReg previous);
 
-  void save(ArchiveWriter& ar) const { ar.put(map_); }
-  void load(ArchiveReader& ar) { map_ = ar.get<decltype(map_)>(); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(map_);
+  }
 
  private:
   [[nodiscard]] PhysRegFile& file_for(LogReg r) noexcept {

@@ -30,15 +30,9 @@ class Rob {
     return buf_[(head_ + i) % cap_];
   }
 
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(buf_);
-    ar.put(head_);
-    ar.put(size_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(buf_);
-    head_ = ar.get<std::uint32_t>();
-    size_ = ar.get<std::uint32_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(buf_, head_, size_);
   }
 
  private:

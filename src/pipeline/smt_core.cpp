@@ -857,87 +857,17 @@ void SmtCore::set_fetch_gate(ThreadId tid, bool gated) {
 // snapshot support
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void save_fetch_state(ArchiveWriter& ar, const ThreadFetchState& fs) {
-  ar.put(fs.next_seq);
-  ar.put(fs.wrong_path);
-  ar.put(fs.wp_base);
-  ar.put(fs.wp_k);
-  ar.put(fs.last_fetch_line);
-  ar.put(fs.icache_wait);
-  ar.put(fs.icache_token);
-  ar.put(fs.gated);
-  ar.put_vec(fs.stall_tokens);
-  ar.put(fs.next_local_order);
+template <class Ar>
+void SmtCore::fields(Ar& ar) {
+  ar.io(stats_, now_);
+  for (std::size_t t = 0; t < fstate_.size(); ++t)
+    ar.io(fstate_[t], frontend_[t], rename_[t], rob_[t]);
+  ar.io(preissue_, inflight_ctrl_, inflight_dmiss_, int_regs_, fp_regs_,
+        iq_int_, iq_fp_, iq_mem_, pool_, exec_wheel_, exec_live_,
+        lsq_unissued_, load_by_token_, branch_, *policy_);
 }
 
-void load_fetch_state(ArchiveReader& ar, ThreadFetchState& fs) {
-  fs.next_seq = ar.get<SeqNo>();
-  fs.wrong_path = ar.get<bool>();
-  fs.wp_base = ar.get<Addr>();
-  fs.wp_k = ar.get<std::uint64_t>();
-  fs.last_fetch_line = ar.get<Addr>();
-  fs.icache_wait = ar.get<bool>();
-  fs.icache_token = ar.get<std::uint64_t>();
-  fs.gated = ar.get<bool>();
-  ar.get_vec(fs.stall_tokens);
-  fs.next_local_order = ar.get<std::uint64_t>();
-}
-
-}  // namespace
-
-void SmtCore::save_state(ArchiveWriter& ar) const {
-  static_assert(std::is_trivially_copyable_v<CoreStats>);
-  ar.put(stats_);
-  ar.put(now_);
-  for (std::size_t t = 0; t < fstate_.size(); ++t) {
-    save_fetch_state(ar, fstate_[t]);
-    ar.put_deque(frontend_[t]);
-    rename_[t].save(ar);
-    rob_[t].save(ar);
-  }
-  ar.put_vec(preissue_);
-  ar.put_vec(inflight_ctrl_);
-  ar.put_vec(inflight_dmiss_);
-  int_regs_.save(ar);
-  fp_regs_.save(ar);
-  iq_int_.save(ar);
-  iq_fp_.save(ar);
-  iq_mem_.save(ar);
-  pool_.save(ar);
-  exec_wheel_.save(ar);
-  ar.put(exec_live_);
-  ar.put_vec(lsq_unissued_);
-  ar.put_map(load_by_token_);
-  branch_.save(ar);
-  policy_->save_state(ar);
-}
-
-void SmtCore::load_state(ArchiveReader& ar) {
-  stats_ = ar.get<CoreStats>();
-  now_ = ar.get<Cycle>();
-  for (std::size_t t = 0; t < fstate_.size(); ++t) {
-    load_fetch_state(ar, fstate_[t]);
-    ar.get_deque(frontend_[t]);
-    rename_[t].load(ar);
-    rob_[t].load(ar);
-  }
-  ar.get_vec(preissue_);
-  ar.get_vec(inflight_ctrl_);
-  ar.get_vec(inflight_dmiss_);
-  int_regs_.load(ar);
-  fp_regs_.load(ar);
-  iq_int_.load(ar);
-  iq_fp_.load(ar);
-  iq_mem_.load(ar);
-  pool_.load(ar);
-  exec_wheel_.load(ar);
-  exec_live_ = ar.get<std::uint32_t>();
-  ar.get_vec(lsq_unissued_);
-  ar.get_map(load_by_token_);
-  branch_.load(ar);
-  policy_->load_state(ar);
-}
+void SmtCore::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
+void SmtCore::load_state(ArchiveReader& ar) { ar.walk(*this); }
 
 }  // namespace mflush

@@ -115,6 +115,8 @@ class SmtCore final : public CoreControl {
   /// rebuild_derived_state() before the next tick.
   void save_state(ArchiveWriter& ar) const;
   void load_state(ArchiveReader& ar);
+  template <class Ar>
+  void fields(Ar& ar);
 
   /// Recompute the state derived from the serialized pipeline: the operand
   /// wakeup (wait lists, pending-source counts, ready lists) and the

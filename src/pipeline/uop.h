@@ -23,8 +23,8 @@ struct MicroOp {
 
   PipeStage stage = PipeStage::Fetch;
   // Explicit zero-initialized padding throughout: the pool is serialized
-  // by raw memcpy, so implicit holes would put uninitialized bytes in the
-  // snapshot and break canonical-bytes equality across processes.
+  // by raw memcpy, which only accepts records without implicit holes
+  // (RawArchivable, common/archive.h).
   std::uint8_t _pad0[3] = {};
   Cycle fetch_cycle = 0;
 
@@ -111,16 +111,9 @@ class UopPool {
     return gen_[h];
   }
 
-  void save(ArchiveWriter& ar) const {
-    static_assert(std::is_trivially_copyable_v<MicroOp>);
-    ar.put_vec(pool_);
-    ar.put_vec(gen_);
-    ar.put_vec(free_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(pool_);
-    ar.get_vec(gen_);
-    ar.get_vec(free_);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(pool_, gen_, free_);
   }
 
  private:

@@ -28,104 +28,6 @@ extern char** environ;
 namespace mflush {
 namespace {
 
-// ------------------------------------------------- RunResult serialization
-//
-// Doubles are written as raw little-endian bytes, so a result that crosses
-// the process boundary compares bit-identical to one computed in-process —
-// the property the cross-backend determinism test pins down.
-
-void put_metrics(ArchiveWriter& ar, const SimMetrics& m) {
-  ar.put(m.cycles);
-  ar.put(m.committed);
-  ar.put(m.ipc);
-  ar.put_vec(m.per_thread_ipc);
-  ar.put(m.flush_events);
-  ar.put(m.flushed_instructions);
-  ar.put(m.branches_resolved);
-  ar.put(m.mispredicts);
-  ar.put(m.l2_hit_time_mean);
-  ar.put(m.l2_hit_time_p50);
-  ar.put(m.l2_hit_time_p90);
-  ar.put(m.l2_hits_observed);
-  ar.put(m.l2_misses_observed);
-  ar.put(m.policy_flushes_on_miss);
-  ar.put(m.policy_flushes_on_hit);
-  ar.put(m.policy_flushes_on_l1);
-  ar.put(m.policy_stall_events);
-  ar.put(m.policy_gate_cycles);
-  m.l2_hit_time_hist.save(ar);
-  ar.put(m.dram_row_hits);
-  ar.put(m.dram_row_misses);
-  ar.put(m.dram_row_conflicts);
-  ar.put(m.dram_far_accesses);
-  ar.put(m.dram_bank_busy_cycles);
-  ar.put(m.dram_chan_busy_cycles);
-  ar.put(m.energy.committed_units);
-  ar.put(m.energy.flush_wasted_units);
-  ar.put(m.energy.branch_wasted_units);
-}
-
-SimMetrics get_metrics(ArchiveReader& ar) {
-  SimMetrics m;
-  m.cycles = ar.get<Cycle>();
-  m.committed = ar.get<std::uint64_t>();
-  m.ipc = ar.get<double>();
-  ar.get_vec(m.per_thread_ipc);
-  m.flush_events = ar.get<std::uint64_t>();
-  m.flushed_instructions = ar.get<std::uint64_t>();
-  m.branches_resolved = ar.get<std::uint64_t>();
-  m.mispredicts = ar.get<std::uint64_t>();
-  m.l2_hit_time_mean = ar.get<double>();
-  m.l2_hit_time_p50 = ar.get<double>();
-  m.l2_hit_time_p90 = ar.get<double>();
-  m.l2_hits_observed = ar.get<std::uint64_t>();
-  m.l2_misses_observed = ar.get<std::uint64_t>();
-  m.policy_flushes_on_miss = ar.get<std::uint64_t>();
-  m.policy_flushes_on_hit = ar.get<std::uint64_t>();
-  m.policy_flushes_on_l1 = ar.get<std::uint64_t>();
-  m.policy_stall_events = ar.get<std::uint64_t>();
-  m.policy_gate_cycles = ar.get<std::uint64_t>();
-  m.l2_hit_time_hist.load(ar);
-  m.dram_row_hits = ar.get<std::uint64_t>();
-  m.dram_row_misses = ar.get<std::uint64_t>();
-  m.dram_row_conflicts = ar.get<std::uint64_t>();
-  m.dram_far_accesses = ar.get<std::uint64_t>();
-  m.dram_bank_busy_cycles = ar.get<std::uint64_t>();
-  m.dram_chan_busy_cycles = ar.get<std::uint64_t>();
-  m.energy.committed_units = ar.get<double>();
-  m.energy.flush_wasted_units = ar.get<double>();
-  m.energy.branch_wasted_units = ar.get<double>();
-  return m;
-}
-
-void put_result(ArchiveWriter& ar, std::uint32_t id, const RunResult& r) {
-  ar.put(id);
-  ar.put_string(r.workload);
-  ar.put_string(r.policy);
-  put_metrics(ar, r.metrics);
-  ar.put(r.wall_seconds);
-  ar.put(r.simulated_cycles);
-  ar.put<std::uint8_t>(r.payload ? 1 : 0);
-  if (r.payload) ar.put_vec(*r.payload);
-}
-
-std::pair<std::uint32_t, RunResult> get_result(ArchiveReader& ar) {
-  const auto id = ar.get<std::uint32_t>();
-  RunResult r;
-  r.workload = ar.get_string();
-  r.policy = ar.get_string();
-  r.metrics = get_metrics(ar);
-  r.wall_seconds = ar.get<double>();
-  r.simulated_cycles = ar.get<Cycle>();
-  if (ar.get<std::uint8_t>() != 0) {
-    std::vector<std::uint8_t> payload;
-    ar.get_vec(payload);
-    r.payload = std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(payload));
-  }
-  return {id, std::move(r)};
-}
-
 // ------------------------------------------------------- protocol file IO
 
 constexpr std::uint64_t kJobMagic = 0x4d464c55534a4f42ull;     // "MFLUSJOB"
@@ -512,8 +414,7 @@ std::vector<std::uint8_t> encode_results(
     const std::vector<std::pair<std::uint32_t, RunResult>>& results) {
   ArchiveWriter ar;
   envelope::put_header(ar, kResultMagic, kProtocolVersion);
-  ar.put<std::uint64_t>(results.size());
-  for (const auto& [id, r] : results) put_result(ar, id, r);
+  ar.io(results);
   envelope::seal(ar);
   return ar.take();
 }
@@ -523,10 +424,8 @@ std::vector<std::pair<std::uint32_t, RunResult>> decode_results(
   const std::string name = "mflush result file " + what;
   ArchiveReader ar(envelope::unseal(bytes, name));
   envelope::expect_header(ar, kResultMagic, kProtocolVersion, name);
-  const auto n = ar.get<std::uint64_t>();
   std::vector<std::pair<std::uint32_t, RunResult>> results;
-  results.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) results.push_back(get_result(ar));
+  ar.io(results);
   if (!ar.done()) throw std::runtime_error(name + ": trailing bytes");
   return results;
 }

@@ -213,37 +213,20 @@ void CmpSimulator::reset_stats() {
   for (auto& core : cores_) core->reset_stats();
 }
 
-void CmpSimulator::save_state(ArchiveWriter& ar) const {
-  ar.put(now_);
-  ar.put(idle_skipped_);
-  for (const CoreClock& ck : clocks_) {
-    ar.put(ck.asleep);
-    ar.put(ck.slept_at);
-    ar.put(ck.wake_at);
-  }
-  for (const auto& src : sources_) src->save_state(ar);
-  mem_.save_state(ar);
-  for (const auto& core : cores_) core->save_state(ar);
+template <class Ar>
+void CmpSimulator::fields(Ar& ar) {
+  ar.io(now_, idle_skipped_);
+  for (CoreClock& ck : clocks_) ar.io(ck);
+  for (auto& src : sources_) ar.io(*src);
+  ar.io(mem_);
+  for (auto& core : cores_) ar.io(*core);
+  ar.on_load([this] {
+    for (auto& core : cores_) core->rebuild_derived_state();
+  });
 }
 
-void CmpSimulator::load_state(ArchiveReader& ar) {
-  now_ = ar.get<Cycle>();
-  idle_skipped_ = ar.get<Cycle>();
-  for (CoreClock& ck : clocks_) {
-    ck.asleep = ar.get<bool>();
-    ck.slept_at = ar.get<Cycle>();
-    ck.wake_at = ar.get<Cycle>();
-    ck.event_check_at = 0;  // polling throttle only; poll until re-proven
-  }
-  for (auto& src : sources_) src->load_state(ar);
-  mem_.load_state(ar);
-  for (auto& core : cores_) core->load_state(ar);
-}
-
-void CmpSimulator::restore_state(ArchiveReader& ar) {
-  load_state(ar);
-  for (auto& core : cores_) core->rebuild_derived_state();
-}
+void CmpSimulator::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
+void CmpSimulator::restore_state(ArchiveReader& ar) { ar.walk(*this); }
 
 SimMetrics CmpSimulator::metrics() const {
   SimMetrics m;

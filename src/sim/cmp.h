@@ -97,10 +97,12 @@ class CmpSimulator {
   /// Snapshot support (sim/snapshot.h wraps these in a versioned file
   /// format): serialize/restore every piece of mutable simulation state —
   /// clock, trace sources, memory hierarchy, cores, policies, stats.
-  /// restore_state is load_state followed by each core's
-  /// rebuild_derived_state (its unserialized scheduling state).
+  /// restore_state ends with each core's rebuild_derived_state (its
+  /// unserialized scheduling state).
   void save_state(ArchiveWriter& ar) const;
   void restore_state(ArchiveReader& ar);
+  template <class Ar>
+  void fields(Ar& ar);
 
   /// Per-core local clock: while `asleep`, the core is not ticked and its
   /// cycle counter lags the chip clock from `slept_at` (the last cycle it
@@ -118,14 +120,20 @@ class CmpSimulator {
     bool asleep = false;
     Cycle slept_at = 0;
     Cycle wake_at = kNeverCycle;
-    Cycle event_check_at = 0;
+    Cycle event_check_at = 0;  // lint: transient — polling throttle
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar.flag(asleep, "CoreClock::asleep");
+      ar.io(slept_at, wake_at);
+      ar.on_load([this] { event_check_at = 0; });
+    }
   };
   [[nodiscard]] const CoreClock& core_clock(CoreId c) const {
     return clocks_.at(c);
   }
 
  private:
-  void load_state(ArchiveReader& ar);
   void build(const std::vector<BenchmarkProfile>& profiles);
   void run_lockstep(Cycle end);
 
@@ -140,7 +148,7 @@ class CmpSimulator {
   Cycle idle_skipped_ = 0;  ///< core-cycles skipped by the event kernel
   // lint: transient — run mode, not state: skip on/off is metric-invariant
   bool event_skip_ = true;
-  // lint: transient — set by build() in the ctor, before any load_state
+  // lint: transient — set by build() in the ctor, before any restore
   bool profile_built_ = false;
 };
 

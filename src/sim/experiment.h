@@ -38,6 +38,11 @@ struct RunResult {
                ? static_cast<double>(simulated_cycles) / wall_seconds
                : 0.0;
   }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(workload, policy, metrics, wall_seconds, simulated_cycles, payload);
+  }
 };
 
 /// Measured-interval length (env MFLUSH_BENCH_CYCLES or `fallback`).

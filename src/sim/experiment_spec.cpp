@@ -19,97 +19,12 @@ namespace {
 constexpr std::uint64_t kSpecMagic = 0x4d464c5553504543ull;  // "MFLUSPEC"
 constexpr std::uint32_t kSpecVersion = 2;
 
-void put_workload(ArchiveWriter& ar, const Workload& w) {
-  ar.put_string(w.name);
-  ar.put_vec(w.codes);
-}
-
-Workload get_workload(ArchiveReader& ar) {
-  Workload w;
-  w.name = ar.get_string();
-  ar.get_vec(w.codes);
-  return w;
-}
-
-// BenchmarkProfile is written field-wise in declaration order; any profile
-// field added/removed must bump the enclosing format version (spec/job).
-void put_profile(ArchiveWriter& ar, const BenchmarkProfile& p) {
-  ar.put_string(p.name);
-  ar.put(p.code);
-  ar.put(p.f_load);
-  ar.put(p.f_store);
-  ar.put(p.f_branch);
-  ar.put(p.f_call_ret);
-  ar.put(p.f_fp);
-  ar.put(p.f_mul);
-  ar.put(p.strands);
-  ar.put(p.dep_mean);
-  ar.put(p.p_chase);
-  ar.put(p.predictability);
-  ar.put(p.taken_bias);
-  ar.put(p.pattern_period);
-  ar.put(p.hot_lines);
-  ar.put(p.l2_lines);
-  ar.put(p.mem_lines);
-  ar.put(p.p_l2);
-  ar.put(p.p_mem);
-  ar.put(p.p_stream);
-  ar.put(p.stream_lines);
-  ar.put(p.icache_lines);
-  ar.put(p.mean_bb_len);
-}
-
-BenchmarkProfile get_profile(ArchiveReader& ar) {
-  BenchmarkProfile p;
-  p.name = ar.get_string();
-  p.code = ar.get<char>();
-  p.f_load = ar.get<double>();
-  p.f_store = ar.get<double>();
-  p.f_branch = ar.get<double>();
-  p.f_call_ret = ar.get<double>();
-  p.f_fp = ar.get<double>();
-  p.f_mul = ar.get<double>();
-  p.strands = ar.get<std::uint32_t>();
-  p.dep_mean = ar.get<double>();
-  p.p_chase = ar.get<double>();
-  p.predictability = ar.get<double>();
-  p.taken_bias = ar.get<double>();
-  p.pattern_period = ar.get<std::uint32_t>();
-  p.hot_lines = ar.get<std::uint32_t>();
-  p.l2_lines = ar.get<std::uint32_t>();
-  p.mem_lines = ar.get<std::uint32_t>();
-  p.p_l2 = ar.get<double>();
-  p.p_mem = ar.get<double>();
-  p.p_stream = ar.get<double>();
-  p.stream_lines = ar.get<std::uint32_t>();
-  p.icache_lines = ar.get<std::uint32_t>();
-  p.mean_bb_len = ar.get<std::uint32_t>();
-  return p;
-}
-
 /// Throwing wrapper over the shared workloads::resolve front door.
 Workload resolve_workload(const std::string& token) {
   if (const auto w = workloads::resolve(token)) return *w;
   throw std::runtime_error(
       "experiment spec: unknown workload '" + token +
       "' (catalog name or an even-length string of benchmark codes)");
-}
-
-// Every JobSpec field up to (but excluding) the snapshot tail, shared by
-// the wire form (save) and the canonical content form (save_content).
-void put_job_fields(ArchiveWriter& ar, const JobSpec& j) {
-  put_workload(ar, j.workload);
-  ar.put<std::uint64_t>(j.profiles.size());
-  for (const BenchmarkProfile& p : j.profiles) put_profile(ar, p);
-  put_policy(ar, j.policy);
-  ar.put(j.seed);
-  ar.put(j.warmup);
-  ar.put(j.measure);
-  ar.put(j.fork_advance);
-  ar.put<std::uint8_t>(j.warm_only ? 1 : 0);
-  ar.put(j.parent_key);
-  ar.put(static_cast<std::uint8_t>(j.mem_model));
-  put_dram(ar, j.dram);
 }
 
 // Snapshot tail tags shared by save/save_content/load.
@@ -147,60 +62,11 @@ std::shared_ptr<const std::vector<std::uint8_t>> warm_parent_snapshot(
 
 }  // namespace
 
-void put_policy(ArchiveWriter& ar, const PolicySpec& p) {
-  ar.put(static_cast<std::uint8_t>(p.kind));
-  ar.put(p.trigger);
-  ar.put(p.mcreg_history);
-  ar.put(static_cast<std::uint8_t>(p.mcreg_agg));
-  ar.put(p.preventive);
-}
-
-PolicySpec get_policy(ArchiveReader& ar) {
-  PolicySpec p;
-  p.kind = static_cast<PolicySpec::Kind>(ar.get<std::uint8_t>());
-  p.trigger = ar.get<Cycle>();
-  p.mcreg_history = ar.get<std::uint32_t>();
-  p.mcreg_agg = static_cast<PolicySpec::McRegAgg>(ar.get<std::uint8_t>());
-  p.preventive = ar.get<bool>();
-  return p;
-}
-
-// DramConfig is written field-wise in declaration order; any knob
-// added/removed must bump the enclosing format versions (spec/job and
-// the snapshot's config echo).
-void put_dram(ArchiveWriter& ar, const DramConfig& d) {
-  ar.put(d.channels);
-  ar.put(d.banks_per_channel);
-  ar.put(d.row_bytes);
-  ar.put(d.t_row_hit);
-  ar.put(d.t_row_miss);
-  ar.put(d.t_row_conflict);
-  ar.put(d.channel_gap);
-  ar.put(d.far_base);
-  ar.put(d.far_bytes);
-  ar.put(d.far_extra);
-}
-
-DramConfig get_dram(ArchiveReader& ar) {
-  DramConfig d;
-  d.channels = ar.get<std::uint32_t>();
-  d.banks_per_channel = ar.get<std::uint32_t>();
-  d.row_bytes = ar.get<std::uint32_t>();
-  d.t_row_hit = ar.get<std::uint32_t>();
-  d.t_row_miss = ar.get<std::uint32_t>();
-  d.t_row_conflict = ar.get<std::uint32_t>();
-  d.channel_gap = ar.get<std::uint32_t>();
-  d.far_base = ar.get<Addr>();
-  d.far_bytes = ar.get<std::uint64_t>();
-  d.far_extra = ar.get<std::uint32_t>();
-  return d;
-}
-
 // ------------------------------------------------------------------ JobSpec
 
 void JobSpec::save(ArchiveWriter& ar) const {
-  ar.put(id);
-  put_job_fields(ar, *this);
+  ar.io(id);
+  ar.walk(*this);
   // Wire form: attached bytes always travel (this is the upload); a by-ref
   // fork ships the parent hash alone.
   if (snapshot) {
@@ -212,7 +78,7 @@ void JobSpec::save(ArchiveWriter& ar) const {
 }
 
 void JobSpec::save_content(ArchiveWriter& ar) const {
-  put_job_fields(ar, *this);
+  ar.walk(*this);
   // Canonical form: a parent hash pins the exact snapshot bytes, so the
   // content is the same whether or not the bytes are attached — the
   // campaign cache key stays stable across by-ref and resolved copies.
@@ -228,20 +94,8 @@ void JobSpec::save_content(ArchiveWriter& ar) const {
 
 JobSpec JobSpec::load(ArchiveReader& ar) {
   JobSpec j;
-  j.id = ar.get<std::uint32_t>();
-  j.workload = get_workload(ar);
-  const auto num_profiles = ar.get<std::uint64_t>();
-  for (std::uint64_t i = 0; i < num_profiles; ++i)
-    j.profiles.push_back(get_profile(ar));
-  j.policy = get_policy(ar);
-  j.seed = ar.get<std::uint64_t>();
-  j.warmup = ar.get<Cycle>();
-  j.measure = ar.get<Cycle>();
-  j.fork_advance = ar.get<Cycle>();
-  j.warm_only = ar.get<std::uint8_t>() != 0;
-  j.parent_key = ar.get<std::uint64_t>();
-  j.mem_model = static_cast<MemModelKind>(ar.get<std::uint8_t>());
-  j.dram = get_dram(ar);
+  ar.io(j.id);
+  ar.walk(j);
   const auto tag = ar.get<std::uint8_t>();
   if (tag == kSnapInline) {
     std::vector<std::uint8_t> bytes;
@@ -402,21 +256,7 @@ std::vector<JobSpec> ExperimentSpec::expand() const {
 std::vector<std::uint8_t> ExperimentSpec::to_bytes() const {
   ArchiveWriter ar;
   envelope::put_header(ar, kSpecMagic, kSpecVersion);
-  ar.put_string(name);
-  ar.put<std::uint64_t>(workloads.size());
-  for (const Workload& w : workloads) put_workload(ar, w);
-  ar.put<std::uint64_t>(policies.size());
-  for (const PolicySpec& p : policies) put_policy(ar, p);
-  ar.put_vec(seeds);
-  ar.put(warmup);
-  ar.put(measure);
-  ar.put(static_cast<std::uint8_t>(mode));
-  ar.put(sampled.forks);
-  ar.put(sampled.fork_stride);
-  ar.put(sampled.target_half_width);
-  ar.put(sampled.max_rounds);
-  ar.put(static_cast<std::uint8_t>(mem_model));
-  put_dram(ar, dram);
+  ar.walk(*this);
   envelope::seal(ar);
   return ar.take();
 }
@@ -426,25 +266,7 @@ ExperimentSpec ExperimentSpec::from_bytes(
   ArchiveReader ar(envelope::unseal(bytes, "experiment spec"));
   envelope::expect_header(ar, kSpecMagic, kSpecVersion, "experiment spec");
   ExperimentSpec spec;
-  spec.name = ar.get_string();
-  const auto num_w = ar.get<std::uint64_t>();
-  spec.workloads.clear();
-  for (std::uint64_t i = 0; i < num_w; ++i)
-    spec.workloads.push_back(get_workload(ar));
-  const auto num_p = ar.get<std::uint64_t>();
-  spec.policies.clear();
-  for (std::uint64_t i = 0; i < num_p; ++i)
-    spec.policies.push_back(get_policy(ar));
-  ar.get_vec(spec.seeds);
-  spec.warmup = ar.get<Cycle>();
-  spec.measure = ar.get<Cycle>();
-  spec.mode = static_cast<RunMode>(ar.get<std::uint8_t>());
-  spec.sampled.forks = ar.get<std::uint32_t>();
-  spec.sampled.fork_stride = ar.get<Cycle>();
-  spec.sampled.target_half_width = ar.get<double>();
-  spec.sampled.max_rounds = ar.get<std::uint32_t>();
-  spec.mem_model = static_cast<MemModelKind>(ar.get<std::uint8_t>());
-  spec.dram = get_dram(ar);
+  ar.walk(spec);
   if (!ar.done())
     throw std::runtime_error("experiment spec: trailing bytes (corrupt?)");
   spec.validate();

@@ -54,6 +54,11 @@ struct SampledConfig {
   std::uint32_t max_rounds = 4;
 
   bool operator==(const SampledConfig&) const = default;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(forks, fork_stride, target_half_width, max_rounds);
+  }
 };
 
 /// One self-contained simulation unit — everything a worker (thread or
@@ -70,8 +75,9 @@ struct SampledConfig {
 ///    captured snapshot in RunResult::payload (no measurement).
 struct JobSpec {
   /// Dense result-slot index within one experiment.
-  // lint: content-exempt — wire identity; the content key must be the
-  // same for identical work regardless of slot position
+  // lint: hand-coded — wire identity, written by save() ahead of the walk;
+  // the content key must be the same for identical work regardless of
+  // slot position
   std::uint32_t id = 0;
   Workload workload;
   std::vector<BenchmarkProfile> profiles;
@@ -96,7 +102,22 @@ struct JobSpec {
   /// entry the captured snapshot is published under. 0 = no warm-store
   /// identity.
   std::uint64_t parent_key = 0;
+  // lint: hand-coded — the tagged snapshot tail after the walk, which the
+  // wire form and the content form write differently
   std::shared_ptr<const std::vector<std::uint8_t>> snapshot;
+
+  /// Every field but `id` and the snapshot tail, in stream order: the
+  /// body shared by the wire form (save) and the content form
+  /// (save_content).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(workload, profiles, policy, seed, warmup, measure, fork_advance);
+    ar.flag(warm_only, "JobSpec::warm_only");
+    ar.io(parent_key);
+    ar.enum_u8(mem_model, MemModelKind::Fixed, MemModelKind::BankedDram,
+               "JobSpec::mem_model");
+    ar.io(dram);
+  }
 
   /// Serialize/deserialize for the worker job-file protocol. Attached
   /// snapshot bytes are embedded inline (the upload); a by-reference fork
@@ -117,12 +138,6 @@ struct JobSpec {
   void save_content(ArchiveWriter& ar) const;
 };
 
-// Field-wise archive forms shared by the spec, job and snapshot formats.
-void put_policy(ArchiveWriter& ar, const PolicySpec& p);
-[[nodiscard]] PolicySpec get_policy(ArchiveReader& ar);
-void put_dram(ArchiveWriter& ar, const DramConfig& d);
-[[nodiscard]] DramConfig get_dram(ArchiveReader& ar);
-
 /// Execute one job to completion (the single definition of "run a point"
 /// every backend shares — cross-backend bit-identity rests on this).
 [[nodiscard]] RunResult run_job(const JobSpec& job);
@@ -141,6 +156,17 @@ struct ExperimentSpec {
   /// dram_*). Fixed (the default) reproduces the paper's 250-cycle memory.
   MemModelKind mem_model = MemModelKind::Fixed;
   DramConfig dram{};
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(name, workloads, policies, seeds, warmup, measure);
+    ar.enum_u8(mode, RunMode::FullRun, RunMode::Sampled,
+               "ExperimentSpec::mode");
+    ar.io(sampled);
+    ar.enum_u8(mem_model, MemModelKind::Fixed, MemModelKind::BankedDram,
+               "ExperimentSpec::mem_model");
+    ar.io(dram);
+  }
 
   /// Points = seeds x workloads x policies (seed-major, policy-minor: the
   /// flat index of (s, w, p) is (s*W + w)*P + p, so a single-seed spec

@@ -65,6 +65,21 @@ struct SimMetrics {
   /// Exact equality over every field — the cross-backend / serial-parallel
   /// determinism contract ("bit-identical") made testable.
   bool operator==(const SimMetrics&) const = default;
+
+  /// Doubles travel as raw little-endian bytes, so a result that crosses
+  /// the process boundary compares bit-identical to one computed
+  /// in-process.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(cycles, committed, ipc, per_thread_ipc, flush_events,
+          flushed_instructions, branches_resolved, mispredicts,
+          l2_hit_time_mean, l2_hit_time_p50, l2_hit_time_p90,
+          l2_hits_observed, l2_misses_observed, policy_flushes_on_miss,
+          policy_flushes_on_hit, policy_flushes_on_l1, policy_stall_events,
+          policy_gate_cycles, l2_hit_time_hist, dram_row_hits,
+          dram_row_misses, dram_row_conflicts, dram_far_accesses,
+          dram_bank_busy_cycles, dram_chan_busy_cycles, energy);
+  }
 };
 
 }  // namespace mflush

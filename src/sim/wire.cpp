@@ -7,11 +7,6 @@
 namespace mflush::daemon {
 namespace {
 
-bool valid_type(std::uint8_t t) noexcept {
-  return t >= static_cast<std::uint8_t>(MsgType::kSubmit) &&
-         t <= static_cast<std::uint8_t>(MsgType::kOk);
-}
-
 Extract bad(std::string error) {
   Extract e;
   e.status = ExtractStatus::kBad;
@@ -49,41 +44,10 @@ const char* type_name(MsgType t) noexcept {
   return "?";
 }
 
-void Message::save(ArchiveWriter& ar) const {
-  ar.put(static_cast<std::uint8_t>(type));
-  ar.put_string(campaign);
-  ar.put_string(text);
-  ar.put(job_id);
-  ar.put(total);
-  ar.put(done);
-  ar.put(executed);
-  ar.put(cached);
-  ar.put(follow);
-  ar.put_vec(blob);
-}
-
-Message Message::load(ArchiveReader& ar) {
-  Message m;
-  const auto t = ar.get<std::uint8_t>();
-  if (!valid_type(t))
-    throw std::runtime_error("unknown message type " + std::to_string(t));
-  m.type = static_cast<MsgType>(t);
-  m.campaign = ar.get_string();
-  m.text = ar.get_string();
-  m.job_id = ar.get<std::uint32_t>();
-  m.total = ar.get<std::uint64_t>();
-  m.done = ar.get<std::uint64_t>();
-  m.executed = ar.get<std::uint64_t>();
-  m.cached = ar.get<std::uint64_t>();
-  m.follow = ar.get<std::uint8_t>();
-  ar.get_vec(m.blob);
-  return m;
-}
-
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
   ArchiveWriter payload;
   envelope::put_header(payload, kFrameMagic, kProtocolVersion);
-  msg.save(payload);
+  payload.io(msg);
   if (payload.bytes().size() > kMaxFrameBytes)
     throw std::runtime_error("MFLUSNET frame exceeds " +
                              std::to_string(kMaxFrameBytes) + " bytes");
@@ -98,7 +62,7 @@ Extract try_extract(std::span<const std::uint8_t> buffer) {
   try {
     ArchiveReader ar(u.payload);
     envelope::expect_header(ar, kFrameMagic, kProtocolVersion, "frame");
-    out.msg = Message::load(ar);
+    ar.io(out.msg);
     if (!ar.done()) return bad("MFLUSNET frame has trailing bytes");
   } catch (const std::exception& e) {
     return bad(std::string("MFLUSNET ") + e.what());

@@ -98,8 +98,11 @@ struct Message {
   std::uint8_t follow = 0;
   std::vector<std::uint8_t> blob;
 
-  void save(ArchiveWriter& ar) const;
-  [[nodiscard]] static Message load(ArchiveReader& ar);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.enum_u8(type, MsgType::kSubmit, MsgType::kOk, "message type");
+    ar.io(campaign, text, job_id, total, done, executed, cached, follow, blob);
+  }
 };
 
 /// Encode one complete frame (length prefix + payload + checksum).

@@ -25,6 +25,11 @@ struct Workload {
   }
   /// Human-readable benchmark list, e.g. "mcf+gzip".
   [[nodiscard]] std::string describe() const;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(name, codes);
+  }
 };
 
 namespace workloads {

@@ -54,38 +54,9 @@ SyntheticTraceSource::SyntheticTraceSource(BenchmarkProfile profile,
 }
 
 void SyntheticTraceSource::save_state(ArchiveWriter& ar) const {
-  ar.put(rng_.state());
-  ar.put(pc_);
-  ar.put(stream_cursor_);
-  ar.put(int_cursor_);
-  ar.put(fp_cursor_);
-  ar.put(int_last_);
-  ar.put(fp_last_);
-  ar.put(load_last_);
-  ar.put(cur_strand_);
-  ar.put_vec(site_pos_);
-  ar.put_vec(shadow_stack_);
-  ar.put_vec(ring_);
-  ar.put(next_seq_);
-  ar.put(retire_point_);
+  ar.walk(*this);
 }
-
-void SyntheticTraceSource::load_state(ArchiveReader& ar) {
-  rng_.set_state(ar.get<std::array<std::uint64_t, 4>>());
-  pc_ = ar.get<Addr>();
-  stream_cursor_ = ar.get<std::uint64_t>();
-  int_cursor_ = ar.get<decltype(int_cursor_)>();
-  fp_cursor_ = ar.get<decltype(fp_cursor_)>();
-  int_last_ = ar.get<decltype(int_last_)>();
-  fp_last_ = ar.get<decltype(fp_last_)>();
-  load_last_ = ar.get<decltype(load_last_)>();
-  cur_strand_ = ar.get<std::uint32_t>();
-  ar.get_vec(site_pos_);
-  ar.get_vec(shadow_stack_);
-  ar.get_vec(ring_);
-  next_seq_ = ar.get<SeqNo>();
-  retire_point_ = ar.get<SeqNo>();
-}
+void SyntheticTraceSource::load_state(ArchiveReader& ar) { ar.walk(*this); }
 
 const TraceInstr& SyntheticTraceSource::at(SeqNo seq) {
   assert(seq >= retire_point_ && "request below retire point");

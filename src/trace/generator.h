@@ -61,6 +61,12 @@ class SyntheticTraceSource final : public TraceSource {
   /// profile and address-space layout are reconstruction-time constants).
   void save_state(ArchiveWriter& ar) const;
   void load_state(ArchiveReader& ar);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(rng_, pc_, stream_cursor_, int_cursor_, fp_cursor_, int_last_,
+          fp_last_, load_last_, cur_strand_, site_pos_, shadow_stack_, ring_,
+          next_seq_, retire_point_);
+  }
 
  private:
   void generate_next();
@@ -76,16 +82,18 @@ class SyntheticTraceSource final : public TraceSource {
   [[nodiscard]] LogReg old_fp_src() noexcept;
   [[nodiscard]] std::uint32_t pick_strand() noexcept;
 
-  BenchmarkProfile profile_;
+  BenchmarkProfile profile_;  // lint: transient — ctor config
   Xoshiro256 rng_;
-  std::uint64_t site_salt_;  ///< per-source salt for branch-site hashing
+  // per-source salt for branch-site hashing
+  std::uint64_t site_salt_;  // lint: transient — ctor config
 
-  Addr code_base_;
-  Addr code_bytes_;
-  Addr hot_base_;
-  Addr l2_base_;
-  Addr mem_base_;
-  Addr stream_base_;
+  // Address-space layout, fixed by the ctor.
+  Addr code_base_;    // lint: transient — ctor layout
+  Addr code_bytes_;   // lint: transient — ctor layout
+  Addr hot_base_;     // lint: transient — ctor layout
+  Addr l2_base_;      // lint: transient — ctor layout
+  Addr mem_base_;     // lint: transient — ctor layout
+  Addr stream_base_;  // lint: transient — ctor layout
 
   Addr pc_;
   std::uint64_t stream_cursor_ = 0;
@@ -95,7 +103,7 @@ class SyntheticTraceSource final : public TraceSource {
   /// strand (reads the strand's last value, writes the strand's next reg),
   /// so the dependency graph is `strands` mostly-independent chains.
   static constexpr std::uint32_t kMaxStrands = 8;
-  std::uint32_t num_strands_ = 4;
+  std::uint32_t num_strands_ = 4;  // lint: transient — ctor config
   std::array<std::uint8_t, kMaxStrands> int_cursor_{};   ///< per-strand
   std::array<std::uint8_t, kMaxStrands> fp_cursor_{};
   std::array<LogReg, kMaxStrands> int_last_{};  ///< last dst per strand
@@ -113,7 +121,7 @@ class SyntheticTraceSource final : public TraceSource {
 
   // Ring of generated instructions.
   std::vector<TraceInstr> ring_;
-  std::uint64_t ring_mask_;
+  std::uint64_t ring_mask_;  // lint: transient — ctor geometry
   SeqNo next_seq_ = 0;
   SeqNo retire_point_ = 0;
 };

@@ -66,6 +66,14 @@ struct BenchmarkProfile {
 
   /// Sanity: clamp/normalize fractions. Returns a copy.
   [[nodiscard]] BenchmarkProfile normalized() const;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(name, code, f_load, f_store, f_branch, f_call_ret, f_fp, f_mul,
+          strands, dep_mean, p_chase, predictability, taken_bias,
+          pattern_period, hot_lines, l2_lines, mem_lines, p_l2, p_mem,
+          p_stream, stream_lines, icache_lines, mean_bb_len);
+  }
 };
 
 }  // namespace mflush

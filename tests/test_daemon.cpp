@@ -124,7 +124,7 @@ TEST(Wire, WrongProtocolVersionIsRejectedByName) {
   payload.put(daemon::kFrameMagic);
   payload.put(daemon::kProtocolVersion + 1);
   daemon::Message m;
-  m.save(payload);
+  payload.io(m);
   const daemon::Extract ex =
       daemon::try_extract(envelope::frame(payload.bytes()));
   ASSERT_EQ(ex.status, daemon::ExtractStatus::kBad);
@@ -136,7 +136,7 @@ TEST(Wire, WrongMagicAndTrailingBytesAreRejected) {
     ArchiveWriter payload;
     payload.put(~daemon::kFrameMagic);
     payload.put(daemon::kProtocolVersion);
-    daemon::Message{}.save(payload);
+    payload.io(daemon::Message{});
     const auto ex = daemon::try_extract(envelope::frame(payload.bytes()));
     EXPECT_EQ(ex.status, daemon::ExtractStatus::kBad);
   }
@@ -144,7 +144,7 @@ TEST(Wire, WrongMagicAndTrailingBytesAreRejected) {
     ArchiveWriter payload;
     payload.put(daemon::kFrameMagic);
     payload.put(daemon::kProtocolVersion);
-    daemon::Message{}.save(payload);
+    payload.io(daemon::Message{});
     payload.put(std::uint8_t{0});  // one stray byte after the message
     const auto ex = daemon::try_extract(envelope::frame(payload.bytes()));
     EXPECT_EQ(ex.status, daemon::ExtractStatus::kBad);
@@ -426,6 +426,39 @@ TEST_F(DaemonTest, RejectsAnInvalidSpecWithoutDying) {
   // The daemon survives the bad submission and still serves.
   const ExperimentSpec spec = spec_of({"2W1"}, {PolicySpec::icount()});
   EXPECT_EQ(daemon::submit(address_, spec, true).state, "finished");
+}
+
+TEST_F(DaemonTest, RejectsAnOutOfRangePolicyKindAndKeepsServing) {
+  // A checksum-valid spec whose policy kind byte no writer produces. Without
+  // --hosts the daemon runs jobs in-thread, so a spec that decoded into an
+  // unknown policy would take the whole daemon down in make_policy.
+  const ExperimentSpec spec = spec_of({"2W1"}, {PolicySpec::icount()});
+  std::vector<std::uint8_t> body = spec.to_bytes();
+  body.resize(body.size() - 8);  // drop the seal
+  ArchiveWriter before_policies;
+  before_policies.io(spec.name, spec.workloads);
+  body[12 + before_policies.bytes().size() + 8] = 0x7f;  // PolicySpec::kind
+  ArchiveWriter resealed;
+  resealed.put_bytes(body.data(), body.size());
+  envelope::seal(resealed);
+
+  start_daemon();
+  daemon::Message sub;
+  sub.type = daemon::MsgType::kSubmit;
+  sub.follow = 1;
+  sub.blob = resealed.take();
+  const daemon::Message reply = daemon::request(address_, sub);
+  EXPECT_EQ(reply.type, daemon::MsgType::kError);
+  EXPECT_NE(reply.text.find("PolicySpec::kind"), std::string::npos)
+      << reply.text;
+
+  const daemon::SubmitOutcome ok = daemon::submit(address_, spec, true);
+  ASSERT_EQ(ok.state, "finished");
+  daemon::Message status;
+  status.type = daemon::MsgType::kStatus;
+  status.campaign = ok.campaign;
+  EXPECT_EQ(daemon::request(address_, status).type,
+            daemon::MsgType::kStatusReply);
 }
 
 TEST(DaemonId, CampaignIdIsTheSpecContentHash) {

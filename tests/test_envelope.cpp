@@ -197,6 +197,9 @@ struct Format {
   std::uint32_t version = 0;
   std::vector<std::uint8_t> bytes;  ///< one valid encoding
   std::function<Outcome(std::span<const std::uint8_t>)> open;
+  /// Offsets (under the checksum) of decoded enum and bool bytes, with the
+  /// field name a decode error must carry.
+  std::vector<std::pair<std::size_t, std::string>> checked = {};
 };
 
 /// The table below, in order (test names are fixed before it is built).
@@ -244,22 +247,48 @@ Format snapshot_format() {
           }};
 }
 
+/// Stream bytes of a PolicySpec: kind, trigger, mcreg_history, mcreg_agg,
+/// preventive.
+constexpr std::size_t kPreventiveAt = 1 + 8 + 4 + 1;
+
 Format spec_format() {
+  const ExperimentSpec s = fixture_spec();
+  ArchiveWriter before_policies;
+  before_policies.io(s.name, s.workloads);
+  // header | name, workloads | policy count | first policy ...
+  const std::size_t kind = 12 + before_policies.bytes().size() + 8;
+  const std::vector<std::uint8_t> bytes = s.to_bytes();
+  // ... | mode, sampled | mem_model | dram (48 bytes) | seal
+  const std::size_t mem_model = bytes.size() - 8 - 48 - 1;
   // 2: the spec format version (private to experiment_spec.cpp).
-  return {"spec", Kind::kSealed, 0x4d464c5553504543ull, 2,
-          fixture_spec().to_bytes(), [](std::span<const std::uint8_t> b) {
+  return {"spec", Kind::kSealed, 0x4d464c5553504543ull, 2, bytes,
+          [](std::span<const std::uint8_t> b) {
             return verdict_of([&] { (void)ExperimentSpec::from_bytes(b); });
-          }};
+          },
+          {{kind, "PolicySpec::kind"},
+           {kind + kPreventiveAt, "PolicySpec::preventive"},
+           {mem_model, "ExperimentSpec::mem_model"}}};
 }
 
 Format job_file_format() {
   const std::string path = (scratch_dir("fuzz-job") / "f.mfj").string();
+  const JobSpec j = fixture_job();
+  ArchiveWriter before_policy;
+  before_policy.io(j.id, j.workload, j.profiles);
+  // header | job count | id, workload, profiles | policy | seed, warmup,
+  // measure, fork_advance | warm_only | parent_key | mem_model ...
+  const std::size_t kind = 12 + 8 + before_policy.bytes().size();
+  const std::size_t warm_only = kind + kPreventiveAt + 1 + 4 * 8;
   return {"job_file", Kind::kSealed, 0x4d464c55534a4f42ull,
           worker::kProtocolVersion, fixture_job_file(),
           [path](std::span<const std::uint8_t> b) {
             fsio::write_file_atomic(path, b);
             return verdict_of([&] { (void)worker::read_job_file(path); });
-          }};
+          },
+          {{kind, "PolicySpec::kind"},
+           {kind + kPreventiveAt, "PolicySpec::preventive"},
+           {warm_only, "JobSpec::warm_only"},
+           {warm_only + 1 + 8, "JobSpec::mem_model"}}};
 }
 
 Format result_archive_format() {
@@ -516,6 +545,20 @@ TEST_P(EnvelopeHarness, ResealedWrongMagicOrVersionFailsTheHeaderCheck) {
   }));
   EXPECT_EQ(version.verdict, Verdict::kRejected);
   EXPECT_NE(version.error.find("version"), std::string::npos) << version.error;
+}
+
+TEST_P(EnvelopeHarness, ResealedOutOfRangeEnumOrBoolIsRejectedByName) {
+  // A checksum-valid encoding can still carry a byte no writer produces;
+  // decode must name the field instead of building a value that crashes
+  // later (an unknown policy kind used to reach make_policy as nullptr).
+  const Format& f = format();
+  for (const auto& [at, field] : f.checked) {
+    SCOPED_TRACE(f.name + " " + field);
+    ASSERT_LT(f.bytes[at], 8) << "offset does not point at an enum/bool";
+    const Outcome o = f.open(edit_sealed(f, [at](auto& b) { b[at] = 0x7f; }));
+    EXPECT_EQ(o.verdict, Verdict::kRejected);
+    EXPECT_NE(o.error.find(field), std::string::npos) << o.error;
+  }
 }
 
 TEST_P(EnvelopeHarness, TrailingByteInsideTheSealIsRejected) {

@@ -387,10 +387,10 @@ TEST(Dram, SaveLoadRoundTripMidFlight) {
   a.tick(350, done);  // payload 1 retires; 2 and 3 still in flight
 
   ArchiveWriter w;
-  a.save(w);
+  a.save_state(w);
   ArchiveReader r(w.bytes());
   BankedDramMemory b(cfg);
-  b.load(r);
+  b.load_state(r);
 
   EXPECT_EQ(b.outstanding(), a.outstanding());
   EXPECT_EQ(b.next_event_cycle(), a.next_event_cycle());

@@ -158,14 +158,14 @@ TEST(IssueQueue, SaveWritesTheLiveEntriesInAgeOrder) {
   q.remove(11);
   q.insert(5);
   ArchiveWriter saved;
-  q.save(saved);
+  saved.io(q);
   ArchiveWriter plain;
   plain.put_vec(std::vector<UopHandle>{9, 7, 4, 5});
   EXPECT_EQ(saved.bytes(), plain.bytes());
 
   IssueQueue back(8);
   ArchiveReader ar(saved.bytes());
-  back.load(ar);
+  ar.io(back);
   EXPECT_EQ(back.entries(), (std::vector<UopHandle>{9, 7, 4, 5}));
   EXPECT_TRUE(back.remove(7));
   EXPECT_FALSE(back.remove(2));

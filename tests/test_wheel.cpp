@@ -251,10 +251,10 @@ TEST(WakeupWheel, SaveLoadRoundTripMidStream) {
   }
 
   ArchiveWriter w;
-  a.save(w);
+  w.io(a);
   WakeupWheel<std::uint64_t> b(16);
   ArchiveReader r(w.bytes());
-  b.load(r);
+  r.io(b);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(a.size(), b.size());
 

@@ -11,14 +11,24 @@ This gate compares two git revisions (typically the PR base and HEAD):
 
   1. parse every C++ source under src/ at both revisions (tools/lint/cpplite
      structural parser — same engine as mflush_lint);
-  2. build a per-domain *layout signature*: for every type with a
-     save/load(-like) pair, the ordered list of serialized members plus the
-     normalized bodies of its serialization methods; for every type reached
-     by raw memcpy (put/put_vec/put_deque/put_map), the full ordered member
-     layout including explicit padding;
-  3. map each type to the version domain that owns its bytes (see
-     DOMAINS below) and compare signatures;
-  4. fail if a domain's signature changed but its version constant did not.
+  2. fingerprint each artifact family from its root type (ROOTS below): the
+     root's `fields` walk, with every nested walk expanded in place (virtual
+     entries through each subclass, class templates with their arguments
+     bound, loop variables as container elements), flattens
+     to one token per serialized leaf — its member path from the root and
+     its declared type, plus the member layout of a raw (memcpy'd) record
+     (explicit `_pad*` members left out: making a hole explicit is not a
+     layout change; RawArchivable rules out implicit ones). So a nested
+     type's changes land in the
+     domain of the artifact that carries it (SimMetrics and RunResult in
+     `worker`), and a reordered walk, a changed field type or a widened
+     array all change the fingerprint;
+  3. fail if a domain's fingerprint changed but its version constant did
+     not.
+
+A base that predates the walks is read through its writers instead
+(`save`/`save_state` methods and free `put_*`/`save_*` writers), mapped onto
+the same tokens, so converting a type to a walk byte for byte is silent.
 
 Usage:
     python3 tools/lint/check_format_version.py --base origin/main
@@ -50,37 +60,322 @@ DOMAINS = {
     "worker": ("src/sim/backend.h", "kProtocolVersion"),
     "daemon": ("src/sim/wire.h", "kProtocolVersion"),
     "trace": ("src/trace/trace_io.h", "kTraceVersion"),
+    "spec": ("src/sim/experiment_spec.cpp", "kSpecVersion"),
 }
 
-# File-path ownership. First match wins; default is the snapshot stream
-# (chip state save_state/load_state chains all feed snapshot::capture).
-_PATH_DOMAINS = [
-    ("src/sim/warmstore", "warmstore"),
-    ("src/sim/campaign", "campaign"),
-    ("src/sim/backend", "worker"),
-    ("src/sim/remote", "worker"),
-    ("src/sim/wire", "daemon"),
-    ("src/sim/daemon", "daemon"),
-    ("src/trace/trace_io", "trace"),
-    # JobSpec and its value types ride the worker wire protocol; its
-    # save_content (the content-address key) is special-cased to the
-    # campaign domain in _signatures below.
-    ("src/sim/experiment_spec", "worker"),
-]
+# Domain -> the outermost serialized types of its artifacts; `Type.method`
+# fingerprints that entry method instead of the type's walk. A root the base
+# does not have yet is new, not changed. The warm entry,
+# the journal record and the trace file are hand-written codecs of scalars
+# (their bytes are pinned by the golden digests in tests/test_envelope.cpp).
+ROOTS = {
+    "snapshot": ["Header", "CmpSimulator"],
+    "campaign": ["JobSpec.save_content"],
+    "warmstore": [],
+    "worker": ["JobSpec.save", "RunResult"],
+    "daemon": ["Message"],
+    "trace": [],
+    "spec": ["ExperimentSpec"],
+}
 
-_SAVE_METHODS = ("save", "load", "save_state", "load_state", "save_content")
-
-
-def domain_of(path: str) -> str:
-    rel = path.replace("\\", "/")
-    for prefix, dom in _PATH_DOMAINS:
-        if rel.startswith(prefix):
-            return dom
-    return "snapshot"
+_OP_RE = re.compile(
+    r"\bar\s*\.\s*(io|flag|enum_u8|fixed_count|walk|put|put_vec|put_deque|"
+    r"put_map|put_string)\s*(?:<[^;()]*>)?\s*\("
+)
+_ENTRY_CALL_RE = re.compile(r"(?:\.|->)\s*(?:save|save_state)\s*\(\s*ar\s*\)")
+_HELPER_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(\s*ar\s*,")
+_RANGE_FOR_RE = re.compile(
+    r"for\s*\(\s*(?:const\s+)?(?:auto|[A-Za-z_][\w:<>, ]*?)\s*&{0,2}\s*"
+    r"(\[[^\]]*\]|[A-Za-z_]\w*)\s*:\s*([^;]+?)\s*\)\s*(?=[{\w])"
+)
+_CONTAINERS = ("vector", "deque", "array")
 
 
 def _norm(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
+
+
+def _close(text: str, open_at: int) -> int:
+    """Offset of the parenthesis closing the one at `open_at`."""
+    depth = 0
+    for i in range(open_at, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text)
+
+
+def _args(text: str) -> list[str]:
+    return [a.strip() for a, _ in cpplite._angle_paren_split(text, ",")]
+
+
+class Fingerprinter:
+    """Flattens walks (or pre-walk writers) of one tree into leaf tokens."""
+
+    def __init__(self, model: mflush_lint.TreeModel) -> None:
+        self.model = model
+        # Template parameter -> argument while a class template instance
+        # (WakeupWheel<Req>, TokenTable<Outstanding>) is being expanded.
+        self.bound: dict[str, str] = {}
+        self.subclasses: dict[str, list[cpplite.ClassInfo]] = {}
+        for ci in sorted(model.classes.values(), key=lambda c: c.qualified):
+            for b in ci.bases:
+                self.subclasses.setdefault(b, []).append(ci)
+        # Pre-walk free writers: put_x/save_x(ArchiveWriter&, ..., const T&).
+        self.free_writers: dict[str, tuple[cpplite.Method, str]] = {}
+        for name, h in sorted(model.helpers.items()):
+            if not re.match(r"(put|save)_", name) or "ArchiveWriter" not in h.params:
+                continue
+            for p in _args(h.params):
+                m = re.match(r"const\s+([A-Za-z_][\w:]*)\s*&\s*(\w+)$", p)
+                if m and model.resolve(m.group(1)) is not None:
+                    target = model.resolve(m.group(1)).qualified
+                    self.free_writers.setdefault(target, (h, m.group(2)))
+
+    # --- types --------------------------------------------------------------
+
+    def _sub(self, type_text: str) -> str:
+        for param, arg in self.bound.items():
+            type_text = re.sub(rf"\b{param}\b", arg, type_text)
+        return type_text
+
+    def _instance(self, cls, type_text: str, scope) -> dict[str, str]:
+        """Bindings of cls's template parameters in `type_text`."""
+        out = {}
+        for param, arg in zip(cls.tparams, cpplite.template_args(type_text)):
+            c = None if "<" in arg else self.model.resolve(arg, scope)
+            out[param] = c.qualified if c is not None else arg
+        return out
+
+    def class_of(self, type_text: str, scope: cpplite.ClassInfo | None):
+        t = self._pointee(type_text)
+        if cpplite.base_name(t) in _CONTAINERS + ("unordered_map", "pair",
+                                                  "shared_ptr", "basic_string"):
+            return None
+        qualified = re.sub(r"\bconst\b|[&*]|<.*$", "", t, flags=re.S).strip()
+        return self.model.classes.get(qualified) or self.model.resolve(
+            cpplite.base_name(t), scope
+        )
+
+    @staticmethod
+    def _pointee(type_text: str) -> str:
+        t = type_text.strip()
+        if cpplite.base_name(t) == "unique_ptr":
+            return cpplite.template_args(t)[0]
+        return t
+
+    def writer(self, ci: cpplite.ClassInfo):
+        """(body, object-parameter name) of the type's walk or writer."""
+        methods = self.model.methods_of(ci)
+        for name in ("fields", "save_state", "save"):
+            if name in methods:
+                return methods[name].body, None
+        if ci.qualified in self.free_writers:
+            method, obj = self.free_writers[ci.qualified]
+            return method.body, obj
+        return None
+
+    def serialized_by_walk(self, ci: cpplite.ClassInfo) -> bool:
+        return self.writer(ci) is not None or ci.name in self.subclasses
+
+    def is_raw(self, type_text: str, scope) -> bool:
+        t = self._pointee(type_text)
+        if cpplite.base_name(t) in _CONTAINERS + ("unordered_map", "pair"):
+            return all(
+                re.fullmatch(r"\d+", a) or self.is_raw(a, scope)
+                for a in cpplite.template_args(t)
+            )
+        ci = self.class_of(t, scope)
+        return ci is None or not self.serialized_by_walk(ci)
+
+    def resolve_path(self, ci, path: str):
+        """(declared type, owning class) of a member path relative to ci."""
+        cur_type, owner = ci.qualified, ci
+        for seg in path.split("."):
+            name = seg.rstrip("[]")
+            if name in ("first", "second") and cpplite.base_name(cur_type) == "pair":
+                cur_type = cpplite.template_args(cur_type)[name == "second"]
+            else:
+                holder = self.class_of(cur_type, owner)
+                if holder is None:
+                    return None, owner
+                member = next((m for m in holder.members if m.name == name), None)
+                if member is None:
+                    return None, owner
+                cur_type, owner = self._sub(member.type), holder
+            for _ in range(seg.count("[]")):
+                args = cpplite.template_args(self._pointee(cur_type))
+                cur_type = args[0] if args else cur_type
+        return cur_type, owner
+
+    def layout(self, ci: cpplite.ClassInfo, depth: int = 4) -> str:
+        parts = []
+        for m in ci.members:
+            if m.is_static or m.name.startswith("_pad"):
+                continue
+            mtype = self._sub(m.type)
+            sub = self.class_of(mtype, ci) if depth else None
+            nested = self.layout(sub, depth - 1) if sub is not None else ""
+            parts.append(f"{m.name}:{_norm(mtype)}{nested}")
+        return "{" + ";".join(parts) + "}"
+
+    # --- bodies -------------------------------------------------------------
+
+    def expand_type(self, ci, prefix: str, depth: int) -> list[str]:
+        if depth <= 0:
+            return [f"{prefix}<depth>"]
+        out: list[str] = []
+        w = self.writer(ci)
+        if w is not None:
+            body, obj = w
+            out += self.expand_body(ci, body, {obj: ""} if obj else {}, prefix, depth)
+        for sub in self.subclasses.get(ci.name, []):
+            out += self.expand_type(sub, f"{prefix}<{sub.name}>.", depth - 1)
+        return out
+
+    def norm_path(self, expr: str, ci, binds: dict) -> str | None:
+        """An argument expression as a member path relative to ci."""
+        e = expr.strip()
+        m = re.fullmatch(r"static_cast\s*<[^>]*>\s*\((.*)\)", e, re.S)
+        if m:
+            e = m.group(1)
+        e = re.split(r"[?]|[!=]=", e)[0].strip().lstrip("*&").strip()
+        e = re.sub(r"\bthis\s*->\s*", "", e)
+        if e in ("this", ""):
+            return ""
+        segs = []
+        for i, seg in enumerate(re.split(r"\s*(?:\.|->)\s*", e)):
+            sm = re.fullmatch(r"([A-Za-z_]\w*)((?:\s*\[[^\]]*\])*)\s*(\(\s*\))?", seg)
+            if sm is None:
+                return None
+            if sm.group(3):  # a call: .size() is the count, others accessors
+                if i == 0:
+                    return None
+                continue
+            name = sm.group(1) + "[]" * sm.group(2).count("[")
+            if i == 0 and sm.group(1) in binds:
+                if binds[sm.group(1)] is None:
+                    return None
+                name = binds[sm.group(1)] + "[]" * sm.group(2).count("[")
+            elif i == 0 and not any(mm.name == sm.group(1) for mm in ci.members):
+                return None
+            segs.append(name)
+        return ".".join(s for s in segs if s)
+
+    def dispatch(self, ci, path: str, prefix: str, depth: int, expand):
+        """Tokens of one serialized value. expand: True for io (walks and
+        containers unfold), False for a raw put, None for a count prefix."""
+        type_text, owner = self.resolve_path(ci, path) if path else (ci.qualified, ci)
+        if type_text is None:
+            return [f"{prefix}{path}:?"]
+        t = self._pointee(type_text)
+        base = cpplite.base_name(t)
+        if expand and base in _CONTAINERS + ("pair",) and not self.is_raw(t, owner):
+            if base == "pair":
+                return self.dispatch(ci, path + ".first", prefix, depth, True) + \
+                    self.dispatch(ci, path + ".second", prefix, depth, True)
+            head = [] if base == "array" else [f"{prefix}{path}:{_norm(type_text)}"]
+            return head + self.dispatch(ci, path + "[]", prefix, depth, True)
+        cls = self.class_of(t, owner)
+        if expand and cls is not None and self.serialized_by_walk(cls):
+            outer = self.bound
+            self.bound = {**outer, **self._instance(cls, t, owner)}
+            try:
+                return self.expand_type(
+                    cls, f"{prefix}{path}." if path else prefix, depth - 1
+                )
+            finally:
+                self.bound = outer
+        layout = "".join(
+            self.layout(c)
+            for c in (
+                self.model.resolve(n, owner)
+                for n in cpplite.element_class_names(t, self.model.enums)
+            )
+            if expand is not None and c is not None
+            and not self.serialized_by_walk(c)
+        )
+        return [f"{prefix}{path}:{_norm(type_text)}{layout}"]
+
+    def expand_body(self, ci, body: str, binds: dict, prefix: str, depth: int):
+        # on_load hooks rebuild derived state: nothing they touch is written.
+        for m in reversed(list(re.finditer(r"\bar\s*\.\s*on_load\s*\(", body))):
+            body = body[: m.start()] + body[_close(body, m.end() - 1) + 1 :]
+        # Range-for variables name container elements from their loop on.
+        loops: list[tuple[int, dict]] = []
+        scope = dict(binds)
+        for m in _RANGE_FOR_RE.finditer(body):
+            rng = self.norm_path(m.group(2), ci, scope)
+            elem = None if rng is None else rng + "[]"
+            var = m.group(1)
+            if var.startswith("["):
+                a, b = (v.strip() for v in var.strip("[]").split(","))
+                scope[a] = None if elem is None else elem + ".first"
+                scope[b] = None if elem is None else elem + ".second"
+            else:
+                scope[var] = elem
+            loops.append((m.start(), dict(scope)))
+
+        def binds_at(pos: int, outer: dict = binds) -> dict:
+            return next((b for at, b in reversed(loops) if at < pos), outer)
+
+        events = []
+        for m in _OP_RE.finditer(body):
+            events.append((m.start(), "op", m))
+        for m in _ENTRY_CALL_RE.finditer(body):
+            events.append((m.start(), "entry", m))
+        for m in _HELPER_CALL_RE.finditer(body):
+            if m.group(1) in self.model.helpers:
+                events.append((m.start(), "helper", m))
+        out: list[str] = []
+        for pos, kind, m in sorted(events, key=lambda e: e[0]):
+            local = binds_at(pos)
+            if kind == "op":
+                op = m.group(1)
+                args = _args(body[m.end() : _close(body, m.end() - 1)])
+                if op != "io":
+                    args = args[:1]
+                for a in args:
+                    if op == "walk":
+                        out += self.expand_type(ci, prefix, depth - 1)
+                        continue
+                    path = self.norm_path(a, ci, local)
+                    if path is not None:
+                        # x.size(): a count prefix, the elements follow
+                        count = re.search(r"\.\s*size\s*\(\s*\)$", a)
+                        mode = None if count else op == "io"
+                        out += self.dispatch(ci, path, prefix, depth, mode)
+            elif kind == "entry":
+                recv = re.search(r"[\w\.\[\]\s>*-]*$", body[: m.start()]).group(0)
+                path = self.norm_path(recv.replace("->", "."), ci, local)
+                if path is not None:
+                    out += self.dispatch(ci, path, prefix, depth, True)
+            else:
+                helper = self.model.helpers[m.group(1)]
+                args = _args(body[m.end() : _close(body, body.index("(", m.start()))])
+                names = [
+                    re.search(r"(\w+)\s*$", p).group(1)
+                    for p in _args(helper.params)
+                    if "Archive" not in p and re.search(r"\w", p)
+                ]
+                inner = {n: self.norm_path(a, ci, local) for n, a in zip(names, args)}
+                out += self.expand_body(ci, helper.body, inner, prefix, depth - 1)
+        return [t for i, t in enumerate(out) if i == 0 or out[i - 1] != t]
+
+    def root(self, name: str) -> str | None:
+        type_name, _, method = name.partition(".")
+        ci = self.model.resolve(type_name)
+        if ci is None:
+            return None
+        if method:
+            m = self.model.methods_of(ci).get(method)
+            if m is None:
+                return None
+            return "\n".join(self.expand_body(ci, m.body, {}, "", 12))
+        return "\n".join(self.expand_type(ci, "", 12))
 
 
 def _git(root: str, *args: str) -> str:
@@ -109,53 +404,17 @@ def _tree_at(root: str, rev: str | None) -> mflush_lint.TreeModel:
     return model
 
 
-def _signatures(model: mflush_lint.TreeModel) -> dict[str, dict[str, str]]:
-    """domain -> {qualified type name -> layout signature}."""
-    sigs: dict[str, dict[str, str]] = {d: {} for d in DOMAINS}
-
-    def put(dom: str, key: str, sig: str) -> None:
-        sigs[dom][key] = sigs[dom].get(key, "") + sig
-
-    # Types with explicit serialization methods: serialized member list
-    # (transient members are not in the stream) + normalized method bodies
-    # with delegated helpers expanded.
-    for ci in model.classes.values():
-        methods = model.methods_of(ci)
-        save_ish = {n: m for n, m in methods.items() if n in _SAVE_METHODS}
-        if not save_ish:
-            continue
-        dom = domain_of(ci.file)
-        members = ";".join(
-            f"{m.name}:{_norm(m.type)}"
-            for m in mflush_lint._checked_members(ci)
-        )
-        for name in sorted(save_ish):
-            body = _norm(
-                mflush_lint._expand_helpers(save_ish[name].body, model.helpers)
-            )
-            # The content key deliberately omits wire identity and is
-            # consumed by the campaign result cache, not the worker wire.
-            mdom = "campaign" if name == "save_content" else dom
-            put(mdom, ci.qualified, f"[{name}]{body}")
-        put(dom, ci.qualified, f"[members]{members}")
-    for pair in model.free_pairs.values():
-        ci = model.resolve(pair.target_type)
-        dom = domain_of(ci.file) if ci else "snapshot"
-        for method in (pair.save, pair.load):
-            if method is None:
-                continue
-            body = _norm(mflush_lint._expand_helpers(method.body, model.helpers))
-            put(dom, f"free:{pair.suffix}", f"[{method.name}]{body}")
-
-    # Raw-memcpy'd types: every byte of the object lands in the stream, so
-    # the signature is the full ordered member layout, padding included.
-    for qname in mflush_lint.collect_memcpy_types(model):
-        ci = model.classes.get(qname)
-        if ci is None:
-            continue
-        layout = ";".join(f"{m.name}:{_norm(m.type)}" for m in ci.members)
-        put(domain_of(ci.file), qname, f"[memcpy]{layout}")
-    return sigs
+def fingerprints(model: mflush_lint.TreeModel) -> dict[str, dict[str, str]]:
+    """domain -> {root -> flattened token string}."""
+    fp = Fingerprinter(model)
+    out: dict[str, dict[str, str]] = {}
+    for dom, roots in ROOTS.items():
+        out[dom] = {}
+        for name in roots:
+            sig = fp.root(name)
+            if sig:  # an empty fingerprint: not serialized in this tree
+                out[dom][name] = sig
+    return out
 
 
 def _version_at(root: str, rev: str | None, dom: str) -> int | None:
@@ -188,19 +447,17 @@ def main(argv: list[str]) -> int:
               f"{e.stderr.strip()}", file=sys.stderr)
         return 2
     head_model = _tree_at(root, args.head)
-    base_sigs = _signatures(base_model)
-    head_sigs = _signatures(head_model)
+    base_sigs = fingerprints(base_model)
+    head_sigs = fingerprints(head_model)
 
     failures = 0
     for dom in DOMAINS:
         old, new = base_sigs[dom], head_sigs[dom]
-        if old == new:
+        changed = sorted(k for k in old if old[k] != new.get(k))
+        if not changed:
             continue
         v_old = _version_at(root, args.base, dom)
         v_new = _version_at(root, args.head, dom)
-        changed = sorted(
-            k for k in old.keys() | new.keys() if old.get(k) != new.get(k)
-        )
         if v_old is None:
             continue  # domain born in this change; its version is fresh
         if v_old == v_new:
@@ -208,7 +465,7 @@ def main(argv: list[str]) -> int:
             print(
                 f"check_format_version: serialized layout of domain "
                 f"'{dom}' changed but {header}:{const} is still {v_new}.\n"
-                f"  changed types: {', '.join(changed)}\n"
+                f"  changed roots: {', '.join(changed)}\n"
                 f"  Bump {const} (old artifacts must be rejected, not "
                 f"misread) or revert the layout change."
             )
@@ -217,7 +474,7 @@ def main(argv: list[str]) -> int:
             print(
                 f"check_format_version: domain '{dom}' layout changed, "
                 f"version bumped {v_old} -> {v_new} "
-                f"({len(changed)} type(s)) — ok"
+                f"({len(changed)} root(s)) — ok"
             )
     if failures == 0:
         print("check_format_version: all serialized-layout domains clean")

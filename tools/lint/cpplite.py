@@ -1,17 +1,15 @@
-"""Lightweight structural C++ parser for mflush-lint.
+"""Lightweight structural C++ parser for mflush-lint and the format gate.
 
 This is NOT a general C++ front-end. It is a deliberately small structural
 parser that understands exactly as much C++ as the mflush codebase uses:
-namespaces, class/struct definitions, data-member declarations, and the
-bodies of serialization functions (`save_state`/`load_state`, `save`/`load`,
-`save_content`, and free `save_xxx`/`load_xxx` helper pairs taking an
-ArchiveWriter/ArchiveReader). The preferred engines named in the lint design
-(libclang Python bindings, `clang -Xclang -ast-dump=json`) are not available
-in the build image (no clang front-end is installed and dependencies must
-not be added), so this module is the production engine; layout questions
-that genuinely need a compiler (padding holes) are answered by compiling a
-generated probe TU with the project's own C++ compiler (layout_probe.py)
-rather than by guessing at ABI rules here.
+namespaces, class/struct definitions (with their base classes), data-member
+declarations, and the bodies of serialization functions — each type's
+`fields` walk, the `save`/`load`, `save_state`/`load_state` and
+`save_content` entries, and free functions taking an ArchiveWriter or
+ArchiveReader (including the `put_*`/`save_*` writers of trees that predate
+the walks, which the format gate still reads as a base). No clang front-end
+is available to the tools, so this module is the engine; layout questions
+are the compiler's own (common/archive.h rejects padded raw records).
 
 The parser is intentionally conservative: clang-format keeps the tree in a
 narrow stylistic corridor, and the lint self-tests (selftest.py) pin the
@@ -56,7 +54,8 @@ def strip_comments(text: str) -> str:
                 out[j] = out[j + 1] = " "
                 j += 2
             i = j
-        elif c == '"' or c == "'":
+        elif c == '"' or (c == "'" and not (i and text[i - 1].isalnum())):
+            # (a quote after a digit is a separator, 0x0040'0000)
             quote = c
             out[i] = " "
             j = i + 1
@@ -156,20 +155,9 @@ class ClassInfo:
     line: int
     members: list[Member]
     methods: dict[str, Method]
-    is_template: bool
-    access_of: dict[str, str]  # member name -> "public" | "private" | ...
-    annotations: str = ""  # comment text attached to the class head
     qualified: str = ""  # enclosing-class-qualified name, e.g. "L2Cache::Bank"
-    access: str = "public"  # access level of the type itself when nested
-    namespace: str = ""  # enclosing namespace, e.g. "mflush" (may be nested)
-
-
-@dataclasses.dataclass
-class FreePair:
-    suffix: str  # the xxx of save_xxx/load_xxx
-    target_type: str
-    save: Optional[Method] = None
-    load: Optional[Method] = None
+    bases: list[str] = dataclasses.field(default_factory=list)
+    tparams: list[str] = dataclasses.field(default_factory=list)  # template
 
 
 @dataclasses.dataclass
@@ -180,24 +168,19 @@ class FileModel:
     classes: list[ClassInfo]
     # out-of-class method bodies: (class name, method name) -> Method
     external_methods: dict[tuple[str, str], Method]
-    free_pairs: dict[str, FreePair]
     enums: set[str]
-    # other free functions taking an ArchiveWriter/Reader, by name —
-    # serialization helpers a save/load body may delegate to
-    # (`put_job_fields(ar, *this)`)
+    # free functions taking an ArchiveWriter/Reader, by name — helpers a
+    # serialization body may delegate to (`put_job_fields(ar, *this)`)
     helpers: dict[str, Method] = dataclasses.field(default_factory=dict)
 
 
 _CLASS_RE = re.compile(
     r"\b(class|struct)\s+(?:alignas\s*\([^)]*\)\s*)?(?:\[\[[^\]]*\]\]\s*)?"
-    r"([A-Za-z_]\w*)\s*(?:final\s*)?(?::[^;{]*)?$"
+    r"([A-Za-z_]\w*)\s*(?:final\s*)?(?::([^;{]*))?$"
 )
-_METHOD_RE = re.compile(r"\b(save_state|load_state|save_content|save|load)\s*\($")
-_EXTERNAL_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*::\s*(save_state|load_state|save_content|save|load)"
-    r"\s*\("
-)
-_FREE_RE = re.compile(r"\b(save|load)_([A-Za-z_]\w*)\s*\(")
+_SERIAL = r"(fields|save_state|load_state|save_content|save|load)"
+_METHOD_RE = re.compile(rf"\b{_SERIAL}\s*\($")
+_EXTERNAL_RE = re.compile(rf"\b([A-Za-z_]\w*)\s*::\s*{_SERIAL}\s*\(")
 _ENUM_RE = re.compile(r"\benum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)")
 
 _SKIP_KEYWORDS = (
@@ -229,6 +212,8 @@ def _angle_paren_split(text: str, seps: str) -> list[tuple[str, int]]:
     depth_a = depth_p = depth_b = 0
     start = 0
     for i, c in enumerate(text):
+        if c == "<" and "<" in (text[i - 1 : i], text[i + 1 : i + 2]):
+            continue  # a shift, 1 << 18
         if c == "<":
             depth_a += 1
         elif c == ">":
@@ -340,43 +325,21 @@ def _parse_member(seg: str, line: int, raw_lines: list[str]) -> Optional[Member]
     )
 
 
-def _class_annotations(clean_header_start: int, text: str) -> str:
-    """Comment lines immediately above a class head."""
-    raw_lines = text.splitlines()
-    li = line_of(text, clean_header_start) - 1
-    # The header may start right after the previous '}' or ';' on an
-    # earlier line; find the first non-blank line of the header itself.
-    while li < len(raw_lines) and not raw_lines[li].strip():
-        li += 1
-    notes: list[str] = []
-    k = li - 1
-    while k >= 0 and raw_lines[k].lstrip().startswith(("//", "///")):
-        notes.insert(0, raw_lines[k])
-        k -= 1
-    return "\n".join(notes)
-
-
 def _walk(
     block: Block,
     clean: str,
-    text: str,
     raw_lines: list[str],
     model: FileModel,
     scope: tuple[str, ...] = (),
-    nested_access: str = "public",
-    ns: tuple[str, ...] = (),
 ) -> None:
     header = block.header.strip()
     # Namespaces / extern "C" / plain scopes: recurse. The header text spans
     # everything since the previous block, so match the intro at its END
-    # (an anonymous namespace or extern block simply keeps the current ns
-    # via the generic fall-through at the bottom).
-    nm = re.search(r"\bnamespace\s+([A-Za-z_][\w:]*)\s*$", header)
-    if nm:
-        inner_ns = ns + tuple(nm.group(1).split("::"))
+    # (an anonymous namespace or extern block falls through to the generic
+    # recursion at the bottom).
+    if re.search(r"\bnamespace\s+[A-Za-z_][\w:]*\s*$", header):
         for child in block.children:
-            _walk(child, clean, text, raw_lines, model, scope, "public",
-                  inner_ns)
+            _walk(child, clean, raw_lines, model, scope)
         return
 
     for em in _ENUM_RE.finditer(header):
@@ -386,8 +349,8 @@ def _walk(
 
     cm = _CLASS_RE.search(header)
     if cm and not _top_level_has_paren(header.split(":")[0]):
-        is_template = "template" in header
         inner_scope = scope + (cm.group(2),)
+        tm = re.search(r"template\s*<([^{;]*)>\s*(?:class|struct)\b", header)
         info = ClassInfo(
             name=cm.group(2),
             kind=cm.group(1),
@@ -395,108 +358,62 @@ def _walk(
             line=line_of(clean, block.open_off),
             members=[],
             methods={},
-            is_template=is_template,
-            access_of={},
-            annotations=_class_annotations(block.header_start, text),
             qualified="::".join(inner_scope),
-            access=nested_access,
-            namespace="::".join(ns),
+            tparams=re.findall(r"(?:typename|class)\s+(\w+)", tm.group(1))
+            if tm
+            else [],
+            bases=[
+                base_name(re.sub(r"\b(public|protected|private|virtual)\b", "", b))
+                for b in (cm.group(3) or "").split(",")
+                if b.strip()
+            ],
         )
-        masked = _mask_children(block, clean)
         base = block.open_off + 1
-        default_access = "private" if cm.group(1) == "class" else "public"
-        # Track access specifiers by scanning the masked body.
-        access_marks = [
-            (m.start(), m.group(1))
-            for m in re.finditer(r"\b(public|private|protected)\s*:", masked)
-        ]
-
-        def access_at(off: int) -> str:
-            acc = default_access
-            for pos, a in access_marks:
-                if pos <= off:
-                    acc = a
-            return acc
-
-        for seg, off in _angle_paren_split(masked, ";}"):
-            member = _parse_member(seg, line_of(clean, base + off + _lead_ws(seg)), raw_lines)
+        for seg, off in _angle_paren_split(_mask_children(block, clean), ";}"):
+            member = _parse_member(
+                seg, line_of(clean, base + off + _lead_ws(seg)), raw_lines
+            )
             if member:
                 info.members.append(member)
-                # Evaluate at the segment end: an access label glued to the
-                # front of this very segment must count for this member.
-                info.access_of[member.name] = access_at(off + len(seg))
-        # Methods defined inline in the class.
+        # Methods defined inline in the class; nested types recurse.
         for child in block.children:
-            mh = child.header.strip()
-            mm = _METHOD_RE.search(_header_through_paren(mh))
+            mm = _METHOD_RE.search(_header_through_paren(child.header.strip()))
             if mm:
-                info.methods[mm.group(1)] = Method(
-                    name=mm.group(1),
-                    params=_params_of(clean, child),
-                    body=child.body(clean),
-                    line=line_of(clean, child.open_off),
-                )
+                info.methods[mm.group(1)] = _method(mm.group(1), clean, child)
             else:
-                # Evaluate access at the child's '{': an access specifier
-                # directly before a nested type ("private:\n struct Node {")
-                # lies inside the child's header span, after header_start.
-                _walk(
-                    child, clean, text, raw_lines, model, inner_scope,
-                    access_at(child.open_off - base), ns,
-                )
+                _walk(child, clean, raw_lines, model, inner_scope)
         model.classes.append(info)
         return
 
     # Out-of-class method definition: `void X::save_state(...) { ... }`.
     em = _EXTERNAL_RE.search(header)
     if em:
-        model.external_methods[(em.group(1), em.group(2))] = Method(
-            name=em.group(2),
-            params=_params_of(clean, block),
-            body=block.body(clean),
-            line=line_of(clean, block.open_off),
+        model.external_methods[(em.group(1), em.group(2))] = _method(
+            em.group(2), clean, block
         )
         return
 
-    # Free save_xxx/load_xxx helper pair.
-    fm = _FREE_RE.search(_header_through_paren(header))
-    if fm and ("ArchiveWriter" in header or "ArchiveReader" in header):
-        params = _params_of(clean, block)
-        target = _free_pair_target(params)
-        if target:
-            pair = model.free_pairs.setdefault(
-                fm.group(2), FreePair(fm.group(2), target)
-            )
-            method = Method(
-                name=f"{fm.group(1)}_{fm.group(2)}",
-                params=params,
-                body=block.body(clean),
-                line=line_of(clean, block.open_off),
-            )
-            if fm.group(1) == "save":
-                pair.save = method
-            else:
-                pair.load = method
-            return
-
     # Any other function over an Archive stream is a serialization helper a
-    # save/load body may delegate to; record it for call expansion.
+    # body may delegate to; record it for call expansion.
     if "ArchiveWriter" in header or "ArchiveReader" in header:
         hm = re.search(r"([A-Za-z_]\w*)\s*\($", _header_through_paren(header))
         if hm and hm.group(1) not in _SKIP_KEYWORDS:
             model.helpers.setdefault(
-                hm.group(1),
-                Method(
-                    name=hm.group(1),
-                    params=_params_of(clean, block),
-                    body=block.body(clean),
-                    line=line_of(clean, block.open_off),
-                ),
+                hm.group(1), _method(hm.group(1), clean, block)
             )
             return
 
     for child in block.children:
-        _walk(child, clean, text, raw_lines, model, scope, "public", ns)
+        _walk(child, clean, raw_lines, model, scope)
+
+
+def _method(name: str, clean: str, block: Block) -> Method:
+    return Method(
+        name=name,
+        params=_params_of(clean, block),
+        body=block.body(clean),
+        line=line_of(clean, block.open_off),
+    )
 
 
 def _lead_ws(seg: str) -> int:
@@ -525,18 +442,6 @@ def _params_of(clean: str, block: Block) -> str:
     return header[i + 1 :]
 
 
-def _free_pair_target(params: str) -> Optional[str]:
-    """The T of `(ArchiveWriter& ar, const T& v)` / `(ArchiveReader&, T&)`."""
-    for p in params.split(","):
-        p = p.strip()
-        if "ArchiveWriter" in p or "ArchiveReader" in p:
-            continue
-        m = re.match(r"(?:const\s+)?([A-Za-z_][\w:]*)\s*&", p)
-        if m:
-            return m.group(1).split("::")[-1]
-    return None
-
-
 def parse_file(path: str, text: Optional[str] = None) -> FileModel:
     if text is None:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -548,12 +453,11 @@ def parse_file(path: str, text: Optional[str] = None) -> FileModel:
         clean=clean,
         classes=[],
         external_methods={},
-        free_pairs={},
         enums=set(),
     )
     raw_lines = text.splitlines()
     for block in parse_blocks(clean):
-        _walk(block, clean, text, raw_lines, model)
+        _walk(block, clean, raw_lines, model)
     return model
 
 

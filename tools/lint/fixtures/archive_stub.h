@@ -1,50 +1,26 @@
 // Minimal stand-in for common/archive.h so the lint fixtures are
 // self-contained: the structural parser keys on the ArchiveWriter /
-// ArchiveReader *names* and the put/get call shapes, and the layout probe
-// only needs the fixture headers to compile.
+// ArchiveReader names and on the walk ops, never on their bodies.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <vector>
 
 namespace fixture {
 
 class ArchiveWriter {
  public:
-  template <typename T>
-  void put(const T& v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
-  }
-  template <typename T>
-  void put_vec(const std::vector<T>& v) {
-    put(static_cast<std::uint64_t>(v.size()));
-    for (const T& x : v) put(x);
-  }
-
- private:
-  std::vector<std::uint8_t> bytes_;
+  template <class... T>
+  void io(const T&... v);
+  template <class T>
+  void put(const T& v);
 };
 
 class ArchiveReader {
  public:
-  template <typename T>
-  T get() {
-    T v{};
-    std::memcpy(&v, bytes_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  template <typename T>
-  void get_vec(std::vector<T>& v) {
-    v.resize(static_cast<std::size_t>(get<std::uint64_t>()));
-    for (T& x : v) x = get<T>();
-  }
-
- private:
-  const std::uint8_t* bytes_ = nullptr;
-  std::size_t pos_ = 0;
+  template <class... T>
+  void io(T&... v);
+  template <class T>
+  T get();
 };
 
 }  // namespace fixture

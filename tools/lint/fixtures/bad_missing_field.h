@@ -1,6 +1,5 @@
-// Fixture: `dropped_` is serialized in neither save() nor load() and is not
-// annotated transient. Expected findings: 2 (missing from save, missing
-// from load).
+// Fixture: `dropped_` is missing from the fields() walk and is not
+// annotated transient. Expected findings: 1.
 #pragma once
 
 #include <cstdint>
@@ -11,8 +10,10 @@ namespace fixture {
 
 class MissingField {
  public:
-  void save(ArchiveWriter& ar) const { ar.put(kept_); }
-  void load(ArchiveReader& ar) { kept_ = ar.get<std::uint64_t>(); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(kept_);
+  }
 
  private:
   std::uint64_t kept_ = 0;

@@ -1,6 +1,7 @@
 // Fixture: save() writes a_ then b_; load() reads b_ then a_. The archive
-// has no framing, so this silently swaps the two values on restore.
-// Expected findings: 1 (order mismatch).
+// has no framing, so this silently swaps the two values on restore — the
+// drift a field list written twice invites. Expected findings: 1 (twins
+// instead of one fields() walk).
 #pragma once
 
 #include <cstdint>

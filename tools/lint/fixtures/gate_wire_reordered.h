@@ -3,6 +3,7 @@
 // exists to catch (old peers would misread every frame).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace mflush::daemon {
@@ -12,15 +13,18 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 struct Message {
   std::uint32_t a = 0;
   std::uint64_t b = 0;
+  std::array<std::uint32_t, 2> c{};
 
   void save(ArchiveWriter& ar) const {
     ar.put(b);
     ar.put(a);
+    ar.put(c);
   }
   static Message load(ArchiveReader& ar) {
     Message m;
     m.b = ar.get<std::uint64_t>();
     m.a = ar.get<std::uint32_t>();
+    m.c = ar.get<std::array<std::uint32_t, 2>>();
     return m;
   }
 };

@@ -5,6 +5,7 @@
 // check_format_version.py fails or passes accordingly.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace mflush::daemon {
@@ -14,15 +15,18 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 struct Message {
   std::uint32_t a = 0;
   std::uint64_t b = 0;
+  std::array<std::uint32_t, 2> c{};
 
   void save(ArchiveWriter& ar) const {
     ar.put(a);
     ar.put(b);
+    ar.put(c);
   }
   static Message load(ArchiveReader& ar) {
     Message m;
     m.a = ar.get<std::uint32_t>();
     m.b = ar.get<std::uint64_t>();
+    m.c = ar.get<std::array<std::uint32_t, 2>>();
     return m;
   }
 };

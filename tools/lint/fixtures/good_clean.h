@@ -17,13 +17,9 @@ struct Rec {
 
 class Good {
  public:
-  void save(ArchiveWriter& ar) const {
-    ar.put_vec(recs_);
-    ar.put(total_);
-  }
-  void load(ArchiveReader& ar) {
-    ar.get_vec(recs_);
-    total_ = ar.get<std::uint64_t>();
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(recs_, total_);
   }
 
  private:
