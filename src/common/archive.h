@@ -54,7 +54,8 @@
 /// put/get primitives remain for the few hand-written codecs (envelope
 /// framing, the journal record, the warm entry, JobSpec's snapshot tail).
 /// Nothing here allocates on the read path beyond the containers being
-/// filled, and every length prefix is checked against the bytes left.
+/// filled, and every length prefix is checked against the bytes left;
+/// containers of non-raw elements grow one decoded element at a time.
 namespace mflush {
 
 /// FNV-1a over a byte span — the checksum common/envelope seals and frames
@@ -260,9 +261,11 @@ class ArchiveReader {
     if constexpr (RawArchivable<T>) {
       get_vec(v);
     } else {
+      // One element at a time: a forged count bounded only by the bytes
+      // left must fail at the first short element, not pre-size the vector.
+      const auto n = checked_size(get<std::uint64_t>(), min_size<T>());
       v.clear();
-      v.resize(checked_size(get<std::uint64_t>(), min_size<T>()));
-      for (T& e : v) one(e);
+      for (std::size_t i = 0; i < n; ++i) one(v.emplace_back());
     }
   }
   template <class T>
@@ -276,7 +279,7 @@ class ArchiveReader {
     const auto n =
         checked_size(get<std::uint64_t>(), min_size<K>() + min_size<V>());
     m.clear();
-    m.reserve(n);
+    if constexpr (RawArchivable<K> && RawArchivable<V>) m.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       K k{};
       V v{};

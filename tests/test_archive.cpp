@@ -3,6 +3,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/archive.h"
 #include "mem/hierarchy.h"
@@ -54,6 +57,30 @@ TEST(RawArchivable, PaddedRecordsAndDoubleHoldingStructsAreRejected) {
   EXPECT_FALSE(RawArchivable<Holey>);
   EXPECT_FALSE(RawArchivable<HoldsDouble>);
   EXPECT_TRUE(RawArchivable<ExplicitlyPadded>);
+}
+
+/// A non-raw element that counts its constructions.
+struct Counted {
+  static inline std::size_t constructed = 0;
+  std::string s;
+  Counted() { ++constructed; }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.io(s);
+  }
+};
+
+TEST(ArchiveReader, ForgedCountGrowsNoFurtherThanTheFirstShortElement) {
+  // A count of non-raw elements is bounded only by the bytes left; decode
+  // must not default-construct that many elements before reading one.
+  ArchiveWriter w;
+  w.put<std::uint64_t>(4096);
+  for (int i = 0; i < 4096; ++i) w.put<std::uint8_t>(0xff);
+  std::vector<Counted> v;
+  Counted::constructed = 0;
+  ArchiveReader r(w.bytes());
+  EXPECT_THROW(r.io(v), std::runtime_error);
+  EXPECT_LE(Counted::constructed, 1u);
 }
 
 }  // namespace

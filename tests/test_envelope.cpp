@@ -561,6 +561,26 @@ TEST_P(EnvelopeHarness, ResealedOutOfRangeEnumOrBoolIsRejectedByName) {
   }
 }
 
+TEST(EnvelopeSpec, ResealedWorkloadCountEqualToTheBytesLeftIsTruncated) {
+  // The workload count is bounded only by the bytes left (an element is at
+  // least one byte), so a forged count that big must fail at the first
+  // short element instead of sizing the vector up front. The appended 0xff
+  // bytes make the count large and the next string length impossible.
+  const Format f = spec_format();
+  ArchiveWriter name;
+  name.io(fixture_spec().name);
+  const std::size_t count_at = 12 + name.bytes().size();
+  ASSERT_EQ(read_at<std::uint64_t>(f.bytes, count_at),
+            fixture_spec().workloads.size());
+  const Outcome o = f.open(edit_sealed(f, [count_at](auto& b) {
+    b.insert(b.end(), std::size_t{1} << 20, 0xff);
+    const std::uint64_t left = b.size() - count_at - sizeof(std::uint64_t);
+    std::memcpy(b.data() + count_at, &left, sizeof(left));
+  }));
+  EXPECT_EQ(o.verdict, Verdict::kRejected);
+  EXPECT_NE(o.error.find("truncated"), std::string::npos) << o.error;
+}
+
 TEST_P(EnvelopeHarness, TrailingByteInsideTheSealIsRejected) {
   const Format& f = format();
   if (f.kind != Kind::kJournal) {

@@ -16,13 +16,15 @@ This gate compares two git revisions (typically the PR base and HEAD):
      entries through each subclass, class templates with their arguments
      bound, loop variables as container elements), flattens
      to one token per serialized leaf — its member path from the root and
-     its declared type, plus the member layout of a raw (memcpy'd) record
-     (explicit `_pad*` members left out: making a hole explicit is not a
-     layout change; RawArchivable rules out implicit ones). So a nested
-     type's changes land in the
+     its declared type, plus the layout of a raw (memcpy'd) record: each
+     member's byte offset and type and the record's sizeof, from LP64
+     scalar sizes with natural alignment (explicit `_pad*` arrays count
+     as bytes but are not named, so making a hole explicit is no change
+     while resizing a pad is). An argument the gate cannot resolve is
+     fingerprinted by its text. So a nested type's changes land in the
      domain of the artifact that carries it (SimMetrics and RunResult in
-     `worker`), and a reordered walk, a changed field type or a widened
-     array all change the fingerprint;
+     `worker`), and a reordered walk, a changed field type, a widened
+     array or a resized pad all change the fingerprint;
   3. fail if a domain's fingerprint changed but its version constant did
      not.
 
@@ -89,6 +91,14 @@ _RANGE_FOR_RE = re.compile(
     r"(\[[^\]]*\]|[A-Za-z_]\w*)\s*:\s*([^;]+?)\s*\)\s*(?=[{\w])"
 )
 _CONTAINERS = ("vector", "deque", "array")
+# Scalar sizes (= alignments) under the LP64 ABI the simulator builds for.
+_SCALARS = {
+    "bool": 1, "char": 1, "int8_t": 1, "uint8_t": 1, "char8_t": 1,
+    "int16_t": 2, "uint16_t": 2, "short": 2, "char16_t": 2,
+    "int": 4, "unsigned": 4, "int32_t": 4, "uint32_t": 4, "float": 4,
+    "char32_t": 4, "wchar_t": 4, "long": 8, "int64_t": 8, "uint64_t": 8,
+    "size_t": 8, "double": 8, "ptrdiff_t": 8, "intptr_t": 8, "uintptr_t": 8,
+}
 
 
 def _norm(text: str) -> str:
@@ -117,6 +127,25 @@ class Fingerprinter:
 
     def __init__(self, model: mflush_lint.TreeModel) -> None:
         self.model = model
+        # Simple name -> alias target / enum underlying type / constant
+        # expression, for record sizes; a name defined two ways maps to None.
+        self.aliases: dict[str, str | None] = {}
+        self.enums: dict[str, str | None] = {}
+        self.consts: dict[str, str | None] = {}
+        # Headers first: a .cpp-local constant never sizes a header record.
+        for fm in sorted(model.files, key=lambda f: not f.path.endswith(".h")):
+            header = fm.path.endswith(".h")
+            for m in re.finditer(r"\busing\s+(\w+)\s*=\s*([^;]+);", fm.clean):
+                _note(self.aliases, m.group(1), _norm(m.group(2)), True)
+            for m in re.finditer(
+                r"\benum\s+(?:class\s+|struct\s+)?(\w+)\s*(?::\s*([\w:\s]+?))?\s*\{",
+                fm.clean,
+            ):
+                _note(self.enums, m.group(1), m.group(2) or "int", True)
+            for m in re.finditer(
+                r"\bconstexpr\s+[\w:]+\s+(\w+)\s*=\s*([^;{}]+);", fm.clean
+            ):
+                _note(self.consts, m.group(1), _norm(m.group(2)), header)
         # Template parameter -> argument while a class template instance
         # (WakeupWheel<Req>, TokenTable<Outstanding>) is being expanded.
         self.bound: dict[str, str] = {}
@@ -168,14 +197,21 @@ class Fingerprinter:
         return t
 
     def writer(self, ci: cpplite.ClassInfo):
-        """(body, object-parameter name) of the type's walk or writer."""
+        """(body, parameter bindings) of the type's walk or writer. A free
+        writer binds its object parameter to the type and its other
+        parameters (put_result's job id) to False: not the type's fields."""
         methods = self.model.methods_of(ci)
         for name in ("fields", "save_state", "save"):
             if name in methods:
-                return methods[name].body, None
+                return methods[name].body, {}
         if ci.qualified in self.free_writers:
             method, obj = self.free_writers[ci.qualified]
-            return method.body, obj
+            params = {
+                re.search(r"(\w+)\s*$", p).group(1): False
+                for p in _args(method.params)
+                if "Archive" not in p and re.search(r"\w", p)
+            }
+            return method.body, {**params, obj: ""}
         return None
 
     def serialized_by_walk(self, ci: cpplite.ClassInfo) -> bool:
@@ -211,16 +247,88 @@ class Fingerprinter:
                 cur_type = args[0] if args else cur_type
         return cur_type, owner
 
-    def layout(self, ci: cpplite.ClassInfo, depth: int = 4) -> str:
-        parts = []
+    def value(self, expr: str, depth: int = 8) -> int | None:
+        """A constant integer expression (array extents), or None."""
+        e = re.sub(r"(\d)'(?=\d)", r"\1", expr)
+        e = re.sub(r"\b(\d+)[uUlL]+\b", r"\1", e)
+        for name in set(re.findall(r"[A-Za-z_]\w*", e)):
+            sub = self.consts.get(name)
+            v = self.value(sub, depth - 1) if sub and depth else None
+            if v is None:
+                return None
+            e = re.sub(rf"\b{name}\b", str(v), e)
+        if not re.fullmatch(r"[\d\s+\-*/()<>]+", e):
+            return None
+        try:
+            return int(eval(e.replace("/", "//")))  # digits and operators only
+        except (SyntaxError, ZeroDivisionError):
+            return None
+
+    def size_align(self, type_text: str, scope, depth: int = 8):
+        """(sizeof, alignof) of a member type, or None when unknown."""
+        t = _norm(re.sub(r"\b(?:const|volatile|mutable)\b|\bstd::", "",
+                         self._sub(type_text)))
+        if depth <= 0 or not t:
+            return None
+        if t.endswith("*"):
+            return 8, 8
+        words = t.split()
+        if len(words) > 1 and set(words) <= {"unsigned", "signed", "long",
+                                              "int", "short", "char"}:
+            n = next((k for w, k in (("char", 1), ("short", 2), ("long", 8))
+                      if w in words), 4)
+            return n, n
+        base = cpplite.base_name(t)
+        if base == "array":
+            args = cpplite.template_args(t)
+            inner = self.size_align(args[0], scope, depth - 1) if args else None
+            n = self.value(args[1]) if len(args) == 2 else None
+            return None if inner is None or n is None else (n * inner[0], inner[1])
+        if base in _SCALARS:
+            return _SCALARS[base], _SCALARS[base]
+        ci = None if "<" in t else self.class_of(t, scope)
+        if ci is not None:
+            rec = self.record(ci, 0)
+            return None if rec[1] is None else rec[1:]
+        for table in (self.enums, self.aliases):
+            if table.get(base):
+                return self.size_align(table[base], scope, depth - 1)
+        return None
+
+    def record(self, ci: cpplite.ClassInfo, depth: int = 4, busy=()):
+        """(layout token, sizeof, alignof) of a raw record: each member's
+        name, byte offset and type, explicit `_pad*` arrays counted as bytes
+        but not named (an explicit pad filling an implicit hole is no layout
+        change; resizing one moves every later byte). Unknown sizes print
+        `?`."""
+        if ci.qualified in busy:
+            return "{?}", None, 1
+        busy = (*busy, ci.qualified)
+        parts, off, align = [], 0, 1
         for m in ci.members:
-            if m.is_static or m.name.startswith("_pad"):
+            if m.is_static:
                 continue
             mtype = self._sub(m.type)
-            sub = self.class_of(mtype, ci) if depth else None
-            nested = self.layout(sub, depth - 1) if sub is not None else ""
-            parts.append(f"{m.name}:{_norm(mtype)}{nested}")
-        return "{" + ";".join(parts) + "}"
+            sa = self.size_align(mtype, ci)
+            count = 1
+            for dim in re.findall(r"\[([^\]]*)\]", m.extent):
+                n = self.value(dim)
+                count = None if n is None or count is None else count * n
+            if sa is None or count is None or off is None:
+                off = None
+            else:
+                off = -(-off // sa[1]) * sa[1]
+                align = max(align, sa[1])
+            if not m.name.startswith("_pad"):
+                sub = self.class_of(mtype, ci) if depth else None
+                nested = self.record(sub, depth - 1, busy)[0] if sub else ""
+                at = "?" if off is None else off
+                parts.append(f"{m.name}@{at}:{_norm(mtype)}{m.extent}{nested}")
+            if off is not None:
+                off += count * sa[0]
+        size = None if off is None else -(-off // align) * align
+        token = "{" + ";".join(parts) + "}#" + ("?" if size is None else str(size))
+        return token, size, align
 
     # --- bodies -------------------------------------------------------------
 
@@ -230,8 +338,8 @@ class Fingerprinter:
         out: list[str] = []
         w = self.writer(ci)
         if w is not None:
-            body, obj = w
-            out += self.expand_body(ci, body, {obj: ""} if obj else {}, prefix, depth)
+            body, binds = w
+            out += self.expand_body(ci, body, binds, prefix, depth)
         for sub in self.subclasses.get(ci.name, []):
             out += self.expand_type(sub, f"{prefix}<{sub.name}>.", depth - 1)
         return out
@@ -257,7 +365,7 @@ class Fingerprinter:
                 continue
             name = sm.group(1) + "[]" * sm.group(2).count("[")
             if i == 0 and sm.group(1) in binds:
-                if binds[sm.group(1)] is None:
+                if not isinstance(binds[sm.group(1)], str):
                     return None
                 name = binds[sm.group(1)] + "[]" * sm.group(2).count("[")
             elif i == 0 and not any(mm.name == sm.group(1) for mm in ci.members):
@@ -290,7 +398,7 @@ class Fingerprinter:
             finally:
                 self.bound = outer
         layout = "".join(
-            self.layout(c)
+            self.record(c)[0]
             for c in (
                 self.model.resolve(n, owner)
                 for n in cpplite.element_class_names(t, self.model.enums)
@@ -343,15 +451,23 @@ class Fingerprinter:
                         out += self.expand_type(ci, prefix, depth - 1)
                         continue
                     path = self.norm_path(a, ci, local)
-                    if path is not None:
-                        # x.size(): a count prefix, the elements follow
-                        count = re.search(r"\.\s*size\s*\(\s*\)$", a)
-                        mode = None if count else op == "io"
-                        out += self.dispatch(ci, path, prefix, depth, mode)
+                    if path is None:
+                        first = re.match(r"[*&\s]*(\w*)", a).group(1)
+                        if local.get(first) is False:
+                            continue  # a free writer's own parameter
+                        # Unresolved: its text, so any edit to it still shows.
+                        out.append(f"{prefix}?{_norm(a)}")
+                        continue
+                    # x.size(): a count prefix, the elements follow
+                    count = re.search(r"\.\s*size\s*\(\s*\)$", a)
+                    mode = None if count else op == "io"
+                    out += self.dispatch(ci, path, prefix, depth, mode)
             elif kind == "entry":
                 recv = re.search(r"[\w\.\[\]\s>*-]*$", body[: m.start()]).group(0)
                 path = self.norm_path(recv.replace("->", "."), ci, local)
-                if path is not None:
+                if path is None:
+                    out.append(f"{prefix}?{_norm(recv)}")
+                else:
                     out += self.dispatch(ci, path, prefix, depth, True)
             else:
                 helper = self.model.helpers[m.group(1)]
@@ -376,6 +492,14 @@ class Fingerprinter:
                 return None
             return "\n".join(self.expand_body(ci, m.body, {}, "", 12))
         return "\n".join(self.expand_type(ci, "", 12))
+
+
+def _note(table: dict, name: str, value: str, definitive: bool) -> None:
+    """Record a definition; a conflicting definitive one makes it None."""
+    if name not in table:
+        table[name] = value
+    elif definitive and table[name] != value:
+        table[name] = None
 
 
 def _git(root: str, *args: str) -> str:

@@ -137,6 +137,7 @@ class Member:
     is_reference: bool = False
     is_const: bool = False
     annotations: str = ""  # raw comment text attached to the declaration
+    extent: str = ""  # C array extents, e.g. "[2]" for `PhysReg src[2]`
 
 
 @dataclasses.dataclass
@@ -283,15 +284,17 @@ def _parse_member(seg: str, line: int, raw_lines: list[str]) -> Optional[Member]
         return None
     if first_word.group(0) in _SKIP_KEYWORDS:
         return None
-    if _top_level_has_paren(decl):
-        return None  # function declaration / member function pointer
-    # Strip default initializer: "= ..." or "{...}" tail.
+    # Strip default initializer: "= ..." or "{...}" tail. Only what is left
+    # tells a function from a member initialized by a call
+    # (`double min_ = std::numeric_limits<double>::infinity();`).
     cut = _angle_paren_split(decl, "=")
     head = cut[0][0] if cut else decl
     brace = head.find("{")
     if brace != -1:
         head = head[:brace]
     head = head.rstrip()
+    if _top_level_has_paren(head) or re.search(r"\boperator\b", decl):
+        return None  # function declaration / member function pointer
     if not head or head.endswith(("<", ",", ":")):
         return None
     m = _NAME_RE.search(head)
@@ -322,6 +325,7 @@ def _parse_member(seg: str, line: int, raw_lines: list[str]) -> Optional[Member]
         is_const=bool(re.search(r"\bconst\b", type_text))
         and "*" not in type_text,
         annotations="\n".join(notes),
+        extent=re.sub(r"\s+", "", head[m.end(1) :]),
     )
 
 

@@ -95,11 +95,20 @@ GATE_CASES = {
     ("gate_wire_reordered.h", None): (1, ["domain 'daemon'", "kProtocolVersion"]),
     ("gate_wire_bumped.h", None): (0, ["domain 'daemon'", "1 -> 2"]),
     ("gate_walk_v1.h", None): (0, ["all serialized-layout domains clean"]),
-    ("gate_walk_v1.h", ("ar.io(a, b, c)", "ar.io(b, a, c)")): (
+    ("gate_walk_v1.h", ("ar.io(a, b, c, t)", "ar.io(b, a, c, t)")): (
         1, ["domain 'daemon'", "changed roots: Message"]),
     ("gate_walk_v1.h", ("std::uint32_t a = 0", "std::uint64_t a = 0")): (
         1, ["domain 'daemon'", "changed roots: Message"]),
     ("gate_walk_v1.h", ("uint32_t, 2> c", "uint32_t, 4> c")): (
+        1, ["domain 'daemon'", "changed roots: Message"]),
+    # A resized pad moves every later byte of the memcpy'd record.
+    ("gate_walk_v1.h", ("_pad[3]", "_pad[7]")): (
+        1, ["domain 'daemon'", "changed roots: Message"]),
+    # An explicit pad filling an implicit hole leaves every byte in place.
+    ("gate_walk_v1.h", ("std::uint8_t _pad[3] = {};", "")): (
+        0, ["all serialized-layout domains clean"]),
+    # An argument the gate cannot resolve is fingerprinted by its text.
+    ("gate_walk_v1.h", ("ar.io(a, b, c, t)", "ar.io(a, b, c, t, extra())")): (
         1, ["domain 'daemon'", "changed roots: Message"]),
 }
 
