@@ -33,12 +33,13 @@ constexpr std::uint64_t kSeed = 11;
 
 constexpr std::uint64_t kFixedMetricsDigest = 0x836e13d3b5372e07;
 constexpr std::uint64_t kDramMetricsDigest = 0x86b46687eb982408;
+constexpr std::uint64_t kFlushNsMetricsDigest = 0x6d801af5b19933f3;
 constexpr std::uint64_t kSnapshotDigestSkip = 0x14e3ce065d84331a;
 constexpr std::uint64_t kSnapshotDigestLockstep = 0xb456d807c48d6911;
 
 const char* const kWorkloads[] = {"2W3", "4W2", "8W3"};
-const char* const kPolicies[] = {"icount", "flush-s30", "stall-s30", "mflush",
-                                 "mflush-np"};
+const std::vector<const char*> kPolicies = {"icount", "flush-s30", "stall-s30",
+                                            "mflush", "mflush-np"};
 
 /// Paper-default chip; with `dram`, banked DRAM whose far tier is thread
 /// 0's private address space (trace/generator.cpp salts each thread's
@@ -55,11 +56,13 @@ SimConfig config_for(const Workload& wl, bool dram) {
 
 /// FNV-1a over the canonical result-archive encoding of every grid point's
 /// measured-interval metrics (wall time zeroed: it is host, not model).
-std::uint64_t metrics_digest(bool dram, bool event_skip) {
+std::uint64_t metrics_digest(bool dram, bool event_skip,
+                             const std::vector<const char*>& policies =
+                                 kPolicies) {
   std::vector<std::pair<std::uint32_t, RunResult>> results;
   for (const char* w : kWorkloads) {
     const Workload wl = *workloads::by_name(w);
-    for (const char* p : kPolicies) {
+    for (const char* p : policies) {
       const PolicySpec policy = *PolicySpec::parse(p);
       CmpSimulator sim(config_for(wl, dram), wl, policy);
       sim.set_event_skip(event_skip);
@@ -107,6 +110,16 @@ TEST(GoldenResults, DramFarTierGridMatchesRecordedDigest) {
   for (const bool skip : {true, false}) {
     const std::uint64_t d = metrics_digest(/*dram=*/true, skip);
     EXPECT_EQ(d, kDramMetricsDigest)
+        << "event_skip=" << skip << " actual " << hex(d);
+  }
+}
+
+// FLUSH-NS arms at the L2-miss callback rather than at issue, so it gets
+// its own digest over the same workloads on fixed memory.
+TEST(GoldenResults, FlushNonSpecGridMatchesRecordedDigest) {
+  for (const bool skip : {true, false}) {
+    const std::uint64_t d = metrics_digest(/*dram=*/false, skip, {"flush-ns"});
+    EXPECT_EQ(d, kFlushNsMetricsDigest)
         << "event_skip=" << skip << " actual " << hex(d);
   }
 }
