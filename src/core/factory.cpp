@@ -5,10 +5,9 @@
 #include <charconv>
 
 #include "core/counts.h"
-#include "core/flush.h"
 #include "core/icount.h"
+#include "core/long_latency.h"
 #include "core/mflush.h"
-#include "core/stall.h"
 
 namespace mflush {
 
@@ -102,13 +101,17 @@ std::unique_ptr<FetchPolicy> make_policy(const PolicySpec& spec,
     case PolicySpec::Kind::MissCount:
       return std::make_unique<L1DMissCountPolicy>();
     case PolicySpec::Kind::FlushSpec:
-      return std::make_unique<FlushPolicy>(
-          FlushPolicy::DetectionMoment::SpecDelay, spec.trigger);
+      return std::make_unique<LongLatencyPolicy>(
+          LongLatencyPolicy::DetectionMoment::SpecDelay, spec.trigger,
+          ResponseAction::Flush);
     case PolicySpec::Kind::FlushNonSpec:
-      return std::make_unique<FlushPolicy>(
-          FlushPolicy::DetectionMoment::NonSpec, 0);
+      return std::make_unique<LongLatencyPolicy>(
+          LongLatencyPolicy::DetectionMoment::NonSpec, 0,
+          ResponseAction::Flush);
     case PolicySpec::Kind::Stall:
-      return std::make_unique<StallPolicy>(spec.trigger);
+      return std::make_unique<LongLatencyPolicy>(
+          LongLatencyPolicy::DetectionMoment::SpecDelay, spec.trigger,
+          ResponseAction::Stall);
     case PolicySpec::Kind::Mflush: {
       MflushConfig mc;
       mc.min_latency = cfg.mem.min_l2_roundtrip();

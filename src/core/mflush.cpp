@@ -1,7 +1,6 @@
 #include "core/mflush.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/archive.h"
 
@@ -53,18 +52,15 @@ Cycle MflushPolicy::barrier_for_bank(std::uint32_t bank) const {
 
 void MflushPolicy::on_load_issued(ThreadId tid, std::uint64_t token,
                                   std::uint32_t /*l2_bank*/, Cycle now) {
-  outstanding_.emplace(token, Outstanding{.tid = tid, .issue = now});
+  loads_.track(tid, token, now, kNeverCycle);
 }
 
 void MflushPolicy::on_load_l2_path(ThreadId /*tid*/, std::uint64_t token,
                                    std::uint32_t bank, Cycle /*now*/) {
-  Outstanding* o = outstanding_.find(token);
-  if (o == nullptr) return;
-  o->l2_path = true;
   // Predict the resolution time from the bank's last observed hit latency
   // and derive this access's Barrier (measured from LSQ issue, like every
-  // age in the operational environment).
-  o->barrier_deadline = o->issue + barrier_for_bank(bank);
+  // age in the operational environment); FLUSH fires past it.
+  loads_.arm(token, barrier_for_bank(bank) + 1);
 }
 
 void MflushPolicy::on_load_resolved(ThreadId tid, std::uint64_t token,
@@ -80,72 +76,40 @@ void MflushPolicy::on_load_resolved(ThreadId tid, std::uint64_t token,
     file.valid = std::min<std::uint32_t>(
         file.valid + 1, static_cast<std::uint32_t>(file.samples.size()));
   }
-  outstanding_.erase(token);
-  if (flush_token_[tid] == token) {
-    flush_token_[tid] = 0;
-    if (!l2_accessed)
-      ++counters_.flushes_on_l1;
-    else if (l2_hit)
-      ++counters_.flushes_on_hit;  // false miss
-    else
-      ++counters_.flushes_on_miss;
-  }
+  loads_.resolve(tid, token, l2_accessed, l2_hit);
 }
 
 Cycle MflushPolicy::quiescent_until(Cycle now) const {
   for (const bool g : gated_)
     if (g) return now + 1;  // gate_cycles accrues / gate must be re-evaluated
-  Cycle h = kNeverCycle;
+  if (!cfg_.enable_preventive) return loads_.horizon(now);
   const Cycle threshold = cfg_.preventive_threshold();
-  for (const auto& [token, o] : outstanding_.entries()) {
-    if (!o.l2_path) continue;  // participates only after the MCReg read
-    if (flush_token_[o.tid] != 0) continue;  // waits on resolution
-    h = std::min(h, o.barrier_deadline + 1);  // FLUSH fires past the Barrier
-    if (cfg_.enable_preventive)
-      h = std::min(h, o.issue + threshold + 1);  // becomes suspicious
-  }
-  return h > now ? h : now + 1;
+  return loads_.horizon(now, [threshold](const OutstandingLoads::Load& l) {
+    return std::min(l.deadline, l.issue + threshold + 1);  // suspicious
+  });
 }
 
 void MflushPolicy::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
 void MflushPolicy::load_state(ArchiveReader& ar) { ar.walk(*this); }
 
 void MflushPolicy::on_cycle(Cycle now, CoreControl& ctrl) {
+  // Suspicion (Fig. 6): an L2-path load older than MIN + MT that has not
+  // reached its Barrier yet. A load past its Barrier fires below instead.
   std::array<bool, kMaxContexts> suspicious{};
-  by_age_.clear();
+  const Cycle threshold = cfg_.preventive_threshold();
+  for (const OutstandingLoads::Load& l : loads_.loads())
+    if (now < l.deadline && l.deadline != kNeverCycle &&
+        now - l.issue > threshold)
+      suspicious[l.tid] = true;
 
-  const Cycle prev_threshold = cfg_.preventive_threshold();
-  for (const auto& [token, o] : outstanding_.entries()) {
-    if (!o.l2_path) continue;  // only L2 accesses participate (Fig. 6)
-    const Cycle age = now - o.issue;
-    if (now > o.barrier_deadline && flush_token_[o.tid] == 0) {
-      by_age_.emplace_back(o.issue, token);
-    } else if (age > prev_threshold) {
-      suspicious[o.tid] = true;
-    }
-  }
-  std::sort(by_age_.begin(), by_age_.end());
-  fire_.clear();
-  for (const auto& [issue, token] : by_age_) fire_.push_back(token);
-
-  for (const std::uint64_t token : fire_) {
-    const Outstanding* o = outstanding_.find(token);
-    if (o == nullptr) continue;
-    const ThreadId tid = o->tid;
-    if (flush_token_[tid] != 0) continue;
-    if (ctrl.flush_after_load(token)) {
-      flush_token_[tid] = token;
-    } else {
-      outstanding_.erase(token);
-    }
-  }
+  loads_.fire(now, ctrl);
 
   // Preventive State: gate fetch for threads with suspicious accesses.
   // Flushed threads are already fetch-stalled by the core.
   for (ThreadId t = 0; t < kMaxContexts; ++t) {
     const bool want =
-        cfg_.enable_preventive && suspicious[t] && flush_token_[t] == 0;
-    if (want) ++counters_.gate_cycles;
+        cfg_.enable_preventive && suspicious[t] && !loads_.fired(t);
+    if (want) ++loads_.counters().gate_cycles;
     if (want != gated_[t]) {
       ctrl.set_fetch_gate(t, want);
       gated_[t] = want;

@@ -1,11 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/fetch_policy.h"
-#include "core/token_table.h"
+#include "core/long_latency.h"
 
 namespace mflush {
 
@@ -51,6 +50,11 @@ struct MflushConfig {
 ///               thread keeps executing — the STALL philosophy)
 ///   resolved before Barrier → leave Preventive State
 ///   outstanding > Barrier   → trigger the FLUSH mechanism
+///
+/// The Detection Moment is the L2-path callback, which arms the load in the
+/// shared outstanding-load engine at issue + Barrier + 1; the engine fires,
+/// resolves and sets the horizon as for FLUSH. This class adds the MCReg
+/// files, the Barrier formula and the Preventive-State gating.
 class MflushPolicy final : public FetchPolicy {
  public:
   explicit MflushPolicy(const MflushConfig& cfg);
@@ -79,33 +83,23 @@ class MflushPolicy final : public FetchPolicy {
   /// The Barrier a load entering `bank`'s queue would receive right now.
   [[nodiscard]] Cycle barrier_for_bank(std::uint32_t bank) const;
 
-  [[nodiscard]] Counters counters() const override { return counters_; }
+  [[nodiscard]] Counters counters() const override {
+    return loads_.counters();
+  }
 
   /// on_cycle fires barriers, evaluates suspicion, and accounts
   /// Preventive-State cycles. An armed fetch gate pins the heartbeat to
   /// every cycle (gate_cycles accrues per tick); otherwise the horizon is
-  /// the earliest Barrier firing or suspicious-threshold crossing among
-  /// tracked L2-path loads of unflushed threads.
+  /// the engine's, with each L2-path load due at its suspicious-threshold
+  /// crossing if that comes before its Barrier firing.
   [[nodiscard]] Cycle quiescent_until(Cycle now) const override;
   void save_state(ArchiveWriter& ar) const override;
   void load_state(ArchiveReader& ar) override;
   template <class Ar>
   void fields(Ar& ar) {
     for (McRegFile& file : mcreg_) ar.io(file);
-    ar.io(outstanding_, flush_token_, gated_, counters_);
+    ar.io(loads_, gated_);
   }
-
-  /// Explicit padding because outstanding_ entries are serialized by raw
-  /// memcpy inside TokenTable, which accepts only records without padding
-  /// holes (RawArchivable, common/archive.h).
-  struct Outstanding {
-    ThreadId tid = 0;
-    std::uint8_t _pad0[4] = {};  ///< explicit padding: canonical bytes
-    Cycle issue = 0;
-    Cycle barrier_deadline = kNeverCycle;  ///< set once the load is L2-bound
-    bool l2_path = false;
-    std::uint8_t _pad1[7] = {};  ///< explicit tail padding
-  };
 
  private:
   /// Per-bank MCReg history: a ring of the last `history_len` observed
@@ -123,15 +117,8 @@ class MflushPolicy final : public FetchPolicy {
 
   MflushConfig cfg_;  // lint: transient — ctor config
   std::vector<McRegFile> mcreg_;
-  TokenTable<Outstanding> outstanding_;
-  std::array<std::uint64_t, kMaxContexts> flush_token_{};
+  OutstandingLoads loads_{ResponseAction::Flush};
   std::array<bool, kMaxContexts> gated_{};
-  Counters counters_{};
-  // per-cycle scratch (kept across cycles so on_cycle never allocates)
-  // lint: transient — per-cycle scratch, cleared at each use
-  std::vector<std::pair<Cycle, std::uint64_t>> by_age_;
-  // lint: transient — per-cycle scratch, cleared at each use
-  std::vector<std::uint64_t> fire_;
 };
 
 }  // namespace mflush

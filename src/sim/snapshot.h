@@ -29,7 +29,9 @@ namespace mflush::snapshot {
 /// v3: canonical bytes — every raw-memcpy'd record carries explicit
 /// zero-initialized padding and RunningStat is serialized field-wise, so
 /// equal warmed state yields byte-identical snapshots across processes.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: FLUSH, STALL and MFLUSH share one outstanding-load record
+/// (token, issue, deadline, tid) and one fired-token array.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Serialize the full simulator state (header + state + checksum).
 [[nodiscard]] std::vector<std::uint8_t> capture(const CmpSimulator& sim);

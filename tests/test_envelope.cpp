@@ -161,7 +161,7 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
   EXPECT_EQ(digest(fixture_job_file()), 0xcd4f9f423e1a6debull);
   EXPECT_EQ(digest(worker::encode_results(fixture_results())),
             0xd620fe86f15fc523ull);
-  EXPECT_EQ(digest(fixture_warm_entry()), 0x026e348862fd6a75ull);
+  EXPECT_EQ(digest(fixture_warm_entry()), 0x03c13bb214a922a4ull);
   EXPECT_EQ(digest(daemon::encode_frame(fixture_message())),
             0xe3699f8d0275cf87ull);
   EXPECT_EQ(digest(j.first(12)), 0x9da24ad77651a91bull);

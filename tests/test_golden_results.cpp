@@ -34,8 +34,8 @@ constexpr std::uint64_t kSeed = 11;
 constexpr std::uint64_t kFixedMetricsDigest = 0x836e13d3b5372e07;
 constexpr std::uint64_t kDramMetricsDigest = 0x86b46687eb982408;
 constexpr std::uint64_t kFlushNsMetricsDigest = 0x6d801af5b19933f3;
-constexpr std::uint64_t kSnapshotDigestSkip = 0x14e3ce065d84331a;
-constexpr std::uint64_t kSnapshotDigestLockstep = 0xb456d807c48d6911;
+constexpr std::uint64_t kSnapshotDigestSkip = 0x14ff52301a782cb2;
+constexpr std::uint64_t kSnapshotDigestLockstep = 0x5612565bb9555860;
 
 const char* const kWorkloads[] = {"2W3", "4W2", "8W3"};
 const std::vector<const char*> kPolicies = {"icount", "flush-s30", "stall-s30",

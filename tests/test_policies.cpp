@@ -6,10 +6,9 @@
 #include "common/archive.h"
 #include "core/factory.h"
 #include "core/fetch_policy.h"
-#include "core/flush.h"
 #include "core/icount.h"
+#include "core/long_latency.h"
 #include "core/mflush.h"
-#include "core/stall.h"
 
 namespace mflush {
 namespace {
@@ -35,6 +34,18 @@ class MockControl final : public CoreControl {
   bool accept_flush = true;
   bool accept_stall = true;
 };
+
+using DetectionMoment = LongLatencyPolicy::DetectionMoment;
+
+LongLatencyPolicy flush_s(Cycle trigger) {
+  return {DetectionMoment::SpecDelay, trigger, ResponseAction::Flush};
+}
+LongLatencyPolicy flush_ns() {
+  return {DetectionMoment::NonSpec, 0, ResponseAction::Flush};
+}
+LongLatencyPolicy stall_s(Cycle trigger) {
+  return {DetectionMoment::SpecDelay, trigger, ResponseAction::Stall};
+}
 
 CoreView two_thread_view(std::uint32_t c0, std::uint32_t c1) {
   CoreView v;
@@ -70,10 +81,10 @@ TEST(IcountPolicy, NeverTriggersActions) {
   EXPECT_TRUE(ctrl.gates.empty());
 }
 
-// -------------------------------------------------------------- FlushPolicy
+// ---------------------------------------------------- FLUSH (LongLatencyPolicy)
 
 TEST(FlushSpec, FiresExactlyAtTrigger) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   MockControl ctrl;
   p.on_load_issued(0, 7, 2, 100);
   p.on_cycle(129, ctrl);
@@ -84,7 +95,7 @@ TEST(FlushSpec, FiresExactlyAtTrigger) {
 }
 
 TEST(FlushSpec, NoRefireWhileThreadFlushed) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   MockControl ctrl;
   p.on_load_issued(0, 7, 0, 100);
   p.on_cycle(200, ctrl);
@@ -94,7 +105,7 @@ TEST(FlushSpec, NoRefireWhileThreadFlushed) {
 }
 
 TEST(FlushSpec, ResolveUnblocksNextFlush) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   MockControl ctrl;
   p.on_load_issued(0, 7, 0, 100);
   p.on_cycle(140, ctrl);
@@ -106,7 +117,7 @@ TEST(FlushSpec, ResolveUnblocksNextFlush) {
 }
 
 TEST(FlushSpec, IndependentThreads) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   MockControl ctrl;
   p.on_load_issued(0, 7, 0, 100);
   p.on_load_issued(1, 8, 0, 100);
@@ -115,7 +126,7 @@ TEST(FlushSpec, IndependentThreads) {
 }
 
 TEST(FlushSpec, DropsVanishedLoads) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   MockControl ctrl;
   ctrl.accept_flush = false;  // core says the load is gone
   p.on_load_issued(0, 7, 0, 100);
@@ -126,7 +137,7 @@ TEST(FlushSpec, DropsVanishedLoads) {
 }
 
 TEST(FlushNonSpec, FiresOnlyOnMissDetection) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::NonSpec, 0);
+  LongLatencyPolicy p = flush_ns();
   MockControl ctrl;
   p.on_load_issued(0, 7, 1, 100);
   p.on_cycle(500, ctrl);  // ages alone never trigger FL-NS
@@ -137,7 +148,7 @@ TEST(FlushNonSpec, FiresOnlyOnMissDetection) {
 }
 
 TEST(FlushPolicy, FalseMissCounters) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   MockControl ctrl;
   p.on_load_issued(0, 7, 0, 100);
   p.on_cycle(140, ctrl);
@@ -151,16 +162,15 @@ TEST(FlushPolicy, FalseMissCounters) {
 }
 
 TEST(FlushPolicy, Names) {
-  EXPECT_STREQ(FlushPolicy(FlushPolicy::DetectionMoment::SpecDelay, 30).name(),
-               "FLUSH-S30");
-  EXPECT_STREQ(FlushPolicy(FlushPolicy::DetectionMoment::NonSpec, 0).name(),
-               "FLUSH-NS");
+  EXPECT_STREQ(flush_s(30).name(), "FLUSH-S30");
+  EXPECT_STREQ(flush_ns().name(), "FLUSH-NS");
+  EXPECT_STREQ(stall_s(40).name(), "STALL-S40");
 }
 
-// -------------------------------------------------------------- StallPolicy
+// ---------------------------------------------------- STALL (LongLatencyPolicy)
 
 TEST(StallPolicy, StallsInsteadOfFlushing) {
-  StallPolicy p(40);
+  LongLatencyPolicy p = stall_s(40);
   MockControl ctrl;
   p.on_load_issued(0, 3, 0, 10);
   p.on_cycle(49, ctrl);
@@ -171,7 +181,7 @@ TEST(StallPolicy, StallsInsteadOfFlushing) {
 }
 
 TEST(StallPolicy, OneStallPerThreadUntilResolve) {
-  StallPolicy p(40);
+  LongLatencyPolicy p = stall_s(40);
   MockControl ctrl;
   p.on_load_issued(0, 3, 0, 10);
   p.on_load_issued(0, 4, 0, 12);
@@ -268,7 +278,7 @@ TEST(QuiescentUntil, PriorityPoliciesAreForeverQuiescent) {
 }
 
 TEST(QuiescentUntil, FlushSpecHorizonIsTheTriggerDeadline) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   p.on_load_issued(0, 7, 2, 100);
   EXPECT_EQ(p.quiescent_until(110), 130u);  // fires at issue + trigger
   expect_noop_through_horizon(p, 110);
@@ -278,7 +288,7 @@ TEST(QuiescentUntil, FlushSpecHorizonIsTheTriggerDeadline) {
 }
 
 TEST(QuiescentUntil, FlushSpecFlushedThreadWaitsOnCallback) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::SpecDelay, 30);
+  LongLatencyPolicy p = flush_s(30);
   MockControl ctrl;
   p.on_load_issued(0, 7, 2, 100);
   p.on_cycle(130, ctrl);  // flush fires; thread now waits for the load
@@ -287,7 +297,7 @@ TEST(QuiescentUntil, FlushSpecFlushedThreadWaitsOnCallback) {
 }
 
 TEST(QuiescentUntil, FlushNonSpecArmsOnMissDetection) {
-  FlushPolicy p(FlushPolicy::DetectionMoment::NonSpec, 0);
+  LongLatencyPolicy p = flush_ns();
   p.on_load_issued(0, 7, 1, 100);
   EXPECT_EQ(p.quiescent_until(200), kNeverCycle);  // age never triggers
   expect_noop_through_horizon(p, 200);
@@ -296,7 +306,7 @@ TEST(QuiescentUntil, FlushNonSpecArmsOnMissDetection) {
 }
 
 TEST(QuiescentUntil, StallHorizonIsTheTriggerDeadline) {
-  StallPolicy p(40);
+  LongLatencyPolicy p = stall_s(40);
   p.on_load_issued(1, 9, 0, 500);
   EXPECT_EQ(p.quiescent_until(510), 540u);
   expect_noop_through_horizon(p, 510);

@@ -147,7 +147,7 @@ class Fingerprinter:
             ):
                 _note(self.consts, m.group(1), _norm(m.group(2)), header)
         # Template parameter -> argument while a class template instance
-        # (WakeupWheel<Req>, TokenTable<Outstanding>) is being expanded.
+        # (WakeupWheel<Req>) is being expanded.
         self.bound: dict[str, str] = {}
         self.subclasses: dict[str, list[cpplite.ClassInfo]] = {}
         for ci in sorted(model.classes.values(), key=lambda c: c.qualified):
