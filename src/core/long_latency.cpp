@@ -19,10 +19,12 @@ void OutstandingLoads::fire(Cycle now, CoreControl& ctrl) {
     const bool acted = response_ == ResponseAction::Flush
                            ? ctrl.flush_after_load(l.token)
                            : ctrl.stall_until_load(l.token);
-    if (acted)
-      fired_[l.tid] = l.token;
-    else
+    if (!acted) {
       erase(l.token);  // completed or squashed by an older flush
+      continue;
+    }
+    fired_[l.tid] = l.token;
+    if (response_ == ResponseAction::Stall) ++counters_.stall_events;
   }
 }
 

@@ -60,7 +60,10 @@ namespace campaign {
 /// canonicalized by their parent's content hash instead of the embedded
 /// snapshot bytes (the key no longer changes when a by-reference fork is
 /// resolved to inline bytes).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: STALL results count their response actions (policy_stall_events
+/// was always 0), so a v3 cache entry holds a stale result for unchanged
+/// job content.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Stable content hash of a job's canonical serialization
 /// (JobSpec::save_content: config/workload/profiles, policy, seed, warmup,

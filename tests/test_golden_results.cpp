@@ -31,8 +31,8 @@ constexpr Cycle kWarm = 3'000;
 constexpr Cycle kMeasure = 6'000;
 constexpr std::uint64_t kSeed = 11;
 
-constexpr std::uint64_t kFixedMetricsDigest = 0x836e13d3b5372e07;
-constexpr std::uint64_t kDramMetricsDigest = 0x86b46687eb982408;
+constexpr std::uint64_t kFixedMetricsDigest = 0x36919aae6da747df;
+constexpr std::uint64_t kDramMetricsDigest = 0xc97b819b412c633d;
 constexpr std::uint64_t kFlushNsMetricsDigest = 0x6d801af5b19933f3;
 constexpr std::uint64_t kSnapshotDigestSkip = 0x14ff52301a782cb2;
 constexpr std::uint64_t kSnapshotDigestLockstep = 0x5612565bb9555860;

@@ -121,6 +121,17 @@ TEST(Integration, SameSeedSameTraceAcrossPolicies) {
   }
 }
 
+// Each response action is counted under its own name: STALL-S30 stalls a
+// memory-bound chip's threads without flushing, FLUSH-S30 never stalls.
+TEST(Integration, StallCountsStallsAndFlushCountsFlushes) {
+  const auto stall = measure("8W3", PolicySpec::stall(30));
+  EXPECT_GT(stall.policy_stall_events, 0u);
+  EXPECT_EQ(stall.flush_events, 0u);
+  const auto flush = measure("8W3", PolicySpec::flush_spec(30));
+  EXPECT_EQ(flush.policy_stall_events, 0u);
+  EXPECT_GT(flush.flush_events, 0u);
+}
+
 // FL-NS exists and behaves: it flushes only genuinely missing loads.
 TEST(Integration, NonSpeculativeFlushHasNoFalseMisses) {
   CmpSimulator sim(*workloads::by_name("8W3"), PolicySpec::flush_ns());

@@ -178,6 +178,14 @@ TEST(StallPolicy, StallsInsteadOfFlushing) {
   p.on_cycle(50, ctrl);
   ASSERT_EQ(ctrl.stalled.size(), 1u);
   EXPECT_TRUE(ctrl.flushed.empty());
+  EXPECT_EQ(p.counters().stall_events, 1u);
+  p.on_load_resolved(0, 3, 10, 300, true, false, 0);
+  const auto c = p.counters();  // a stall is no flush: nothing classified
+  EXPECT_EQ(c.flushes_on_miss + c.flushes_on_hit + c.flushes_on_l1, 0u);
+  ctrl.accept_stall = false;  // a vanished load is no response action
+  p.on_load_issued(0, 4, 0, 400);
+  p.on_cycle(440, ctrl);
+  EXPECT_EQ(p.counters().stall_events, 1u);
 }
 
 TEST(StallPolicy, OneStallPerThreadUntilResolve) {
@@ -190,6 +198,7 @@ TEST(StallPolicy, OneStallPerThreadUntilResolve) {
   p.on_load_resolved(0, 3, 10, 70, true, false, 0);
   p.on_cycle(71, ctrl);
   EXPECT_EQ(ctrl.stalled.size(), 2u);  // the second load now stalls
+  EXPECT_EQ(p.counters().stall_events, 2u);
 }
 
 // --------------------------------------------------------------- PolicySpec
