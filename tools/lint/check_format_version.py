@@ -28,10 +28,6 @@ This gate compares two git revisions (typically the PR base and HEAD):
   3. fail if a domain's fingerprint changed but its version constant did
      not.
 
-A base that predates the walks is read through its writers instead
-(`save`/`save_state` methods and free `put_*`/`save_*` writers), mapped onto
-the same tokens, so converting a type to a walk byte for byte is silent.
-
 Usage:
     python3 tools/lint/check_format_version.py --base origin/main
     python3 tools/lint/check_format_version.py --base HEAD~1 --head HEAD
@@ -81,11 +77,9 @@ ROOTS = {
 }
 
 _OP_RE = re.compile(
-    r"\bar\s*\.\s*(io|flag|enum_u8|fixed_count|walk|put|put_vec|put_deque|"
-    r"put_map|put_string)\s*(?:<[^;()]*>)?\s*\("
+    r"\bar\s*\.\s*(io|flag|enum_u8|fixed_count|walk|put|put_vec)\s*"
+    r"(?:<[^;()]*>)?\s*\("
 )
-_ENTRY_CALL_RE = re.compile(r"(?:\.|->)\s*(?:save|save_state)\s*\(\s*ar\s*\)")
-_HELPER_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(\s*ar\s*,")
 _RANGE_FOR_RE = re.compile(
     r"for\s*\(\s*(?:const\s+)?(?:auto|[A-Za-z_][\w:<>, ]*?)\s*&{0,2}\s*"
     r"(\[[^\]]*\]|[A-Za-z_]\w*)\s*:\s*([^;]+?)\s*\)\s*(?=[{\w])"
@@ -123,7 +117,7 @@ def _args(text: str) -> list[str]:
 
 
 class Fingerprinter:
-    """Flattens walks (or pre-walk writers) of one tree into leaf tokens."""
+    """Flattens the walks of one tree into leaf tokens."""
 
     def __init__(self, model: mflush_lint.TreeModel) -> None:
         self.model = model
@@ -153,16 +147,6 @@ class Fingerprinter:
         for ci in sorted(model.classes.values(), key=lambda c: c.qualified):
             for b in ci.bases:
                 self.subclasses.setdefault(b, []).append(ci)
-        # Pre-walk free writers: put_x/save_x(ArchiveWriter&, ..., const T&).
-        self.free_writers: dict[str, tuple[cpplite.Method, str]] = {}
-        for name, h in sorted(model.helpers.items()):
-            if not re.match(r"(put|save)_", name) or "ArchiveWriter" not in h.params:
-                continue
-            for p in _args(h.params):
-                m = re.match(r"const\s+([A-Za-z_][\w:]*)\s*&\s*(\w+)$", p)
-                if m and model.resolve(m.group(1)) is not None:
-                    target = model.resolve(m.group(1)).qualified
-                    self.free_writers.setdefault(target, (h, m.group(2)))
 
     # --- types --------------------------------------------------------------
 
@@ -196,23 +180,10 @@ class Fingerprinter:
             return cpplite.template_args(t)[0]
         return t
 
-    def writer(self, ci: cpplite.ClassInfo):
-        """(body, parameter bindings) of the type's walk or writer. A free
-        writer binds its object parameter to the type and its other
-        parameters (put_result's job id) to False: not the type's fields."""
-        methods = self.model.methods_of(ci)
-        for name in ("fields", "save_state", "save"):
-            if name in methods:
-                return methods[name].body, {}
-        if ci.qualified in self.free_writers:
-            method, obj = self.free_writers[ci.qualified]
-            params = {
-                re.search(r"(\w+)\s*$", p).group(1): False
-                for p in _args(method.params)
-                if "Archive" not in p and re.search(r"\w", p)
-            }
-            return method.body, {**params, obj: ""}
-        return None
+    def writer(self, ci: cpplite.ClassInfo) -> str | None:
+        """Body of the type's fields() walk."""
+        walk = self.model.methods_of(ci).get("fields")
+        return None if walk is None else walk.body
 
     def serialized_by_walk(self, ci: cpplite.ClassInfo) -> bool:
         return self.writer(ci) is not None or ci.name in self.subclasses
@@ -336,10 +307,9 @@ class Fingerprinter:
         if depth <= 0:
             return [f"{prefix}<depth>"]
         out: list[str] = []
-        w = self.writer(ci)
-        if w is not None:
-            body, binds = w
-            out += self.expand_body(ci, body, binds, prefix, depth)
+        body = self.writer(ci)
+        if body is not None:
+            out += self.expand_body(ci, body, prefix, depth)
         for sub in self.subclasses.get(ci.name, []):
             out += self.expand_type(sub, f"{prefix}<{sub.name}>.", depth - 1)
         return out
@@ -408,13 +378,13 @@ class Fingerprinter:
         )
         return [f"{prefix}{path}:{_norm(type_text)}{layout}"]
 
-    def expand_body(self, ci, body: str, binds: dict, prefix: str, depth: int):
+    def expand_body(self, ci, body: str, prefix: str, depth: int):
         # on_load hooks rebuild derived state: nothing they touch is written.
         for m in reversed(list(re.finditer(r"\bar\s*\.\s*on_load\s*\(", body))):
             body = body[: m.start()] + body[_close(body, m.end() - 1) + 1 :]
         # Range-for variables name container elements from their loop on.
         loops: list[tuple[int, dict]] = []
-        scope = dict(binds)
+        scope: dict = {}
         for m in _RANGE_FOR_RE.finditer(body):
             rng = self.norm_path(m.group(2), ci, scope)
             elem = None if rng is None else rng + "[]"
@@ -427,58 +397,26 @@ class Fingerprinter:
                 scope[var] = elem
             loops.append((m.start(), dict(scope)))
 
-        def binds_at(pos: int, outer: dict = binds) -> dict:
-            return next((b for at, b in reversed(loops) if at < pos), outer)
-
-        events = []
-        for m in _OP_RE.finditer(body):
-            events.append((m.start(), "op", m))
-        for m in _ENTRY_CALL_RE.finditer(body):
-            events.append((m.start(), "entry", m))
-        for m in _HELPER_CALL_RE.finditer(body):
-            if m.group(1) in self.model.helpers:
-                events.append((m.start(), "helper", m))
         out: list[str] = []
-        for pos, kind, m in sorted(events, key=lambda e: e[0]):
-            local = binds_at(pos)
-            if kind == "op":
-                op = m.group(1)
-                args = _args(body[m.end() : _close(body, m.end() - 1)])
-                if op != "io":
-                    args = args[:1]
-                for a in args:
-                    if op == "walk":
-                        out += self.expand_type(ci, prefix, depth - 1)
-                        continue
-                    path = self.norm_path(a, ci, local)
-                    if path is None:
-                        first = re.match(r"[*&\s]*(\w*)", a).group(1)
-                        if local.get(first) is False:
-                            continue  # a free writer's own parameter
-                        # Unresolved: its text, so any edit to it still shows.
-                        out.append(f"{prefix}?{_norm(a)}")
-                        continue
-                    # x.size(): a count prefix, the elements follow
-                    count = re.search(r"\.\s*size\s*\(\s*\)$", a)
-                    mode = None if count else op == "io"
-                    out += self.dispatch(ci, path, prefix, depth, mode)
-            elif kind == "entry":
-                recv = re.search(r"[\w\.\[\]\s>*-]*$", body[: m.start()]).group(0)
-                path = self.norm_path(recv.replace("->", "."), ci, local)
+        for m in _OP_RE.finditer(body):
+            local = next((b for at, b in reversed(loops) if at < m.start()), {})
+            op = m.group(1)
+            args = _args(body[m.end() : _close(body, m.end() - 1)])
+            if op != "io":
+                args = args[:1]
+            for a in args:
+                if op == "walk":
+                    out += self.expand_type(ci, prefix, depth - 1)
+                    continue
+                path = self.norm_path(a, ci, local)
                 if path is None:
-                    out.append(f"{prefix}?{_norm(recv)}")
-                else:
-                    out += self.dispatch(ci, path, prefix, depth, True)
-            else:
-                helper = self.model.helpers[m.group(1)]
-                args = _args(body[m.end() : _close(body, body.index("(", m.start()))])
-                names = [
-                    re.search(r"(\w+)\s*$", p).group(1)
-                    for p in _args(helper.params)
-                    if "Archive" not in p and re.search(r"\w", p)
-                ]
-                inner = {n: self.norm_path(a, ci, local) for n, a in zip(names, args)}
-                out += self.expand_body(ci, helper.body, inner, prefix, depth - 1)
+                    # Unresolved: its text, so any edit to it still shows.
+                    out.append(f"{prefix}?{_norm(a)}")
+                    continue
+                # x.size(): a count prefix, the elements follow
+                count = re.search(r"\.\s*size\s*\(\s*\)$", a)
+                mode = None if count else op == "io"
+                out += self.dispatch(ci, path, prefix, depth, mode)
         return [t for i, t in enumerate(out) if i == 0 or out[i - 1] != t]
 
     def root(self, name: str) -> str | None:
@@ -490,7 +428,7 @@ class Fingerprinter:
             m = self.model.methods_of(ci).get(method)
             if m is None:
                 return None
-            return "\n".join(self.expand_body(ci, m.body, {}, "", 12))
+            return "\n".join(self.expand_body(ci, m.body, "", 12))
         return "\n".join(self.expand_type(ci, "", 12))
 
 

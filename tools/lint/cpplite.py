@@ -170,9 +170,6 @@ class FileModel:
     # out-of-class method bodies: (class name, method name) -> Method
     external_methods: dict[tuple[str, str], Method]
     enums: set[str]
-    # free functions taking an ArchiveWriter/Reader, by name — helpers a
-    # serialization body may delegate to (`put_job_fields(ar, *this)`)
-    helpers: dict[str, Method] = dataclasses.field(default_factory=dict)
 
 
 _CLASS_RE = re.compile(
@@ -396,16 +393,6 @@ def _walk(
             em.group(2), clean, block
         )
         return
-
-    # Any other function over an Archive stream is a serialization helper a
-    # body may delegate to; record it for call expansion.
-    if "ArchiveWriter" in header or "ArchiveReader" in header:
-        hm = re.search(r"([A-Za-z_]\w*)\s*\($", _header_through_paren(header))
-        if hm and hm.group(1) not in _SKIP_KEYWORDS:
-            model.helpers.setdefault(
-                hm.group(1), _method(hm.group(1), clean, block)
-            )
-            return
 
     for child in block.children:
         _walk(child, clean, raw_lines, model, scope)

@@ -1,9 +1,10 @@
-// Gate fixture (walk form): gate_wire_v1.h's Message with its save/load
-// twins replaced by one fields() walk, byte for byte. selftest.py checks it
-// against the gate_wire_v1.h base as is (silent: the gate reads the base's
-// writer into the same tokens), then with the walk reordered, a field type
-// changed, the array widened or Tag's pad resized — each must fail the
-// gate — and with Tag's pad made implicit again, which must stay silent.
+// Gate fixture: a miniature wire message owned by the 'daemon'
+// format-version domain. selftest.py commits it as src/sim/wire.h in a
+// scratch repository, then checks edited copies against it: the walk
+// reordered (failing, and passing once kProtocolVersion is bumped), a field
+// type changed, the array widened, Tag's pad resized or an unresolvable
+// argument added — each must fail the gate — and Tag's pad made implicit,
+// which must stay silent.
 #pragma once
 
 #include <array>

@@ -57,15 +57,12 @@ class TreeModel:
         self.classes: dict[str, cpplite.ClassInfo] = {}  # qualified name key
         self.by_simple: dict[str, list[cpplite.ClassInfo]] = {}
         self.enums: set[str] = set()
-        self.helpers: dict[str, cpplite.Method] = {}
 
     def add(self, fm: cpplite.FileModel) -> None:
         self.files.append(fm)
         for ci in fm.classes:
             self.classes.setdefault(ci.qualified, ci)
             self.by_simple.setdefault(ci.name, []).append(ci)
-        for name, method in fm.helpers.items():
-            self.helpers.setdefault(name, method)
         self.enums |= fm.enums
 
     def resolve(

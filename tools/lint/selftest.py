@@ -86,29 +86,30 @@ def run_case(fixture: str) -> list[str]:
     return errors
 
 
-# Format-version gate cases: (head fixture, edit applied to it) ->
-# (expected exit code, substrings the gate must print). The base revision is
-# always gate_wire_v1.h (save/load form) committed as src/sim/wire.h in a
-# scratch repository.
+# Format-version gate cases: edits applied to gate_walk_v1.h -> (expected
+# exit code, substrings the gate must print). The base revision is
+# gate_walk_v1.h itself, committed as src/sim/wire.h in a scratch repository.
+GATE_BASE = "gate_walk_v1.h"
+REORDER = ("ar.io(a, b, c, t)", "ar.io(b, a, c, t)")
 GATE_CASES = {
-    ("gate_wire_v1.h", None): (0, ["all serialized-layout domains clean"]),
-    ("gate_wire_reordered.h", None): (1, ["domain 'daemon'", "kProtocolVersion"]),
-    ("gate_wire_bumped.h", None): (0, ["domain 'daemon'", "1 -> 2"]),
-    ("gate_walk_v1.h", None): (0, ["all serialized-layout domains clean"]),
-    ("gate_walk_v1.h", ("ar.io(a, b, c, t)", "ar.io(b, a, c, t)")): (
+    (): (0, ["all serialized-layout domains clean"]),
+    (REORDER,): (1, ["domain 'daemon'", "changed roots: Message",
+                     "kProtocolVersion"]),
+    # The same change with the version bumped is accepted.
+    (REORDER, ("kProtocolVersion = 1", "kProtocolVersion = 2")): (
+        0, ["domain 'daemon'", "1 -> 2"]),
+    (("std::uint32_t a = 0", "std::uint64_t a = 0"),): (
         1, ["domain 'daemon'", "changed roots: Message"]),
-    ("gate_walk_v1.h", ("std::uint32_t a = 0", "std::uint64_t a = 0")): (
-        1, ["domain 'daemon'", "changed roots: Message"]),
-    ("gate_walk_v1.h", ("uint32_t, 2> c", "uint32_t, 4> c")): (
+    (("uint32_t, 2> c", "uint32_t, 4> c"),): (
         1, ["domain 'daemon'", "changed roots: Message"]),
     # A resized pad moves every later byte of the memcpy'd record.
-    ("gate_walk_v1.h", ("_pad[3]", "_pad[7]")): (
+    (("_pad[3]", "_pad[7]"),): (
         1, ["domain 'daemon'", "changed roots: Message"]),
     # An explicit pad filling an implicit hole leaves every byte in place.
-    ("gate_walk_v1.h", ("std::uint8_t _pad[3] = {};", "")): (
+    (("std::uint8_t _pad[3] = {};", ""),): (
         0, ["all serialized-layout domains clean"]),
     # An argument the gate cannot resolve is fingerprinted by its text.
-    ("gate_walk_v1.h", ("ar.io(a, b, c, t)", "ar.io(a, b, c, t, extra())")): (
+    (("ar.io(a, b, c, t)", "ar.io(a, b, c, t, extra())"),): (
         1, ["domain 'daemon'", "changed roots: Message"]),
 }
 
@@ -139,17 +140,21 @@ def run_gate_cases() -> list[str]:
             )
 
         git("init", "-q")
-        shutil.copyfile(os.path.join(fixdir, "gate_wire_v1.h"), wire)
+        with open(os.path.join(fixdir, GATE_BASE)) as f:
+            base = f.read()
+        with open(wire, "w") as f:
+            f.write(base)
         git("add", "src/sim/wire.h")
         git("commit", "-q", "-m", "base")
 
-        for (fixture, edit), (expect_rc, must) in GATE_CASES.items():
-            with open(os.path.join(fixdir, fixture)) as f:
-                text = f.read()
-            if edit is not None:
-                assert edit[0] in text, edit
-                text = text.replace(edit[0], edit[1])
-                fixture += f" [{edit[0]} -> {edit[1]}]"
+        for edits, (expect_rc, must) in GATE_CASES.items():
+            text = base
+            for old, new in edits:
+                assert old in text, old
+                text = text.replace(old, new)
+            fixture = GATE_BASE
+            if edits:
+                fixture += " [" + "; ".join(f"{o} -> {n}" for o, n in edits) + "]"
             with open(wire, "w") as f:
                 f.write(text)
             proc = subprocess.run(
