@@ -350,9 +350,7 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
       options.warm_store->put(key, warmstore::recall(key));
   }
   if (options.on_event && scan.parents != 0) {
-    const std::string tag =
-        options.label.empty() ? "" : "[" + options.label + "] ";
-    options.on_event(tag + std::to_string(scan.parents) + " parent(s): " +
+    options.on_event(std::to_string(scan.parents) + " parent(s): " +
                      std::to_string(scan.parents - scan.cold.size()) +
                      " reused, " + std::to_string(scan.cold.size()) +
                      " warmed");

@@ -166,10 +166,6 @@ struct RunOptions {
   /// reused, W warmed"). The CLI wires report::event_printer(std::cerr,
   /// "warm-store: ").
   std::function<void(const std::string&)> on_event;
-  /// Tenant tag prefixed onto warm-phase event lines ("[label] N
-  /// parent(s): ..."): mflushd sets the campaign id here so concurrent
-  /// tenants' warm narration stays attributable. Empty = classic lines.
-  std::string label;
 };
 
 /// Heads of the cold parent groups in `jobs`: entry i is the index of the

@@ -278,7 +278,6 @@ class Server {
       // A per-campaign view of the shared warm directory: entries are
       // shared on disk, but hits/misses/stores count per tenant.
       WarmStore::Options wopts;
-      wopts.label = c->id;
       wopts.on_event = [this, id = c->id](const std::string& line) {
         event("campaign " + id + " warm: " + line);
       };
@@ -286,7 +285,6 @@ class Server {
 
       RunOptions ropts;
       ropts.warm_store = &warm;
-      ropts.label = c->id;
       ropts.on_event = [this, id = c->id](const std::string& line) {
         event("campaign " + id + " warm: " + line);
       };

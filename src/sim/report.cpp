@@ -223,15 +223,8 @@ std::string summarize(const RunResult& r) {
 }
 
 std::string summarize(const WarmStore::Stats& stats) {
-  return summarize(stats, std::string());
-}
-
-std::string summarize(const WarmStore::Stats& stats,
-                      const std::string& label) {
   std::ostringstream os;
-  os << "warm store";
-  if (!label.empty()) os << '[' << label << ']';
-  os << ": " << stats.hits << " hit(s), " << stats.misses << " miss(es), "
+  os << "warm store: " << stats.hits << " hit(s), " << stats.misses << " miss(es), "
      << stats.stored << " entr" << (stats.stored == 1 ? "y" : "ies")
      << " written (" << stats.bytes_written << " bytes), "
      << stats.corrupt_discarded << " corrupt discarded";

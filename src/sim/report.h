@@ -78,12 +78,6 @@ void print_wasted_energy(std::ostream& os,
 /// corrupt entries healed.
 [[nodiscard]] std::string summarize(const WarmStore::Stats& stats);
 
-/// Labelled warm-store summary ("warm store[<label>]: ...") — mflushd
-/// attributes each tenant's counters to its campaign id; an empty label
-/// reproduces the unlabelled line byte for byte.
-[[nodiscard]] std::string summarize(const WarmStore::Stats& stats,
-                                    const std::string& label);
-
 /// One-line simulator-throughput footer over a set of finished runs:
 /// total wall-clock work, simulated cycles, and aggregate cycles/second.
 /// Empty string when none of the runs carry timing.

@@ -157,18 +157,11 @@ WarmStore::WarmStore(std::string dir, Options options)
     : opts_(std::move(options)),
       blobs_(std::move(dir), "mfws",
              [this](std::uint64_t key, const std::string& why) {
-               event("entry " + campaign::key_hex(key) + " corrupt (" + why +
-                     ") -- discarded for re-warm");
+               if (opts_.on_event)
+                 opts_.on_event("entry " + campaign::key_hex(key) +
+                                " corrupt (" + why +
+                                ") -- discarded for re-warm");
              }) {}
-
-void WarmStore::event(const std::string& line) const {
-  if (!opts_.on_event) return;
-  if (opts_.label.empty()) {
-    opts_.on_event(line);
-  } else {
-    opts_.on_event("[" + opts_.label + "] " + line);
-  }
-}
 
 std::shared_ptr<const std::vector<std::uint8_t>> WarmStore::lookup(
     std::uint64_t key) {

@@ -89,13 +89,6 @@ class WarmStore {
     /// Narration sink for store events (corrupt-entry discards). Wire
     /// report::event_printer(std::cerr, "warm-store: ") in the CLI.
     std::function<void(const std::string&)> on_event;
-    /// Tenant tag woven into event lines ("[label] entry ... corrupt").
-    /// mflushd gives each campaign its own labelled instance over the one
-    /// shared directory, so per-tenant narration (and Stats, via
-    /// report::summarize's labelled overload) stays attributable while
-    /// the entries themselves dedup across tenants. Empty = classic
-    /// single-tenant lines, byte for byte.
-    std::string label;
   };
 
   /// hits/misses count lookup()s, memo hits included.
@@ -125,13 +118,8 @@ class WarmStore {
   [[nodiscard]] bool contains(std::uint64_t key) const;
 
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] const std::string& label() const noexcept {
-    return opts_.label;
-  }
 
  private:
-  void event(const std::string& line) const;
-
   Options opts_;
   BlobStore blobs_;
   mutable std::mutex m_;
