@@ -151,7 +151,8 @@ std::span<const PolicyFamily> policy_families() {
       {"flush-ns", "flush-ns",
        "non-speculative FLUSH: squash only on a confirmed L2 miss"},
       {"stall-s<N>", "stall-s30",
-       "STALL response: gate fetch (no squash) after N outstanding cycles"},
+       "STALL: stall a thread's fetch (no squash) until its load resolves, "
+       "once the load is outstanding N cycles"},
       {"mflush", "mflush",
        "the paper's MFLUSH: per-bank Barrier deadline + Preventive State"},
       {"mflush-np", "mflush-np", "MFLUSH ablation without Preventive State"},

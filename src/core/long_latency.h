@@ -152,10 +152,6 @@ class LongLatencyPolicy final : public FetchPolicy {
     icount_order(view, order);
   }
 
-  [[nodiscard]] DetectionMoment detection_moment() const noexcept {
-    return dm_;
-  }
-  [[nodiscard]] Cycle trigger() const noexcept { return trigger_; }
   [[nodiscard]] Counters counters() const override {
     return loads_.counters();
   }
