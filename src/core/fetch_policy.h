@@ -118,9 +118,6 @@ class FetchPolicy {
                                 bool /*l2_accessed*/, bool /*l2_hit*/,
                                 std::uint32_t /*bank*/) {}
 
-  /// Confirmation that flush_after_load squashed the thread.
-  virtual void on_thread_flushed(ThreadId /*tid*/, std::uint64_t /*token*/) {}
-
   /// Fill `order[0..num_threads)` with context ids, most preferred first.
   virtual void fetch_order(const CoreView& view,
                            std::array<ThreadId, kMaxContexts>& order) = 0;

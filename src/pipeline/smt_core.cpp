@@ -834,7 +834,6 @@ bool SmtCore::flush_after_load(std::uint64_t mem_token) {
   fstate_[t].resume_right_path(u.seq + 1);
   fstate_[t].stall_tokens.push_back(mem_token);
   ++stats_.policy_flush_events;
-  policy_->on_thread_flushed(t, mem_token);
   policy_dirty_ = true;
   return true;
 }
