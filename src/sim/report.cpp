@@ -224,7 +224,8 @@ std::string summarize(const RunResult& r) {
 
 std::string summarize(const WarmStore::Stats& stats) {
   std::ostringstream os;
-  os << "warm store: " << stats.hits << " hit(s), " << stats.misses << " miss(es), "
+  os << "warm store: " << stats.hits << " hit(s), " << stats.misses
+     << " miss(es), "
      << stats.stored << " entr" << (stats.stored == 1 ? "y" : "ies")
      << " written (" << stats.bytes_written << " bytes), "
      << stats.corrupt_discarded << " corrupt discarded";

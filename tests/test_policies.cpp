@@ -81,7 +81,7 @@ TEST(IcountPolicy, NeverTriggersActions) {
   EXPECT_TRUE(ctrl.gates.empty());
 }
 
-// ---------------------------------------------------- FLUSH (LongLatencyPolicy)
+// ------------------------------------------------- FLUSH (LongLatencyPolicy)
 
 TEST(FlushSpec, FiresExactlyAtTrigger) {
   LongLatencyPolicy p = flush_s(30);
@@ -167,7 +167,7 @@ TEST(FlushPolicy, Names) {
   EXPECT_STREQ(stall_s(40).name(), "STALL-S40");
 }
 
-// ---------------------------------------------------- STALL (LongLatencyPolicy)
+// ------------------------------------------------- STALL (LongLatencyPolicy)
 
 TEST(StallPolicy, StallsInsteadOfFlushing) {
   LongLatencyPolicy p = stall_s(40);
