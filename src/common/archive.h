@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -28,8 +29,9 @@
 ///
 ///   io(v...)        each value by type: a RawArchivable scalar, array or
 ///                   record (memcpy), std::string, vector/deque/
-///                   unordered_map (u64 count, then the elements),
-///                   std::pair, shared_ptr<const T> (u8 presence, then T),
+///                   unordered_map (u64 count, then the elements; map
+///                   entries in key order), std::pair,
+///                   shared_ptr<const T> (u8 presence, then T),
 ///                   a type with a save_state/load_state entry pair, or a
 ///                   type with a `fields` walk;
 ///   flag(b, what)   a bool as one byte; decode rejects anything but 0/1;
@@ -160,8 +162,16 @@ class ArchiveWriter {
   }
   template <class K, class V>
   void one(const std::unordered_map<K, V>& m) {
+    // Key order, not iteration order: the bucket layout depends on the
+    // map's insert/erase history, which a restore does not reproduce, so
+    // equal maps would otherwise write different bytes.
+    std::vector<const std::pair<const K, V>*> entries;
+    entries.reserve(m.size());
+    for (const auto& e : m) entries.push_back(&e);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
     put<std::uint64_t>(m.size());
-    for (const auto& [k, v] : m) io(k, v);
+    for (const auto* e : entries) io(e->first, e->second);
   }
   template <class A, class B>
   void one(const std::pair<A, B>& p) {

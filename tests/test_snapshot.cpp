@@ -177,6 +177,33 @@ TEST(Snapshot, ForkJobsMatchDirectForks) {
   }
 }
 
+// ------------------------------------------------------- canonical bytes
+
+/// Snapshot bytes are a function of the simulated state alone. A chip
+/// rebuilt from bytes refills its hash maps (in-flight loads by token, TLB
+/// pages) in another order than the live chip's insert/erase history left
+/// them, and must still capture the bytes it was built from — for every
+/// policy family on both memory models.
+TEST(Snapshot, RecaptureIsByteIdentical) {
+  const Workload wl = *workloads::by_name("4W2");
+  for (const char* name :
+       {"icount", "flush-s30", "flush-ns", "stall-s30", "mflush"}) {
+    for (const bool dram : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (dram ? " dram" : " fixed"));
+      SimConfig cfg = SimConfig::paper_default(wl.num_cores(), /*seed=*/7);
+      if (dram) {
+        cfg.mem.memory_model = MemModelKind::BankedDram;
+        cfg.mem.dram.far_base = Addr{1} << 40;
+        cfg.mem.dram.far_bytes = std::uint64_t{1} << 40;
+      }
+      CmpSimulator chip(cfg, wl, *PolicySpec::parse(name));
+      chip.run(6'000);
+      const std::vector<std::uint8_t> bytes = snapshot::capture(chip);
+      EXPECT_TRUE(snapshot::capture(*snapshot::make(bytes)) == bytes);
+    }
+  }
+}
+
 // ------------------------------------------------------- file round trip
 
 TEST(Snapshot, FileRoundTrip) {
