@@ -457,24 +457,46 @@ int run_worker(const std::string& job_path, const std::string& result_path,
     }
     std::vector<std::pair<std::uint32_t, RunResult>> results;
     results.reserve(jobs.size());
-    // Jobs run serially: the worker *process* is the unit of parallelism,
-    // and serial execution keeps the worker bit-identical to run_job.
-    for (JobSpec& job : jobs) {
-      // A by-reference fork takes its parent from the host store; on a
-      // miss run_job warms it here, and the capture goes into the store so
-      // every later batch on this host finds it.
-      if (store && !job.warm_only && job.parent_key != 0 && !job.snapshot)
-        job.snapshot = store->lookup(job.parent_key);
-      results.emplace_back(job.id, run_job(job));
-      if (store && job.parent_key != 0 && !job.snapshot)
-        store->put(job.parent_key, warmstore::recall(job.parent_key));
-      // Streaming transports watch for these one-entry part files; the
-      // atomic rename inside write_result_file is what makes existence
-      // imply completeness on the coordinator side.
+    // Streaming transports watch for these one-entry part files; the
+    // atomic rename inside write_result_file is what makes existence
+    // imply completeness on the coordinator side.
+    const auto finish = [&](const JobSpec& job, RunResult r) {
+      results.emplace_back(job.id, std::move(r));
       if (write_parts && !job.warm_only) {
         write_result_file(result_path + ".r" + std::to_string(job.id),
                           {results.back()});
       }
+    };
+    // Jobs run serially: the worker *process* is the unit of parallelism,
+    // and serial execution keeps the worker bit-identical to run_job. Each
+    // run of forks of one parent is one pass (run_fork_group), so the
+    // parent is taken once per group instead of once per fork.
+    for (std::size_t begin = 0; begin < jobs.size();) {
+      const std::size_t end = fork_group_end(jobs, begin);
+      JobSpec& head = jobs[begin];
+      if (head.warm_only || head.parent_key == 0) {
+        finish(head, run_job(head));
+        // A warm job's capture goes into the store like a warmed parent.
+        if (store && head.warm_only)
+          store->put(head.parent_key, warmstore::recall(head.parent_key));
+        begin = end;
+        continue;
+      }
+      // A by-reference group takes its parent from the host store; on a
+      // miss the group warms it here, and once the first fork's result is
+      // out the capture goes into the store, so every later batch on this
+      // host finds it.
+      if (store && !head.snapshot)
+        head.snapshot = store->lookup(head.parent_key);
+      const bool store_missed = store && !head.snapshot;
+      run_fork_group(std::span(jobs).subspan(begin, end - begin),
+                     [&](std::size_t k, RunResult r) {
+                       finish(jobs[begin + k], std::move(r));
+                       if (k == 0 && store_missed)
+                         store->put(head.parent_key,
+                                    warmstore::recall(head.parent_key));
+                     });
+      begin = end;
     }
     write_result_file(result_path, results);
     return 0;

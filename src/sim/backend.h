@@ -263,13 +263,15 @@ decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 /// The `mflushsim --worker` entry point: read the job file, run every job,
 /// write the result file. Returns a process exit code (0 on success).
 ///
+/// Each run of consecutive forks of one parent (fork_group_end) runs as
+/// one pass through run_fork_group; every other job through run_job.
 /// A non-empty `store_dir` opens the host-side WarmStore
 /// (`--worker-store`): embedded parent snapshots are installed into it
 /// before anything runs (so one upload serves every later batch on this
-/// host), by-reference forks resolve their bytes from it, and a parent a
-/// fork had to warm here (or a warm job captured) is stored as soon as it
-/// lands. Without a store, by-ref forks still warm their parent in-process
-/// through run_job.
+/// host), by-reference fork groups resolve their bytes from it, and a
+/// parent a group had to warm here is stored once the group's first fork
+/// has its result (a warm job's capture, as soon as it lands). Without a
+/// store, by-ref forks still warm their parent in-process.
 /// With `write_parts` (`--worker-parts`), every measured job's result is
 /// additionally written — atomically, as a one-entry result archive — to
 /// `result_path + ".r<job_id>"` the moment the job finishes, so a

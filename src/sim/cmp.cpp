@@ -21,7 +21,8 @@ bool default_event_skip() {
 
 }  // namespace
 
-void CmpSimulator::build(const std::vector<BenchmarkProfile>& profiles) {
+void CmpSimulator::build(const std::vector<BenchmarkProfile>& profiles,
+                         bool prewarm) {
   if (const std::string err = cfg_.validate(); !err.empty())
     throw std::invalid_argument("invalid SimConfig: " + err);
   if (profiles.size() != cfg_.num_cores * cfg_.core.threads_per_core) {
@@ -47,7 +48,7 @@ void CmpSimulator::build(const std::vector<BenchmarkProfile>& profiles) {
   clocks_.resize(cores_.size());
   event_skip_ = default_event_skip();
 
-  if (cfg_.prewarm_l2) {
+  if (prewarm && cfg_.prewarm_l2) {
     for (const auto& src : sources_) {
       const auto r = src->regions();
       for (std::uint32_t i = 0; i < r.hot_lines; ++i)
@@ -81,7 +82,13 @@ std::vector<BenchmarkProfile> resolve_codes(const Workload& workload) {
 CmpSimulator::CmpSimulator(const SimConfig& cfg, const Workload& workload,
                            const PolicySpec& policy)
     : cfg_(cfg), workload_(workload), policy_(policy), mem_(cfg) {
-  build(resolve_codes(workload_));
+  build(resolve_codes(workload_), /*prewarm=*/true);
+}
+
+CmpSimulator::CmpSimulator(RestoreTarget, const SimConfig& cfg,
+                           const Workload& workload, const PolicySpec& policy)
+    : cfg_(cfg), workload_(workload), policy_(policy), mem_(cfg) {
+  build(resolve_codes(workload_), /*prewarm=*/false);
 }
 
 CmpSimulator::CmpSimulator(const Workload& workload, const PolicySpec& policy,
@@ -112,7 +119,7 @@ CmpSimulator::CmpSimulator(const SimConfig& cfg,
   workload_.name = "custom";
   for (const auto& p : profiles)
     workload_.codes.push_back(p.code == '?' ? 'a' : p.code);
-  build(profiles);
+  build(profiles, /*prewarm=*/true);
 }
 
 void CmpSimulator::run(Cycle cycles) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/archive.h"
@@ -13,6 +14,14 @@
 #include "trace/generator.h"
 
 namespace mflush {
+
+class CmpSimulator;
+
+namespace snapshot {
+[[nodiscard]] std::unique_ptr<CmpSimulator> make(
+    std::span<const std::uint8_t> bytes);
+[[nodiscard]] std::unique_ptr<CmpSimulator> clone(const CmpSimulator& sim);
+}  // namespace snapshot
 
 /// The full chip: N two-context SMT cores around one shared banked L2,
 /// each core running the same IFetch policy — the paper's experimental
@@ -134,7 +143,18 @@ class CmpSimulator {
   }
 
  private:
-  void build(const std::vector<BenchmarkProfile>& profiles);
+  /// A chip built only to be overwritten by restore_state (snapshot::make,
+  /// snapshot::clone): everything the L2 prewarm writes is serialized
+  /// state, so these chips skip it.
+  struct RestoreTarget {};
+  CmpSimulator(RestoreTarget, const SimConfig& cfg, const Workload& workload,
+               const PolicySpec& policy);
+  friend std::unique_ptr<CmpSimulator> snapshot::make(
+      std::span<const std::uint8_t> bytes);
+  friend std::unique_ptr<CmpSimulator> snapshot::clone(
+      const CmpSimulator& sim);
+
+  void build(const std::vector<BenchmarkProfile>& profiles, bool prewarm);
   void run_lockstep(Cycle end);
 
   SimConfig cfg_;        // lint: transient — ctor config; loader rebuilds chip

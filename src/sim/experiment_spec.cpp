@@ -45,19 +45,33 @@ SimConfig job_config(const JobSpec& job, std::uint32_t num_cores) {
 /// Warm a catalog parent chip from scratch — the single definition every
 /// warm path shares (warm jobs, and through warm_job_of the forks that warm
 /// their own parent): bit-identity of forks rests on all of them producing
-/// the same capture.
-std::shared_ptr<const std::vector<std::uint8_t>> warm_parent_snapshot(
-    const JobSpec& job) {
+/// the same chip.
+std::unique_ptr<CmpSimulator> warm_parent_chip(const JobSpec& job) {
   if (!job.profiles.empty()) {
     throw std::runtime_error(
         "warm jobs require catalog workloads (snapshots cannot rebuild "
         "ad-hoc profile chips)");
   }
-  CmpSimulator parent(job_config(job, job.workload.num_cores()),
-                      job.workload, job.policy);
-  parent.run(job.warmup);
+  auto parent = std::make_unique<CmpSimulator>(
+      job_config(job, job.workload.num_cores()), job.workload, job.policy);
+  parent->run(job.warmup);
+  return parent;
+}
+
+std::shared_ptr<const std::vector<std::uint8_t>> capture_shared(
+    const CmpSimulator& chip) {
   return std::make_shared<const std::vector<std::uint8_t>>(
-      snapshot::capture(parent));
+      snapshot::capture(chip));
+}
+
+/// Measures off a parent snapshot: attached bytes, or a parent_key.
+bool is_fork(const JobSpec& job) {
+  return !job.warm_only && (job.snapshot || job.parent_key != 0);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 }  // namespace
@@ -115,24 +129,19 @@ RunResult run_job(const JobSpec& job) {
     RunResult r;
     r.workload = job.workload.name;
     r.policy = job.policy.label();
-    r.payload = warm_parent_snapshot(job);
-    r.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    r.payload = capture_shared(*warm_parent_chip(job));
+    r.wall_seconds = seconds_since(t0);
     r.simulated_cycles = job.warmup;
     // Share the bytes with every fork of this parent in the process.
     warmstore::publish(job.parent_key, r.payload);
     return r;
   }
-  // A by-ref fork whose bytes were not attached warms its parent here,
-  // once per process: the warm is a pure function of warm_job_of(job), the
-  // job every warm path runs, so the fork's metrics do not depend on where
-  // its parent was warmed.
-  const auto snap = job.snapshot || job.parent_key == 0
-                        ? job.snapshot
-                        : warmstore::parent_snapshot(job);
-  if (snap)
-    return run_point_from_snapshot(*snap, job.fork_advance, job.measure);
+  if (is_fork(job)) {
+    RunResult r;
+    run_fork_group({&job, 1},
+                   [&](std::size_t, RunResult result) { r = std::move(result); });
+    return r;
+  }
   if (!job.profiles.empty()) {
     const auto t0 = std::chrono::steady_clock::now();
     CmpSimulator sim(
@@ -147,14 +156,66 @@ RunResult run_job(const JobSpec& job) {
         job.workload.name.empty() ? sim.workload().name : job.workload.name;
     r.policy = job.policy.label();
     r.metrics = sim.metrics();
-    r.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    r.wall_seconds = seconds_since(t0);
     r.simulated_cycles = job.warmup + job.measure;
     return r;
   }
   return run_point(job_config(job, job.workload.num_cores()), job.workload,
                    job.policy, job.warmup, job.measure);
+}
+
+void run_fork_group(std::span<const JobSpec> forks,
+                    const ForkResultFn& on_result) {
+  const JobSpec& head = forks.front();
+  if (!is_fork(head))
+    throw std::invalid_argument("run_fork_group: not a fork job");
+  // A by-ref fork whose bytes were not attached warms its parent here,
+  // once per process: the warm is a pure function of warm_job_of(head),
+  // the job every warm path runs, so the forks' metrics do not depend on
+  // where their parent was warmed. The caller that warms keeps the live
+  // chip, whose state is exactly what its published capture describes.
+  std::unique_ptr<CmpSimulator> chip;
+  const auto bytes =
+      head.snapshot ? head.snapshot
+                    : warmstore::parent_snapshot(head, [&] {
+                        chip = warm_parent_chip(warmstore::warm_job_of(head));
+                        return capture_shared(*chip);
+                      });
+  auto t0 = std::chrono::steady_clock::now();
+  if (!chip) chip = snapshot::make(*bytes);
+  Cycle at = 0;
+  for (std::size_t k = 0; k < forks.size(); ++k) {
+    const JobSpec& fork = forks[k];
+    if (fork.fork_advance < at)
+      throw std::invalid_argument("run_fork_group: fork_advance decreases");
+    chip->run(fork.fork_advance - at);
+    at = fork.fork_advance;
+    std::unique_ptr<CmpSimulator> copy;
+    if (k + 1 < forks.size()) copy = snapshot::clone(*chip);
+    CmpSimulator& sim = copy ? *copy : *chip;
+    sim.reset_stats();
+    sim.run(fork.measure);
+    RunResult r;
+    r.workload = sim.workload().name;
+    r.policy = sim.policy().label();
+    r.metrics = sim.metrics();
+    r.wall_seconds = seconds_since(t0);
+    r.simulated_cycles = fork.fork_advance + fork.measure;
+    on_result(k, std::move(r));
+    t0 = std::chrono::steady_clock::now();
+  }
+}
+
+std::size_t fork_group_end(std::span<const JobSpec> jobs, std::size_t begin) {
+  const JobSpec& head = jobs[begin];
+  std::size_t end = begin + 1;
+  if (!is_fork(head) || head.parent_key == 0) return end;
+  while (end < jobs.size() && is_fork(jobs[end]) &&
+         jobs[end].parent_key == head.parent_key &&
+         jobs[end].fork_advance >= jobs[end - 1].fork_advance) {
+    ++end;
+  }
+  return end;
 }
 
 // ----------------------------------------------------------- ExperimentSpec

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -139,8 +140,35 @@ struct JobSpec {
 };
 
 /// Execute one job to completion (the single definition of "run a point"
-/// every backend shares — cross-backend bit-identity rests on this).
+/// every backend shares — cross-backend bit-identity rests on this). A
+/// fork job runs as a fork group of one (run_fork_group).
 [[nodiscard]] RunResult run_job(const JobSpec& job);
+
+/// Receives forks[k]'s result as soon as fork k is measured.
+using ForkResultFn = std::function<void(std::size_t k, RunResult result)>;
+
+/// Run consecutive forks of one parent as a single pass. Every fork shares
+/// forks.front()'s parent (its attached snapshot, else its parent_key) and
+/// fork_advance never decreases along the span (fork_group_end finds such
+/// runs). The parent chip is taken once: built from the attached or
+/// registry bytes, or — when this caller wins the single-flight warm
+/// (warmstore::parent_snapshot) — the live warmed chip itself, whose
+/// capture is published for everyone else. The chip is then advanced by
+/// the stride between consecutive forks, and each fork is measured on an
+/// in-memory snapshot::clone of it, the last on the chip itself. Each
+/// result equals run_job of that fork alone (full SimMetrics, workload,
+/// policy, simulated_cycles); wall_seconds splits the pass's time: the
+/// time since the previous fork's result (the first fork's since the
+/// parent bytes were in hand, or since the warm ended).
+void run_fork_group(std::span<const JobSpec> forks,
+                    const ForkResultFn& on_result);
+
+/// One past the last job of the fork group starting at jobs[begin]: the
+/// following jobs stay in the group while they are forks of the same
+/// parent_key (non-zero) with non-decreasing fork_advance. Any other job
+/// is a group of one (begin + 1).
+[[nodiscard]] std::size_t fork_group_end(std::span<const JobSpec> jobs,
+                                         std::size_t begin);
 
 /// A full study: workload set x policy set x seed set x interval x mode.
 struct ExperimentSpec {

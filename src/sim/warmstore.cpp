@@ -112,7 +112,8 @@ Bytes recall(std::uint64_t key) {
   return it == r.bytes.end() ? nullptr : it->second;
 }
 
-Bytes parent_snapshot(const JobSpec& fork) {
+Bytes parent_snapshot(const JobSpec& fork,
+                      const std::function<Bytes()>& warm) {
   Registry& r = registry();
   const std::uint64_t key = fork.parent_key;
   {
@@ -138,7 +139,7 @@ Bytes parent_snapshot(const JobSpec& fork) {
       r.landed.notify_all();
     }
   } release{r, key};
-  Bytes bytes = run_job(warm_job_of(fork)).payload;
+  Bytes bytes = warm();
   publish(key, bytes);
   return bytes;
 }

@@ -66,12 +66,18 @@ void publish(std::uint64_t key,
     std::uint64_t key);
 
 /// The parent snapshot of by-reference fork `fork` (keyed by its
-/// parent_key): the registry's copy, or a fresh warm of warm_job_of(fork),
-/// published before it is returned. Single-flight per key: concurrent
-/// callers for one parent block until the first caller's warm lands
-/// instead of repeating it; if that warm throws, a waiter takes over.
+/// parent_key): the registry's copy, or the bytes `warm` returns — the
+/// capture of a fresh warm of warm_job_of(fork) — published before they
+/// are returned. `warm` runs only in the caller that wins the warm, so
+/// that caller can keep the live chip it captured. Single-flight per key:
+/// concurrent callers for one parent block until the first caller's warm
+/// lands instead of repeating it; if that warm throws, a waiter takes
+/// over.
 [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>>
-parent_snapshot(const JobSpec& fork);
+parent_snapshot(
+    const JobSpec& fork,
+    const std::function<std::shared_ptr<const std::vector<std::uint8_t>>()>&
+        warm);
 
 /// Warms parent_snapshot has run in this process (each one a cold key).
 [[nodiscard]] std::uint64_t warm_count();

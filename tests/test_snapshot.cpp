@@ -180,9 +180,9 @@ TEST(Snapshot, ForkJobsMatchDirectForks) {
 // ------------------------------------------------------- canonical bytes
 
 /// Snapshot bytes are a function of the simulated state alone. A chip
-/// rebuilt from bytes refills its hash maps (in-flight loads by token, TLB
-/// pages) in another order than the live chip's insert/erase history left
-/// them, and must still capture the bytes it was built from — for every
+/// rebuilt from bytes or cloned refills its hash maps (in-flight loads by
+/// token, TLB pages) in another order than the live chip's insert/erase
+/// history left them, and must still capture the same bytes — for every
 /// policy family on both memory models.
 TEST(Snapshot, RecaptureIsByteIdentical) {
   const Workload wl = *workloads::by_name("4W2");
@@ -200,6 +200,7 @@ TEST(Snapshot, RecaptureIsByteIdentical) {
       chip.run(6'000);
       const std::vector<std::uint8_t> bytes = snapshot::capture(chip);
       EXPECT_TRUE(snapshot::capture(*snapshot::make(bytes)) == bytes);
+      EXPECT_TRUE(snapshot::capture(*snapshot::clone(chip)) == bytes);
     }
   }
 }

@@ -583,5 +583,172 @@ TEST_F(WarmStoreTest, ColdPoolWarmsEachParentOnceAndUploadsNothing) {
       results, SerialBackend().run_collect(resolved_by_hand(spec.expand())));
 }
 
+// -------------------------------------------------------------- fork groups
+
+constexpr Cycle kGroupStride = 400;
+
+/// Three by-reference forks of 2W3 under each policy family on `mem`.
+/// `warmup` keeps the parents cold in this process's registry (see
+/// sampled_spec); `first` strides precede the first fork, as in a later
+/// stopping-rule round.
+std::vector<JobSpec> group_forks(Cycle warmup, MemModelKind mem,
+                                 std::uint32_t first = 0) {
+  ExperimentSpec spec;
+  spec.name = "fork-groups";
+  spec.workloads = {*workloads::by_name("2W3")};
+  for (const char* p :
+       {"icount", "flush-s30", "stall-s30", "mflush", "flush-ns"})
+    spec.policies.push_back(*PolicySpec::parse(p));
+  spec.seeds = {3};
+  spec.warmup = warmup;
+  spec.measure = 900;
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 3;
+  spec.sampled.fork_stride = kGroupStride;
+  spec.mem_model = mem;
+  spec.dram.far_base = Addr{1} << 40;
+  spec.dram.far_bytes = std::uint64_t{1} << 40;
+  std::vector<JobSpec> jobs = spec.expand();
+  for (JobSpec& j : jobs) j.fork_advance += first * kGroupStride;
+  return jobs;
+}
+
+/// Runs `batches` in order through worker::run_worker over one host store
+/// (with part files, as the local transport asks for) and returns the
+/// results by job id.
+std::unordered_map<std::uint32_t, RunResult> run_worker_batches(
+    const fs::path& dir, const std::vector<std::vector<JobSpec>>& batches) {
+  fs::create_directories(dir);
+  std::unordered_map<std::uint32_t, RunResult> out;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::string job = (dir / ("b" + std::to_string(b) + ".mfj")).string();
+    const std::string res = (dir / ("b" + std::to_string(b) + ".mfr")).string();
+    worker::write_job_file(job, batches[b]);
+    EXPECT_EQ(worker::run_worker(job, res, (dir / "store").string(),
+                                 /*write_parts=*/true),
+              0);
+    for (auto& [id, r] : worker::read_result_file(res)) {
+      // Each part file carries the same result the batch file does.
+      const auto part = worker::read_result_file(res + ".r" +
+                                                 std::to_string(id));
+      EXPECT_TRUE(part.size() == 1 && part[0].second.metrics == r.metrics);
+      out.emplace(id, std::move(r));
+    }
+  }
+  return out;
+}
+
+/// Every fork's result equals run_point_from_snapshot of that fork alone,
+/// off its parent's warm-job capture: full SimMetrics, labels and cycles.
+void expect_forks_match_alone(
+    const std::vector<JobSpec>& jobs,
+    const std::unordered_map<std::uint32_t, RunResult>& results) {
+  ASSERT_EQ(results.size(), jobs.size());
+  std::unordered_map<std::uint64_t,
+                     std::shared_ptr<const std::vector<std::uint8_t>>>
+      parents;
+  for (const JobSpec& j : jobs) {
+    SCOPED_TRACE(j.policy.label() + " fork " + std::to_string(j.id));
+    auto& bytes = parents[j.parent_key];
+    if (!bytes) bytes = run_job(warmstore::warm_job_of(j)).payload;
+    const RunResult alone =
+        run_point_from_snapshot(*bytes, j.fork_advance, j.measure);
+    const RunResult& got = results.at(j.id);
+    EXPECT_TRUE(got.metrics == alone.metrics);
+    EXPECT_EQ(got.workload, alone.workload);
+    EXPECT_EQ(got.policy, alone.policy);
+    EXPECT_EQ(got.simulated_cycles, alone.simulated_cycles);
+  }
+}
+
+TEST_F(WarmStoreTest, GroupPassOnALiveWarmedParentMatchesForksAlone) {
+  for (const MemModelKind mem :
+       {MemModelKind::Fixed, MemModelKind::BankedDram}) {
+    const std::vector<JobSpec> jobs =
+        group_forks(mem == MemModelKind::Fixed ? 611 : 612, mem);
+    const std::uint64_t before = warmstore::warm_count();
+    const auto results =
+        run_worker_batches(dir_ / std::to_string(int(mem)), {jobs});
+    EXPECT_EQ(warmstore::warm_count() - before, 5u)
+        << "each group warms its parent once, in this process";
+    expect_forks_match_alone(jobs, results);
+    // The live chip's capture reached the host store.
+    WarmStore store((dir_ / std::to_string(int(mem)) / "store").string());
+    for (const JobSpec& j : jobs) {
+      const auto entry = store.lookup(j.parent_key);
+      ASSERT_NE(entry, nullptr);
+      EXPECT_TRUE(*entry == *run_job(warmstore::warm_job_of(j)).payload);
+    }
+  }
+}
+
+TEST_F(WarmStoreTest, GroupPassOnStoreBytesMatchesForksAlone) {
+  for (const MemModelKind mem :
+       {MemModelKind::Fixed, MemModelKind::BankedDram}) {
+    const std::vector<JobSpec> jobs =
+        group_forks(mem == MemModelKind::Fixed ? 613 : 614, mem);
+    const fs::path dir = dir_ / std::to_string(int(mem));
+    WarmStore store((dir / "store").string());
+    for (const JobSpec& j : jobs)
+      store.put(j.parent_key, run_job(warmstore::warm_job_of(j)).payload);
+    const std::uint64_t before = warmstore::warm_count();
+    const auto results = run_worker_batches(dir, {jobs});
+    EXPECT_EQ(warmstore::warm_count(), before) << "a stored parent re-warmed";
+    expect_forks_match_alone(jobs, results);
+  }
+}
+
+TEST_F(WarmStoreTest, GroupPassStartingPastRoundZeroMatchesForksAlone) {
+  for (const MemModelKind mem :
+       {MemModelKind::Fixed, MemModelKind::BankedDram}) {
+    const std::vector<JobSpec> jobs = group_forks(
+        mem == MemModelKind::Fixed ? 615 : 616, mem, /*first=*/3);
+    ASSERT_EQ(jobs.front().fork_advance, 3 * kGroupStride);
+    expect_forks_match_alone(
+        jobs, run_worker_batches(dir_ / std::to_string(int(mem)), {jobs}));
+  }
+}
+
+TEST_F(WarmStoreTest, GroupCutAcrossTwoBatchesMatchesForksAlone) {
+  for (const MemModelKind mem :
+       {MemModelKind::Fixed, MemModelKind::BankedDram}) {
+    const std::vector<JobSpec> jobs =
+        group_forks(mem == MemModelKind::Fixed ? 617 : 618, mem);
+    // Job 7 is the middle fork of the third parent's group.
+    ASSERT_EQ(jobs[6].parent_key, jobs[7].parent_key);
+    const std::vector<JobSpec> head(jobs.begin(), jobs.begin() + 7);
+    const std::vector<JobSpec> rest(jobs.begin() + 7, jobs.end());
+    const std::uint64_t before = warmstore::warm_count();
+    const auto results =
+        run_worker_batches(dir_ / std::to_string(int(mem)), {head, rest});
+    EXPECT_EQ(warmstore::warm_count() - before, 5u)
+        << "the cut group's second batch re-warmed its parent";
+    expect_forks_match_alone(jobs, results);
+  }
+}
+
+TEST(ForkGroups, GroupEndsAtAnotherParentAWarmJobOrAnEarlierAdvance) {
+  const auto fork = [](std::uint64_t key, Cycle advance) {
+    JobSpec j;
+    j.parent_key = key;
+    j.fork_advance = advance;
+    return j;
+  };
+  JobSpec warm = fork(1, 0);
+  warm.warm_only = true;
+  JobSpec full;  // neither a snapshot nor a parent
+  const std::vector<JobSpec> jobs = {
+      fork(1, 0), fork(1, 0), fork(1, 5), fork(1, 2),  // advance drops
+      fork(2, 0), warm,       fork(1, 9), full,
+      fork(3, 1)};
+  EXPECT_EQ(fork_group_end(jobs, 0), 3u);
+  EXPECT_EQ(fork_group_end(jobs, 3), 4u);
+  EXPECT_EQ(fork_group_end(jobs, 4), 5u);
+  EXPECT_EQ(fork_group_end(jobs, 5), 6u);
+  EXPECT_EQ(fork_group_end(jobs, 6), 7u);
+  EXPECT_EQ(fork_group_end(jobs, 7), 8u);
+  EXPECT_EQ(fork_group_end(jobs, 8), 9u);
+}
+
 }  // namespace
 }  // namespace mflush
