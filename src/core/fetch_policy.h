@@ -70,6 +70,8 @@ class FetchPolicy {
     std::uint64_t gate_cycles = 0;      ///< thread-cycles in Preventive State
   };
   [[nodiscard]] virtual Counters counters() const { return {}; }
+  /// Zero counters() (the start of a measured interval).
+  virtual void reset_counters() {}
 
   /// Called once per cycle (after issue, before fetch): the place to
   /// trigger flushes/stalls/gates.

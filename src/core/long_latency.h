@@ -155,6 +155,7 @@ class LongLatencyPolicy final : public FetchPolicy {
   [[nodiscard]] Counters counters() const override {
     return loads_.counters();
   }
+  void reset_counters() override { loads_.counters() = {}; }
 
   /// on_cycle only acts on armed loads: SpecDelay loads are armed at issue
   /// (firing at issue + trigger), NonSpec loads by an on_load_l2_miss

@@ -86,6 +86,7 @@ class MflushPolicy final : public FetchPolicy {
   [[nodiscard]] Counters counters() const override {
     return loads_.counters();
   }
+  void reset_counters() override { loads_.counters() = {}; }
 
   /// on_cycle fires barriers, evaluates suspicion, and accounts
   /// Preventive-State cycles. An armed fetch gate pins the heartbeat to

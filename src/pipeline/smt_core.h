@@ -130,7 +130,11 @@ class SmtCore final : public CoreControl {
   void set_fetch_gate(ThreadId tid, bool gated) override;
 
   [[nodiscard]] const CoreStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = CoreStats{}; }
+  /// Zero the core's statistics and its policy's counters.
+  void reset_stats() {
+    stats_ = CoreStats{};
+    policy_->reset_counters();
+  }
   [[nodiscard]] const FetchPolicy& policy() const noexcept { return *policy_; }
   [[nodiscard]] std::uint32_t num_threads() const noexcept {
     return static_cast<std::uint32_t>(traces_.size());

@@ -63,7 +63,9 @@ namespace campaign {
 /// v4: STALL results count their response actions (policy_stall_events
 /// was always 0), so a v3 cache entry holds a stale result for unchanged
 /// job content.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: the policy_* counters cover the measured interval only (they used
+/// to include the warm-up), so a v4 cache entry holds a stale result.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Stable content hash of a job's canonical serialization
 /// (JobSpec::save_content: config/workload/profiles, policy, seed, warmup,

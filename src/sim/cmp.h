@@ -80,7 +80,8 @@ class CmpSimulator {
   void set_event_skip(bool enabled) noexcept { event_skip_ = enabled; }
   [[nodiscard]] bool event_skip() const noexcept { return event_skip_; }
 
-  /// Zero all statistics (start of a measured interval).
+  /// Zero all statistics, the policies' counters included (start of a
+  /// measured interval).
   void reset_stats();
 
   [[nodiscard]] SimMetrics metrics() const;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/factory.h"
 #include "sim/backend.h"
@@ -89,6 +90,31 @@ TEST(Cmp, ResetStatsStartsMeasuredInterval) {
   sim.run(1000);
   EXPECT_GT(sim.metrics().committed, 0u);
   EXPECT_EQ(sim.metrics().cycles, 1000u);
+}
+
+// The policy counters cover the measured interval, like flush_events:
+// every policy family reads zero in all of them right after reset_stats.
+TEST(Cmp, ResetStatsZeroesPolicyCounters) {
+  for (const char* name : {"icount", "flush-s30", "flush-ns", "stall-s30",
+                           "mflush", "mflush-np"}) {
+    SCOPED_TRACE(name);
+    CmpSimulator sim(*workloads::by_name("4W2"), *PolicySpec::parse(name));
+    sim.run(8'000);
+    const SimMetrics before = sim.metrics();
+    if (std::string(name) != "icount") {
+      EXPECT_GT(before.policy_flushes_on_miss + before.policy_flushes_on_hit +
+                    before.policy_flushes_on_l1 + before.policy_stall_events,
+                0u)
+          << "the warm-up took no response action to reset";
+    }
+    sim.reset_stats();
+    const SimMetrics m = sim.metrics();
+    EXPECT_EQ(m.policy_flushes_on_miss, 0u);
+    EXPECT_EQ(m.policy_flushes_on_hit, 0u);
+    EXPECT_EQ(m.policy_flushes_on_l1, 0u);
+    EXPECT_EQ(m.policy_stall_events, 0u);
+    EXPECT_EQ(m.policy_gate_cycles, 0u);
+  }
 }
 
 TEST(Cmp, PrewarmPopulatesL2) {

@@ -164,8 +164,8 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
   EXPECT_EQ(digest(fixture_warm_entry()), 0x03c13bb214a922a4ull);
   EXPECT_EQ(digest(daemon::encode_frame(fixture_message())),
             0xe3699f8d0275cf87ull);
-  EXPECT_EQ(digest(j.first(12)), 0x3d9cf6dfcc8765acull);
-  EXPECT_EQ(digest(j.subspan(12)), 0xfeab0b23408d9a76ull);
+  EXPECT_EQ(digest(j.first(12)), 0xdd97a2e822bd223dull);
+  EXPECT_EQ(digest(j.subspan(12)), 0x1b7ed4683770954eull);
 }
 
 // ------------------------------------------------------- the fuzz harness

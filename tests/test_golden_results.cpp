@@ -31,9 +31,12 @@ constexpr Cycle kWarm = 3'000;
 constexpr Cycle kMeasure = 6'000;
 constexpr std::uint64_t kSeed = 11;
 
-constexpr std::uint64_t kFixedMetricsDigest = 0x36919aae6da747df;
-constexpr std::uint64_t kDramMetricsDigest = 0xc97b819b412c633d;
-constexpr std::uint64_t kFlushNsMetricsDigest = 0x6d801af5b19933f3;
+// Metrics digests last regenerated when reset_stats began zeroing the
+// policies' counters: the policy_* fields now cover the measured interval
+// only (every other field is unchanged).
+constexpr std::uint64_t kFixedMetricsDigest = 0x0e922b5c5b44dbf3;
+constexpr std::uint64_t kDramMetricsDigest = 0x9080b91c47e11405;
+constexpr std::uint64_t kFlushNsMetricsDigest = 0x8553aefc97924dd6;
 // Snapshot digests last regenerated when the archive began writing
 // unordered_map entries in key order (the state is unchanged; only the
 // order of the in-flight-load and TLB map entries in the bytes moved).
