@@ -70,7 +70,9 @@ struct RunResult {
 /// Fork a measured interval off a captured snapshot: reconstruct the
 /// simulator from `snapshot`, advance `fork_advance` cycles, reset stats,
 /// measure `measure` cycles. Deterministic: the same (snapshot,
-/// fork_advance, measure) triple always yields identical metrics.
+/// fork_advance, measure) triple always yields identical metrics. This is
+/// the one-fork-at-a-time reference that fork jobs, which run in groups
+/// (run_fork_group), are tested against.
 [[nodiscard]] RunResult run_point_from_snapshot(
     const std::vector<std::uint8_t>& snapshot, Cycle fork_advance,
     Cycle measure);
