@@ -23,7 +23,9 @@ struct RunResult {
   SimMetrics metrics;
 
   // Simulator-throughput self-report (filled by run_point): wall-clock time
-  // of the whole run and the cycles it simulated (warm-up + measured).
+  // of the whole run and the cycles it simulated (warm-up + measured; a
+  // fork's share of its group pass is the advance since the previous fork
+  // plus its measured interval — see run_fork_group).
   double wall_seconds = 0.0;
   Cycle simulated_cycles = 0;
 

@@ -188,7 +188,8 @@ void run_fork_group(std::span<const JobSpec> forks,
     const JobSpec& fork = forks[k];
     if (fork.fork_advance < at)
       throw std::invalid_argument("run_fork_group: fork_advance decreases");
-    chip->run(fork.fork_advance - at);
+    const Cycle advance = fork.fork_advance - at;
+    chip->run(advance);
     at = fork.fork_advance;
     std::unique_ptr<CmpSimulator> copy;
     if (k + 1 < forks.size()) copy = snapshot::clone(*chip);
@@ -200,7 +201,7 @@ void run_fork_group(std::span<const JobSpec> forks,
     r.policy = sim.policy().label();
     r.metrics = sim.metrics();
     r.wall_seconds = seconds_since(t0);
-    r.simulated_cycles = fork.fork_advance + fork.measure;
+    r.simulated_cycles = advance + fork.measure;
     on_result(k, std::move(r));
     t0 = std::chrono::steady_clock::now();
   }

@@ -157,9 +157,11 @@ using ForkResultFn = std::function<void(std::size_t k, RunResult result)>;
 /// the stride between consecutive forks, and each fork is measured on an
 /// in-memory snapshot::clone of it, the last on the chip itself. Each
 /// result equals run_job of that fork alone (full SimMetrics, workload,
-/// policy, simulated_cycles); wall_seconds splits the pass's time: the
-/// time since the previous fork's result (the first fork's since the
-/// parent bytes were in hand, or since the warm ended).
+/// policy). The throughput self-report splits the pass among its forks:
+/// a fork's simulated_cycles are the advance since the previous fork plus
+/// its measured interval, and its wall_seconds the time since the
+/// previous fork's result (the first fork's since the parent bytes were
+/// in hand, or since the warm ended), so the group sums to what it ran.
 void run_fork_group(std::span<const JobSpec> forks,
                     const ForkResultFn& on_result);
 
