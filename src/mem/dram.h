@@ -69,8 +69,7 @@ class BankedDramMemory final : public MemoryModel {
     return wheel_.next_due();
   }
 
-  [[nodiscard]] Cycle next_done_if(
-      const std::function<bool(std::uint64_t)>& pred) const override {
+  [[nodiscard]] Cycle next_done_if(PayloadPred pred) const override {
     return wheel_.next_due_if(pred);
   }
 

@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/archive.h"
@@ -35,6 +35,27 @@ struct MemModelStats {
     ar.io(reads, writes, row_hits, row_misses, row_conflicts, far_accesses,
           bank_busy_cycles, chan_busy_cycles);
   }
+};
+
+/// Non-owning predicate over read payloads: a plain function pointer and
+/// the callable it calls, so a query through the virtual MemoryModel seam
+/// costs one indirect call per payload and no type-erasure bookkeeping.
+/// It refers to its callable, which must outlive it (a temporary lambda
+/// argument lives to the end of the call).
+class PayloadPred {
+ public:
+  template <class F>
+    requires std::is_invocable_r_v<bool, const F&, std::uint64_t>
+  PayloadPred(const F& f)
+      : ctx_(&f), call_([](const void* ctx, std::uint64_t payload) {
+          return static_cast<bool>((*static_cast<const F*>(ctx))(payload));
+        }) {}
+
+  bool operator()(std::uint64_t payload) const { return call_(ctx_, payload); }
+
+ private:
+  const void* ctx_;
+  bool (*call_)(const void*, std::uint64_t);
 };
 
 /// Main-memory timing model seam (selected by MemConfig::memory_model).
@@ -70,11 +91,9 @@ class MemoryModel {
 
   /// Earliest delivery among in-flight reads whose payload matches `pred`;
   /// kNeverCycle when none. O(outstanding) scan — idle-time per-core
-  /// horizon queries only, never the per-cycle path (hence the type-erased
-  /// predicate: virtual dispatch forbids a template here, and the scan is
-  /// off the hot path by contract).
-  [[nodiscard]] virtual Cycle next_done_if(
-      const std::function<bool(std::uint64_t)>& pred) const = 0;
+  /// horizon queries only, never the per-cycle path (virtual dispatch
+  /// forbids a template here, hence the non-owning PayloadPred).
+  [[nodiscard]] virtual Cycle next_done_if(PayloadPred pred) const = 0;
 
   [[nodiscard]] virtual std::size_t outstanding() const = 0;
   [[nodiscard]] virtual const MemModelStats& stats() const = 0;
@@ -116,8 +135,7 @@ class FixedLatencyMemory final : public MemoryModel {
   }
 
   /// The FIFO is done_at-monotone, so the first match IS the earliest.
-  [[nodiscard]] Cycle next_done_if(
-      const std::function<bool(std::uint64_t)>& pred) const override {
+  [[nodiscard]] Cycle next_done_if(PayloadPred pred) const override {
     for (const Pending& p : in_flight_)
       if (pred(p.payload)) return p.done_at;
     return kNeverCycle;
