@@ -171,18 +171,25 @@ InProcessBackend::InProcessBackend() : pool_(&ParallelRunner::shared()) {}
 
 void InProcessBackend::run(const std::vector<JobSpec>& jobs,
                            ResultSink& sink) {
-  // Parent-group heads first: while one thread warms a parent, the others
-  // start other heads instead of queueing on that parent's single-flight.
-  const std::vector<std::size_t> heads = cold_group_heads(jobs);
-  std::vector<std::size_t> order;
-  order.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    if (heads[i] == i) order.push_back(i);
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    if (heads[i] != i) order.push_back(i);
-  pool_->for_each_index(order.size(), [&](std::size_t k) {
-    const JobSpec& job = jobs[order[k]];
-    sink.push(job, run_job(job));
+  // One task per fork group (fork_group_end), which takes its parent once
+  // and chains its windows (run_fork_group); every other job is a task of
+  // its own, in vector order.
+  std::vector<std::pair<std::size_t, std::size_t>> groups;
+  for (std::size_t begin = 0; begin < jobs.size();) {
+    const std::size_t end = fork_group_end(jobs, begin);
+    groups.emplace_back(begin, end);
+    begin = end;
+  }
+  pool_->for_each_index(groups.size(), [&](std::size_t g) {
+    const auto [begin, end] = groups[g];
+    if (end - begin == 1) {
+      sink.push(jobs[begin], run_job(jobs[begin]));
+      return;
+    }
+    run_fork_group(std::span(jobs).subspan(begin, end - begin),
+                   [&](std::size_t k, RunResult r) {
+                     sink.push(jobs[begin + k], std::move(r));
+                   });
   });
 }
 

@@ -88,9 +88,10 @@ class SerialBackend final : public ExperimentBackend {
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
 };
 
-/// Jobs fan out across a ParallelRunner thread pool within this process,
-/// each cold parent group's head (see cold_group_heads) dispatched before
-/// any group's later forks.
+/// Jobs fan out across a ParallelRunner thread pool within this process.
+/// Each run of consecutive forks of one parent (fork_group_end) is one
+/// task, a single pass through run_fork_group; every other job is a task
+/// of its own through run_job, in vector order.
 class InProcessBackend final : public ExperimentBackend {
  public:
   /// Default: the process-wide shared pool (MFLUSH_JOBS threads).

@@ -169,6 +169,10 @@ void run_fork_group(std::span<const JobSpec> forks,
   const JobSpec& head = forks.front();
   if (!is_fork(head))
     throw std::invalid_argument("run_fork_group: not a fork job");
+  for (std::size_t k = 1; k < forks.size(); ++k) {
+    if (forks[k].fork_advance < forks[k - 1].fork_advance)
+      throw std::invalid_argument("run_fork_group: fork_advance decreases");
+  }
   // A by-ref fork whose bytes were not attached warms its parent here,
   // once per process: the warm is a pure function of warm_job_of(head),
   // the job every warm path runs, so the forks' metrics do not depend on
@@ -183,27 +187,41 @@ void run_fork_group(std::span<const JobSpec> forks,
                       });
   auto t0 = std::chrono::steady_clock::now();
   if (!chip) chip = snapshot::make(*bytes);
+  // The chain: `chip` stands `at` cycles past the parent, and `ran`
+  // counts the cycles the pass ran since the previous result.
   Cycle at = 0;
+  Cycle ran = 0;
+  const auto run_to = [&](Cycle target) {
+    chip->run(target - at);
+    ran += target - at;
+    at = target;
+  };
   for (std::size_t k = 0; k < forks.size(); ++k) {
     const JobSpec& fork = forks[k];
-    if (fork.fork_advance < at)
-      throw std::invalid_argument("run_fork_group: fork_advance decreases");
-    const Cycle advance = fork.fork_advance - at;
-    chip->run(advance);
-    at = fork.fork_advance;
-    std::unique_ptr<CmpSimulator> copy;
-    if (k + 1 < forks.size()) copy = snapshot::clone(*chip);
-    CmpSimulator& sim = copy ? *copy : *chip;
-    sim.reset_stats();
-    sim.run(fork.measure);
+    run_to(fork.fork_advance);
+    chip->reset_stats();
+    const Cycle end = fork.fork_advance + fork.measure;
+    // The next fork starts inside this window: clone the chip there to
+    // carry the chain, then finish this window on the chip itself.
+    std::unique_ptr<CmpSimulator> next;
+    if (k + 1 < forks.size() && forks[k + 1].fork_advance < end) {
+      run_to(forks[k + 1].fork_advance);
+      next = snapshot::clone(*chip);
+    }
+    run_to(end);
     RunResult r;
-    r.workload = sim.workload().name;
-    r.policy = sim.policy().label();
-    r.metrics = sim.metrics();
+    r.workload = chip->workload().name;
+    r.policy = chip->policy().label();
+    r.metrics = chip->metrics();
     r.wall_seconds = seconds_since(t0);
-    r.simulated_cycles = advance + fork.measure;
+    r.simulated_cycles = ran;
     on_result(k, std::move(r));
     t0 = std::chrono::steady_clock::now();
+    ran = 0;
+    if (next) {
+      chip = std::move(next);
+      at = forks[k + 1].fork_advance;
+    }
   }
 }
 

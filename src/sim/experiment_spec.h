@@ -153,15 +153,23 @@ using ForkResultFn = std::function<void(std::size_t k, RunResult result)>;
 /// runs). The parent chip is taken once: built from the attached or
 /// registry bytes, or — when this caller wins the single-flight warm
 /// (warmstore::parent_snapshot) — the live warmed chip itself, whose
-/// capture is published for everyone else. The chip is then advanced by
-/// the stride between consecutive forks, and each fork is measured on an
-/// in-memory snapshot::clone of it, the last on the chip itself. Each
+/// capture is published for everyone else.
+///
+/// The forks then run as a chain. The chip stands at fork k's advance,
+/// resets its stats and runs fork k's window. When fork k+1 starts inside
+/// that window, the chip takes a snapshot::clone at fork k+1's advance,
+/// which carries the chain, and finishes fork k's window itself;
+/// otherwise it finishes the window and runs on to fork k+1's advance. So
+/// each cycle is simulated once per fork window that covers it (once if
+/// none does), and no more than two chips are ever live. The chain rests
+/// on reset_stats zeroing counters only, with nothing in the simulation
+/// reading a counter back (Cmp.ResetStatsLeavesTheTrajectoryAlone). Each
 /// result equals run_job of that fork alone (full SimMetrics, workload,
-/// policy). The throughput self-report splits the pass among its forks:
-/// a fork's simulated_cycles are the advance since the previous fork plus
-/// its measured interval, and its wall_seconds the time since the
-/// previous fork's result (the first fork's since the parent bytes were
-/// in hand, or since the warm ended), so the group sums to what it ran.
+/// policy). The throughput self-report splits the pass among its forks: a
+/// fork's simulated_cycles are the cycles the pass ran since the previous
+/// result, and its wall_seconds the time since the previous fork's result
+/// (the first fork's since the parent bytes were in hand, or since the
+/// warm ended), so the group sums to what it ran.
 void run_fork_group(std::span<const JobSpec> forks,
                     const ForkResultFn& on_result);
 

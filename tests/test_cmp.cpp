@@ -7,6 +7,7 @@
 #include "sim/backend.h"
 #include "sim/cmp.h"
 #include "sim/experiment.h"
+#include "sim/snapshot.h"
 #include "sim/workloads.h"
 
 namespace mflush {
@@ -114,6 +115,36 @@ TEST(Cmp, ResetStatsZeroesPolicyCounters) {
     EXPECT_EQ(m.policy_flushes_on_l1, 0u);
     EXPECT_EQ(m.policy_stall_events, 0u);
     EXPECT_EQ(m.policy_gate_cycles, 0u);
+  }
+}
+
+// Fork groups chain their windows (run_fork_group) on one invariant:
+// reset_stats zeroes counters only, and nothing in the simulation reads a
+// counter back. So a chip reset mid-run ends in the same state as one run
+// straight through, once both are reset.
+TEST(Cmp, ResetStatsLeavesTheTrajectoryAlone) {
+  const Workload w = wl("4W2");
+  for (const bool dram : {false, true}) {
+    SimConfig cfg = SimConfig::paper_default(w.num_cores(), 5);
+    if (dram) {
+      cfg.mem.memory_model = MemModelKind::BankedDram;
+      cfg.mem.dram.far_base = Addr{1} << 40;
+      cfg.mem.dram.far_bytes = std::uint64_t{1} << 40;
+    }
+    for (const char* name :
+         {"icount", "flush-s30", "stall-s30", "mflush", "flush-ns"}) {
+      SCOPED_TRACE(std::string(name) + (dram ? " dram" : " fixed"));
+      const PolicySpec policy = *PolicySpec::parse(name);
+      CmpSimulator a(cfg, w, policy);
+      CmpSimulator b(cfg, w, policy);
+      a.run(5'000);
+      b.run(3'000);
+      b.reset_stats();
+      b.run(2'000);
+      a.reset_stats();
+      b.reset_stats();
+      EXPECT_TRUE(snapshot::capture(a) == snapshot::capture(b));
+    }
   }
 }
 

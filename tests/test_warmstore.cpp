@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -498,6 +499,20 @@ std::vector<JobSpec> resolved_by_hand(std::vector<JobSpec> jobs) {
   return jobs;
 }
 
+/// The cycles a chained pass over `group` runs: up to the first fork,
+/// every window once, and each gap between a window's end and the next
+/// fork's start.
+Cycle chained_cycles(const std::vector<JobSpec>& group) {
+  Cycle cycles = group.front().fork_advance;
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    cycles += group[k].measure;
+    const Cycle end = group[k].fork_advance + group[k].measure;
+    if (k + 1 < group.size() && group[k + 1].fork_advance > end)
+      cycles += group[k + 1].fork_advance - end;
+  }
+  return cycles;
+}
+
 TEST_F(WarmStoreTest, ByRefDramForkWarmsLikeTheResolvedFork) {
   // A fork whose parent is cold warms it wherever it runs, through
   // warm_job_of — which drops mem_model (a known defect, see ROADMAP) while
@@ -542,13 +557,44 @@ TEST_F(WarmStoreTest, ThreadsOverOnePointsForksWarmItsParentOnce) {
   spec.sampled.forks = 4;
   ParallelRunner pool(3);
   InProcessBackend inproc(pool);
+  // Latest fork first: fork_advance decreases along the vector, so every
+  // fork is a group of its own and the threads race for one parent.
+  std::vector<JobSpec> jobs = spec.expand();
+  std::reverse(jobs.begin(), jobs.end());
+  ASSERT_EQ(fork_group_end(jobs, 0), 1u);
 
   const std::uint64_t before = warmstore::warm_count();
-  const std::vector<RunResult> results = run_experiment(spec, inproc);
+  const std::vector<RunResult> results = inproc.run_collect(jobs);
   EXPECT_EQ(warmstore::warm_count() - before, 1u)
       << "sibling forks repeated their parent's warm";
   expect_identical_results(
       results, SerialBackend().run_collect(resolved_by_hand(spec.expand())));
+}
+
+TEST_F(WarmStoreTest, InProcessRunsEachGroupAsOnePass) {
+  ExperimentSpec spec = sampled_spec(495);
+  spec.workloads = {*workloads::by_name("2W1"), *workloads::by_name("2W3")};
+  spec.sampled.forks = 3;
+  const std::vector<JobSpec> jobs = spec.expand();
+  ParallelRunner pool(2);
+  InProcessBackend inproc(pool);
+
+  const std::uint64_t before = warmstore::warm_count();
+  const std::vector<RunResult> results = inproc.run_collect(jobs);
+  EXPECT_EQ(warmstore::warm_count() - before, 4u)
+      << "a parent warmed more than once";
+  expect_identical_results(
+      results, SerialBackend().run_collect(resolved_by_hand(jobs)));
+  // Each parent's forks ran as one chained pass, not one call per fork.
+  std::unordered_map<std::uint64_t, std::vector<JobSpec>> groups;
+  std::unordered_map<std::uint64_t, Cycle> ran;
+  for (const JobSpec& j : jobs) {
+    groups[j.parent_key].push_back(j);
+    ran[j.parent_key] += results.at(j.id).simulated_cycles;
+  }
+  ASSERT_EQ(groups.size(), 4u);
+  for (const auto& [key, group] : groups)
+    EXPECT_EQ(ran.at(key), chained_cycles(group));
 }
 
 TEST_F(WarmStoreTest, ColdPoolWarmsEachParentOnceAndUploadsNothing) {
@@ -671,13 +717,13 @@ TEST_F(WarmStoreTest, GroupPassOnALiveWarmedParentMatchesForksAlone) {
     EXPECT_EQ(warmstore::warm_count() - before, 5u)
         << "each group warms its parent once, in this process";
     expect_forks_match_alone(jobs, results);
-    // A group's simulated_cycles sum to what its one pass ran: three
-    // measured intervals and the advance up to the last fork.
+    // A group's simulated_cycles sum to what its one pass ran: each fork
+    // starts inside the previous window, so three measured intervals.
     std::unordered_map<std::uint64_t, Cycle> ran;
     for (const JobSpec& j : jobs)
       ran[j.parent_key] += results.at(j.id).simulated_cycles;
     for (const auto& [key, cycles] : ran)
-      EXPECT_EQ(cycles, 3 * jobs[0].measure + 2 * kGroupStride);
+      EXPECT_EQ(cycles, 3 * jobs[0].measure);
     // The live chip's capture reached the host store.
     WarmStore store((dir_ / std::to_string(int(mem)) / "store").string());
     for (const JobSpec& j : jobs) {
@@ -730,6 +776,62 @@ TEST_F(WarmStoreTest, GroupCutAcrossTwoBatchesMatchesForksAlone) {
     EXPECT_EQ(warmstore::warm_count() - before, 5u)
         << "the cut group's second batch re-warmed its parent";
     expect_forks_match_alone(jobs, results);
+  }
+}
+
+TEST(ForkGroups, ChainShapesMatchForksAlone) {
+  // {fork_advance, measure} per fork.
+  using Shape = std::vector<std::pair<Cycle, Cycle>>;
+  const std::vector<std::pair<const char*, Shape>> shapes = {
+      {"stride above measure", {{0, 600}, {900, 600}, {1800, 600}}},
+      {"stride equal to measure", {{0, 600}, {600, 600}, {1200, 600}}},
+      {"two forks at one advance",
+       {{0, 600}, {400, 600}, {400, 600}, {800, 600}}},
+      {"measures differ",
+       {{200, 900}, {500, 200}, {1000, 700}, {1300, 300}}},
+  };
+  const Workload w = *workloads::by_name("2W3");
+  for (const bool dram : {false, true}) {
+    SimConfig cfg = SimConfig::paper_default(w.num_cores(), 7);
+    if (dram) {
+      cfg.mem.memory_model = MemModelKind::BankedDram;
+      cfg.mem.dram.far_base = Addr{1} << 40;
+      cfg.mem.dram.far_bytes = std::uint64_t{1} << 40;
+    }
+    for (const char* name :
+         {"icount", "flush-s30", "stall-s30", "mflush", "flush-ns"}) {
+      const PolicySpec policy = *PolicySpec::parse(name);
+      CmpSimulator parent(cfg, w, policy);
+      parent.run(2'000);
+      const auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
+          snapshot::capture(parent));
+      for (const auto& [shape, windows] : shapes) {
+        SCOPED_TRACE(std::string(name) + (dram ? " dram, " : " fixed, ") +
+                     shape);
+        std::vector<JobSpec> group;
+        for (const auto& [advance, measure] : windows) {
+          JobSpec j;
+          j.snapshot = bytes;
+          j.fork_advance = advance;
+          j.measure = measure;
+          group.push_back(j);
+        }
+        std::vector<RunResult> got(group.size());
+        run_fork_group(group, [&](std::size_t k, RunResult r) {
+          got.at(k) = std::move(r);
+        });
+        Cycle ran = 0;
+        for (std::size_t k = 0; k < group.size(); ++k) {
+          const RunResult alone = run_point_from_snapshot(
+              *bytes, group[k].fork_advance, group[k].measure);
+          EXPECT_TRUE(got[k].metrics == alone.metrics) << "fork " << k;
+          EXPECT_EQ(got[k].workload, alone.workload);
+          EXPECT_EQ(got[k].policy, alone.policy);
+          ran += got[k].simulated_cycles;
+        }
+        EXPECT_EQ(ran, chained_cycles(group));
+      }
+    }
   }
 }
 
