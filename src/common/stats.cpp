@@ -61,6 +61,17 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
+Histogram Histogram::since(const Histogram& earlier) const {
+  assert(earlier.bins_.size() == bins_.size() &&
+         earlier.bin_width_ == bin_width_);
+  Histogram d = *this;
+  for (std::size_t i = 0; i < bins_.size(); ++i) d.bins_[i] -= earlier.bins_[i];
+  d.overflow_ -= earlier.overflow_;
+  d.total_ -= earlier.total_;
+  d.sum_ -= earlier.sum_;
+  return d;
+}
+
 double safe_ratio(double num, double den) noexcept {
   return den == 0.0 ? 0.0 : num / den;
 }

@@ -92,6 +92,11 @@ class Histogram {
   /// Merge another histogram with identical geometry (asserts on mismatch).
   void merge(const Histogram& other);
 
+  /// The samples added since `earlier`, an earlier copy of this histogram
+  /// (asserts on a geometry mismatch). Exact while every sample is an
+  /// integer: the running sum then stays an exact integer in a double.
+  [[nodiscard]] Histogram since(const Histogram& earlier) const;
+
   bool operator==(const Histogram&) const = default;
 
   template <class Ar>

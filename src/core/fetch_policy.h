@@ -68,6 +68,16 @@ class FetchPolicy {
     std::uint64_t flushes_on_l1 = 0;    ///< offender never reached L2 (TLB)
     std::uint64_t stall_events = 0;     ///< STALL response actions
     std::uint64_t gate_cycles = 0;      ///< thread-cycles in Preventive State
+
+    /// The counts accrued since `earlier`, an earlier copy of these
+    /// counters.
+    [[nodiscard]] Counters since(const Counters& earlier) const noexcept {
+      return {flushes_on_miss - earlier.flushes_on_miss,
+              flushes_on_hit - earlier.flushes_on_hit,
+              flushes_on_l1 - earlier.flushes_on_l1,
+              stall_events - earlier.stall_events,
+              gate_cycles - earlier.gate_cycles};
+    }
   };
   [[nodiscard]] virtual Counters counters() const { return {}; }
   /// Zero counters() (the start of a measured interval).

@@ -30,6 +30,18 @@ struct MemModelStats {
 
   void reset() noexcept { *this = MemModelStats{}; }
 
+  /// The counts accrued since `earlier`, an earlier copy of these stats.
+  [[nodiscard]] MemModelStats since(const MemModelStats& earlier) const noexcept {
+    return {reads - earlier.reads,
+            writes - earlier.writes,
+            row_hits - earlier.row_hits,
+            row_misses - earlier.row_misses,
+            row_conflicts - earlier.row_conflicts,
+            far_accesses - earlier.far_accesses,
+            bank_busy_cycles - earlier.bank_busy_cycles,
+            chan_busy_cycles - earlier.chan_busy_cycles};
+  }
+
   template <class Ar>
   void fields(Ar& ar) {
     ar.io(reads, writes, row_hits, row_misses, row_conflicts, far_accesses,

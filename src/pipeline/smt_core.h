@@ -63,6 +63,41 @@ struct CoreStats {
     for (const auto c : policy_flushed_by_stage) s += c;
     return s;
   }
+
+  /// The counts accrued since `earlier`, an earlier copy of these stats
+  /// (every field is a plain accumulator).
+  [[nodiscard]] CoreStats since(const CoreStats& earlier) const noexcept {
+    const auto minus = [](auto a, const auto& b) {
+      for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+      return a;
+    };
+    CoreStats d;
+    d.cycles = cycles - earlier.cycles;
+    d.committed = minus(committed, earlier.committed);
+    d.fetched = fetched - earlier.fetched;
+    d.fetched_wrong_path = fetched_wrong_path - earlier.fetched_wrong_path;
+    d.branches_resolved = branches_resolved - earlier.branches_resolved;
+    d.mispredicts = mispredicts - earlier.mispredicts;
+    d.loads_issued = loads_issued - earlier.loads_issued;
+    d.policy_flush_events = policy_flush_events - earlier.policy_flush_events;
+    d.policy_flushed_by_stage =
+        minus(policy_flushed_by_stage, earlier.policy_flushed_by_stage);
+    d.branch_squashed_by_stage =
+        minus(branch_squashed_by_stage, earlier.branch_squashed_by_stage);
+    d.dispatch_blocked_young =
+        dispatch_blocked_young - earlier.dispatch_blocked_young;
+    d.dispatch_blocked_rob = dispatch_blocked_rob - earlier.dispatch_blocked_rob;
+    d.dispatch_blocked_iq_int =
+        dispatch_blocked_iq_int - earlier.dispatch_blocked_iq_int;
+    d.dispatch_blocked_iq_fp =
+        dispatch_blocked_iq_fp - earlier.dispatch_blocked_iq_fp;
+    d.dispatch_blocked_iq_mem =
+        dispatch_blocked_iq_mem - earlier.dispatch_blocked_iq_mem;
+    d.dispatch_blocked_regs =
+        dispatch_blocked_regs - earlier.dispatch_blocked_regs;
+    d.instructions_issued = instructions_issued - earlier.instructions_issued;
+    return d;
+  }
 };
 
 /// One out-of-order SMT core (Fig. 1 core parameters), tied to the shared

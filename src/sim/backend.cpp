@@ -490,18 +490,19 @@ int run_worker(const std::string& job_path, const std::string& result_path,
         continue;
       }
       // A by-reference group takes its parent from the host store; on a
-      // miss the group warms it here, and once the first fork's result is
-      // out the capture goes into the store, so every later batch on this
-      // host finds it.
+      // miss the group warms it here, and once the group's first result is
+      // out (whichever fork's window ends first) the capture goes into the
+      // store, so every later batch on this host finds it.
       if (store && !head.snapshot)
         head.snapshot = store->lookup(head.parent_key);
-      const bool store_missed = store && !head.snapshot;
+      bool store_missed = store && !head.snapshot;
       run_fork_group(std::span(jobs).subspan(begin, end - begin),
                      [&](std::size_t k, RunResult r) {
                        finish(jobs[begin + k], std::move(r));
-                       if (k == 0 && store_missed)
-                         store->put(head.parent_key,
-                                    warmstore::recall(head.parent_key));
+                       if (!store_missed) return;
+                       store->put(head.parent_key,
+                                  warmstore::recall(head.parent_key));
+                       store_missed = false;
                      });
       begin = end;
     }

@@ -236,12 +236,32 @@ void CmpSimulator::save_state(ArchiveWriter& ar) const { ar.walk(*this); }
 void CmpSimulator::restore_state(ArchiveReader& ar) { ar.walk(*this); }
 
 SimMetrics CmpSimulator::metrics() const {
+  Tally zero;
+  zero.cores.resize(cores_.size());
+  return metrics_between(zero, tally());
+}
+
+CmpSimulator::Tally CmpSimulator::tally() const {
+  Tally t;
+  t.cores.reserve(cores_.size());
+  for (const auto& core : cores_)
+    t.cores.push_back({core->stats(), core->policy().counters()});
+  t.l2_hit_time = mem_.stats().l2_load_hit_time;
+  t.l2_misses = mem_.stats().l2_load_miss_time.count();
+  t.model = mem_.memory_model().stats();
+  return t;
+}
+
+SimMetrics CmpSimulator::metrics_between(const Tally& from,
+                                         const Tally& to) const {
+  if (from.cores.size() != cores_.size() || to.cores.size() != cores_.size())
+    throw std::invalid_argument("metrics_between: tally of another chip");
   SimMetrics m;
-  m.cycles = cores_.empty() ? 0 : cores_[0]->stats().cycles;
-  for (const auto& core : cores_) {
-    const CoreStats& s = core->stats();
+  for (CoreId c = 0; c < cores_.size(); ++c) {
+    const CoreStats s = to.cores[c].stats.since(from.cores[c].stats);
+    if (c == 0) m.cycles = s.cycles;
     m.committed += s.committed_total();
-    for (std::uint32_t t = 0; t < core->num_threads(); ++t) {
+    for (std::uint32_t t = 0; t < cores_[c]->num_threads(); ++t) {
       m.per_thread_ipc.push_back(
           m.cycles ? static_cast<double>(s.committed[t]) /
                          static_cast<double>(m.cycles)
@@ -252,7 +272,8 @@ SimMetrics CmpSimulator::metrics() const {
     m.branches_resolved += s.branches_resolved;
     m.mispredicts += s.mispredicts;
     m.energy = energy::merge(m.energy, energy::report_for(s));
-    const FetchPolicy::Counters pc = core->policy().counters();
+    const FetchPolicy::Counters pc =
+        to.cores[c].policy.since(from.cores[c].policy);
     m.policy_flushes_on_miss += pc.flushes_on_miss;
     m.policy_flushes_on_hit += pc.flushes_on_hit;
     m.policy_flushes_on_l1 += pc.flushes_on_l1;
@@ -263,15 +284,15 @@ SimMetrics CmpSimulator::metrics() const {
                          static_cast<double>(m.cycles)
                    : 0.0;
 
-  const MemStats& ms = mem_.stats();
-  m.l2_hit_time_mean = ms.l2_load_hit_time.mean();
-  m.l2_hit_time_p50 = ms.l2_load_hit_time.quantile(0.5);
-  m.l2_hit_time_p90 = ms.l2_load_hit_time.quantile(0.9);
-  m.l2_hits_observed = ms.l2_load_hit_time.count();
-  m.l2_misses_observed = ms.l2_load_miss_time.count();
-  m.l2_hit_time_hist = ms.l2_load_hit_time;
+  const Histogram hit_time = to.l2_hit_time.since(from.l2_hit_time);
+  m.l2_hit_time_mean = hit_time.mean();
+  m.l2_hit_time_p50 = hit_time.quantile(0.5);
+  m.l2_hit_time_p90 = hit_time.quantile(0.9);
+  m.l2_hits_observed = hit_time.count();
+  m.l2_misses_observed = to.l2_misses - from.l2_misses;
+  m.l2_hit_time_hist = hit_time;
 
-  const MemModelStats& ds = mem_.memory_model().stats();
+  const MemModelStats ds = to.model.since(from.model);
   m.dram_row_hits = ds.row_hits;
   m.dram_row_misses = ds.row_misses;
   m.dram_row_conflicts = ds.row_conflicts;

@@ -20,7 +20,6 @@ class CmpSimulator;
 namespace snapshot {
 [[nodiscard]] std::unique_ptr<CmpSimulator> make(
     std::span<const std::uint8_t> bytes);
-[[nodiscard]] std::unique_ptr<CmpSimulator> clone(const CmpSimulator& sim);
 }  // namespace snapshot
 
 /// The full chip: N two-context SMT cores around one shared banked L2,
@@ -34,6 +33,11 @@ namespace snapshot {
 ///   sim.reset_stats();          // start the measured interval
 ///   sim.run(120'000);
 ///   SimMetrics m = sim.metrics();
+///
+/// Or, with no reset, the interval between two tallies:
+///   const CmpSimulator::Tally from = sim.tally();
+///   sim.run(120'000);
+///   SimMetrics m = sim.metrics_between(from, sim.tally());
 class CmpSimulator {
  public:
   /// `cfg.num_cores` must equal `workload.num_cores()` (each workload size
@@ -84,7 +88,32 @@ class CmpSimulator {
   /// measured interval).
   void reset_stats();
 
+  /// The metrics since construction or the last reset_stats: the
+  /// interval from a zero tally to tally().
   [[nodiscard]] SimMetrics metrics() const;
+
+  /// Every counter metrics() reads, at one instant: each core's stats and
+  /// policy counters, the L2 load-hit-time histogram, the L2 load-miss
+  /// count and the memory model's stats. All are plain accumulators, so
+  /// an interval's metrics are the difference of the tallies at its ends.
+  struct Tally {
+    struct Core {
+      CoreStats stats;
+      FetchPolicy::Counters policy;
+    };
+    std::vector<Core> cores;
+    Histogram l2_hit_time = MemStats{}.l2_load_hit_time;
+    std::uint64_t l2_misses = 0;
+    MemModelStats model;
+  };
+  [[nodiscard]] Tally tally() const;
+
+  /// The metrics of the interval between two tallies of this chip, `from`
+  /// taken first: field for field what reset_stats() at `from` and
+  /// metrics() at `to` give (Cmp.TallyDifferenceMatchesReset), without
+  /// touching the chip.
+  [[nodiscard]] SimMetrics metrics_between(const Tally& from,
+                                           const Tally& to) const;
 
   [[nodiscard]] Cycle now() const noexcept { return now_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return cfg_; }
@@ -144,16 +173,13 @@ class CmpSimulator {
   }
 
  private:
-  /// A chip built only to be overwritten by restore_state (snapshot::make,
-  /// snapshot::clone): everything the L2 prewarm writes is serialized
-  /// state, so these chips skip it.
+  /// A chip built only to be overwritten by restore_state (snapshot::make):
+  /// everything the L2 prewarm writes is serialized state, so it skips it.
   struct RestoreTarget {};
   CmpSimulator(RestoreTarget, const SimConfig& cfg, const Workload& workload,
                const PolicySpec& policy);
   friend std::unique_ptr<CmpSimulator> snapshot::make(
       std::span<const std::uint8_t> bytes);
-  friend std::unique_ptr<CmpSimulator> snapshot::clone(
-      const CmpSimulator& sim);
 
   void build(const std::vector<BenchmarkProfile>& profiles, bool prewarm);
   void run_lockstep(Cycle end);

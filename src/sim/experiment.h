@@ -25,7 +25,8 @@ struct RunResult {
   // Simulator-throughput self-report (filled by run_point): wall-clock time
   // of the whole run and the cycles it simulated (warm-up + measured; a
   // fork's share of its group pass is the cycles the pass ran since the
-  // previous fork's result — see run_fork_group).
+  // previous result, so a group's forks sum to its last window's end —
+  // see run_fork_group).
   double wall_seconds = 0.0;
   Cycle simulated_cycles = 0;
 

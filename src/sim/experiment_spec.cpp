@@ -1,11 +1,13 @@
 #include "sim/experiment_spec.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <chrono>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "common/envelope.h"
 #include "common/fsio.h"
@@ -187,41 +189,45 @@ void run_fork_group(std::span<const JobSpec> forks,
                       });
   auto t0 = std::chrono::steady_clock::now();
   if (!chip) chip = snapshot::make(*bytes);
-  // The chain: `chip` stands `at` cycles past the parent, and `ran`
-  // counts the cycles the pass ran since the previous result.
-  Cycle at = 0;
-  Cycle ran = 0;
-  const auto run_to = [&](Cycle target) {
-    chip->run(target - at);
-    ran += target - at;
-    at = target;
+  // One tally per distinct boundary cycle (a fork's advance or end),
+  // shared by the boundaries there; starts sort before ends, and ends at
+  // one cycle report in fork order.
+  struct Boundary {
+    Cycle at;
+    bool end;
+    std::size_t k;
+    auto operator<=>(const Boundary&) const = default;
   };
+  std::vector<Boundary> boundaries;
+  boundaries.reserve(2 * forks.size());
   for (std::size_t k = 0; k < forks.size(); ++k) {
-    const JobSpec& fork = forks[k];
-    run_to(fork.fork_advance);
-    chip->reset_stats();
-    const Cycle end = fork.fork_advance + fork.measure;
-    // The next fork starts inside this window: clone the chip there to
-    // carry the chain, then finish this window on the chip itself.
-    std::unique_ptr<CmpSimulator> next;
-    if (k + 1 < forks.size() && forks[k + 1].fork_advance < end) {
-      run_to(forks[k + 1].fork_advance);
-      next = snapshot::clone(*chip);
+    boundaries.push_back({forks[k].fork_advance, false, k});
+    boundaries.push_back({forks[k].fork_advance + forks[k].measure, true, k});
+  }
+  std::sort(boundaries.begin(), boundaries.end());
+  std::vector<CmpSimulator::Tally> opened(forks.size());
+  Cycle at = 0;        // the chip stands `at` cycles past the parent
+  Cycle reported = 0;  // the pass's cycles already in a result
+  CmpSimulator::Tally here = chip->tally();
+  for (const Boundary& b : boundaries) {
+    if (b.at > at) {
+      chip->run(b.at - at);
+      at = b.at;
+      here = chip->tally();
     }
-    run_to(end);
+    if (!b.end) {
+      opened[b.k] = here;
+      continue;
+    }
     RunResult r;
     r.workload = chip->workload().name;
     r.policy = chip->policy().label();
-    r.metrics = chip->metrics();
+    r.metrics = chip->metrics_between(opened[b.k], here);
     r.wall_seconds = seconds_since(t0);
-    r.simulated_cycles = ran;
-    on_result(k, std::move(r));
+    r.simulated_cycles = at - reported;
+    reported = at;
+    on_result(b.k, std::move(r));
     t0 = std::chrono::steady_clock::now();
-    ran = 0;
-    if (next) {
-      chip = std::move(next);
-      at = forks[k + 1].fork_advance;
-    }
   }
 }
 

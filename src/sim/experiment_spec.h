@@ -144,7 +144,7 @@ struct JobSpec {
 /// fork job runs as a fork group of one (run_fork_group).
 [[nodiscard]] RunResult run_job(const JobSpec& job);
 
-/// Receives forks[k]'s result as soon as fork k is measured.
+/// Receives forks[k]'s result as soon as fork k's window ends.
 using ForkResultFn = std::function<void(std::size_t k, RunResult result)>;
 
 /// Run consecutive forks of one parent as a single pass. Every fork shares
@@ -155,21 +155,21 @@ using ForkResultFn = std::function<void(std::size_t k, RunResult result)>;
 /// (warmstore::parent_snapshot) — the live warmed chip itself, whose
 /// capture is published for everyone else.
 ///
-/// The forks then run as a chain. The chip stands at fork k's advance,
-/// resets its stats and runs fork k's window. When fork k+1 starts inside
-/// that window, the chip takes a snapshot::clone at fork k+1's advance,
-/// which carries the chain, and finishes fork k's window itself;
-/// otherwise it finishes the window and runs on to fork k+1's advance. So
-/// each cycle is simulated once per fork window that covers it (once if
-/// none does), and no more than two chips are ever live. The chain rests
-/// on reset_stats zeroing counters only, with nothing in the simulation
-/// reading a counter back (Cmp.ResetStatsLeavesTheTrajectoryAlone). Each
-/// result equals run_job of that fork alone (full SimMetrics, workload,
-/// policy). The throughput self-report splits the pass among its forks: a
-/// fork's simulated_cycles are the cycles the pass ran since the previous
-/// result, and its wall_seconds the time since the previous fork's result
-/// (the first fork's since the parent bytes were in hand, or since the
-/// warm ended), so the group sums to what it ran.
+/// The chip then runs once, straight to the last window's end, and takes
+/// a CmpSimulator::tally at each boundary: a fork's advance or its end,
+/// in time order. Each fork's metrics are metrics_between the tallies at
+/// its advance and its end, so each cycle is simulated once, nothing is
+/// reset and no second chip is built. Each result equals run_job of that
+/// fork alone (full SimMetrics, workload, policy), which resets at its
+/// advance: a reset touches counters only
+/// (Cmp.ResetStatsLeavesTheTrajectoryAlone), and every counter is a plain
+/// accumulator (Cmp.TallyDifferenceMatchesReset). Results arrive in end
+/// order, ties in fork order; with differing measures that need not be
+/// fork order. The throughput self-report splits the pass among its
+/// results: a fork's simulated_cycles are the cycles the pass ran since
+/// the previous result, and its wall_seconds the time since the previous
+/// result (the first since the parent bytes were in hand, or since the
+/// warm ended), so the group sums to what it ran: the last window's end.
 void run_fork_group(std::span<const JobSpec> forks,
                     const ForkResultFn& on_result);
 

@@ -31,19 +31,15 @@ Header read_header(ArchiveReader& ar) {
   return h;
 }
 
-void refuse_profile_built(const CmpSimulator& sim) {
+}  // namespace
+
+std::vector<std::uint8_t> capture(const CmpSimulator& sim) {
   if (sim.profile_built()) {
     // Ad-hoc BenchmarkProfile chips record catalog-code placeholders in
     // their workload; make() would silently rebuild different benchmarks.
     throw std::runtime_error(
         "cannot snapshot a simulator built from ad-hoc benchmark profiles");
   }
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> capture(const CmpSimulator& sim) {
-  refuse_profile_built(sim);
   ArchiveWriter ar;
   envelope::put_header(ar, kMagic, kFormatVersion);
   ar.io(Header{sim.config(), sim.workload(), sim.policy()});
@@ -91,19 +87,6 @@ std::unique_ptr<CmpSimulator> make(std::span<const std::uint8_t> bytes) {
   if (!ar.done())
     throw std::runtime_error("snapshot has trailing bytes (layout drift?)");
   return sim;
-}
-
-std::unique_ptr<CmpSimulator> clone(const CmpSimulator& sim) {
-  refuse_profile_built(sim);
-  ArchiveWriter state;
-  sim.save_state(state);
-  std::unique_ptr<CmpSimulator> copy(new CmpSimulator(
-      CmpSimulator::RestoreTarget{}, sim.config(), sim.workload(),
-      sim.policy()));
-  ArchiveReader ar(state.bytes());
-  copy->restore_state(ar);
-  copy->set_event_skip(sim.event_skip());
-  return copy;
 }
 
 void save_file(const std::string& path, const CmpSimulator& sim) {

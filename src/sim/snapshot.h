@@ -48,13 +48,6 @@ void restore(CmpSimulator& sim, std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::unique_ptr<CmpSimulator> make(
     std::span<const std::uint8_t> bytes);
 
-/// An independent copy of `sim` (same config, workload, policy, state and
-/// clock mode), made in memory: the state walk of capture/restore without
-/// the header and checksum. Running the copy is bit-identical to running
-/// `sim`, and capture(*clone(sim)) == capture(sim). Throws for
-/// profile-built chips, like capture.
-[[nodiscard]] std::unique_ptr<CmpSimulator> clone(const CmpSimulator& sim);
-
 // File convenience wrappers (the CLI's --save-snapshot/--load-snapshot).
 void save_file(const std::string& path, const CmpSimulator& sim);
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);

@@ -148,6 +148,63 @@ TEST(Cmp, ResetStatsLeavesTheTrajectoryAlone) {
   }
 }
 
+// Fork groups measure each window as the difference of the tallies at
+// its ends (run_fork_group) instead of resetting at its start, so every
+// counter metrics() reads must be a plain accumulator. The interval starts
+// with loads in flight and, under a responding policy, a thread flushed,
+// stalled or gated, so it takes in events begun before it.
+TEST(Cmp, TallyDifferenceMatchesReset) {
+  const Workload w = wl("4W2");
+  for (const bool dram : {false, true}) {
+    SimConfig cfg = SimConfig::paper_default(w.num_cores(), 5);
+    if (dram) {
+      cfg.mem.memory_model = MemModelKind::BankedDram;
+      cfg.mem.dram.far_base = Addr{1} << 40;
+      cfg.mem.dram.far_bytes = std::uint64_t{1} << 40;
+    }
+    for (const char* name :
+         {"icount", "flush-s30", "stall-s30", "mflush", "flush-ns"}) {
+      SCOPED_TRACE(std::string(name) + (dram ? " dram" : " fixed"));
+      const PolicySpec policy = *PolicySpec::parse(name);
+      const bool responds = std::string(name) != "icount";
+      const auto mid_flight = [&](const CmpSimulator& s) {
+        if (s.memory().memory_model().outstanding() == 0) return false;
+        if (!responds) return true;
+        for (CoreId c = 0; c < s.num_cores(); ++c) {
+          for (ThreadId t = 0; t < s.core(c).num_threads(); ++t) {
+            if (s.core(c).fetch_blocked(t) || s.core(c).fetch_gated(t))
+              return true;
+          }
+        }
+        return false;
+      };
+      CmpSimulator a(cfg, w, policy);
+      CmpSimulator b(cfg, w, policy);
+      // Long enough for every DRAM counter, row hits included, to be
+      // non-zero before the interval.
+      a.run(8'000);
+      b.run(8'000);
+      for (int i = 0; i < 2'000 && !mid_flight(a); ++i) {
+        a.run(1);
+        b.run(1);
+      }
+      ASSERT_TRUE(mid_flight(a));
+      a.reset_stats();
+      a.run(2'000);
+      const CmpSimulator::Tally from = b.tally();
+      b.run(2'000);
+      const SimMetrics m = a.metrics();
+      EXPECT_TRUE(b.metrics_between(from, b.tally()) == m);
+      EXPECT_EQ(m.cycles, 2'000u);
+      if (responds) {
+        EXPECT_GT(m.flush_events + m.policy_stall_events +
+                      m.policy_gate_cycles,
+                  0u);
+      }
+    }
+  }
+}
+
 TEST(Cmp, PrewarmPopulatesL2) {
   SimConfig cfg = SimConfig::paper_default(1);
   cfg.prewarm_l2 = true;

@@ -499,18 +499,13 @@ std::vector<JobSpec> resolved_by_hand(std::vector<JobSpec> jobs) {
   return jobs;
 }
 
-/// The cycles a chained pass over `group` runs: up to the first fork,
-/// every window once, and each gap between a window's end and the next
-/// fork's start.
-Cycle chained_cycles(const std::vector<JobSpec>& group) {
-  Cycle cycles = group.front().fork_advance;
-  for (std::size_t k = 0; k < group.size(); ++k) {
-    cycles += group[k].measure;
-    const Cycle end = group[k].fork_advance + group[k].measure;
-    if (k + 1 < group.size() && group[k + 1].fork_advance > end)
-      cycles += group[k + 1].fork_advance - end;
-  }
-  return cycles;
+/// The cycles a group's pass runs: straight from its parent to the last
+/// window's end.
+Cycle pass_cycles(const std::vector<JobSpec>& group) {
+  Cycle end = 0;
+  for (const JobSpec& j : group)
+    end = std::max(end, j.fork_advance + j.measure);
+  return end;
 }
 
 TEST_F(WarmStoreTest, ByRefDramForkWarmsLikeTheResolvedFork) {
@@ -585,7 +580,7 @@ TEST_F(WarmStoreTest, InProcessRunsEachGroupAsOnePass) {
       << "a parent warmed more than once";
   expect_identical_results(
       results, SerialBackend().run_collect(resolved_by_hand(jobs)));
-  // Each parent's forks ran as one chained pass, not one call per fork.
+  // Each parent's forks ran as one pass, not one call per fork.
   std::unordered_map<std::uint64_t, std::vector<JobSpec>> groups;
   std::unordered_map<std::uint64_t, Cycle> ran;
   for (const JobSpec& j : jobs) {
@@ -594,7 +589,7 @@ TEST_F(WarmStoreTest, InProcessRunsEachGroupAsOnePass) {
   }
   ASSERT_EQ(groups.size(), 4u);
   for (const auto& [key, group] : groups)
-    EXPECT_EQ(ran.at(key), chained_cycles(group));
+    EXPECT_EQ(ran.at(key), pass_cycles(group));
 }
 
 TEST_F(WarmStoreTest, ColdPoolWarmsEachParentOnceAndUploadsNothing) {
@@ -717,13 +712,13 @@ TEST_F(WarmStoreTest, GroupPassOnALiveWarmedParentMatchesForksAlone) {
     EXPECT_EQ(warmstore::warm_count() - before, 5u)
         << "each group warms its parent once, in this process";
     expect_forks_match_alone(jobs, results);
-    // A group's simulated_cycles sum to what its one pass ran: each fork
-    // starts inside the previous window, so three measured intervals.
+    // A group's simulated_cycles sum to what its one pass ran: straight
+    // to the third fork's end, two strides and one measure.
     std::unordered_map<std::uint64_t, Cycle> ran;
     for (const JobSpec& j : jobs)
       ran[j.parent_key] += results.at(j.id).simulated_cycles;
     for (const auto& [key, cycles] : ran)
-      EXPECT_EQ(cycles, 3 * jobs[0].measure);
+      EXPECT_EQ(cycles, 2 * kGroupStride + jobs[0].measure);
     // The live chip's capture reached the host store.
     WarmStore store((dir_ / std::to_string(int(mem)) / "store").string());
     for (const JobSpec& j : jobs) {
@@ -779,6 +774,33 @@ TEST_F(WarmStoreTest, GroupCutAcrossTwoBatchesMatchesForksAlone) {
   }
 }
 
+TEST_F(WarmStoreTest, GroupEndingOutOfForkOrderStoresItsWarmedParent) {
+  for (const MemModelKind mem :
+       {MemModelKind::Fixed, MemModelKind::BankedDram}) {
+    // One parent's three forks; fork 1's short window ends first.
+    std::vector<JobSpec> jobs =
+        group_forks(mem == MemModelKind::Fixed ? 619 : 620, mem);
+    jobs.resize(3);
+    ASSERT_EQ(jobs[2].parent_key, jobs[0].parent_key);
+    jobs[1].measure = 200;
+    ASSERT_LT(jobs[1].fork_advance + jobs[1].measure, jobs[0].measure);
+    const fs::path dir = dir_ / std::to_string(int(mem));
+    const std::uint64_t before = warmstore::warm_count();
+    const auto results = run_worker_batches(dir, {jobs});
+    EXPECT_EQ(warmstore::warm_count() - before, 1u);
+    expect_forks_match_alone(jobs, results);
+    // The batch's results are in delivery order: fork 1 came first.
+    const auto delivered =
+        worker::read_result_file((dir / "b0.mfr").string());
+    ASSERT_EQ(delivered.size(), 3u);
+    EXPECT_EQ(delivered.front().first, jobs[1].id);
+    WarmStore store((dir / "store").string());
+    const auto entry = store.lookup(jobs[0].parent_key);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_TRUE(*entry == *run_job(warmstore::warm_job_of(jobs[0])).payload);
+  }
+}
+
 TEST(ForkGroups, ChainShapesMatchForksAlone) {
   // {fork_advance, measure} per fork.
   using Shape = std::vector<std::pair<Cycle, Cycle>>;
@@ -829,7 +851,7 @@ TEST(ForkGroups, ChainShapesMatchForksAlone) {
           EXPECT_EQ(got[k].policy, alone.policy);
           ran += got[k].simulated_cycles;
         }
-        EXPECT_EQ(ran, chained_cycles(group));
+        EXPECT_EQ(ran, pass_cycles(group));
       }
     }
   }
