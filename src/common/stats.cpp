@@ -6,12 +6,6 @@
 
 namespace mflush {
 
-double RunningStat::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
 Histogram::Histogram(double bin_width, std::size_t num_bins)
     : bin_width_(bin_width), bins_(num_bins, 0) {
   assert(bin_width > 0.0 && num_bins > 0);

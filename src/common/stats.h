@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -9,44 +8,6 @@
 
 /// Lightweight statistics containers used by every subsystem.
 namespace mflush {
-
-/// Streaming mean/variance/min/max (Welford).
-class RunningStat {
- public:
-  /// Hot path (called per completed load): defined inline on purpose.
-  void add(double x) noexcept {
-    ++n_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-
-  void reset() noexcept { *this = RunningStat{}; }
-
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar.io(n_, mean_, m2_, sum_, min_, max_);
-  }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Fixed-width-bin histogram over [0, bin_width * num_bins); values beyond
 /// the last bin land in the overflow bucket. Used for the Fig. 4 L2 hit-time

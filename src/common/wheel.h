@@ -56,7 +56,7 @@ class WakeupWheel {
   /// Append every entry due at or before `now` to `out`.
   void pop_due(Cycle now, std::vector<T>& out) {
 #ifndef NDEBUG
-    // A jump landed here: nothing pending may have been due in the skipped
+    // A jump ended here: nothing pending may have been due in the skipped
     // window, or it is stranded in an unprobed bucket (released up to a
     // full span late). The kernel must bound jumps by next_due().
     if (strict_release_ && last_pop_valid_ && now > last_pop_now_ + 1)

@@ -234,11 +234,10 @@ void MemoryHierarchy::complete_line_fetch(std::uint64_t payload, Cycle now,
                           .l2_bank = bank});
       }
       if (w.kind == MemKind::Load) {
-        const auto lat = static_cast<double>(now - w.issue_cycle);
         if (l2_hit)
-          stats_.l2_load_hit_time.add(lat);
+          stats_.l2_load_hit_time.add(static_cast<double>(now - w.issue_cycle));
         else
-          stats_.l2_load_miss_time.add(lat);
+          ++stats_.l2_load_misses;
       }
     }
   }

@@ -54,7 +54,8 @@ struct MemStats {
   /// Issue→served time of loads that HIT in the shared L2 (Fig. 4 metric),
   /// 5-cycle bins up to 400 cycles.
   Histogram l2_load_hit_time{5.0, 80};
-  RunningStat l2_load_miss_time;
+  /// Loads that missed in the shared L2.
+  std::uint64_t l2_load_misses = 0;
 
   void reset() {
     *this = MemStats{};
@@ -63,7 +64,7 @@ struct MemStats {
   template <class Ar>
   void fields(Ar& ar) {
     ar.io(loads, stores, ifetches, dtlb_misses, itlb_misses, l1_writebacks,
-          l2_load_hit_time, l2_load_miss_time);
+          l2_load_hit_time, l2_load_misses);
   }
 };
 

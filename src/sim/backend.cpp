@@ -172,8 +172,8 @@ InProcessBackend::InProcessBackend() : pool_(&ParallelRunner::shared()) {}
 void InProcessBackend::run(const std::vector<JobSpec>& jobs,
                            ResultSink& sink) {
   // One task per fork group (fork_group_end), which takes its parent once
-  // and chains its windows (run_fork_group); every other job is a task of
-  // its own, in vector order.
+  // and runs its windows in one pass (run_fork_group); every other job is
+  // a task of its own, in vector order.
   std::vector<std::pair<std::size_t, std::size_t>> groups;
   for (std::size_t begin = 0; begin < jobs.size();) {
     const std::size_t end = fork_group_end(jobs, begin);
@@ -230,18 +230,6 @@ std::string default_worker_binary() {
 }
 
 // ----------------------------------------------------------- run_experiment
-
-std::vector<std::size_t> cold_group_heads(const std::vector<JobSpec>& jobs) {
-  std::vector<std::size_t> heads(jobs.size());
-  std::unordered_map<std::uint64_t, std::size_t> first;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const JobSpec& j = jobs[i];
-    heads[i] = j.parent_key != 0 && !j.snapshot
-                   ? first.try_emplace(j.parent_key, i).first->second
-                   : i;
-  }
-  return heads;
-}
 
 namespace {
 
@@ -469,23 +457,20 @@ int run_worker(const std::string& job_path, const std::string& result_path,
     // imply completeness on the coordinator side.
     const auto finish = [&](const JobSpec& job, RunResult r) {
       results.emplace_back(job.id, std::move(r));
-      if (write_parts && !job.warm_only) {
+      if (write_parts) {
         write_result_file(result_path + ".r" + std::to_string(job.id),
                           {results.back()});
       }
     };
     // Jobs run serially: the worker *process* is the unit of parallelism,
     // and serial execution keeps the worker bit-identical to run_job. Each
-    // run of forks of one parent is one pass (run_fork_group), so the
-    // parent is taken once per group instead of once per fork.
+    // fork group is one pass (run_fork_group), so the parent is taken once
+    // per group instead of once per fork.
     for (std::size_t begin = 0; begin < jobs.size();) {
       const std::size_t end = fork_group_end(jobs, begin);
       JobSpec& head = jobs[begin];
-      if (head.warm_only || head.parent_key == 0) {
+      if (head.parent_key == 0) {
         finish(head, run_job(head));
-        // A warm job's capture goes into the store like a warmed parent.
-        if (store && head.warm_only)
-          store->put(head.parent_key, warmstore::recall(head.parent_key));
         begin = end;
         continue;
       }

@@ -67,10 +67,10 @@ class ExperimentBackend {
   [[nodiscard]] virtual std::string name() const = 0;
   virtual void run(const std::vector<JobSpec>& jobs, ResultSink& sink) = 0;
 
-  /// Backend for explicit warm jobs (JobSpec::warm_only), by default the
-  /// backend itself. The library never calls it — a sampled fork warms
-  /// its own parent where it runs (run_job) — it is an extension point for
-  /// decorators that keep warm work apart, e.g. timing wrappers.
+  /// Backend for warm work kept apart from measured jobs, by default the
+  /// backend itself. The library never calls it — a fork group warms its
+  /// own parent where it runs (run_fork_group) — it is an extension point
+  /// for decorators, e.g. timing wrappers.
   [[nodiscard]] virtual ExperimentBackend& warmup_backend() noexcept {
     return *this;
   }
@@ -169,16 +169,6 @@ struct RunOptions {
   std::function<void(const std::string&)> on_event;
 };
 
-/// Heads of the cold parent groups in `jobs`: entry i is the index of the
-/// first job that references the same parent as job i *by reference*
-/// (parent_key set, snapshot not attached), or i itself when job i is that
-/// first job or no by-reference fork at all. A group's head warms the
-/// parent where it runs; schedulers start heads before the group's other
-/// forks and, when a group spans batches, hold the later batches until the
-/// head's batch has landed — so a parent warms once per host.
-[[nodiscard]] std::vector<std::size_t> cold_group_heads(
-    const std::vector<JobSpec>& jobs);
-
 /// The sampled-mode warm phase: attach parent snapshot bytes to every
 /// by-reference fork in `jobs` whose parent is already known — from the
 /// warm store (options.warm_store) or the in-process registry (healing the
@@ -195,7 +185,7 @@ void resolve_parent_snapshots(std::vector<JobSpec>& jobs,
 /// Execute a full spec on a backend. FullRun specs are expand()ed and run
 /// as one batch. Sampled specs first attach every known parent (see
 /// resolve_parent_snapshots), then run round by round — each cold parent
-/// warming where its group's forks run, never on the coordinator thread:
+/// warms where its group's forks run, never on the coordinator thread:
 /// after each round the 95% confidence half-width of every point's mean
 /// IPC is computed from its fork results, and points whose relative
 /// half-width still exceeds sampled.target_half_width get another round of
@@ -229,9 +219,10 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 // job must fail loudly, never half-run.
 namespace worker {
 
-/// v2: JobSpec gained warm_only + parent_key (with a by-reference snapshot
-/// tag) and RunResult gained the warm-job payload.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// v2: JobSpec gained the warm-job flag + parent_key (with a by-reference
+/// snapshot tag) and RunResult gained the warm-job payload.
+/// v4: JobSpec lost the warm-job flag.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Per-process unique scratch-file stem inside `dir` (pid + monotonic
 /// counter + leading job id), used by the remote backend so concurrent
@@ -264,16 +255,16 @@ decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 /// The `mflushsim --worker` entry point: read the job file, run every job,
 /// write the result file. Returns a process exit code (0 on success).
 ///
-/// Each run of consecutive forks of one parent (fork_group_end) runs as
-/// one pass through run_fork_group; every other job through run_job.
+/// Each fork group (fork_group_end) runs as one pass through
+/// run_fork_group; every other job through run_job.
 /// A non-empty `store_dir` opens the host-side WarmStore
 /// (`--worker-store`): embedded parent snapshots are installed into it
 /// before anything runs (so one upload serves every later batch on this
 /// host), by-reference fork groups resolve their bytes from it, and a
 /// parent a group had to warm here is stored once the group's first fork
-/// has its result (a warm job's capture, as soon as it lands). Without a
-/// store, by-ref forks still warm their parent in-process.
-/// With `write_parts` (`--worker-parts`), every measured job's result is
+/// has its result. Without a store, by-ref forks still warm their parent
+/// in-process.
+/// With `write_parts` (`--worker-parts`), every job's result is
 /// additionally written — atomically, as a one-entry result archive — to
 /// `result_path + ".r<job_id>"` the moment the job finishes, so a
 /// coordinator sharing the filesystem (LocalTransport) can stream results

@@ -56,16 +56,17 @@ namespace campaign {
 /// JobSpec::save_content included), no migrations — old journals are
 /// rejected loudly and stale cache keys simply never match again.
 ///
-/// v2: JobSpec content gained warm_only + parent_key, and fork jobs are
-/// canonicalized by their parent's content hash instead of the embedded
-/// snapshot bytes (the key no longer changes when a by-reference fork is
-/// resolved to inline bytes).
+/// v2: JobSpec content gained the warm-job flag + parent_key, and fork
+/// jobs are canonicalized by their parent's content hash instead of the
+/// embedded snapshot bytes (the key no longer changes when a by-reference
+/// fork is resolved to inline bytes).
 /// v4: STALL results count their response actions (policy_stall_events
 /// was always 0), so a v3 cache entry holds a stale result for unchanged
 /// job content.
 /// v5: the policy_* counters cover the measured interval only (they used
 /// to include the warm-up), so a v4 cache entry holds a stale result.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: JobSpec content lost the warm-job flag.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Stable content hash of a job's canonical serialization
 /// (JobSpec::save_content: config/workload/profiles, policy, seed, warmup,

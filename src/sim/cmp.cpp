@@ -247,7 +247,7 @@ CmpSimulator::Tally CmpSimulator::tally() const {
   for (const auto& core : cores_)
     t.cores.push_back({core->stats(), core->policy().counters()});
   t.l2_hit_time = mem_.stats().l2_load_hit_time;
-  t.l2_misses = mem_.stats().l2_load_miss_time.count();
+  t.l2_misses = mem_.stats().l2_load_misses;
   t.model = mem_.memory_model().stats();
   return t;
 }

@@ -82,7 +82,7 @@ struct CampaignRun {
   CampaignState state = CampaignState::kRunning;
   bool cancel_requested = false;
   /// Completion-order (job_id, one-entry result archive) pairs. Every
-  /// entry was durable (cache + journal) before it landed here, so a
+  /// entry was durable (cache + journal) before it was appended, so a
   /// replay to a late subscriber only ever shows crash-survivable work.
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> log;
   std::uint64_t total = 0;  ///< final result count, set at termination
@@ -171,9 +171,10 @@ class Server {
     if (opts_.on_event) opts_.on_event(line);
   }
 
-  /// One RemoteBackend over the whole pool, one job per batch so tenants
-  /// interleave (and RESULT frames stream) at job granularity. Without a
-  /// host pool it is one `local` host whose slots run the worker in-thread.
+  /// One RemoteBackend over the whole pool, one fork group or one job per
+  /// batch (batch_jobs = 1 keeps groups whole), so tenants interleave at
+  /// that granularity. Without a host pool it is one `local` host whose
+  /// slots run the worker in-thread.
   /// Returns the slot count.
   std::size_t start_pool() {
     RemoteBackend::Options ro;

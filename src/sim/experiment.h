@@ -22,17 +22,17 @@ struct RunResult {
   std::string policy;
   SimMetrics metrics;
 
-  // Simulator-throughput self-report (filled by run_point): wall-clock time
-  // of the whole run and the cycles it simulated (warm-up + measured; a
-  // fork's share of its group pass is the cycles the pass ran since the
-  // previous result, so a group's forks sum to its last window's end —
-  // see run_fork_group).
+  // Simulator-throughput self-report, filled by whatever ran the job
+  // (run_point, run_job, run_fork_group): wall-clock time of the run and
+  // the cycles it simulated (warm-up + measured; a fork's share of its
+  // group pass is the cycles the pass ran since the previous result, so a
+  // group's forks sum to its last window's end).
   double wall_seconds = 0.0;
   Cycle simulated_cycles = 0;
 
-  /// Opaque result payload: set only by warm jobs (JobSpec::warm_only),
-  /// which return the captured parent snapshot here instead of measuring.
-  /// Travels through the worker result protocol; null for ordinary jobs.
+  /// Opaque result payload, null for every job the library runs. It still
+  /// travels through the worker result protocol because the benchmark
+  /// harness (perfbench/) names it; it goes with the next change there.
   std::shared_ptr<const std::vector<std::uint8_t>> payload;
 
   /// Simulated cycles per wall-clock second (0 when not timed).

@@ -44,14 +44,13 @@ SimConfig job_config(const JobSpec& job, std::uint32_t num_cores) {
   return cfg;
 }
 
-/// Warm a catalog parent chip from scratch — the single definition every
-/// warm path shares (warm jobs, and through warm_job_of the forks that warm
-/// their own parent): bit-identity of forks rests on all of them producing
-/// the same chip.
+/// Warm a catalog parent chip from scratch: the single definition of a
+/// parent's warm (the job is warmstore::warm_job_of a fork), so forks are
+/// bit-identical wherever their parent was warmed.
 std::unique_ptr<CmpSimulator> warm_parent_chip(const JobSpec& job) {
   if (!job.profiles.empty()) {
     throw std::runtime_error(
-        "warm jobs require catalog workloads (snapshots cannot rebuild "
+        "forks require catalog workloads (snapshots cannot rebuild "
         "ad-hoc profile chips)");
   }
   auto parent = std::make_unique<CmpSimulator>(
@@ -60,15 +59,9 @@ std::unique_ptr<CmpSimulator> warm_parent_chip(const JobSpec& job) {
   return parent;
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>> capture_shared(
-    const CmpSimulator& chip) {
-  return std::make_shared<const std::vector<std::uint8_t>>(
-      snapshot::capture(chip));
-}
-
 /// Measures off a parent snapshot: attached bytes, or a parent_key.
 bool is_fork(const JobSpec& job) {
-  return !job.warm_only && (job.snapshot || job.parent_key != 0);
+  return job.snapshot || job.parent_key != 0;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -126,18 +119,6 @@ JobSpec JobSpec::load(ArchiveReader& ar) {
 }
 
 RunResult run_job(const JobSpec& job) {
-  if (job.warm_only) {
-    const auto t0 = std::chrono::steady_clock::now();
-    RunResult r;
-    r.workload = job.workload.name;
-    r.policy = job.policy.label();
-    r.payload = capture_shared(*warm_parent_chip(job));
-    r.wall_seconds = seconds_since(t0);
-    r.simulated_cycles = job.warmup;
-    // Share the bytes with every fork of this parent in the process.
-    warmstore::publish(job.parent_key, r.payload);
-    return r;
-  }
   if (is_fork(job)) {
     RunResult r;
     run_fork_group({&job, 1},
@@ -171,22 +152,18 @@ void run_fork_group(std::span<const JobSpec> forks,
   const JobSpec& head = forks.front();
   if (!is_fork(head))
     throw std::invalid_argument("run_fork_group: not a fork job");
-  for (std::size_t k = 1; k < forks.size(); ++k) {
-    if (forks[k].fork_advance < forks[k - 1].fork_advance)
-      throw std::invalid_argument("run_fork_group: fork_advance decreases");
-  }
   // A by-ref fork whose bytes were not attached warms its parent here,
   // once per process: the warm is a pure function of warm_job_of(head),
-  // the job every warm path runs, so the forks' metrics do not depend on
-  // where their parent was warmed. The caller that warms keeps the live
-  // chip, whose state is exactly what its published capture describes.
+  // so the forks' metrics do not depend on where their parent was warmed.
+  // The caller that warms keeps the live chip, whose state is exactly what
+  // its published capture describes.
   std::unique_ptr<CmpSimulator> chip;
   const auto bytes =
-      head.snapshot ? head.snapshot
-                    : warmstore::parent_snapshot(head, [&] {
-                        chip = warm_parent_chip(warmstore::warm_job_of(head));
-                        return capture_shared(*chip);
-                      });
+      head.snapshot ? head.snapshot : warmstore::parent_snapshot(head, [&] {
+        chip = warm_parent_chip(warmstore::warm_job_of(head));
+        return std::make_shared<const std::vector<std::uint8_t>>(
+            snapshot::capture(*chip));
+      });
   auto t0 = std::chrono::steady_clock::now();
   if (!chip) chip = snapshot::make(*bytes);
   // One tally per distinct boundary cycle (a fork's advance or end),
@@ -232,14 +209,10 @@ void run_fork_group(std::span<const JobSpec> forks,
 }
 
 std::size_t fork_group_end(std::span<const JobSpec> jobs, std::size_t begin) {
-  const JobSpec& head = jobs[begin];
+  const std::uint64_t key = jobs[begin].parent_key;
   std::size_t end = begin + 1;
-  if (!is_fork(head) || head.parent_key == 0) return end;
-  while (end < jobs.size() && is_fork(jobs[end]) &&
-         jobs[end].parent_key == head.parent_key &&
-         jobs[end].fork_advance >= jobs[end - 1].fork_advance) {
-    ++end;
-  }
+  if (key == 0) return end;
+  while (end < jobs.size() && jobs[end].parent_key == key) ++end;
   return end;
 }
 

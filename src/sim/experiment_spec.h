@@ -65,15 +65,13 @@ struct SampledConfig {
 /// One self-contained simulation unit — everything a worker (thread or
 /// subprocess, local or remote) needs to produce one RunResult.
 ///
-/// Exactly one of four shapes:
+/// Exactly one of three shapes:
 ///  * catalog job: `workload` codes resolve against the SPEC2000 catalog;
 ///  * profile job: `profiles` non-empty — an ad-hoc chip built from custom
 ///    BenchmarkProfiles (workload.name is just the display label);
 ///  * fork job: `snapshot` set (or resolvable via `parent_key`) —
 ///    reconstruct the pre-warmed chip, advance `fork_advance` cycles, then
-///    measure;
-///  * warm job: `warm_only` set — warm `warmup` cycles and return the
-///    captured snapshot in RunResult::payload (no measurement).
+///    measure.
 struct JobSpec {
   /// Dense result-slot index within one experiment.
   // lint: hand-coded — wire identity, written by save() ahead of the walk;
@@ -91,16 +89,11 @@ struct JobSpec {
   /// memory latency distribution as a sweep axis).
   MemModelKind mem_model = MemModelKind::Fixed;
   DramConfig dram{};
-  /// Warm job: build the chip, run `warmup` cycles, capture the snapshot
-  /// into RunResult::payload. warmstore::warm_job_of builds the one a
-  /// by-reference fork runs to warm its own parent.
-  bool warm_only = false;
   /// Content hash of this job's warmed parent (warmstore::warm_key). On a
   /// fork job it lets the snapshot travel by reference: a host whose warm
   /// store already holds the parent resolves the hash locally instead of
   /// receiving the bytes; a host without the entry warms the parent
-  /// itself, deterministically (run_job). On a warm job it names the store
-  /// entry the captured snapshot is published under. 0 = no warm-store
+  /// itself, deterministically (run_fork_group). 0 = no warm-store
   /// identity.
   std::uint64_t parent_key = 0;
   // lint: hand-coded — the tagged snapshot tail after the walk, which the
@@ -112,9 +105,8 @@ struct JobSpec {
   /// (save_content).
   template <class Ar>
   void fields(Ar& ar) {
-    ar.io(workload, profiles, policy, seed, warmup, measure, fork_advance);
-    ar.flag(warm_only, "JobSpec::warm_only");
-    ar.io(parent_key);
+    ar.io(workload, profiles, policy, seed, warmup, measure, fork_advance,
+          parent_key);
     ar.enum_u8(mem_model, MemModelKind::Fixed, MemModelKind::BankedDram,
                "JobSpec::mem_model");
     ar.io(dram);
@@ -147,13 +139,12 @@ struct JobSpec {
 /// Receives forks[k]'s result as soon as fork k's window ends.
 using ForkResultFn = std::function<void(std::size_t k, RunResult result)>;
 
-/// Run consecutive forks of one parent as a single pass. Every fork shares
-/// forks.front()'s parent (its attached snapshot, else its parent_key) and
-/// fork_advance never decreases along the span (fork_group_end finds such
-/// runs). The parent chip is taken once: built from the attached or
-/// registry bytes, or — when this caller wins the single-flight warm
-/// (warmstore::parent_snapshot) — the live warmed chip itself, whose
-/// capture is published for everyone else.
+/// Run one fork group as a single pass. Every fork shares forks.front()'s
+/// parent (its attached snapshot, else its parent_key), in any advance
+/// order (fork_group_end finds such runs). The parent chip is taken once:
+/// built from the attached or registry bytes, or — when this caller wins
+/// the single-flight warm (warmstore::parent_snapshot) — the live warmed
+/// chip itself, whose capture is published for everyone else.
 ///
 /// The chip then runs once, straight to the last window's end, and takes
 /// a CmpSimulator::tally at each boundary: a fork's advance or its end,
@@ -174,9 +165,11 @@ void run_fork_group(std::span<const JobSpec> forks,
                     const ForkResultFn& on_result);
 
 /// One past the last job of the fork group starting at jobs[begin]: the
-/// following jobs stay in the group while they are forks of the same
-/// parent_key (non-zero) with non-decreasing fork_advance. Any other job
-/// is a group of one (begin + 1).
+/// following jobs stay in the group while they share its non-zero
+/// parent_key, whatever their fork_advance. Any other job is a group of
+/// one (begin + 1). The group is the unit every scheduler keeps whole: one
+/// task (InProcessBackend), one batch (remote::batch_ranges), one pass
+/// (run_fork_group).
 [[nodiscard]] std::size_t fork_group_end(std::span<const JobSpec> jobs,
                                          std::size_t begin);
 

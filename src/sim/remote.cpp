@@ -190,19 +190,16 @@ std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
   std::size_t per = batch_jobs;
   if (per == 0)
     per = std::max<std::size_t>(1, n / std::max<std::size_t>(1, 4 * slots));
-  const auto splits_group = [&](std::size_t i) {
-    return jobs[i].parent_key != 0 &&
-           jobs[i].parent_key == jobs[i - 1].parent_key;
-  };
   std::vector<std::pair<std::size_t, std::size_t>> out;
   out.reserve((n + per - 1) / per);
   for (std::size_t begin = 0; begin < n;) {
-    std::size_t end = std::min(n, begin + per);
-    // Back off to the start of the group the cut would split — unless that
-    // group starts the batch (it outgrows the batch, so it spans batches).
-    std::size_t cut = end;
-    while (cut < n && cut > begin && splits_group(cut)) --cut;
-    if (cut > begin) end = cut;
+    // The first group always fits; later ones while they end in budget.
+    std::size_t end = fork_group_end(jobs, begin);
+    while (end < n) {
+      const std::size_t next = fork_group_end(jobs, end);
+      if (next > begin + per) break;
+      end = next;
+    }
     out.emplace_back(begin, end);
     begin = end;
   }
@@ -339,9 +336,6 @@ struct Batch {
   std::size_t begin = 0;
   std::size_t end = 0;
   unsigned attempts = 0;
-  /// Cold parents whose group head sits in an earlier batch: this batch
-  /// starts only once the head's batch has landed (Round::ready).
-  std::vector<std::uint64_t> waits_for;
 
   [[nodiscard]] std::string describe(
       const std::vector<JobSpec>& all_jobs) const {
@@ -372,8 +366,6 @@ struct StoreState {
   /// would race: a second by-hash batch could reach the host before the
   /// first batch's worker installed the bytes.
   std::unordered_set<std::uint64_t> present;
-  /// Cold parents an in-flight batch is warming into this store.
-  std::unordered_set<std::uint64_t> warming;
 };
 
 struct HostState {
@@ -423,7 +415,6 @@ struct Round {
   const std::vector<JobSpec>* jobs = nullptr;
   ResultSink* sink = nullptr;
   bool has_parents = false;
-  std::vector<std::size_t> heads;  ///< cold_group_heads(*jobs)
   std::deque<Batch> queue;
   std::size_t done = 0;
   std::size_t total = 0;
@@ -436,9 +427,6 @@ struct Round {
   std::size_t upload_bytes = 0;    ///< their total snapshot byte size
   bool aborted = false;
   std::exception_ptr first_error;
-  /// Cold parents held by some batch that has landed: the parent was
-  /// warmed in (or found in) that batch's host store.
-  std::unordered_set<std::uint64_t> landed;
   Delivered delivered;
 
   [[nodiscard]] bool finished() const { return aborted || done == total; }
@@ -448,39 +436,11 @@ struct Round {
     return has_parents ? host.store : nullptr;
   }
 
-  [[nodiscard]] Batch make_batch(std::size_t number, std::size_t begin,
-                                 std::size_t end) const {
-    Batch b;
-    b.number = number;
-    b.begin = begin;
-    b.end = end;
-    // The distinct cold parents whose group head lies before `begin`.
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t key = (*jobs)[i].parent_key;
-      const auto& w = b.waits_for;
-      if (heads[i] < begin && std::find(w.begin(), w.end(), key) == w.end())
-        b.waits_for.push_back(key);
-    }
-    return b;
-  }
-
-  /// Whether `host` may start `b`: each parent it waits for is in the
-  /// host's store already, or its head has landed elsewhere and no batch
-  /// is warming it into this store yet (then `b` warms it here).
-  [[nodiscard]] bool ready(const Batch& b, const HostState& host) const {
-    for (const std::uint64_t key : b.waits_for) {
-      if (host.store->present.contains(key)) continue;
-      if (!landed.contains(key) || host.store->warming.contains(key))
-        return false;
-    }
-    return true;
-  }
-
-  /// The cold parents `b` will warm into store `st`, now marked as warming
-  /// there. A parent already on disk in a local store is marked present
-  /// instead.
-  [[nodiscard]] std::vector<std::uint64_t> claim_warms(const Batch& b,
-                                                       StoreState* st) const {
+  /// The by-reference parents of `b` that store `st` lacks: `b` warms
+  /// them there. A parent already on disk in a local store is marked
+  /// present instead.
+  [[nodiscard]] std::vector<std::uint64_t> parents_to_warm(
+      const Batch& b, StoreState* st) const {
     std::vector<std::uint64_t> warms;
     if (st == nullptr) return warms;
     for (std::size_t i = b.begin; i < b.end; ++i) {
@@ -489,7 +449,8 @@ struct Round {
         continue;
       if (st->local != nullptr && st->local->contains(j.parent_key)) {
         st->present.insert(j.parent_key);
-      } else if (st->warming.insert(j.parent_key).second) {
+      } else if (std::find(warms.begin(), warms.end(), j.parent_key) ==
+                 warms.end()) {
         warms.push_back(j.parent_key);
       }
     }
@@ -532,7 +493,6 @@ void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
   std::vector<std::string> guard_paths = {job_path, result_path};
   if (streaming) {
     for (auto it = first; it != last; ++it) {
-      if (it->warm_only) continue;
       parts.emplace_back(&*it, result_path + ".r" + std::to_string(it->id));
       guard_paths.push_back(parts.back().second);
     }
@@ -661,9 +621,9 @@ void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
 
 /// The scheduler every round shares: hosts with their transports and
 /// stores, the slot threads, and the live rounds. Work stealing is the
-/// round queues themselves — every slot pulls the first batch it may
-/// start, so a retired host's re-queued work drains onto whichever hosts
-/// stay healthy.
+/// round queues themselves — every slot pulls the next queued batch, so a
+/// retired host's re-queued work drains onto whichever hosts stay
+/// healthy.
 struct RemoteBackend::Pool {
   explicit Pool(const Options& options) : opts(options) {}
   ~Pool() {
@@ -753,41 +713,36 @@ struct RemoteBackend::Pool {
     }
   }
 
-  /// Fair share: the first batch `host` may start from the tenant with
-  /// the fewest jobs dispatched (ties: the older tenant, then its older
-  /// round), skipping finished rounds and rounds that retired `host`.
-  [[nodiscard]] bool pick(const HostState& host, Round*& round,
-                          std::deque<Batch>::iterator& next) const {
+  /// Fair share: the round whose next batch `host` takes — of the tenant
+  /// with the fewest jobs dispatched (ties: the older tenant, then its
+  /// older round), skipping finished or empty rounds and rounds that
+  /// retired `host`. Null when there is none.
+  [[nodiscard]] Round* pick(const HostState& host) const {
     const auto share = [](const Round* r) {
       return std::pair(r->tenant->dispatched, r->tenant->order);
     };
-    round = nullptr;
+    Round* round = nullptr;
     for (Round* r : rounds) {
-      if (r->finished() || r->retired[host.spec.index]) continue;
-      if (round != nullptr && share(r) >= share(round)) continue;
-      const auto it =
-          std::find_if(r->queue.begin(), r->queue.end(),
-                       [&](const Batch& b) { return r->ready(b, host); });
-      if (it == r->queue.end()) continue;
-      round = r;
-      next = it;
+      if (r->finished() || r->queue.empty() || r->retired[host.spec.index])
+        continue;
+      if (round == nullptr || share(r) < share(round)) round = r;
     }
-    return round != nullptr;
+    return round;
   }
 
   void slot_loop(HostState& host) {
     std::unique_lock lk(m);
     for (;;) {
       Round* round = nullptr;
-      std::deque<Batch>::iterator next;
-      cv.wait(lk, [&] { return stopping || pick(host, round, next); });
+      cv.wait(lk, [&] { return stopping || (round = pick(host)) != nullptr; });
       if (stopping) return;
-      Batch batch = std::move(*next);
-      round->queue.erase(next);
+      Batch batch = std::move(round->queue.front());
+      round->queue.pop_front();
       round->tenant->dispatched += batch.end - batch.begin;
       ++round->in_flight;
       StoreState* const st = round->store_of(host);
-      const std::vector<std::uint64_t> warms = round->claim_warms(batch, st);
+      const std::vector<std::uint64_t> warms =
+          round->parents_to_warm(batch, st);
       ++batch.attempts;
       lk.unlock();
 
@@ -804,8 +759,6 @@ struct RemoteBackend::Pool {
       }
 
       lk.lock();
-      if (st != nullptr)
-        for (const std::uint64_t key : warms) st->warming.erase(key);
       if (error) {
         fail(*round, host, std::move(batch), error, error_text);
       } else {
@@ -830,17 +783,15 @@ struct RemoteBackend::Pool {
       event(host.spec.label() + ": warmed parent " + campaign::key_hex(key));
     // Every parent this batch referenced is now durably in the host's
     // store — the worker installs embedded copies before running and
-    // stores the parents it warms as they land — so later batches ship
-    // hashes only, and the group's waiting batches may start.
-    std::uint64_t measured = 0;
-    for (std::size_t i = batch.begin; i < batch.end; ++i) {
-      const JobSpec& j = (*round.jobs)[i];
-      if (!j.warm_only) ++measured;
-      if (j.parent_key == 0) continue;
-      if (st != nullptr) st->present.insert(j.parent_key);
-      if (!j.snapshot) round.landed.insert(j.parent_key);
+    // stores the parents it warms once their first fork's result is out —
+    // so later batches ship hashes only.
+    if (st != nullptr) {
+      for (std::size_t i = batch.begin; i < batch.end; ++i) {
+        const std::uint64_t key = (*round.jobs)[i].parent_key;
+        if (key != 0) st->present.insert(key);
+      }
     }
-    round.tenant->executed += measured;
+    round.tenant->executed += batch.end - batch.begin;
     ++round.done;
   }
 
@@ -865,17 +816,17 @@ struct RemoteBackend::Pool {
       // until the poison job sits alone in a batch and fails on its own
       // attempts. The halves are fresh batches with fresh budgets, so a
       // lineage stays bounded: at most 2N-1 batches of max_attempts each.
+      // The cut may fall inside a fork group: each half takes the parent
+      // from its host's store or warms it there.
       const std::size_t mid = batch.begin + (batch.end - batch.begin) / 2;
-      Batch left =
-          round.make_batch(round.next_batch_number++, batch.begin, mid);
-      Batch right =
-          round.make_batch(round.next_batch_number++, mid, batch.end);
+      const Batch left{round.next_batch_number++, batch.begin, mid};
+      const Batch right{round.next_batch_number++, mid, batch.end};
       event(batch.describe(all_jobs) + " split into " +
             left.describe(all_jobs) + " and " + right.describe(all_jobs) +
             " to isolate a possible poison job");
       ++round.total;  // one batch became two
-      round.queue.push_back(std::move(left));
-      round.queue.push_back(std::move(right));
+      round.queue.push_back(left);
+      round.queue.push_back(right);
     } else {
       round.queue.push_back(std::move(batch));
     }
@@ -944,7 +895,6 @@ void RemoteBackend::run_round(remote::TenantState& tenant,
   round.has_parents =
       std::any_of(jobs.begin(), jobs.end(),
                   [](const JobSpec& j) { return j.parent_key != 0; });
-  round.heads = cold_group_heads(jobs);
   const auto ranges = remote::batch_ranges(jobs, opts_.batch_jobs,
                                            p.total_slots);
   round.total = ranges.size();
@@ -953,8 +903,7 @@ void RemoteBackend::run_round(remote::TenantState& tenant,
   round.failures.assign(p.hosts.size(), 0);
   round.retired.assign(p.hosts.size(), false);
   for (std::size_t b = 0; b < ranges.size(); ++b)
-    round.queue.push_back(
-        round.make_batch(b, ranges[b].first, ranges[b].second));
+    round.queue.push_back({b, ranges[b].first, ranges[b].second});
 
   std::unique_lock lk(p.m);
   if (tenant.cancelled) throw std::runtime_error("campaign cancelled");

@@ -24,21 +24,22 @@
 /// shared queue, a failed or unreachable host's batch is re-queued onto
 /// healthy hosts (bounded attempts per batch), and a host that keeps
 /// failing is retired while at least one other host survives. Results
-/// stream into the ResultSink as each batch lands. Batches are cut at
-/// parent-group boundaries, and a batch whose cold parent (see
-/// cold_group_heads) warms in an earlier batch waits until that batch has
-/// landed and put the parent in its host's store — so each parent warms
-/// once per host store, and its bytes never travel to the coordinator.
+/// stream into the ResultSink as each batch lands. A batch holds whole
+/// fork groups (fork_group_end), so a cold parent warms where its one
+/// batch runs and its bytes never travel to the coordinator; in a run
+/// without failures each parent warms once per host store. Only a failed
+/// batch's poison-job split may cut a group, and each half then takes the
+/// parent from its host's store or warms it there.
 ///
 /// One scheduler serves many callers. The slot threads, the prepared
 /// transports and the per-store warm bookkeeping live as long as the
 /// backend; each run() call is a *tenant round* with its own batches,
 /// retries, host failure counts and retirements, and concurrent calls are
-/// allowed. An idle slot takes the first ready batch of the tenant with the
-/// fewest jobs dispatched so far (ties: the older tenant), so a small sweep
-/// is not starved behind a large one. A plain run() is a tenant of its own;
-/// a Tenant handle groups several rounds under one share and can cancel
-/// them — mflushd gives each campaign one.
+/// allowed. An idle slot takes the first queued batch of the tenant with
+/// the fewest jobs dispatched so far (ties: the older tenant), so a small
+/// sweep is not starved behind a large one. A plain run() is a tenant of
+/// its own; a Tenant handle groups several rounds under one share and can
+/// cancel them — mflushd gives each campaign one.
 ///
 /// The backend contract — full-SimMetrics bit-identity with SerialBackend —
 /// holds because every job still executes through run_job and doubles
@@ -100,10 +101,10 @@ struct HostSpec {
 /// Contiguous [begin, end) job-index chunks for a sweep of `jobs`.
 /// `batch_jobs` == 0 picks an automatic size aiming at ~4 batches per host
 /// slot, so work stealing has slack to rebalance around a slow or failed
-/// host (floor 1 job per batch). Cuts fall only at parent-group boundaries
-/// (consecutive jobs sharing a parent_key): a batch that would end inside
-/// a group ends before it instead, unless the group alone outgrows the
-/// batch size — then it spans batches. FullRun jobs have no groups.
+/// host (floor 1 job per batch). Cuts fall only at fork group boundaries
+/// (fork_group_end): a batch ends at the last boundary at or before
+/// `begin + size`, and a group larger than the size is a batch of its own.
+/// Every FullRun job is a group of one.
 [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
     const std::vector<JobSpec>& jobs, std::size_t batch_jobs,
     std::size_t slots);
@@ -273,8 +274,8 @@ class RemoteBackend final : public ExperimentBackend {
   RemoteBackend& operator=(const RemoteBackend&) = delete;
 
   [[nodiscard]] std::string name() const override { return "remote"; }
-  /// One tenant round of its own; blocks until every batch has landed or
-  /// one ran out of attempts. The first call resolves the pool (worker
+  /// One tenant round of its own; blocks until every batch has succeeded
+  /// or one ran out of attempts. The first call resolves the pool (worker
   /// binary, transports) and starts the slot threads.
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
 
@@ -311,7 +312,7 @@ class RemoteBackend::Tenant final : public ExperimentBackend {
   /// batches finish and still deliver.
   void cancel();
 
-  /// Measured jobs of this tenant's batches that succeeded.
+  /// Jobs of this tenant's batches that succeeded.
   [[nodiscard]] std::uint64_t executed() const;
 
  private:

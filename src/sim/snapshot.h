@@ -27,11 +27,14 @@ namespace mflush::snapshot {
 /// v2: per-core local clocks (CmpSimulator sleep state) + WakeupWheel
 /// release cycles joined the stream.
 /// v3: canonical bytes — every raw-memcpy'd record carries explicit
-/// zero-initialized padding and RunningStat is serialized field-wise, so
-/// equal warmed state yields byte-identical snapshots across processes.
+/// zero-initialized padding and the L2 miss statistic is serialized
+/// field-wise, so equal warmed state yields byte-identical snapshots across
+/// processes.
 /// v5: FLUSH, STALL and MFLUSH share one outstanding-load record
 /// (token, issue, deadline, tid) and one fired-token array.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: the L2 load-miss statistic is a plain count (MemStats::l2_load_misses)
+/// instead of a mean/variance/min/max accumulator.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Serialize the full simulator state (header + state + checksum).
 [[nodiscard]] std::vector<std::uint8_t> capture(const CmpSimulator& sim);

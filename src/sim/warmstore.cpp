@@ -19,9 +19,9 @@ using Bytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 struct Registry {
   std::mutex m;
-  std::condition_variable landed;  ///< a warm finished (or failed)
+  std::condition_variable warm_ended;  ///< a warm finished (or failed)
   std::unordered_map<std::uint64_t, Bytes> bytes;
-  std::unordered_set<std::uint64_t> warming;
+  std::unordered_set<std::uint64_t> in_flight;  ///< keys being warmed
   std::uint64_t warms = 0;
 };
 
@@ -77,7 +77,6 @@ std::uint64_t warm_key(const JobSpec& job) {
   parent.policy = job.policy;
   parent.seed = job.seed;
   parent.warmup = job.warmup;
-  parent.warm_only = true;
   ArchiveWriter ar;
   ar.put(kKeyMagic);
   ar.put(kFormatVersion);
@@ -93,16 +92,8 @@ JobSpec warm_job_of(const JobSpec& fork) {
   w.policy = fork.policy;
   w.seed = fork.seed;
   w.warmup = fork.warmup;
-  w.warm_only = true;
   w.parent_key = warm_key(fork);
   return w;
-}
-
-void publish(std::uint64_t key, Bytes bytes) {
-  if (key == 0 || !bytes) return;
-  Registry& r = registry();
-  const std::lock_guard lk(r.m);
-  r.bytes.emplace(key, std::move(bytes));
 }
 
 Bytes recall(std::uint64_t key) {
@@ -121,8 +112,8 @@ Bytes parent_snapshot(const JobSpec& fork,
     for (;;) {
       if (const auto it = r.bytes.find(key); it != r.bytes.end())
         return it->second;
-      if (r.warming.insert(key).second) break;
-      r.landed.wait(lk);
+      if (r.in_flight.insert(key).second) break;
+      r.warm_ended.wait(lk);
     }
     ++r.warms;
   }
@@ -134,13 +125,16 @@ Bytes parent_snapshot(const JobSpec& fork,
     ~Release() {
       {
         const std::lock_guard lk(r.m);
-        r.warming.erase(key);
+        r.in_flight.erase(key);
       }
-      r.landed.notify_all();
+      r.warm_ended.notify_all();
     }
   } release{r, key};
   Bytes bytes = warm();
-  publish(key, bytes);
+  if (bytes) {
+    const std::lock_guard lk(r.m);
+    r.bytes.emplace(key, bytes);
+  }
   return bytes;
 }
 

@@ -36,7 +36,8 @@ namespace warmstore {
 /// v1: entry = envelope header (magic, store version), snapshot version,
 /// key echo, length-prefixed snapshot bytes, envelope seal. Bump on ANY
 /// change to this layout or to the key derivation below.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// v2: the hashed parent content lost JobSpec's warm-job flag.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Content hash naming a fork job's warmed parent: FNV-1a over a domain
 /// magic ("MFLUSWKY"), kFormatVersion, snapshot::kFormatVersion, and the
@@ -47,21 +48,18 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// to the same key.
 [[nodiscard]] std::uint64_t warm_key(const JobSpec& job);
 
-/// The warm job that produces `fork`'s parent snapshot: same workload,
-/// profiles, policy, seed, and warmup, `warm_only` set, measure and
-/// fork_advance zeroed, `parent_key` = warm_key(fork). `id` is 0 — the
-/// caller assigns result slots.
+/// The parent of `fork`, as the job run_fork_group warms it from: same
+/// workload, profiles, policy, seed, and warmup, measure and fork_advance
+/// zeroed, `parent_key` = warm_key(fork). `id` is 0.
 [[nodiscard]] JobSpec warm_job_of(const JobSpec& fork);
 
 /// Process-wide in-memory registry of parent snapshot bytes, keyed by
 /// warm_key. This is the "map read-only state once per process" layer:
 /// every fork of a parent — across specs and rounds in the same process —
-/// shares one immutable byte vector. run_job feeds it (warm jobs publish
-/// their capture; by-ref forks publish the parent they warmed) and the
-/// warm phase in run_experiment recalls it before leaving a parent cold.
-/// Put-if-absent; null keys/bytes are ignored.
-void publish(std::uint64_t key,
-             std::shared_ptr<const std::vector<std::uint8_t>> bytes);
+/// shares one immutable byte vector. parent_snapshot fills it (a by-ref
+/// fork group publishes the parent it warmed) and the warm phase in
+/// run_experiment recalls it before leaving a parent cold. Null when the
+/// key is absent.
 [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> recall(
     std::uint64_t key);
 

@@ -42,7 +42,7 @@ class SyntheticTraceSource final : public TraceSource {
     return profile_;
   }
 
-  /// The thread's data/code regions (cache prewarming, tests).
+  /// The thread's data/code regions (cache pre-warm, tests).
   struct Regions {
     Addr code_base;
     std::uint32_t code_lines;

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <span>
 #include <future>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "sim/backend.h"
 #include "sim/campaign.h"
 #include "sim/daemon.h"
+#include "sim/warmstore.h"
 #include "sim/wire.h"
 #include "sim/workloads.h"
 
@@ -235,6 +238,10 @@ class DaemonTest : public ::testing::Test {
     o.address = address_;
     o.data_dir = (dir_ / "data").string();
     o.slots = 2;
+    o.on_event = [this](const std::string& e) {
+      const std::lock_guard lk(events_m_);
+      events_.push_back(e);
+    };
     o.on_ready = [&ready] { ready.set_value(); };
     server_ = std::thread([o = std::move(o)]() mutable {
       (void)daemon::serve(std::move(o));
@@ -250,9 +257,17 @@ class DaemonTest : public ::testing::Test {
     server_.join();
   }
 
+  /// Daemon and scheduler narration, in arrival order.
+  std::vector<std::string> events() {
+    const std::lock_guard lk(events_m_);
+    return events_;
+  }
+
   fs::path dir_;
   std::string address_;
   std::thread server_;
+  std::mutex events_m_;
+  std::vector<std::string> events_;
 };
 
 TEST_F(DaemonTest, TwoConcurrentOverlappingSubmissionsMatchSerial) {
@@ -287,6 +302,39 @@ TEST_F(DaemonTest, TwoConcurrentOverlappingSubmissionsMatchSerial) {
   EXPECT_EQ(out_c.executed, 0u);
   EXPECT_EQ(out_c.cached, out_c.total);
   expect_identical_results(out_c.results, serial_run(overlap));
+}
+
+TEST_F(DaemonTest, ServesASampledSpecAsWholeForkGroups) {
+  // 2 points x 4 forks whose windows overlap (fork_stride < measure),
+  // through the in-thread slots.
+  ExperimentSpec spec =
+      spec_of({"2W1"}, {PolicySpec::icount(), PolicySpec::mflush()});
+  spec.warmup = 237;  // parents no other test in this process warms
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 4;
+  spec.sampled.fork_stride = 100;
+  start_daemon();
+  const std::uint64_t warms_before = warmstore::warm_count();
+  const daemon::SubmitOutcome out = daemon::submit(address_, spec, true);
+  EXPECT_EQ(out.state, "finished");
+  // Each parent warms once.
+  EXPECT_EQ(warmstore::warm_count() - warms_before, 2u);
+  std::map<std::string, int> warmed;
+  for (const std::string& e : events()) {
+    if (const auto at = e.find("warmed parent "); at != std::string::npos)
+      ++warmed[e.substr(at)];
+  }
+  EXPECT_EQ(warmed.size(), 2u);
+  for (const auto& [event, times] : warmed) EXPECT_EQ(times, 1) << event;
+  expect_identical_results(out.results, serial_run(spec));
+  // Each parent's forks ran as one pass, straight to the last window's
+  // end: their simulated_cycles sum to it.
+  std::map<std::uint64_t, Cycle> ran;
+  for (const JobSpec& j : spec.expand())
+    ran[j.parent_key] += out.results.at(j.id).simulated_cycles;
+  ASSERT_EQ(ran.size(), 2u);
+  for (const auto& [key, cycles] : ran)
+    EXPECT_EQ(cycles, 3 * spec.sampled.fork_stride + spec.measure);
 }
 
 TEST_F(DaemonTest, ResubmitAttachesInsteadOfRerunning) {

@@ -158,14 +158,14 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
   ASSERT_EQ(journal.size(), 12u + 33u);
   const std::span<const std::uint8_t> j(journal);
   EXPECT_EQ(digest(fixture_spec().to_bytes()), 0xc887044bcc0fe950ull);
-  EXPECT_EQ(digest(fixture_job_file()), 0xcd4f9f423e1a6debull);
+  EXPECT_EQ(digest(fixture_job_file()), 0x47ae832fe2db2a7cull);
   EXPECT_EQ(digest(worker::encode_results(fixture_results())),
-            0xd620fe86f15fc523ull);
-  EXPECT_EQ(digest(fixture_warm_entry()), 0x03c13bb214a922a4ull);
+            0x72ce088405ac323dull);
+  EXPECT_EQ(digest(fixture_warm_entry()), 0x7e14ccc3642e8b7bull);
   EXPECT_EQ(digest(daemon::encode_frame(fixture_message())),
             0xe3699f8d0275cf87ull);
-  EXPECT_EQ(digest(j.first(12)), 0xdd97a2e822bd223dull);
-  EXPECT_EQ(digest(j.subspan(12)), 0x1b7ed4683770954eull);
+  EXPECT_EQ(digest(j.first(12)), 0x7d924ef078f2deceull);
+  EXPECT_EQ(digest(j.subspan(12)), 0x34004fa655c55c1dull);
 }
 
 // ------------------------------------------------------- the fuzz harness
@@ -276,9 +276,9 @@ Format job_file_format() {
   ArchiveWriter before_policy;
   before_policy.io(j.id, j.workload, j.profiles);
   // header | job count | id, workload, profiles | policy | seed, warmup,
-  // measure, fork_advance | warm_only | parent_key | mem_model ...
+  // measure, fork_advance, parent_key | mem_model ...
   const std::size_t kind = 12 + 8 + before_policy.bytes().size();
-  const std::size_t warm_only = kind + kPreventiveAt + 1 + 4 * 8;
+  const std::size_t mem_model = kind + kPreventiveAt + 1 + 5 * 8;
   return {"job_file", Kind::kSealed, 0x4d464c55534a4f42ull,
           worker::kProtocolVersion, fixture_job_file(),
           [path](std::span<const std::uint8_t> b) {
@@ -287,8 +287,7 @@ Format job_file_format() {
           },
           {{kind, "PolicySpec::kind"},
            {kind + kPreventiveAt, "PolicySpec::preventive"},
-           {warm_only, "JobSpec::warm_only"},
-           {warm_only + 1 + 8, "JobSpec::mem_model"}}};
+           {mem_model, "JobSpec::mem_model"}}};
 }
 
 Format result_archive_format() {

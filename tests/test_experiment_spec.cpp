@@ -279,7 +279,6 @@ TEST(ExperimentSpec, SampledExpandEmitsParentReferences) {
     EXPECT_EQ(jobs[i].id, i);
     EXPECT_EQ(jobs[i].snapshot, nullptr);
     EXPECT_NE(jobs[i].parent_key, 0u);
-    EXPECT_FALSE(jobs[i].warm_only);
     // Forks keep the warm-up length: it names the parent (key derivation)
     // and lets a worker re-warm deterministically on a store miss.
     EXPECT_EQ(jobs[i].warmup, 800u);

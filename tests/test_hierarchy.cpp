@@ -202,7 +202,7 @@ TEST(Hierarchy, Fig4StatsTrackL2LoadHits) {
   }
   (void)tok;
   EXPECT_EQ(mem.stats().l2_load_hit_time.count(), 1u);
-  EXPECT_EQ(mem.stats().l2_load_miss_time.count(), 0u);
+  EXPECT_EQ(mem.stats().l2_load_misses, 0u);
 }
 
 TEST(Hierarchy, ResetStatsClearsEverything) {

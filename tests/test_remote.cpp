@@ -184,10 +184,17 @@ TEST(RemoteBatching, RangesCutAtParentGroupBoundaries) {
   // A cut that would split a group backs off to the group's start...
   EXPECT_EQ(remote::batch_ranges(jobs, 5, 1),
             (Ranges{{0, 2}, {2, 6}, {6, 10}, {10, 14}}));
-  // ...unless the group alone outgrows the batch: then it spans batches.
+  // ...and a group larger than the batch size is a batch of its own.
   EXPECT_EQ(remote::batch_ranges(jobs, 3, 1),
-            (Ranges{{0, 2}, {2, 5}, {5, 6}, {6, 9}, {9, 10}, {10, 13},
-                    {13, 14}}));
+            (Ranges{{0, 2}, {2, 6}, {6, 10}, {10, 14}}));
+  EXPECT_EQ(remote::batch_ranges(jobs, 1, 1),
+            (Ranges{{0, 1}, {1, 2}, {2, 6}, {6, 10}, {10, 14}}));
+  // Whole groups pack while they end within the batch size.
+  EXPECT_EQ(remote::batch_ranges(jobs, 10, 1), (Ranges{{0, 10}, {10, 14}}));
+  // A falling advance does not end a group.
+  jobs[4].fork_advance = 5;
+  EXPECT_EQ(remote::batch_ranges(jobs, 3, 1),
+            (Ranges{{0, 2}, {2, 6}, {6, 10}, {10, 14}}));
   // Without groups every cut falls at the batch size.
   EXPECT_EQ(plain_ranges(14, 5, 1), (Ranges{{0, 5}, {5, 10}, {10, 14}}));
 }
@@ -925,9 +932,9 @@ class RecordingTransport final : public remote::Transport {
   remote::InProcessTransport inner_;
 };
 
-TEST(RemoteBackendTest, GroupsSpanningBatchesWaitForTheirHeadBatch) {
+TEST(RemoteBackendTest, GroupsLargerThanABatchRunWhole) {
   // Two hosts with separate stores (non-local names, injected transport),
-  // 2 parents x 6 forks in 2-job batches: every group spans 3 batches.
+  // 2 parents x 6 forks in 2-job batches: every group outgrows its batch.
   ExperimentSpec spec;
   spec.workloads = {*workloads::by_name("2W1")};
   spec.policies = {PolicySpec::icount(), PolicySpec::mflush()};
@@ -962,31 +969,26 @@ TEST(RemoteBackendTest, GroupsSpanningBatchesWaitForTheirHeadBatch) {
   RemoteBackend backend(opts);
   const std::vector<RunResult> results = backend.run_collect(jobs);
 
-  // A batch holding a group's later forks starts only after the batch
-  // holding its head (job 0 or 6) has ended.
-  const auto ended = [&](std::size_t upto, std::uint32_t head) {
-    for (std::size_t e = 0; e < upto; ++e) {
-      const auto& [start, ids] = log.entries[e];
-      if (!start && std::find(ids.begin(), ids.end(), head) != ids.end())
-        return true;
-    }
-    return false;
-  };
-  for (std::size_t e = 0; e < log.entries.size(); ++e) {
-    const auto& [start, ids] = log.entries[e];
-    const std::uint32_t head = ids.front() / 6 * 6;
-    if (start && ids.front() != head)
-      EXPECT_TRUE(ended(e, head)) << "batch from job " << ids.front();
+  // Each batch is one whole group: jobs 0-5 or 6-11.
+  std::size_t batches = 0;
+  for (const auto& [start, ids] : log.entries) {
+    if (!start) continue;
+    ++batches;
+    ASSERT_EQ(ids.size(), 6u);
+    for (std::size_t k = 0; k < ids.size(); ++k)
+      EXPECT_EQ(ids[k], ids.front() + k);
+    EXPECT_EQ(ids.front() % 6, 0u);
   }
-  // Each parent warms at most once per host store, and nothing uploads.
+  EXPECT_EQ(batches, 2u);
+  // Each parent warms once, in the one batch that holds its group, and
+  // nothing uploads.
   std::set<std::string> warmed;
   for (const std::string& e : events) {
     EXPECT_EQ(e.find("uploaded parent"), std::string::npos) << e;
     if (e.find("warmed parent") != std::string::npos)
       EXPECT_TRUE(warmed.insert(e).second) << "warmed twice: " << e;
   }
-  EXPECT_GE(warmed.size(), 2u);
-  EXPECT_LE(warmed.size(), 4u);
+  EXPECT_EQ(warmed.size(), 2u);
   expect_identical_runs(SerialBackend().run_collect(jobs), results);
   fs::remove_all(dir);
 }

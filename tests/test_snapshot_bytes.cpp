@@ -24,8 +24,8 @@
 // v3 of the snapshot format this did not hold: raw-memcpy'd records carried
 // compiler padding holes whose garbage bytes depended on heap history and
 // ASLR. Every hole is now an explicit zero-initialized member (enforced by
-// tools/lint/mflush_lint.py's padding check), and RunningStat serializes
-// field-wise.
+// tools/lint/mflush_lint.py's padding check), and every statistic
+// serializes field-wise.
 
 namespace mflush {
 namespace {

@@ -5,43 +5,6 @@
 namespace mflush {
 namespace {
 
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStat, SingleValue) {
-  RunningStat s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, KnownSequence) {
-  RunningStat s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, Reset) {
-  RunningStat s;
-  s.add(1.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
 TEST(Histogram, BinPlacement) {
   Histogram h(10.0, 5);
   h.add(0.0);

@@ -33,7 +33,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The in-process registry (warmstore::publish/recall) is process-wide and
+// The in-process registry (warmstore::recall) is process-wide and
 // shared by every test in this binary, so each test that cares about
 // cold-vs-reused behaviour picks a warmup length nobody else uses — a
 // different warmup means a different warm_key, so the registry cannot leak
@@ -111,7 +111,6 @@ TEST_F(WarmStoreTest, WarmKeyTracksParentContentOnly) {
 TEST_F(WarmStoreTest, WarmJobOfDescribesTheParent) {
   const std::vector<JobSpec> jobs = sampled_spec(400).expand();
   const JobSpec w = warmstore::warm_job_of(jobs[0]);
-  EXPECT_TRUE(w.warm_only);
   EXPECT_EQ(w.parent_key, warmstore::warm_key(jobs[0]));
   EXPECT_EQ(w.workload.name, jobs[0].workload.name);
   EXPECT_EQ(w.policy, jobs[0].policy);
@@ -156,18 +155,13 @@ TEST_F(WarmStoreTest, JobAndResultArchivesCarryWarmFields) {
   const std::string path = (dir_ / "jobs.mfj").string();
   fs::create_directories(dir_);
 
-  JobSpec warm;
-  warm.id = 3;
-  warm.workload = *workloads::by_name("2W1");
-  warm.policy = PolicySpec::icount();
-  warm.seed = 7;
-  warm.warmup = 123;
-  warm.warm_only = true;
-  warm.parent_key = 0xfeedfacecafebeefull;
-
-  JobSpec by_ref = warm;
+  JobSpec by_ref;
   by_ref.id = 4;
-  by_ref.warm_only = false;
+  by_ref.workload = *workloads::by_name("2W1");
+  by_ref.policy = PolicySpec::icount();
+  by_ref.seed = 7;
+  by_ref.warmup = 123;
+  by_ref.parent_key = 0xfeedfacecafebeefull;
   by_ref.measure = 456;
   by_ref.fork_advance = 78;
 
@@ -176,23 +170,20 @@ TEST_F(WarmStoreTest, JobAndResultArchivesCarryWarmFields) {
   resolved.snapshot = std::make_shared<const std::vector<std::uint8_t>>(
       std::vector<std::uint8_t>{1, 2, 3});
 
-  worker::write_job_file(path, {warm, by_ref, resolved});
+  worker::write_job_file(path, {by_ref, resolved});
   const std::vector<JobSpec> back = worker::read_job_file(path);
-  ASSERT_EQ(back.size(), 3u);
-  EXPECT_TRUE(back[0].warm_only);
-  EXPECT_EQ(back[0].parent_key, warm.parent_key);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0].parent_key, by_ref.parent_key);
   EXPECT_EQ(back[0].snapshot, nullptr);
-  EXPECT_FALSE(back[1].warm_only);
-  EXPECT_EQ(back[1].parent_key, by_ref.parent_key);
-  EXPECT_EQ(back[1].snapshot, nullptr);
-  ASSERT_NE(back[2].snapshot, nullptr);
-  EXPECT_EQ(*back[2].snapshot, *resolved.snapshot);
+  EXPECT_EQ(back[1].parent_key, resolved.parent_key);
+  ASSERT_NE(back[1].snapshot, nullptr);
+  EXPECT_EQ(*back[1].snapshot, *resolved.snapshot);
 
   // Campaign keys must not depend on whether a by-ref fork was resolved to
   // inline bytes: the cache written by one backend has to hit from another.
   EXPECT_EQ(campaign::job_key(by_ref), campaign::job_key(resolved));
 
-  // The warm-job payload survives the result protocol.
+  // The result payload survives the result protocol.
   RunResult r;
   r.workload = "2W1";
   r.policy = "icount";
@@ -244,7 +235,7 @@ TEST_F(WarmStoreTest, CorruptEntryIsDiscardedAndRewarmed) {
   const ExperimentSpec spec = sampled_spec(777);
   const std::vector<JobSpec> jobs = spec.expand();
 
-  // Seed the store by hand-warming each parent exactly as a warm job
+  // Seed the store by hand-warming each parent exactly as a fork group
   // would (WarmStore::put does not feed the in-process registry, so the
   // heal below must go through the disk path).
   WarmStore seeded(dir_.string());
@@ -428,9 +419,9 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
                                                j.fork_advance, j.measure));
   }
 
-  // Cold run: the warm phase fans warm jobs through worker subprocesses
-  // (payloads return over the result protocol), forks then ship by hash
-  // into the shared host-side store.
+  // Cold run: each parent warms in the worker subprocess its forks run
+  // in, which stores it into the shared host-side store; no parent bytes
+  // return over the result protocol.
   WarmStore store(dir_.string());
   RemoteBackend worker(loopback(2, store));
   std::vector<std::string> events;
@@ -478,22 +469,26 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
 
 // ------------------------------------------------------ forks warm parents
 
+/// The capture of warm_job_of(fork), warmed by hand (fixed memory, as
+/// warm_job_of builds it) without touching the registry.
+std::shared_ptr<const std::vector<std::uint8_t>> parent_by_hand(
+    const JobSpec& fork) {
+  const JobSpec w = warmstore::warm_job_of(fork);
+  CmpSimulator sim(w.workload, w.policy, w.seed);
+  sim.run(w.warmup);
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      snapshot::capture(sim));
+}
+
 /// `jobs` with each fork's parent attached the way the warm phase used to
-/// resolve it: the capture of warm_job_of(fork), warmed by hand (fixed
-/// memory, as warm_job_of builds it) without touching the registry.
+/// resolve it (parent_by_hand).
 std::vector<JobSpec> resolved_by_hand(std::vector<JobSpec> jobs) {
   std::unordered_map<std::uint64_t,
                      std::shared_ptr<const std::vector<std::uint8_t>>>
       parents;
   for (JobSpec& j : jobs) {
     auto& bytes = parents[j.parent_key];
-    if (!bytes) {
-      const JobSpec w = warmstore::warm_job_of(j);
-      CmpSimulator sim(w.workload, w.policy, w.seed);
-      sim.run(w.warmup);
-      bytes = std::make_shared<const std::vector<std::uint8_t>>(
-          snapshot::capture(sim));
-    }
+    if (!bytes) bytes = parent_by_hand(j);
     j.snapshot = bytes;
   }
   return jobs;
@@ -512,7 +507,7 @@ TEST_F(WarmStoreTest, ByRefDramForkWarmsLikeTheResolvedFork) {
   // A fork whose parent is cold warms it wherever it runs, through
   // warm_job_of — which drops mem_model (a known defect, see ROADMAP) while
   // the fork's own config keeps banked DRAM. Every backend must therefore
-  // match the fork resolved with the warm job's capture; warming with the
+  // match the fork resolved with warm_job_of's capture; warming with the
   // fork's config instead gives different metrics. Each backend gets its
   // own warmup, so the registry is cold for all three.
   const auto dram_forks = [](Cycle warmup) {
@@ -548,19 +543,24 @@ TEST_F(WarmStoreTest, ByRefDramForkWarmsLikeTheResolvedFork) {
 
 TEST_F(WarmStoreTest, ThreadsOverOnePointsForksWarmItsParentOnce) {
   ExperimentSpec spec = sampled_spec(494);
-  spec.policies = {PolicySpec::mflush()};
   spec.sampled.forks = 4;
   ParallelRunner pool(3);
   InProcessBackend inproc(pool);
-  // Latest fork first: fork_advance decreases along the vector, so every
-  // fork is a group of its own and the threads race for one parent.
-  std::vector<JobSpec> jobs = spec.expand();
-  std::reverse(jobs.begin(), jobs.end());
-  ASSERT_EQ(fork_group_end(jobs, 0), 1u);
+  // The two points' forks interleaved: no two neighbours share a parent,
+  // so every fork is a group of its own and the threads race for each
+  // parent.
+  const std::vector<JobSpec> expanded = spec.expand();
+  std::vector<JobSpec> jobs;
+  for (std::size_t k = 0; k < 4; ++k) {
+    jobs.push_back(expanded[k]);
+    jobs.push_back(expanded[4 + k]);
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    ASSERT_EQ(fork_group_end(jobs, i), i + 1);
 
   const std::uint64_t before = warmstore::warm_count();
   const std::vector<RunResult> results = inproc.run_collect(jobs);
-  EXPECT_EQ(warmstore::warm_count() - before, 1u)
+  EXPECT_EQ(warmstore::warm_count() - before, 2u)
       << "sibling forks repeated their parent's warm";
   expect_identical_results(
       results, SerialBackend().run_collect(resolved_by_hand(spec.expand())));
@@ -597,7 +597,8 @@ TEST_F(WarmStoreTest, ColdPoolWarmsEachParentOnceAndUploadsNothing) {
     GTEST_SKIP() << "mflushsim worker binary not found";
   }
   // Two local hosts, one slot each, no coordinator store, and two-job
-  // batches: each 6-fork group spans three batches across both hosts.
+  // batches: each 6-fork group outgrows its batch, so it runs whole as a
+  // batch of its own.
   ExperimentSpec spec = sampled_spec(496);
   spec.sampled.forks = 6;
   remote::HostSpec host;
@@ -680,7 +681,7 @@ std::unordered_map<std::uint32_t, RunResult> run_worker_batches(
 }
 
 /// Every fork's result equals run_point_from_snapshot of that fork alone,
-/// off its parent's warm-job capture: full SimMetrics and labels.
+/// off its parent's hand-warmed capture: full SimMetrics and labels.
 void expect_forks_match_alone(
     const std::vector<JobSpec>& jobs,
     const std::unordered_map<std::uint32_t, RunResult>& results) {
@@ -691,7 +692,7 @@ void expect_forks_match_alone(
   for (const JobSpec& j : jobs) {
     SCOPED_TRACE(j.policy.label() + " fork " + std::to_string(j.id));
     auto& bytes = parents[j.parent_key];
-    if (!bytes) bytes = run_job(warmstore::warm_job_of(j)).payload;
+    if (!bytes) bytes = parent_by_hand(j);
     const RunResult alone =
         run_point_from_snapshot(*bytes, j.fork_advance, j.measure);
     const RunResult& got = results.at(j.id);
@@ -724,7 +725,7 @@ TEST_F(WarmStoreTest, GroupPassOnALiveWarmedParentMatchesForksAlone) {
     for (const JobSpec& j : jobs) {
       const auto entry = store.lookup(j.parent_key);
       ASSERT_NE(entry, nullptr);
-      EXPECT_TRUE(*entry == *run_job(warmstore::warm_job_of(j)).payload);
+      EXPECT_TRUE(*entry == *parent_by_hand(j));
     }
   }
 }
@@ -737,7 +738,7 @@ TEST_F(WarmStoreTest, GroupPassOnStoreBytesMatchesForksAlone) {
     const fs::path dir = dir_ / std::to_string(int(mem));
     WarmStore store((dir / "store").string());
     for (const JobSpec& j : jobs)
-      store.put(j.parent_key, run_job(warmstore::warm_job_of(j)).payload);
+      store.put(j.parent_key, parent_by_hand(j));
     const std::uint64_t before = warmstore::warm_count();
     const auto results = run_worker_batches(dir, {jobs});
     EXPECT_EQ(warmstore::warm_count(), before) << "a stored parent re-warmed";
@@ -797,7 +798,7 @@ TEST_F(WarmStoreTest, GroupEndingOutOfForkOrderStoresItsWarmedParent) {
     WarmStore store((dir / "store").string());
     const auto entry = store.lookup(jobs[0].parent_key);
     ASSERT_NE(entry, nullptr);
-    EXPECT_TRUE(*entry == *run_job(warmstore::warm_job_of(jobs[0])).payload);
+    EXPECT_TRUE(*entry == *parent_by_hand(jobs[0]));
   }
 }
 
@@ -811,6 +812,8 @@ TEST(ForkGroups, ChainShapesMatchForksAlone) {
        {{0, 600}, {400, 600}, {400, 600}, {800, 600}}},
       {"measures differ",
        {{200, 900}, {500, 200}, {1000, 700}, {1300, 300}}},
+      {"advances out of order",
+       {{800, 600}, {0, 600}, {1300, 300}, {400, 900}}},
   };
   const Workload w = *workloads::by_name("2W3");
   for (const bool dram : {false, true}) {
@@ -857,27 +860,29 @@ TEST(ForkGroups, ChainShapesMatchForksAlone) {
   }
 }
 
-TEST(ForkGroups, GroupEndsAtAnotherParentAWarmJobOrAnEarlierAdvance) {
+TEST(ForkGroups, GroupEndsAtAnotherParentOrANonFork) {
   const auto fork = [](std::uint64_t key, Cycle advance) {
     JobSpec j;
     j.parent_key = key;
     j.fork_advance = advance;
     return j;
   };
-  JobSpec warm = fork(1, 0);
-  warm.warm_only = true;
   JobSpec full;  // neither a snapshot nor a parent
+  JobSpec attached;  // a fork whose parent has no key
+  attached.snapshot = std::make_shared<const std::vector<std::uint8_t>>();
+  // A falling advance stays in the group: the pass sorts its boundaries.
   const std::vector<JobSpec> jobs = {
-      fork(1, 0), fork(1, 0), fork(1, 5), fork(1, 2),  // advance drops
-      fork(2, 0), warm,       fork(1, 9), full,
-      fork(3, 1)};
-  EXPECT_EQ(fork_group_end(jobs, 0), 3u);
-  EXPECT_EQ(fork_group_end(jobs, 3), 4u);
+      fork(1, 0), fork(1, 0), fork(1, 5), fork(1, 2),
+      fork(2, 0), full,       fork(1, 9), attached,
+      attached,   fork(3, 1)};
+  EXPECT_EQ(fork_group_end(jobs, 0), 4u);
+  EXPECT_EQ(fork_group_end(jobs, 1), 4u);
   EXPECT_EQ(fork_group_end(jobs, 4), 5u);
   EXPECT_EQ(fork_group_end(jobs, 5), 6u);
   EXPECT_EQ(fork_group_end(jobs, 6), 7u);
   EXPECT_EQ(fork_group_end(jobs, 7), 8u);
   EXPECT_EQ(fork_group_end(jobs, 8), 9u);
+  EXPECT_EQ(fork_group_end(jobs, 9), 10u);
 }
 
 }  // namespace
