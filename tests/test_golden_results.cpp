@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/archive.h"
+#include "common/envelope.h"
 #include "core/factory.h"
 #include "sim/backend.h"
 #include "sim/cmp.h"
@@ -37,12 +39,11 @@ constexpr std::uint64_t kSeed = 11;
 constexpr std::uint64_t kFixedMetricsDigest = 0x1d1637496241d927;
 constexpr std::uint64_t kDramMetricsDigest = 0x4987a7bc2368d8c4;
 constexpr std::uint64_t kFlushNsMetricsDigest = 0x1f4b4541f613cf58;
-// Snapshot digests last regenerated when MemStats began counting L2 load
-// misses as a plain integer (snapshot format v6): the state is unchanged,
-// but the miss statistic is now one u64 instead of a mean/variance/min/max
-// record.
-constexpr std::uint64_t kSnapshotDigestSkip = 0xf0dec7c4db3bd7c4;
-constexpr std::uint64_t kSnapshotDigestLockstep = 0x48b40ed7ff3c33d3;
+// Snapshot digests last regenerated when they began hashing the snapshot
+// body alone (without its envelope header and checksum), at snapshot
+// format v6.
+constexpr std::uint64_t kSnapshotDigestSkip = 0xf7a4a9c18fd375dd;
+constexpr std::uint64_t kSnapshotDigestLockstep = 0x6dd0334ca7b5fa1c;
 
 const char* const kWorkloads[] = {"2W3", "4W2", "8W3"};
 const std::vector<const char*> kPolicies = {"icount", "flush-s30", "stall-s30",
@@ -92,14 +93,19 @@ std::uint64_t metrics_digest(bool dram, bool event_skip,
   return fnv1a(ar.bytes());
 }
 
-/// FNV-1a over the bytes of one snapshot captured mid-run on the DRAM
-/// chip, while loads are in flight to the far tier.
+/// FNV-1a over the body of one snapshot captured mid-run on the DRAM
+/// chip, while loads are in flight to the far tier: the bytes between the
+/// envelope header and its checksum, so neither a snapshot version bump
+/// nor a change of checksum moves it.
 std::uint64_t snapshot_digest(bool event_skip) {
   const Workload wl = *workloads::by_name("4W2");
   CmpSimulator sim(config_for(wl, /*dram=*/true), wl, PolicySpec::mflush());
   sim.set_event_skip(event_skip);
   sim.run(kWarm + kMeasure / 2);
-  return fnv1a(snapshot::capture(sim));
+  const std::vector<std::uint8_t> bytes = snapshot::capture(sim);
+  return fnv1a(std::span(bytes).subspan(
+      envelope::kHeaderBytes,
+      bytes.size() - envelope::kHeaderBytes - sizeof(std::uint64_t)));
 }
 
 std::string hex(std::uint64_t v) {
