@@ -60,8 +60,8 @@
 /// containers of non-raw elements grow one decoded element at a time.
 namespace mflush {
 
-/// FNV-1a over a byte span — the checksum common/envelope seals and frames
-/// every format with, and the content hash behind store keys.
+/// FNV-1a over a byte span — the content hash behind store keys and
+/// campaign ids. Formats are sealed and framed by envelope::checksum.
 [[nodiscard]] inline std::uint64_t fnv1a(
     std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 14695981039346656037ull;

@@ -11,10 +11,11 @@
 /// The framing every checksummed binary format shares, written once.
 ///
 /// A *sealed* format (snapshot, spec, worker job/result file, warm-store
-/// entry) is `u64 magic | u32 version | body | u64 fnv1a(all before)`. A
-/// *framed* record (journal record, MFLUSNET frame) is
-/// `u32 len | payload | u64 fnv1a(payload)`. Both layouts are part of the
-/// bytes of every format built on them.
+/// entry) is `u64 magic | u32 version | body | u64 checksum(all before)`.
+/// A *framed* record (journal record, MFLUSNET frame) is
+/// `u32 len | payload | u64 checksum(payload)`. Both layouts, and the
+/// checksum itself, are part of the bytes of every format built on them:
+/// changing any of them bumps every one of those formats' versions.
 namespace mflush::envelope {
 
 inline constexpr std::size_t kHeaderBytes =
@@ -31,8 +32,18 @@ inline void put_header(ArchiveWriter& ar, std::uint64_t magic,
 void expect_header(ArchiveReader& ar, std::uint64_t magic,
                    std::uint32_t version, const std::string& what);
 
-/// Append the FNV-1a of everything written so far.
-inline void seal(ArchiveWriter& ar) { ar.put(fnv1a(ar.bytes())); }
+/// The trailing checksum of every sealed and framed format: four lanes
+/// over the bytes read as 8-byte little-endian words, then the lanes, any
+/// words after the last 32-byte stripe, the zero-padded tail and the
+/// length folded into one value. Every lane step and every fold is a
+/// bijection of the changed input, so a change confined to one aligned
+/// word (any flipped bit) or to the tail always changes the checksum.
+/// Content keys and test digests use fnv1a (common/archive.h) instead.
+[[nodiscard]] std::uint64_t checksum(
+    std::span<const std::uint8_t> bytes) noexcept;
+
+/// Append the checksum of everything written so far.
+inline void seal(ArchiveWriter& ar) { ar.put(checksum(ar.bytes())); }
 
 /// The body before a verified trailing checksum, as a view into `bytes`;
 /// throws naming `what` when `bytes` is short or the checksum mismatches.

@@ -214,7 +214,7 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 // ------------------------------------------------------ worker protocol
 //
 // Both files are sealed envelopes (common/envelope.h): magic, version,
-// u64 count, the entries, trailing FNV-1a. Readers reject bad magic,
+// u64 count, the entries, trailing checksum. Readers reject bad magic,
 // version skew, checksum mismatch and trailing bytes outright — a corrupt
 // job must fail loudly, never half-run.
 namespace worker {
@@ -222,7 +222,8 @@ namespace worker {
 /// v2: JobSpec gained the warm-job flag + parent_key (with a by-reference
 /// snapshot tag) and RunResult gained the warm-job payload.
 /// v4: JobSpec lost the warm-job flag.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// v5: both files are sealed by the word-wise envelope::checksum.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Per-process unique scratch-file stem inside `dir` (pid + monotonic
 /// counter + leading job id), used by the remote backend so concurrent

@@ -27,7 +27,7 @@
 ///                     shares one cache across every tenant's campaign)
 ///
 /// The journal is a classic write-ahead log at file granularity: every
-/// record is an envelope::frame (length prefix + FNV-1a checksum), appended
+/// record is an envelope::frame (length prefix + trailing checksum), appended
 /// with a single write() and fsync'd before the in-memory transition is
 /// acted on. Replay stops at the first bad record (torn tail, truncated
 /// length, checksum mismatch), so a SIGKILL at *any* byte offset recovers
@@ -66,7 +66,10 @@ namespace campaign {
 /// v5: the policy_* counters cover the measured interval only (they used
 /// to include the warm-up), so a v4 cache entry holds a stale result.
 /// v6: JobSpec content lost the warm-job flag.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// v7: journal records and cache entries end with the word-wise
+/// envelope::checksum; without the bump a v6 journal's first record would
+/// read as a torn tail and be truncated instead of refused.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Stable content hash of a job's canonical serialization
 /// (JobSpec::save_content: config/workload/profiles, policy, seed, warmup,
@@ -86,8 +89,8 @@ enum class JobState : std::uint8_t {
 };
 
 /// One journal record: a state transition for one job key. `aux` is the
-/// attempt ordinal for dispatched/failed records and the cache entry's
-/// trailing checksum for done records (the "result-hash" that lets resume
+/// attempt ordinal for dispatched/failed records and the FNV-1a of the
+/// cache entry's bytes for done records (the "result-hash" that lets resume
 /// cross-check a cache file against the journal without re-reading it).
 struct JournalRecord {
   JobState state = JobState::kDispatched;

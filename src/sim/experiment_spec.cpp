@@ -19,7 +19,8 @@ namespace mflush {
 namespace {
 
 constexpr std::uint64_t kSpecMagic = 0x4d464c5553504543ull;  // "MFLUSPEC"
-constexpr std::uint32_t kSpecVersion = 2;
+/// v3: sealed by the word-wise envelope::checksum instead of FNV-1a.
+constexpr std::uint32_t kSpecVersion = 3;
 
 /// Throwing wrapper over the shared workloads::resolve front door.
 Workload resolve_workload(const std::string& token) {

@@ -222,7 +222,7 @@ struct ExperimentSpec {
   [[nodiscard]] std::vector<JobSpec> expand() const;
 
   // --- serialization -----------------------------------------------------
-  // Binary: magic/version/fields/FNV-checksum archive, rejected on any
+  // Binary: magic/version/fields/checksum archive, rejected on any
   // corruption or version skew. Text: the hand-authorable line format
   // ("key value" lines, '#' comments — see to_text() output or
   // examples/quickstart). read_file sniffs the magic to pick the decoder.

@@ -14,7 +14,7 @@
 /// simulation (format version, full SimConfig, workload, policy spec)
 /// followed by the complete mutable state (trace-source RNGs and rings,
 /// caches, TLBs, MSHRs, bus/L2/memory queues, pipeline pools, rename maps,
-/// branch predictor, policy state, statistics) and a trailing FNV-1a
+/// branch predictor, policy state, statistics) and a trailing envelope
 /// checksum. Restoring a snapshot and running N cycles is bit-identical to
 /// never having snapshotted — tested by SnapshotTest.ResumeMatchesContinuous.
 ///
@@ -34,7 +34,8 @@ namespace mflush::snapshot {
 /// (token, issue, deadline, tid) and one fired-token array.
 /// v6: the L2 load-miss statistic is a plain count (MemStats::l2_load_misses)
 /// instead of a mean/variance/min/max accumulator.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// v7: sealed by the word-wise envelope::checksum instead of FNV-1a.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Serialize the full simulator state (header + state + checksum).
 [[nodiscard]] std::vector<std::uint8_t> capture(const CmpSimulator& sim);

@@ -27,7 +27,7 @@
 /// both warmstore::kFormatVersion and snapshot::kFormatVersion, so any
 /// layout change anywhere in the chain makes old entries *miss* (and
 /// re-warm) rather than misread. A corrupt entry (torn write, bit flip) is
-/// detected by its trailing FNV-1a checksum, discarded, and transparently
+/// detected by its trailing envelope checksum, discarded, and transparently
 /// re-warmed — see ROADMAP "Warm-store key derivation & versioning".
 namespace mflush {
 
@@ -37,7 +37,8 @@ namespace warmstore {
 /// key echo, length-prefixed snapshot bytes, envelope seal. Bump on ANY
 /// change to this layout or to the key derivation below.
 /// v2: the hashed parent content lost JobSpec's warm-job flag.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3: entries are sealed by the word-wise envelope::checksum.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Content hash naming a fork job's warmed parent: FNV-1a over a domain
 /// magic ("MFLUSWKY"), kFormatVersion, snapshot::kFormatVersion, and the

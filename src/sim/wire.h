@@ -15,7 +15,7 @@
 /// A connection is a stream of self-delimiting frames
 /// (envelope::frame, common/envelope.h):
 ///
-///   [u32 payload_len][payload bytes][u64 fnv1a(payload)]
+///   [u32 payload_len][payload bytes][u64 envelope::checksum(payload)]
 ///
 /// and each payload is a flat archive:
 ///
@@ -44,7 +44,8 @@
 ///   SHUTDOWN                   -> OK, then the daemon drains and exits
 namespace mflush::daemon {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// v2: frames end with the word-wise envelope::checksum instead of FNV-1a.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// "MFLUSNET" little-endian.
 inline constexpr std::uint64_t kFrameMagic = 0x54454e53554c464dull;

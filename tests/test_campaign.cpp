@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -243,6 +244,31 @@ TEST_F(CampaignTest, ResumeTruncatesTornTailAndKeepsAppending) {
   // the job is still not re-executed on resume.
   CampaignStore store = CampaignStore::resume(dir_.string());
   EXPECT_TRUE(store.cached(jobs[0]).has_value());
+}
+
+TEST_F(CampaignTest, JournalOfThePreviousFormatVersionIsRefusedNotTruncated) {
+  // Its records' checksums belong to the previous format, so replaying
+  // past the header would read the first record as a torn tail and
+  // resume would truncate every record away.
+  const ExperimentSpec spec = small_spec();
+  const std::vector<JobSpec> jobs = spec.expand();
+  {
+    CampaignStore store = CampaignStore::create(dir_.string(), spec);
+    store.record_dispatched(jobs);
+  }
+  std::vector<std::uint8_t> old = journal_bytes();
+  const std::uint32_t previous = campaign::kFormatVersion - 1;
+  std::memcpy(old.data() + 8, &previous, sizeof(previous));
+  fsio::write_file_atomic(journal(), old);
+
+  try {
+    (void)CampaignStore::resume(dir_.string());
+    ADD_FAILURE() << "resume accepted a previous-version journal";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(journal_bytes(), old) << "the refused journal was modified";
 }
 
 // ------------------------------------------------------ durable execution

@@ -157,15 +157,73 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
   const std::vector<std::uint8_t> journal = fixture_journal();
   ASSERT_EQ(journal.size(), 12u + 33u);
   const std::span<const std::uint8_t> j(journal);
-  EXPECT_EQ(digest(fixture_spec().to_bytes()), 0xc887044bcc0fe950ull);
-  EXPECT_EQ(digest(fixture_job_file()), 0x47ae832fe2db2a7cull);
+  EXPECT_EQ(digest(fixture_spec().to_bytes()), 0x65027accd15b7ca8ull);
+  EXPECT_EQ(digest(fixture_job_file()), 0x3e7c10ad70d00f39ull);
   EXPECT_EQ(digest(worker::encode_results(fixture_results())),
-            0x72ce088405ac323dull);
-  EXPECT_EQ(digest(fixture_warm_entry()), 0x7e14ccc3642e8b7bull);
+            0x9d589f10d6e3a674ull);
+  EXPECT_EQ(digest(fixture_warm_entry()), 0x35552ebcfc098018ull);
   EXPECT_EQ(digest(daemon::encode_frame(fixture_message())),
-            0xe3699f8d0275cf87ull);
-  EXPECT_EQ(digest(j.first(12)), 0x7d924ef078f2deceull);
-  EXPECT_EQ(digest(j.subspan(12)), 0x34004fa655c55c1dull);
+            0x81943324dde4106eull);
+  EXPECT_EQ(digest(j.first(12)), 0x1d8cfaf8cf289b5full);
+  EXPECT_EQ(digest(j.subspan(12)), 0x89c69ae87ea1c9d8ull);
+}
+
+// ----------------------------------------------------------- the checksum
+
+TEST(EnvelopeChecksum, EveryFlipTruncationAndAppendedByteIsRejected) {
+  // 37 whole words and a 5-byte tail, so every lane, the words after the
+  // last stripe and the tail are all covered.
+  std::vector<std::uint8_t> body(8 * 37 + 5);
+  for (std::size_t i = 0; i < body.size(); ++i)
+    body[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  ArchiveWriter ar;
+  ar.put_bytes(body.data(), body.size());
+  envelope::seal(ar);
+  const std::vector<std::uint8_t> sealed = ar.take();
+  const std::vector<std::uint8_t> framed = envelope::frame(body);
+  const auto unseals = [](std::span<const std::uint8_t> b) {
+    try {
+      (void)envelope::unseal(b, "probe");
+      return true;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  };
+  const auto status = [](std::span<const std::uint8_t> b) {
+    return envelope::unframe(b, 1u << 20).status;
+  };
+  ASSERT_TRUE(unseals(sealed));
+  ASSERT_EQ(status(framed), envelope::FrameStatus::kFrame);
+
+  for (std::size_t at = 0; at < sealed.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> damaged = sealed;
+      damaged[at] ^= static_cast<std::uint8_t>(1u << bit);
+      ASSERT_FALSE(unseals(damaged)) << "byte " << at << " bit " << bit;
+      damaged = framed;
+      damaged[4 + at] ^= static_cast<std::uint8_t>(1u << bit);
+      ASSERT_EQ(status(damaged), envelope::FrameStatus::kBad)
+          << "frame byte " << 4 + at << " bit " << bit;
+    }
+  }
+  for (std::size_t cut = 0; cut < sealed.size(); ++cut)
+    ASSERT_FALSE(unseals(std::span(sealed).first(cut))) << "cut " << cut;
+
+  // A zero byte appended under the old checksum: the zero-padded tail
+  // word is unchanged, so only the folded length tells the two apart.
+  std::vector<std::uint8_t> grown(sealed.begin(), sealed.end() - 8);
+  grown.push_back(0);
+  grown.insert(grown.end(), sealed.end() - 8, sealed.end());
+  EXPECT_FALSE(unseals(grown));
+  grown = sealed;
+  grown.push_back(0);
+  EXPECT_FALSE(unseals(grown));
+  grown.assign(framed.begin(), framed.end() - 8);
+  grown.push_back(0);
+  const auto len = static_cast<std::uint32_t>(body.size() + 1);
+  std::memcpy(grown.data(), &len, sizeof(len));
+  grown.insert(grown.end(), framed.end() - 8, framed.end());
+  EXPECT_EQ(status(grown), envelope::FrameStatus::kBad);
 }
 
 // ------------------------------------------------------- the fuzz harness
@@ -173,10 +231,11 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
 // One table of every checksummed format, each with a decoder probe; the
 // same damage is applied to all of them. Three framings exist
 // (common/envelope.h):
-//   kSealed   magic | version | body | fnv1a  (snapshot, spec, job file,
+//   kSealed   magic | version | body | checksum  (snapshot, spec, job file,
 //             result archive, warm entry — a warm entry's rejection is a
 //             store miss that deletes the entry);
-//   kFrame    len | magic | version | message | fnv1a(payload) (MFLUSNET);
+//   kFrame    len | magic | version | message | checksum(payload)
+//             (MFLUSNET);
 //   kJournal  magic | version, then one frame per record (replay keeps the
 //             longest intact prefix).
 
@@ -260,8 +319,8 @@ Format spec_format() {
   const std::vector<std::uint8_t> bytes = s.to_bytes();
   // ... | mode, sampled | mem_model | dram (48 bytes) | seal
   const std::size_t mem_model = bytes.size() - 8 - 48 - 1;
-  // 2: the spec format version (private to experiment_spec.cpp).
-  return {"spec", Kind::kSealed, 0x4d464c5553504543ull, 2, bytes,
+  // 3: the spec format version (private to experiment_spec.cpp).
+  return {"spec", Kind::kSealed, 0x4d464c5553504543ull, 3, bytes,
           [](std::span<const std::uint8_t> b) {
             return verdict_of([&] { (void)ExperimentSpec::from_bytes(b); });
           },
@@ -447,12 +506,12 @@ TEST_P(EnvelopeHarness, ValidBytesDecodeAndHaveTheSharedLayout) {
   switch (f.kind) {
     case Kind::kSealed:
       EXPECT_EQ(read_at<std::uint64_t>(b, b.size() - 8),
-                fnv1a(b.first(b.size() - 8)));
+                envelope::checksum(b.first(b.size() - 8)));
       break;
     case Kind::kFrame:
       EXPECT_EQ(read_at<std::uint32_t>(b, 0), b.size() - 12);
       EXPECT_EQ(read_at<std::uint64_t>(b, b.size() - 8),
-                fnv1a(b.subspan(4, b.size() - 12)));
+                envelope::checksum(b.subspan(4, b.size() - 12)));
       break;
     case Kind::kJournal:
       ASSERT_EQ((b.size() - kJournalHeader) % kJournalRecord, 0u);
@@ -460,7 +519,8 @@ TEST_P(EnvelopeHarness, ValidBytesDecodeAndHaveTheSharedLayout) {
       for (std::size_t r = kJournalHeader; r < b.size(); r += kJournalRecord) {
         EXPECT_EQ(read_at<std::uint32_t>(b, r), kJournalRecord - 12);
         EXPECT_EQ(read_at<std::uint64_t>(b, r + kJournalRecord - 8),
-                  fnv1a(b.subspan(r + 4, kJournalRecord - 12)));
+                  envelope::checksum(
+                      b.subspan(r + 4, kJournalRecord - 12)));
       }
       break;
   }

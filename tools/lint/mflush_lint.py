@@ -26,8 +26,9 @@ Checks (each can be selected with --check, default all):
 
   envelope      Every checksummed format is sealed or framed by
                 common/envelope. Writing a trailing checksum
-                (`put(fnv1a(`) or comparing one (`fnv1a(...) ==/!=`)
-                anywhere else is a finding.
+                (`put(checksum(`, `put(fnv1a(`) or comparing one
+                (`checksum(...) ==/!=`, likewise fnv1a) anywhere else is a
+                finding.
 
 Exit status: 0 clean, 1 findings, 2 tool error.
 """
@@ -189,9 +190,11 @@ def check_getenv(model: TreeModel, allow_files: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 ENVELOPE_FILES = ("common/envelope.h", "common/envelope.cpp")
-_FNV_CALL = r"fnv1a\s*\((?:[^()]|\([^()]*\))*\)"
+# The envelope's own checksum, and FNV-1a (the content hash it replaced).
+_SUM = r"\b(?:\w+::)*(?:fnv1a|checksum)\s*\("
+_SUM_CALL = _SUM + r"(?:[^()]|\([^()]*\))*\)"
 _ENVELOPE_RE = re.compile(
-    rf"\bput\s*(?:<[^>]*>)?\s*\(\s*fnv1a\s*\(|{_FNV_CALL}\s*[!=]=|[!=]=\s*fnv1a\s*\("
+    rf"\bput\s*(?:<[^>]*>)?\s*\(\s*{_SUM}|{_SUM_CALL}\s*[!=]=|[!=]=\s*{_SUM}"
 )
 
 
