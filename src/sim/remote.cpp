@@ -12,6 +12,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -90,6 +91,20 @@ void run_tool_or_throw(const std::string& tool,
                          std::to_string(code) + " while " + what +
                          (code == 255 ? " (ssh connection failure)" : ""));
   }
+}
+
+/// Simulated core-cycles of one fork group, at least 1 (see batch_ranges).
+std::uint64_t group_cost(std::span<const JobSpec> group) {
+  const JobSpec& head = group.front();
+  const std::uint64_t cores = head.profiles.empty()
+                                  ? head.workload.num_cores()
+                                  : head.profiles.size() / 2;
+  // A FullRun job is a pass of `measure` after its warm-up.
+  Cycle pass = 0;
+  for (const JobSpec& j : group)
+    pass = std::max(pass, j.fork_advance + j.measure);
+  const Cycle warm = head.snapshot ? 0 : head.warmup;
+  return std::max<std::uint64_t>(1, cores * (warm + pass));
 }
 
 }  // namespace
@@ -186,23 +201,39 @@ std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
     const std::vector<JobSpec>& jobs, std::size_t batch_jobs,
     std::size_t slots) {
   const std::size_t n = jobs.size();
-  if (n == 0) return {};
-  std::size_t per = batch_jobs;
-  if (per == 0)
-    per = std::max<std::size_t>(1, n / std::max<std::size_t>(1, 4 * slots));
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  out.reserve((n + per - 1) / per);
-  for (std::size_t begin = 0; begin < n;) {
-    // The first group always fits; later ones while they end in budget.
-    std::size_t end = fork_group_end(jobs, begin);
-    while (end < n) {
-      const std::size_t next = fork_group_end(jobs, end);
-      if (next > begin + per) break;
-      end = next;
+  const auto weight = [&](std::size_t begin, std::size_t end) {
+    return batch_jobs != 0
+               ? end - begin
+               : group_cost(std::span(jobs).subspan(begin, end - begin));
+  };
+  std::uint64_t budget = batch_jobs;
+  if (budget == 0) {
+    std::uint64_t total = 0;
+    for (std::size_t begin = 0; begin < n;) {
+      const std::size_t end = fork_group_end(jobs, begin);
+      total += weight(begin, end);
+      begin = end;
     }
-    out.emplace_back(begin, end);
+    budget = std::max<std::uint64_t>(
+        1, total / std::max<std::uint64_t>(1, 4 * slots));
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  std::size_t first = 0;
+  std::uint64_t used = 0;
+  for (std::size_t begin = 0; begin < n;) {
+    // The first group always fits; later ones while the batch stays in
+    // budget.
+    const std::size_t end = fork_group_end(jobs, begin);
+    const std::uint64_t w = weight(begin, end);
+    if (used != 0 && used + w > budget) {
+      out.emplace_back(first, begin);
+      first = begin;
+      used = 0;
+    }
+    used += w;
     begin = end;
   }
+  if (n != 0) out.emplace_back(first, n);
   return out;
 }
 
@@ -390,6 +421,28 @@ struct UploadRecord {
   std::size_t bytes = 0;
 };
 
+/// Wakes a part-file watcher the moment its worker exits, so a batch end
+/// never waits out the scan interval.
+struct WorkerExit {
+  std::mutex m;
+  std::condition_variable cv;
+  bool exited = false;  ///< guarded by m
+
+  void signal() {
+    {
+      const std::lock_guard lk(m);
+      exited = true;
+    }
+    cv.notify_all();
+  }
+  /// Sleep one scan interval or until the worker exits; true once it has.
+  [[nodiscard]] bool wait_scan() {
+    std::unique_lock lk(m);
+    return cv.wait_for(lk, std::chrono::milliseconds(10),
+                       [&] { return exited; });
+  }
+};
+
 /// Job ids already streamed into the sink this round. Incremental partial
 /// streaming means a failed batch may have delivered some of its results
 /// before dying — and its retry (or split halves) will produce them
@@ -536,13 +589,13 @@ void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
   // authoritative batch file catches up below, or the attempt fails).
   // Every push is claim()-gated — the final loop below claims whatever
   // the watcher did not.
-  std::atomic<bool> worker_done{false};
+  WorkerExit worker_exit;
   std::thread watcher;
   if (!parts.empty()) {
     watcher = std::thread([&] {
       std::vector<bool> seen(parts.size(), false);
       std::size_t remaining = parts.size();
-      while (remaining > 0) {
+      for (;;) {
         for (std::size_t i = 0; i < parts.size(); ++i) {
           if (seen[i]) continue;
           std::error_code ec;
@@ -560,26 +613,25 @@ void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
             // Not an attempt failure: the batch file stays authoritative.
           }
         }
-        if (worker_done.load()) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (remaining == 0 || worker_exit.wait_scan()) return;
       }
     });
   }
   struct WatcherJoin {
-    std::atomic<bool>& done;
+    WorkerExit& exit;
     std::thread& t;
     ~WatcherJoin() {
-      done.store(true);
+      exit.signal();
       if (t.joinable()) t.join();
     }
-  } watcher_join{worker_done, watcher};
+  } watcher_join{worker_exit, watcher};
 
   host.transport->run_batch(spec, job_path, result_path,
                             batch.describe(all_jobs));
 
   // Quiesce the watcher before touching the final file: from here on this
   // thread owns all pushes for the batch.
-  worker_done.store(true);
+  worker_exit.signal();
   if (watcher.joinable()) watcher.join();
 
   auto results = worker::read_result_file(result_path);

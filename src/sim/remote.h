@@ -98,13 +98,19 @@ struct HostSpec {
 /// silently comment out every later entry — use a hosts file instead).
 [[nodiscard]] std::vector<HostSpec> hosts_from_env();
 
-/// Contiguous [begin, end) job-index chunks for a sweep of `jobs`.
-/// `batch_jobs` == 0 picks an automatic size aiming at ~4 batches per host
-/// slot, so work stealing has slack to rebalance around a slow or failed
-/// host (floor 1 job per batch). Cuts fall only at fork group boundaries
-/// (fork_group_end): a batch ends at the last boundary at or before
-/// `begin + size`, and a group larger than the size is a batch of its own.
-/// Every FullRun job is a group of one.
+/// Contiguous [begin, end) job-index chunks for a sweep of `jobs`. Cuts
+/// fall only at fork group boundaries (fork_group_end; every FullRun job
+/// is a group of one): a batch takes its first group, then each next group
+/// while the batch stays within its budget, so a group over budget is a
+/// batch of its own. `batch_jobs` != 0 budgets that many jobs per batch.
+/// `batch_jobs` == 0 budgets simulated core-cycles: a group costs its
+/// chip's cores times its parent's warm-up (unless the parent bytes are
+/// attached) plus the pass to its last window end (a FullRun job: warm-up
+/// plus measure), at least 1, and the budget is the sweep's total over ~4
+/// batches per host slot (floor 1). So sweeps that mix chip sizes cut
+/// batches of about equal simulated work, work stealing keeps slack to
+/// rebalance around a slow or failed host, and jobs of equal cost cut as a
+/// budget of jobs would.
 [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
     const std::vector<JobSpec>& jobs, std::size_t batch_jobs,
     std::size_t slots);

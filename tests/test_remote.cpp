@@ -199,6 +199,46 @@ TEST(RemoteBatching, RangesCutAtParentGroupBoundaries) {
   EXPECT_EQ(plain_ranges(14, 5, 1), (Ranges{{0, 5}, {5, 10}, {10, 14}}));
 }
 
+TEST(RemoteBatching, AutoBatchesWeighSimulatedCycles) {
+  // sampled_dram's shape: an 8W1 group simulates 4 cores, a 2W3 group 1,
+  // over the same 15k warm-up and a pass to 6k + 4k.
+  ExperimentSpec spec;
+  spec.workloads = {*workloads::by_name("8W1"), *workloads::by_name("2W3")};
+  spec.policies = {PolicySpec::flush_spec(30), PolicySpec::mflush()};
+  spec.seeds = {1, 2, 3, 4, 5, 6};
+  spec.warmup = 15'000;
+  spec.measure = 4'000;
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 4;
+  spec.sampled.fork_stride = 2'000;
+  const std::vector<JobSpec> jobs = spec.expand();
+  const auto cost = [&](std::size_t begin, std::size_t end) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = begin; i < end; i += 4)
+      sum += jobs[i].workload.num_cores() * std::uint64_t{25'000};
+    return sum;
+  };
+  const std::uint64_t largest = 4 * 25'000;
+  const std::size_t slots = 3;
+  const std::uint64_t target = cost(0, jobs.size()) / (4 * slots);
+
+  const auto ranges = remote::batch_ranges(jobs, 0, slots);
+  std::size_t at = 0;
+  for (const auto& [begin, end] : ranges) {
+    SCOPED_TRACE("batch [" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ")");
+    ASSERT_EQ(begin, at);
+    at = end;
+    // Groups stay whole: both ends are group boundaries.
+    EXPECT_EQ(begin % 4, 0u);
+    EXPECT_EQ(end % 4, 0u);
+    EXPECT_LE(cost(begin, end), target + largest);
+    // Only a single group may exceed the budget.
+    if (end - begin > 4) EXPECT_LE(cost(begin, end), target);
+  }
+  EXPECT_EQ(at, jobs.size());
+}
+
 // ----------------------------------------------------- scheduler plumbing
 //
 // These tests drive RemoteBackend through injected transports, so they
@@ -899,6 +939,49 @@ TEST(RemoteBackendTest, MatchesSerialWithMidRunHostFailure) {
   RemoteBackend backend(opts);
   SerialBackend serial;
   expect_identical_runs(serial.run_collect(jobs), backend.run_collect(jobs));
+}
+
+/// Streaming transport whose worker answers after 1 ms, once the part
+/// watcher is asleep: it writes a result file of empty results and no
+/// part files, so only the watcher can hold a batch's end back.
+class InstantStreamingTransport final : public remote::Transport {
+ public:
+  [[nodiscard]] std::string name() const override { return "test-instant"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec&, const std::string& job_path,
+                 const std::string& result_path,
+                 const std::string&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::vector<std::pair<std::uint32_t, RunResult>> results;
+    for (const JobSpec& j : worker::read_job_file(job_path))
+      results.emplace_back(j.id, RunResult{});
+    worker::write_result_file(result_path, results);
+  }
+  [[nodiscard]] bool streams_partials() const override { return true; }
+};
+
+TEST(RemoteBackendTest, BatchEndDoesNotWaitOutThePartScan) {
+  // The part watcher scans every 10 ms; the worker's exit must wake it,
+  // or each of these batches would take a whole scan interval.
+  constexpr std::size_t kBatches = 50;
+  RemoteBackend::Options opts;
+  remote::HostSpec host;
+  host.name = "local";
+  opts.hosts = {host};
+  opts.batch_jobs = 1;
+  opts.transport_factory = [](const remote::HostSpec&) {
+    return std::make_unique<InstantStreamingTransport>();
+  };
+  RemoteBackend backend(opts);
+  std::vector<JobSpec> jobs(kBatches);
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    jobs[i].id = static_cast<std::uint32_t>(i);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(backend.run_collect(jobs).size(), kBatches);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(10) * kBatches / 2)
+      << std::chrono::duration<double, std::milli>(elapsed).count()
+      << " ms for " << kBatches << " batches";
 }
 
 /// In-process transport that logs when each batch (named by its job
