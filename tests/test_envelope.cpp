@@ -519,8 +519,7 @@ TEST_P(EnvelopeHarness, ValidBytesDecodeAndHaveTheSharedLayout) {
       for (std::size_t r = kJournalHeader; r < b.size(); r += kJournalRecord) {
         EXPECT_EQ(read_at<std::uint32_t>(b, r), kJournalRecord - 12);
         EXPECT_EQ(read_at<std::uint64_t>(b, r + kJournalRecord - 8),
-                  envelope::checksum(
-                      b.subspan(r + 4, kJournalRecord - 12)));
+                  envelope::checksum(b.subspan(r + 4, kJournalRecord - 12)));
       }
       break;
   }

@@ -949,8 +949,7 @@ class InstantStreamingTransport final : public remote::Transport {
   [[nodiscard]] std::string name() const override { return "test-instant"; }
   void prepare(const remote::HostSpec&) override {}
   void run_batch(const remote::HostSpec&, const std::string& job_path,
-                 const std::string& result_path,
-                 const std::string&) override {
+                 const std::string& result_path, const std::string&) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     std::vector<std::pair<std::uint32_t, RunResult>> results;
     for (const JobSpec& j : worker::read_job_file(job_path))
