@@ -12,7 +12,7 @@
 ///
 /// A *sealed* format (snapshot, spec, worker job/result file, warm-store
 /// entry) is `u64 magic | u32 version | body | u64 checksum(all before)`.
-/// A *framed* record (journal record, MFLUSNET frame) is
+/// A *framed* record (an MFLUSNET frame) is
 /// `u32 len | payload | u64 checksum(payload)`. Both layouts, and the
 /// checksum itself, are part of the bytes of every format built on them:
 /// changing any of them bumps every one of those formats' versions.

@@ -82,7 +82,7 @@ struct CampaignRun {
   CampaignState state = CampaignState::kRunning;
   bool cancel_requested = false;
   /// Completion-order (job_id, one-entry result archive) pairs. Every
-  /// entry was durable (cache + journal) before it was appended, so a
+  /// entry was durable in the result cache before it was appended, so a
   /// replay to a late subscriber only ever shows crash-survivable work.
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> log;
   std::uint64_t total = 0;  ///< final result count, set at termination
@@ -199,7 +199,7 @@ class Server {
     return slots;
   }
 
-  /// Replay every campaign directory at startup: resumed runs execute
+  /// Resume every campaign directory at startup: resumed runs execute
   /// their delta (finished ones stream entirely from the cache), so a
   /// SIGKILLed daemon restarts into exactly the work it had not finished.
   void resume_existing() {
@@ -207,13 +207,13 @@ class Server {
     std::vector<std::string> ids;
     for (const auto& entry : fs::directory_iterator(campaigns_dir(), ec)) {
       if (!entry.is_directory()) continue;
-      if (!fs::exists(entry.path() / "journal.wal")) continue;
+      if (!fs::exists(entry.path() / "spec.mfc")) continue;
       ids.push_back(entry.path().filename().string());
     }
     std::sort(ids.begin(), ids.end());
     const std::lock_guard lk(campaigns_m_);
     for (const std::string& id : ids) {
-      event("resuming campaign " + id + " from its journal");
+      event("resuming campaign " + id);
       start_campaign(id, /*spec=*/nullptr);
     }
   }
@@ -227,9 +227,9 @@ class Server {
     c->id = id;
     c->tenant = std::make_unique<RemoteBackend::Tenant>(*remote_);
     c->dir = (fs::path(campaigns_dir()) / id).string();
-    const bool fresh = !fs::exists(fs::path(c->dir) / "journal.wal");
+    const bool fresh = !fs::exists(fs::path(c->dir) / "spec.mfc");
     if (fresh && spec == nullptr)
-      throw std::runtime_error("campaign " + id + " has no journal to resume");
+      throw std::runtime_error("campaign " + id + " has no spec to resume");
     ExperimentSpec spec_copy;
     if (spec != nullptr) spec_copy = *spec;
     c->runner = std::thread([this, c, fresh, spec_copy] {
@@ -240,7 +240,8 @@ class Server {
   }
 
   /// SUBMIT entry: attach to a live or finished campaign, restart a
-  /// failed/cancelled one (its journal resumes the delta), or start anew.
+  /// failed/cancelled one (its result cache spares the done jobs), or
+  /// start anew.
   std::shared_ptr<CampaignRun> start_or_attach(const ExperimentSpec& spec) {
     const std::string id = campaign_id(spec);
     const std::lock_guard lk(campaigns_m_);
@@ -254,7 +255,7 @@ class Server {
       }
       if (reusable) return it->second;
       // Terminal failure/cancellation: the runner has exited — reap it
-      // and start a fresh run over the same directory (journal resume).
+      // and resume the same directory (only the delta executes).
       if (it->second->runner.joinable()) it->second->runner.join();
     }
     return start_campaign(id, &spec);
@@ -301,8 +302,8 @@ class Server {
     }
   }
 
-  /// on_result hook of every campaign sink: the result is durable (cache
-  /// entry + journal record) by the time the sink fires, so log + stream
+  /// on_result hook of every campaign sink: the result is durable (a
+  /// published cache entry) by the time the sink fires, so log + stream
   /// it. Log append and subscriber sends happen under one lock so a
   /// late-attaching follower can never see a result twice.
   void deliver(CampaignRun& c, const JobSpec& job, const RunResult& result) {

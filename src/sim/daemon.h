@@ -11,7 +11,7 @@
 /// mflushd — a long-lived campaign coordinator serving the MFLUSNET
 /// protocol (sim/wire.h) on a Unix-domain or TCP socket.
 ///
-/// Every SUBMIT becomes a journaled CampaignStore campaign under
+/// Every SUBMIT becomes a durable CampaignStore campaign under
 /// `data_dir/campaigns/<id>/` where `<id>` is the spec's content hash:
 /// resubmitting a spec *attaches* to its campaign (live or finished)
 /// instead of re-running it. All campaigns share one content-addressed
@@ -28,11 +28,11 @@
 /// (remote::InProcessTransport). Results stream back to following clients
 /// as RESULT frames the moment they are durable.
 ///
-/// Restart contract: campaigns are resumed from their journals at
-/// startup, so SIGKILLing the daemon loses no completed work — exactly
-/// the per-run invariant CampaignStore already proves, extended to the
-/// serving loop. A stale Unix socket left by the corpse is unlinked on
-/// bind.
+/// Restart contract: every campaign directory holding a spec.mfc is
+/// resumed at startup against the shared result cache, so SIGKILLing the
+/// daemon loses no completed work — exactly the per-run invariant
+/// CampaignStore already proves, extended to the serving loop. A stale
+/// Unix socket left by the corpse is unlinked on bind.
 namespace mflush::daemon {
 
 struct ServeOptions {

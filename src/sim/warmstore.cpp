@@ -66,32 +66,35 @@ Bytes decode_entry(std::uint64_t key, std::vector<std::uint8_t> entry) {
   return std::make_shared<const std::vector<std::uint8_t>>(std::move(entry));
 }
 
+/// The parent a fork warms from: its workload, profiles, policy, seed and
+/// warmup, with every other field at its default (the memory model too —
+/// see ROADMAP "Fix first"). warm_key hashes it and warm_job_of returns
+/// it, so the two cannot disagree on what a parent is.
+[[nodiscard]] JobSpec parent_of(const JobSpec& fork) {
+  JobSpec parent;
+  parent.workload = fork.workload;
+  parent.profiles = fork.profiles;
+  parent.policy = fork.policy;
+  parent.seed = fork.seed;
+  parent.warmup = fork.warmup;
+  return parent;
+}
+
 }  // namespace
 
 namespace warmstore {
 
 std::uint64_t warm_key(const JobSpec& job) {
-  JobSpec parent;
-  parent.workload = job.workload;
-  parent.profiles = job.profiles;
-  parent.policy = job.policy;
-  parent.seed = job.seed;
-  parent.warmup = job.warmup;
   ArchiveWriter ar;
   ar.put(kKeyMagic);
   ar.put(kFormatVersion);
   ar.put(snapshot::kFormatVersion);
-  parent.save_content(ar);
+  parent_of(job).save_content(ar);
   return fnv1a(ar.bytes());
 }
 
 JobSpec warm_job_of(const JobSpec& fork) {
-  JobSpec w;
-  w.workload = fork.workload;
-  w.profiles = fork.profiles;
-  w.policy = fork.policy;
-  w.seed = fork.seed;
-  w.warmup = fork.warmup;
+  JobSpec w = parent_of(fork);
   w.parent_key = warm_key(fork);
   return w;
 }

@@ -18,15 +18,14 @@
 ///     --backend NAME          serial | inprocess (default) | worker |
 ///                             remote (batched distributed sweep over a
 ///                             host pool; see --hosts)
-///     --campaign DIR          run the sweep durably: DIR holds the spec,
-///                             a write-ahead journal of job state, and a
-///                             content-addressed result cache, so a
+///     --campaign DIR          run the sweep durably: DIR holds the spec
+///                             and a content-addressed result cache, so a
 ///                             killed run resumes with --resume and jobs
 ///                             already cached (this campaign or an
 ///                             overlapping earlier spec) are not re-run
 ///     --resume                continue the campaign in --campaign DIR
-///                             from its journal (spec comes from DIR;
-///                             sweep flags are ignored)
+///                             (spec comes from DIR, finished jobs from
+///                             its cache; sweep flags are ignored)
 ///     --hosts FILE            host pool for --backend remote: one entry
 ///                             per line, `name [slots=N] [fail=N]
 ///                             [dir=PATH]`, `#` comments. `local` runs
@@ -49,12 +48,12 @@
 ///                             tenants share one host pool, one warm store
 ///                             and one result cache, so overlapping
 ///                             submissions dedup. Killing the daemon loses
-///                             nothing: on restart every journaled campaign
-///                             resumes its delta. Requires --data; --hosts
-///                             and --jobs shape the pool as for --backend
-///                             remote (no hosts: one local host of --jobs
-///                             slots running jobs in-thread, no worker
-///                             subprocesses)
+///                             nothing: on restart every campaign under
+///                             --data resumes its delta. Requires --data;
+///                             --hosts and --jobs shape the pool as for
+///                             --backend remote (no hosts: one local host
+///                             of --jobs slots running jobs in-thread, no
+///                             worker subprocesses)
 ///     --data DIR              mflushd state root: DIR/campaigns/<id>/,
 ///                             DIR/cache (shared result cache), DIR/warm
 ///     --connect ADDR          client mode: talk to the mflushd at ADDR;
@@ -151,8 +150,8 @@ void usage(const char* argv0) {
          "runs loopback subprocesses and any other name is an ssh\n"
          "destination (worker binary shipped once per host). Failed\n"
          "batches re-queue onto healthy hosts with bounded retries.\n"
-         "--campaign DIR journals every job durably and caches results by\n"
-         "content, so a crashed or killed sweep continues with --resume\n"
+         "--campaign DIR publishes every result durably to a cache keyed\n"
+         "by content, so a crashed or killed sweep continues with --resume\n"
          "(finished jobs replay from the cache, bit-identical) and an\n"
          "overlapping later spec pays only for its new jobs. --warm-store\n"
          "DIR reuses sampled-mode warm-up state across runs and specs by\n"

@@ -3,13 +3,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
+#include <thread>
 #include <vector>
 
 #include "common/fsio.h"
@@ -22,13 +23,6 @@ namespace mflush {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Journal geometry pinned by campaign::kFormatVersion: 12-byte header
-// (magic + version), then 33-byte records (u32 len, 21-byte payload,
-// u64 checksum). The fuzz tests below lean on these numbers; a layout
-// change must bump the version AND update them.
-constexpr std::size_t kHeader = 12;
-constexpr std::size_t kRecord = 33;
 
 ExperimentSpec small_spec() {
   ExperimentSpec spec;
@@ -77,11 +71,21 @@ class CampaignTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  [[nodiscard]] std::string journal() const {
-    return (dir_ / "journal.wal").string();
+  /// Result entries published to the campaign's private cache.
+  [[nodiscard]] std::size_t cache_entries() const {
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(dir_ / "cache"))
+      if (e.path().extension() == ".mfcr") ++n;
+    return n;
   }
-  [[nodiscard]] std::vector<std::uint8_t> journal_bytes() const {
-    return fsio::read_file_bytes(journal(), "journal");
+
+  /// A campaign's whole durable state: the spec and the result cache.
+  void expect_only_spec_and_cache() const {
+    std::vector<std::string> names;
+    for (const auto& e : fs::directory_iterator(dir_))
+      names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"cache", "spec.mfc"}));
   }
 
   fs::path dir_;
@@ -112,165 +116,6 @@ TEST_F(CampaignTest, JobKeyIgnoresIdAndTracksContent) {
   EXPECT_EQ(campaign::key_hex(0x0123456789abcdefull), "0123456789abcdef");
 }
 
-// ------------------------------------------------------- journal replay
-
-TEST_F(CampaignTest, JournalRoundTripsThroughResume) {
-  const ExperimentSpec spec = small_spec();
-  const std::vector<JobSpec> jobs = spec.expand();
-  {
-    CampaignStore store = CampaignStore::create(dir_.string(), spec);
-    store.record_dispatched(jobs);
-    store.record_done(jobs[0], run_job(jobs[0]));
-    store.record_failed(jobs[1], 2);
-  }
-
-  CampaignStore store = CampaignStore::resume(dir_.string());
-  const campaign::Frontier& f = store.frontier();
-  EXPECT_FALSE(f.torn);
-  EXPECT_EQ(f.records, jobs.size() + 2);
-  using campaign::JobState;
-  EXPECT_EQ(f.count(JobState::kDone), 1u);
-  EXPECT_EQ(f.count(JobState::kFailed), 1u);
-  EXPECT_EQ(f.count(JobState::kDispatched), jobs.size() - 2);
-
-  const auto it = f.jobs.find(campaign::job_key(jobs[1]));
-  ASSERT_NE(it, f.jobs.end());
-  EXPECT_EQ(it->second.state, JobState::kFailed);
-  EXPECT_EQ(it->second.aux, 2u);
-  EXPECT_EQ(it->second.job_id, jobs[1].id);
-
-  EXPECT_EQ(store.spec().to_bytes(), spec.to_bytes());
-  ASSERT_TRUE(store.cached(jobs[0]).has_value());
-  EXPECT_FALSE(store.cached(jobs[1]).has_value());
-}
-
-TEST_F(CampaignTest, ReplayRecoversExactFrontierAtEveryTruncationOffset) {
-  const ExperimentSpec spec = small_spec();
-  const std::vector<JobSpec> jobs = spec.expand();
-  {
-    CampaignStore store = CampaignStore::create(dir_.string(), spec);
-    store.record_dispatched(jobs);
-    store.record_done(jobs[0], run_job(jobs[0]));
-    store.record_failed(jobs[1], 1);
-  }
-  const std::vector<std::uint8_t> full = journal_bytes();
-  ASSERT_EQ(full.size(), kHeader + (jobs.size() + 2) * kRecord)
-      << "journal geometry changed — update kHeader/kRecord and bump "
-         "campaign::kFormatVersion";
-
-  // A SIGKILL can tear the log at *any* byte. Whatever the cut, replay
-  // must recover exactly the longest prefix of whole records.
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    SCOPED_TRACE("cut at byte " + std::to_string(cut));
-    const std::span<const std::uint8_t> prefix(full.data(), cut);
-    const campaign::Frontier f = campaign::replay(prefix);
-    if (cut < kHeader) {
-      EXPECT_EQ(f.records, 0u);
-      EXPECT_EQ(f.valid_bytes, 0u);
-      EXPECT_EQ(f.torn, cut != 0);
-      continue;
-    }
-    const std::size_t whole = (cut - kHeader) / kRecord;
-    EXPECT_EQ(f.records, whole);
-    EXPECT_EQ(f.valid_bytes, kHeader + whole * kRecord);
-    EXPECT_EQ(f.torn, f.valid_bytes != cut);
-  }
-}
-
-TEST_F(CampaignTest, ReplayStopsAtCorruptionAnywhereInTheBody) {
-  const ExperimentSpec spec = small_spec();
-  const std::vector<JobSpec> jobs = spec.expand();
-  {
-    CampaignStore store = CampaignStore::create(dir_.string(), spec);
-    store.record_dispatched(jobs);
-    store.record_done(jobs[0], run_job(jobs[0]));
-  }
-  const std::vector<std::uint8_t> full = journal_bytes();
-
-  // Flip every body byte in turn: the checksum (or the length bound)
-  // must stop replay at — or before — the record containing the flip,
-  // never admit the damaged record, and never throw.
-  for (std::size_t p = kHeader; p < full.size(); ++p) {
-    SCOPED_TRACE("flipped byte " + std::to_string(p));
-    std::vector<std::uint8_t> damaged = full;
-    damaged[p] ^= 0xff;
-    const campaign::Frontier f = campaign::replay(damaged);
-    EXPECT_TRUE(f.torn);
-    const std::size_t containing = kHeader + ((p - kHeader) / kRecord) * kRecord;
-    EXPECT_LE(f.valid_bytes, containing);
-  }
-
-  // A damaged *header* is a different animal: that file is not a (usable)
-  // journal at all, and replay must say so loudly.
-  std::vector<std::uint8_t> bad_magic = full;
-  bad_magic[0] ^= 0xff;
-  EXPECT_THROW((void)campaign::replay(bad_magic), std::runtime_error);
-  std::vector<std::uint8_t> bad_version = full;
-  bad_version[8] ^= 0xff;
-  EXPECT_THROW((void)campaign::replay(bad_version), std::runtime_error);
-}
-
-TEST_F(CampaignTest, ResumeTruncatesTornTailAndKeepsAppending) {
-  const ExperimentSpec spec = small_spec();
-  const std::vector<JobSpec> jobs = spec.expand();
-  {
-    CampaignStore store = CampaignStore::create(dir_.string(), spec);
-    store.record_dispatched(jobs);
-    store.record_done(jobs[0], run_job(jobs[0]));
-  }
-  // Tear the last record mid-payload, as a crash during write() would.
-  const std::vector<std::uint8_t> full = journal_bytes();
-  fs::resize_file(journal(), full.size() - kRecord / 2);
-
-  std::vector<std::string> events;
-  CampaignStore::Options opts;
-  opts.on_event = [&](const std::string& line) { events.push_back(line); };
-  {
-    CampaignStore store = CampaignStore::resume(dir_.string(), opts);
-    EXPECT_TRUE(store.frontier().torn);
-    EXPECT_EQ(store.frontier().records, jobs.size());  // done record lost
-    store.record_failed(jobs[1], 1);
-  }
-  ASSERT_FALSE(events.empty());
-  EXPECT_NE(events.front().find("torn"), std::string::npos)
-      << events.front();
-
-  // The torn tail was truncated before the append, so the journal is now
-  // whole again: dispatched records + the new failed one, no tear.
-  const campaign::Frontier f = campaign::replay(journal_bytes());
-  EXPECT_FALSE(f.torn);
-  EXPECT_EQ(f.records, jobs.size() + 1);
-  // The done record died in the tear, but the cache entry survived it:
-  // the job is still not re-executed on resume.
-  CampaignStore store = CampaignStore::resume(dir_.string());
-  EXPECT_TRUE(store.cached(jobs[0]).has_value());
-}
-
-TEST_F(CampaignTest, JournalOfThePreviousFormatVersionIsRefusedNotTruncated) {
-  // Its records' checksums belong to the previous format, so replaying
-  // past the header would read the first record as a torn tail and
-  // resume would truncate every record away.
-  const ExperimentSpec spec = small_spec();
-  const std::vector<JobSpec> jobs = spec.expand();
-  {
-    CampaignStore store = CampaignStore::create(dir_.string(), spec);
-    store.record_dispatched(jobs);
-  }
-  std::vector<std::uint8_t> old = journal_bytes();
-  const std::uint32_t previous = campaign::kFormatVersion - 1;
-  std::memcpy(old.data() + 8, &previous, sizeof(previous));
-  fsio::write_file_atomic(journal(), old);
-
-  try {
-    (void)CampaignStore::resume(dir_.string());
-    ADD_FAILURE() << "resume accepted a previous-version journal";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(journal_bytes(), old) << "the refused journal was modified";
-}
-
 // ------------------------------------------------------ durable execution
 
 TEST_F(CampaignTest, ResumedCampaignIsBitIdenticalAndFullyCached) {
@@ -286,6 +131,8 @@ TEST_F(CampaignTest, ResumedCampaignIsBitIdenticalAndFullyCached) {
                              reference);
   }
   EXPECT_EQ(first.executed, spec.num_points());
+  EXPECT_EQ(cache_entries(), spec.num_points());
+  expect_only_spec_and_cache();
 
   // Re-submitting the identical spec: 100% cache hits, zero simulated.
   CountingBackend second;
@@ -324,18 +171,21 @@ TEST_F(CampaignTest, KilledMidCampaignResumesToTheUninterruptedResult) {
       << ")";
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // Resume re-executes only the delta and lands bit-identical to the
+  // The two results published before the kill are on disk; resume
+  // re-executes only the delta and lands bit-identical to the
   // uninterrupted serial run.
+  EXPECT_EQ(cache_entries(), 2u);
   CountingBackend counting;
   CampaignStore store = CampaignStore::resume(dir_.string());
-  EXPECT_EQ(store.frontier().count(campaign::JobState::kDone), 2u);
   ResultSink sink;
   expect_identical_results(run_experiment_durable(store, counting, sink),
                            reference);
   EXPECT_EQ(counting.executed, spec.num_points() - 2);
+  EXPECT_EQ(cache_entries(), spec.num_points());
+  expect_only_spec_and_cache();
 }
 
-TEST_F(CampaignTest, BackendFailureJournalsTheHolesAndResumes) {
+TEST_F(CampaignTest, BackendFailureResumesOnlyTheMissingJobs) {
   const ExperimentSpec spec = small_spec();
   SerialBackend serial;
   const std::vector<RunResult> reference = run_experiment(spec, serial);
@@ -364,10 +214,10 @@ TEST_F(CampaignTest, BackendFailureJournalsTheHolesAndResumes) {
     ResultSink sink;
     EXPECT_THROW((void)run_experiment_durable(store, flaky, sink),
                  std::runtime_error);
-    EXPECT_EQ(store.frontier().count(campaign::JobState::kDone), 1u);
-    EXPECT_EQ(store.frontier().count(campaign::JobState::kFailed),
-              spec.num_points() - 1);
   }
+  // The one result that landed before the failure is durable; the jobs
+  // the backend gave up on simply have no entry.
+  EXPECT_EQ(cache_entries(), 1u);
 
   CountingBackend counting;
   CampaignStore store = CampaignStore::resume(dir_.string());
@@ -432,7 +282,66 @@ TEST_F(CampaignTest, ResumeWithoutACampaignThrows) {
                std::runtime_error);
 }
 
-TEST_F(CampaignTest, NewSpecRotatesTheJournalButKeepsTheCache) {
+TEST_F(CampaignTest, ResumeNeedsOnlyTheSpec) {
+  // A crash right after create archived the spec leaves nothing else.
+  const ExperimentSpec spec = small_spec();
+  fs::create_directories(dir_);
+  fsio::write_file_atomic((dir_ / "spec.mfc").string(), spec.to_bytes());
+
+  SerialBackend serial;
+  const std::vector<RunResult> reference = run_experiment(spec, serial);
+  {
+    CountingBackend counting;
+    CampaignStore store = CampaignStore::resume(dir_.string());
+    ResultSink sink;
+    expect_identical_results(run_experiment_durable(store, counting, sink),
+                             reference);
+    EXPECT_EQ(counting.executed, spec.num_points());
+  }
+  expect_only_spec_and_cache();
+
+  // A journal.wal left by an older build is ignored.
+  fsio::write_file_atomic((dir_ / "journal.wal").string(),
+                          std::vector<std::uint8_t>{0xde, 0xad});
+  CountingBackend counting;
+  CampaignStore store = CampaignStore::resume(dir_.string());
+  ResultSink sink;
+  expect_identical_results(run_experiment_durable(store, counting, sink),
+                           reference);
+  EXPECT_EQ(counting.executed, 0u);
+}
+
+TEST_F(CampaignTest, RecordDoneIsSafeFromConcurrentThreads) {
+  // The crash hook counts every durable result, so with it armed (far
+  // above the calls made here) concurrent record_done calls share the
+  // counter.
+  const ExperimentSpec spec = small_spec();
+  const std::vector<JobSpec> jobs = spec.expand();
+  std::vector<RunResult> results;
+  for (const JobSpec& job : jobs) results.push_back(run_job(job));
+
+  ::setenv("MFLUSH_CAMPAIGN_KILL_AFTER", "1000000", 1);
+  CampaignStore store = CampaignStore::create(dir_.string(), spec);
+  ::unsetenv("MFLUSH_CAMPAIGN_KILL_AFTER");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 25; ++round)
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+          store.record_done(jobs[i], results[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(cache_entries(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::optional<RunResult> got = store.cached(jobs[i]);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->metrics == results[i].metrics);
+  }
+}
+
+TEST_F(CampaignTest, NewSpecRotatesTheSpecButKeepsTheCache) {
   ExperimentSpec first = small_spec();
   first.policies = {PolicySpec::icount()};
   {
@@ -442,7 +351,7 @@ TEST_F(CampaignTest, NewSpecRotatesTheJournalButKeepsTheCache) {
     (void)run_experiment_durable(store, serial, sink);
   }
 
-  // A different spec whose job set overlaps the first: the old journal is
+  // A different spec whose job set overlaps the first: the old spec is
   // rotated aside and only the genuinely new jobs simulate.
   ExperimentSpec second = small_spec();
   second.policies = {PolicySpec::icount(), PolicySpec::mflush()};
@@ -458,8 +367,10 @@ TEST_F(CampaignTest, NewSpecRotatesTheJournalButKeepsTheCache) {
   EXPECT_EQ(counting.executed,
             second.num_points() - first.num_points())
       << "the overlap with the previous spec should have come from cache";
-  EXPECT_TRUE(fs::exists(dir_ / "journal.wal.1"));
-  EXPECT_TRUE(fs::exists(dir_ / "spec.1.mfc"));
+  EXPECT_EQ(fsio::read_file_bytes((dir_ / "spec.1.mfc").string(), "spec"),
+            first.to_bytes());
+  EXPECT_EQ(fsio::read_file_bytes((dir_ / "spec.mfc").string(), "spec"),
+            second.to_bytes());
 }
 
 TEST_F(CampaignTest, TempSweepSparesLiveWritersAndRemovesOrphans) {

@@ -362,7 +362,7 @@ TEST_F(DaemonTest, ResubmitAttachesInsteadOfRerunning) {
   EXPECT_TRUE(detached.results.empty());
 }
 
-TEST_F(DaemonTest, RestartResumesFromJournalsWithZeroLostWork) {
+TEST_F(DaemonTest, RestartResumesFromTheCacheWithZeroLostWork) {
   const ExperimentSpec spec =
       spec_of({"2W1", "2W3"}, {PolicySpec::icount(), PolicySpec::mflush()});
   start_daemon();
@@ -371,7 +371,7 @@ TEST_F(DaemonTest, RestartResumesFromJournalsWithZeroLostWork) {
   EXPECT_EQ(before.executed, before.total);
   shutdown_daemon();
 
-  // Same data dir, new daemon: the campaign resumes from its journal and
+  // Same data dir, new daemon: the campaign resumes from its spec and
   // every completed job streams from the cache — nothing re-executes.
   start_daemon();
   const daemon::SubmitOutcome after = daemon::submit(address_, spec, true);

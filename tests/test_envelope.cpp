@@ -19,7 +19,6 @@
 #include "common/envelope.h"
 #include "common/fsio.h"
 #include "sim/backend.h"
-#include "sim/campaign.h"
 #include "sim/cmp.h"
 #include "sim/snapshot.h"
 #include "sim/warmstore.h"
@@ -138,25 +137,11 @@ daemon::Message fixture_message() {
   return m;
 }
 
-/// A journal holding its header and one record (a failed attempt, so no
-/// cache entry is involved): 12 + 33 bytes.
-std::vector<std::uint8_t> fixture_journal() {
-  const fs::path dir = scratch_dir("journal");
-  {
-    CampaignStore store = CampaignStore::create(dir.string(), fixture_spec());
-    store.record_failed(fixture_job(), 2);
-  }
-  return fsio::read_file_bytes((dir / "journal.wal").string(), "journal");
-}
-
 std::uint64_t digest(std::span<const std::uint8_t> bytes) {
   return fnv1a(bytes);
 }
 
 TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
-  const std::vector<std::uint8_t> journal = fixture_journal();
-  ASSERT_EQ(journal.size(), 12u + 33u);
-  const std::span<const std::uint8_t> j(journal);
   EXPECT_EQ(digest(fixture_spec().to_bytes()), 0x65027accd15b7ca8ull);
   EXPECT_EQ(digest(fixture_job_file()), 0x3e7c10ad70d00f39ull);
   EXPECT_EQ(digest(worker::encode_results(fixture_results())),
@@ -164,8 +149,6 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
   EXPECT_EQ(digest(fixture_warm_entry()), 0x35552ebcfc098018ull);
   EXPECT_EQ(digest(daemon::encode_frame(fixture_message())),
             0x81943324dde4106eull);
-  EXPECT_EQ(digest(j.first(12)), 0x1d8cfaf8cf289b5full);
-  EXPECT_EQ(digest(j.subspan(12)), 0x89c69ae87ea1c9d8ull);
 }
 
 // ----------------------------------------------------------- the checksum
@@ -229,24 +212,21 @@ TEST(EnvelopeChecksum, EveryFlipTruncationAndAppendedByteIsRejected) {
 // ------------------------------------------------------- the fuzz harness
 //
 // One table of every checksummed format, each with a decoder probe; the
-// same damage is applied to all of them. Three framings exist
+// same damage is applied to all of them. Two framings exist
 // (common/envelope.h):
 //   kSealed   magic | version | body | checksum  (snapshot, spec, job file,
 //             result archive, warm entry — a warm entry's rejection is a
 //             store miss that deletes the entry);
 //   kFrame    len | magic | version | message | checksum(payload)
-//             (MFLUSNET);
-//   kJournal  magic | version, then one frame per record (replay keeps the
-//             longest intact prefix).
+//             (MFLUSNET).
 
-enum class Kind { kSealed, kFrame, kJournal };
+enum class Kind { kSealed, kFrame };
 
 enum class Verdict { kAccepted, kRejected, kNeedMore };
 
 struct Outcome {
   Verdict verdict = Verdict::kRejected;
   std::string error;
-  std::size_t valid_bytes = 0;  ///< kJournal: the replayed prefix
 };
 
 struct Format {
@@ -264,18 +244,15 @@ struct Format {
 /// The table below, in order (test names are fixed before it is built).
 constexpr const char* kFormatNames[] = {
     "snapshot",   "spec",       "job_file", "result_archive",
-    "warm_entry", "wire_frame", "journal"};
-
-constexpr std::size_t kJournalHeader = 12;
-constexpr std::size_t kJournalRecord = 33;
+    "warm_entry", "wire_frame"};
 
 template <class F>
 Outcome verdict_of(F&& decode) {
   try {
     decode();
-    return {Verdict::kAccepted, {}, 0};
+    return {Verdict::kAccepted, {}};
   } catch (const std::exception& e) {
-    return {Verdict::kRejected, e.what(), 0};
+    return {Verdict::kRejected, e.what()};
   }
 }
 
@@ -371,7 +348,7 @@ Format warm_entry_format() {
             fsio::write_file_atomic(path, b);
             if (const auto snap = store.lookup(kFixtureWarmKey)) {
               EXPECT_EQ(*snap, fake_snapshot());
-              return Outcome{Verdict::kAccepted, {}, 0};
+              return Outcome{Verdict::kAccepted, {}};
             }
             // A rejected entry is a counted, narrated miss that heals the
             // slot.
@@ -379,7 +356,7 @@ Format warm_entry_format() {
             EXPECT_FALSE(fs::exists(path));
             EXPECT_EQ(events.size(), 1u);
             return Outcome{Verdict::kRejected,
-                           events.empty() ? "" : events[0], 0};
+                           events.empty() ? "" : events[0]};
           }};
 }
 
@@ -391,36 +368,14 @@ Format wire_frame_format() {
             switch (ex.status) {
               case daemon::ExtractStatus::kFrame:
                 EXPECT_EQ(ex.consumed, b.size());
-                return Outcome{Verdict::kAccepted, {}, 0};
+                return Outcome{Verdict::kAccepted, {}};
               case daemon::ExtractStatus::kNeedMore:
-                return Outcome{Verdict::kNeedMore, {}, 0};
+                return Outcome{Verdict::kNeedMore, {}};
               case daemon::ExtractStatus::kBad:
                 break;
             }
             EXPECT_FALSE(ex.error.empty());
-            return Outcome{Verdict::kRejected, ex.error, 0};
-          }};
-}
-
-Format journal_format() {
-  // Header + three records, so prefixes cut between whole records too.
-  const fs::path dir = scratch_dir("fuzz-journal");
-  {
-    const JobSpec job = fixture_job();
-    JobSpec other = job;
-    other.seed = 6;
-    CampaignStore store = CampaignStore::create(dir.string(), fixture_spec());
-    store.record_dispatched({job, other});
-    store.record_failed(other, 1);
-  }
-  return {"journal", Kind::kJournal, 0x4d464c555357414cull,
-          campaign::kFormatVersion,
-          fsio::read_file_bytes((dir / "journal.wal").string(), "journal"),
-          [](std::span<const std::uint8_t> b) {
-            Outcome o = verdict_of([&] { (void)campaign::replay(b); });
-            if (o.verdict == Verdict::kAccepted)
-              o.valid_bytes = campaign::replay(b).valid_bytes;
-            return o;
+            return Outcome{Verdict::kRejected, ex.error};
           }};
 }
 
@@ -428,8 +383,7 @@ Format journal_format() {
 /// process, so each format is built on first use only.
 constexpr Format (*kBuilders[])() = {
     snapshot_format,       spec_format,       job_file_format,
-    result_archive_format, warm_entry_format, wire_frame_format,
-    journal_format};
+    result_archive_format, warm_entry_format, wire_frame_format};
 
 const Format& format_at(std::size_t i) {
   static std::unique_ptr<Format> built[std::size(kBuilders)];
@@ -457,32 +411,22 @@ std::size_t header_at(const Format& f) {
 }
 
 /// Apply `edit` under the checksum, then re-checksum, so only the header
-/// and body checks can reject the result. (The journal header carries no
-/// checksum: it is edited in place.)
+/// and body checks can reject the result.
 std::vector<std::uint8_t> edit_sealed(
     const Format& f,
     const std::function<void(std::vector<std::uint8_t>&)>& edit) {
   const std::span<const std::uint8_t> b(f.bytes);
-  switch (f.kind) {
-    case Kind::kSealed: {
-      std::vector<std::uint8_t> body(b.begin(), b.end() - 8);
-      edit(body);
-      ArchiveWriter ar;
-      ar.put_bytes(body.data(), body.size());
-      envelope::seal(ar);
-      return ar.take();
-    }
-    case Kind::kFrame: {
-      std::vector<std::uint8_t> payload(b.begin() + 4, b.end() - 8);
-      edit(payload);
-      return envelope::frame(payload);
-    }
-    case Kind::kJournal:
-      break;
+  if (f.kind == Kind::kFrame) {
+    std::vector<std::uint8_t> payload(b.begin() + 4, b.end() - 8);
+    edit(payload);
+    return envelope::frame(payload);
   }
-  std::vector<std::uint8_t> whole = f.bytes;
-  edit(whole);
-  return whole;
+  std::vector<std::uint8_t> body(b.begin(), b.end() - 8);
+  edit(body);
+  ArchiveWriter ar;
+  ar.put_bytes(body.data(), body.size());
+  envelope::seal(ar);
+  return ar.take();
 }
 
 class EnvelopeHarness : public ::testing::TestWithParam<std::size_t> {
@@ -513,15 +457,6 @@ TEST_P(EnvelopeHarness, ValidBytesDecodeAndHaveTheSharedLayout) {
       EXPECT_EQ(read_at<std::uint64_t>(b, b.size() - 8),
                 envelope::checksum(b.subspan(4, b.size() - 12)));
       break;
-    case Kind::kJournal:
-      ASSERT_EQ((b.size() - kJournalHeader) % kJournalRecord, 0u);
-      EXPECT_EQ(ok.valid_bytes, b.size());
-      for (std::size_t r = kJournalHeader; r < b.size(); r += kJournalRecord) {
-        EXPECT_EQ(read_at<std::uint32_t>(b, r), kJournalRecord - 12);
-        EXPECT_EQ(read_at<std::uint64_t>(b, r + kJournalRecord - 8),
-                  envelope::checksum(b.subspan(r + 4, kJournalRecord - 12)));
-      }
-      break;
   }
 }
 
@@ -538,17 +473,6 @@ TEST_P(EnvelopeHarness, EveryTruncationIsRejected) {
         // An honest truncation is bytes still in flight, never damage.
         ASSERT_EQ(o.verdict, Verdict::kNeedMore);
         break;
-      case Kind::kJournal: {
-        // A tear at any byte replays exactly the whole records before it.
-        ASSERT_EQ(o.verdict, Verdict::kAccepted) << o.error;
-        const std::size_t whole =
-            cut < kJournalHeader
-                ? 0
-                : kJournalHeader +
-                      (cut - kJournalHeader) / kJournalRecord * kJournalRecord;
-        ASSERT_EQ(o.valid_bytes, whole);
-        break;
-      }
     }
   }
 }
@@ -573,17 +497,6 @@ TEST_P(EnvelopeHarness, EveryFlipIsRejected) {
           // more); anywhere else the frame is damage. Never a frame.
           ASSERT_NE(o.verdict, Verdict::kAccepted);
           if (at >= 4) ASSERT_EQ(o.verdict, Verdict::kRejected);
-          break;
-        case Kind::kJournal:
-          if (at < kJournalHeader) {
-            ASSERT_EQ(o.verdict, Verdict::kRejected);  // not a journal
-          } else {
-            // Replay stops at or before the damaged record, never past it.
-            ASSERT_EQ(o.verdict, Verdict::kAccepted) << o.error;
-            ASSERT_LE(o.valid_bytes,
-                      kJournalHeader + (at - kJournalHeader) /
-                                           kJournalRecord * kJournalRecord);
-          }
           break;
       }
     }
@@ -641,24 +554,8 @@ TEST(EnvelopeSpec, ResealedWorkloadCountEqualToTheBytesLeftIsTruncated) {
 
 TEST_P(EnvelopeHarness, TrailingByteInsideTheSealIsRejected) {
   const Format& f = format();
-  if (f.kind != Kind::kJournal) {
-    const Outcome o =
-        f.open(edit_sealed(f, [](auto& b) { b.push_back(0); }));
-    EXPECT_EQ(o.verdict, Verdict::kRejected);
-    return;
-  }
-  // The journal's seals are its record frames: a last record one byte
-  // longer than the layout is dropped, never half-trusted.
-  const std::size_t last = f.bytes.size() - kJournalRecord;
-  std::vector<std::uint8_t> payload(f.bytes.begin() + last + 4,
-                                    f.bytes.end() - 8);
-  payload.push_back(0);
-  std::vector<std::uint8_t> grown(f.bytes.begin(), f.bytes.begin() + last);
-  const auto framed = envelope::frame(payload);
-  grown.insert(grown.end(), framed.begin(), framed.end());
-  const Outcome o = f.open(grown);
-  ASSERT_EQ(o.verdict, Verdict::kAccepted) << o.error;
-  EXPECT_EQ(o.valid_bytes, last);
+  const Outcome o = f.open(edit_sealed(f, [](auto& b) { b.push_back(0); }));
+  EXPECT_EQ(o.verdict, Verdict::kRejected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -121,6 +121,15 @@ TEST_F(WarmStoreTest, WarmJobOfDescribesTheParent) {
   EXPECT_EQ(w.snapshot, nullptr);
 }
 
+TEST_F(WarmStoreTest, ParentOfAForkNamesTheSameWarmKey) {
+  // The parent a fork warms from is derived in one place, so warming the
+  // parent job stores exactly the entry its forks look up.
+  for (const JobSpec& fork : sampled_spec(400).expand()) {
+    EXPECT_EQ(warmstore::warm_key(warmstore::warm_job_of(fork)),
+              warmstore::warm_key(fork));
+  }
+}
+
 // -------------------------------------------------------------- round trips
 
 TEST_F(WarmStoreTest, PutLookupRoundTripsAcrossInstances) {

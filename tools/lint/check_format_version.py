@@ -3,7 +3,7 @@
 
 The binary archive has no framing — field order IS the format — so any
 change to a serialized layout silently invalidates every stored artifact
-(snapshots, warm-store entries, campaign journals, worker wire messages)
+(snapshots, warm-store entries, campaign cache entries, worker wire messages)
 unless the matching format-version constant is bumped and old artifacts are
 rejected at load time.
 
@@ -63,9 +63,9 @@ DOMAINS = {
 
 # Domain -> the outermost serialized types of its artifacts; `Type.method`
 # fingerprints that entry method instead of the type's walk. A root the base
-# does not have yet is new, not changed. The warm entry,
-# the journal record and the trace file are hand-written codecs of scalars
-# (their bytes are pinned by the golden digests in tests/test_envelope.cpp).
+# does not have yet is new, not changed. The warm entry and the trace file
+# are hand-written codecs of scalars (the warm entry's bytes are pinned by
+# the golden digests in tests/test_envelope.cpp).
 ROOTS = {
     "snapshot": ["Header", "CmpSimulator"],
     "campaign": ["JobSpec.save_content"],
