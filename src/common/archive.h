@@ -54,7 +54,7 @@
 /// types whose every byte is value — so a record with padding holes does
 /// not compile, and stream bytes stay canonical across processes. The
 /// put/get primitives remain for the few hand-written codecs (envelope
-/// framing, the warm entry, JobSpec's snapshot tail).
+/// framing, JobSpec's snapshot tail).
 /// Nothing here allocates on the read path beyond the containers being
 /// filled, and every length prefix is checked against the bytes left;
 /// containers of non-raw elements grow one decoded element at a time.

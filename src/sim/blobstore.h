@@ -10,8 +10,10 @@
 namespace mflush {
 
 /// A directory of content-addressed entries `<16-hex-key>.<ext>` — the one
-/// persist procedure beneath the campaign result cache (`.mfcr`) and the
-/// warm-state store (`.mfws`).
+/// persist procedure beneath the campaign result cache (`.mfcr`, sealed
+/// result archives) and the warm-state store (`.mfws`, parent snapshots
+/// stored as captured). The store adds no framing: an entry is exactly the
+/// bytes put, and the owner's decoder checks them.
 ///
 /// Entries are immutable: put is put-if-absent through
 /// fsio::write_file_atomic(durable), so a reader or a post-crash restart

@@ -89,7 +89,9 @@ struct JobSpec {
   /// memory latency distribution as a sweep axis).
   MemModelKind mem_model = MemModelKind::Fixed;
   DramConfig dram{};
-  /// Content hash of this job's warmed parent (warmstore::warm_key). On a
+  /// Content hash of this job's warmed parent (warmstore::warm_key: the
+  /// campaign::job_key of the parent job, which also names the parent's
+  /// warm-store entry). On a
   /// fork job it lets the snapshot travel by reference: a host whose warm
   /// store already holds the parent resolves the hash locally instead of
   /// receiving the bytes; a host without the entry warms the parent

@@ -89,6 +89,11 @@ std::unique_ptr<CmpSimulator> make(std::span<const std::uint8_t> bytes) {
   return sim;
 }
 
+void check(std::span<const std::uint8_t> bytes) {
+  ArchiveReader ar(envelope::unseal(bytes, "snapshot"));
+  (void)read_header(ar);
+}
+
 void save_file(const std::string& path, const CmpSimulator& sim) {
   // Atomic + durable: a snapshot is a long warm-up's savings, and a crash
   // mid-write must leave either the old file or the new one — never a

@@ -52,6 +52,13 @@ void restore(CmpSimulator& sim, std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::unique_ptr<CmpSimulator> make(
     std::span<const std::uint8_t> bytes);
 
+/// Check that `bytes` are a whole snapshot of this format version: the
+/// seal, the magic, the version and the header (config, workload, policy).
+/// Reads none of the state and builds no chip, so it costs one checksum
+/// pass; restore and make still reject a state that does not fit the
+/// chip. Throws std::runtime_error naming what is wrong.
+void check(std::span<const std::uint8_t> bytes);
+
 // File convenience wrappers (the CLI's --save-snapshot/--load-snapshot).
 void save_file(const std::string& path, const CmpSimulator& sim);
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);

@@ -3,9 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/blobstore.h"
@@ -14,39 +12,33 @@
 /// Content-addressed store of warmed parent snapshots.
 ///
 /// Warm-up dominates sampled campaigns, and the warmed state of a parent
-/// chip is a pure function of (workload, profiles, policy, seed, warmup
-/// cycles) plus the snapshot format — so it is cacheable by content hash
-/// exactly like the campaign result cache. A WarmStore is a BlobStore
-/// directory of `<16-hex-key>.mfws` entries (sealed envelopes,
-/// common/envelope.h) shared across specs, campaigns, backends, and —
-/// through the worker protocol's `--worker-store` — remote hosts: a host
-/// whose store already holds a parent receives the 8-byte hash instead of
-/// the multi-megabyte snapshot.
+/// chip is a pure function of its job content (workload, profiles, policy,
+/// seed, warmup cycles) — so it is cacheable by content hash exactly like
+/// the campaign result cache. A WarmStore is a BlobStore directory of
+/// `<16-hex-key>.mfws` entries shared across specs, campaigns, backends,
+/// and — through the worker protocol's `--worker-store` — remote hosts: a
+/// host whose store already holds a parent receives the 8-byte hash
+/// instead of the multi-megabyte snapshot.
 ///
-/// Versioning follows the tree-wide no-migrations rule: warm_key folds in
-/// both warmstore::kFormatVersion and snapshot::kFormatVersion, so any
-/// layout change anywhere in the chain makes old entries *miss* (and
-/// re-warm) rather than misread. A corrupt entry (torn write, bit flip) is
-/// detected by its trailing envelope checksum, discarded, and transparently
-/// re-warmed — see ROADMAP "Warm-store key derivation & versioning".
+/// An entry is the parent's snapshot (sim/snapshot.h) byte for byte, named
+/// by campaign::job_key of the parent job: the store has no layout and no
+/// key derivation of its own. Versioning follows the tree-wide
+/// no-migrations rule: a change to the job content moves the key (through
+/// campaign::kFormatVersion), and an entry of another snapshot version
+/// fails the snapshot's own header check. Either way an old entry is never
+/// misread: it misses, or is discarded, and the parent re-warms. A damaged
+/// entry (torn write, bit flip) fails the snapshot's trailing checksum,
+/// and is discarded and re-warmed the same way — see ROADMAP "Warm-store
+/// key derivation & versioning".
 namespace mflush {
 
 namespace warmstore {
 
-/// v1: entry = envelope header (magic, store version), snapshot version,
-/// key echo, length-prefixed snapshot bytes, envelope seal. Bump on ANY
-/// change to this layout or to the key derivation below.
-/// v2: the hashed parent content lost JobSpec's warm-job flag.
-/// v3: entries are sealed by the word-wise envelope::checksum.
-inline constexpr std::uint32_t kFormatVersion = 3;
-
-/// Content hash naming a fork job's warmed parent: FNV-1a over a domain
-/// magic ("MFLUSWKY"), kFormatVersion, snapshot::kFormatVersion, and the
-/// canonical parent JobSpec content (workload/profile bytes, policy, seed,
-/// warmup — policy is deliberately included: warm-up simulation is
-/// policy-dependent and snapshot::restore rejects a policy mismatch).
-/// Measure/fork_advance/id do not participate — every fork of a point maps
-/// to the same key.
+/// Content hash naming a fork job's warmed parent: campaign::job_key of
+/// the parent job (workload/profile bytes, policy, seed, warmup — policy
+/// is deliberately included: warm-up simulation is policy-dependent and
+/// snapshot::restore rejects a policy mismatch). Measure/fork_advance/id
+/// do not participate — every fork of a point maps to the same key.
 [[nodiscard]] std::uint64_t warm_key(const JobSpec& job);
 
 /// The parent of `fork`, as the job run_fork_group warms it from: same
@@ -84,10 +76,10 @@ parent_snapshot(
 }  // namespace warmstore
 
 /// One warm-store directory: a BlobStore (persistence, corrupt-entry
-/// healing, counters) plus a per-instance memo of entries read or written,
-/// so repeated lookups of a hot parent cost one disk read per process — but
-/// the *disk* is the source of truth shared between instances, processes,
-/// and hosts. Thread-safe.
+/// healing, counters) whose entries are snapshots. Every lookup reads the
+/// disk, the source of truth shared between instances, processes, and
+/// hosts; the in-memory copies of a process live in the registry above.
+/// Thread-safe.
 class WarmStore {
  public:
   struct Options {
@@ -96,7 +88,7 @@ class WarmStore {
     std::function<void(const std::string&)> on_event;
   };
 
-  /// hits/misses count lookup()s, memo hits included.
+  /// hits/misses count lookup()s, each one a disk read.
   using Stats = BlobStore::Stats;
 
   /// Creates `dir` (and parents) if missing; throws on failure.
@@ -109,29 +101,26 @@ class WarmStore {
     return blobs_.path_of(key);
   }
 
-  /// A parent's snapshot bytes, or null on a miss (a damaged entry is a
-  /// miss: deleted and narrated, so the parent re-warms and is rewritten).
+  /// A parent's snapshot bytes, or null on a miss. An entry that fails
+  /// snapshot::check (damaged, or of another snapshot version) is a miss:
+  /// deleted and narrated, so the parent re-warms and is rewritten.
   [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> lookup(
       std::uint64_t key);
 
-  /// Durably store a parent's snapshot bytes, put-if-absent. No-op for
-  /// null key/bytes.
+  /// Durably store a parent's snapshot bytes as they are, put-if-absent.
+  /// No-op for null key/bytes.
   void put(std::uint64_t key,
-           std::shared_ptr<const std::vector<std::uint8_t>> bytes);
+           const std::shared_ptr<const std::vector<std::uint8_t>>& bytes);
 
   /// Whether an entry exists (no validation — lookup decides).
-  [[nodiscard]] bool contains(std::uint64_t key) const;
+  [[nodiscard]] bool contains(std::uint64_t key) const {
+    return blobs_.contains(key);
+  }
 
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] Stats stats() const { return blobs_.stats(); }
 
  private:
-  Options opts_;
   BlobStore blobs_;
-  mutable std::mutex m_;
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<const std::vector<std::uint8_t>>>
-      memo_;
-  std::uint64_t memo_hits_ = 0;
 };
 
 }  // namespace mflush

@@ -219,6 +219,26 @@ std::vector<std::string> split_commas(const std::string& list) {
   return out;
 }
 
+/// Parses all of `text` as a decimal integer no less than `min` into
+/// `out`. A sign, a stray character or an overflow prints an error naming
+/// `flag` and returns false, so a typo exits instead of running another
+/// experiment than the one asked for.
+template <class T>
+bool parse_count(std::string_view flag, std::string_view text, T& out,
+                 T min = 0) {
+  T v{};
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || ptr != text.data() + text.size() || v < min) {
+    std::cerr << "error: " << flag << " expects a "
+              << (min > 0 ? "positive" : "non-negative") << " integer, got '"
+              << text << "'\n";
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,24 +292,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       policy_arg = value();
     } else if (arg == "--cycles") {
-      cycles = static_cast<Cycle>(std::strtoull(value(), nullptr, 10));
+      if (!parse_count(arg, value(), cycles)) return 2;
     } else if (arg == "--warmup") {
-      warmup = static_cast<Cycle>(std::strtoull(value(), nullptr, 10));
+      if (!parse_count(arg, value(), warmup)) return 2;
     } else if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
+      if (!parse_count(arg, value(), seed)) return 2;
     } else if (arg == "--jobs") {
-      // Reject anything but a positive integer outright: 0 or garbage
-      // would silently fall back to a default and mask the typo.
-      const std::string_view s = value();
-      unsigned v = 0;
-      const auto [ptr, ec] =
-          std::from_chars(s.data(), s.data() + s.size(), v);
-      if (ec != std::errc{} || ptr != s.data() + s.size() || v == 0) {
-        std::cerr << "error: --jobs expects a positive integer, got '" << s
-                  << "'\n";
-        return 2;
-      }
-      jobs = v;
+      // 0 would silently fall back to the default and mask the typo.
+      if (!parse_count(arg, value(), jobs, 1u)) return 2;
     } else if (arg == "--spec") {
       spec_file = value();
     } else if (arg == "--emit-spec") {

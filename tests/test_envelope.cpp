@@ -34,9 +34,10 @@ namespace fs = std::filesystem;
 //
 // Fixed, simulation-free instances of every checksummed format except the
 // snapshot (simulation state; SnapshotBytes.* pins its bytes across
-// processes). The golden digests below pin each format's bytes: any layout
-// drift fails here, so a framing refactor must be byte for byte or bump a
-// version.
+// processes, GoldenResults.MidRunSnapshotBytesMatchRecordedDigest across
+// builds) and the warm-store entry, which is a snapshot. The golden
+// digests below pin each format's bytes: any layout drift fails here, so a
+// framing refactor must be byte for byte or bump a version.
 
 /// A fresh directory under this process's scratch root. ctest runs every
 /// case in its own process, concurrently, so the root is per-pid; it is
@@ -113,15 +114,6 @@ std::vector<std::pair<std::uint32_t, RunResult>> fixture_results() {
   return {{7, r}};
 }
 
-constexpr std::uint64_t kFixtureWarmKey = 0x1122334455667788ull;
-
-std::vector<std::uint8_t> fixture_warm_entry() {
-  WarmStore store(scratch_dir("warm").string());
-  store.put(kFixtureWarmKey, std::make_shared<const std::vector<std::uint8_t>>(
-                                 fake_snapshot()));
-  return fsio::read_file_bytes(store.path_of(kFixtureWarmKey), "warm entry");
-}
-
 daemon::Message fixture_message() {
   daemon::Message m;
   m.type = daemon::MsgType::kResult;
@@ -146,7 +138,6 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
   EXPECT_EQ(digest(fixture_job_file()), 0x3e7c10ad70d00f39ull);
   EXPECT_EQ(digest(worker::encode_results(fixture_results())),
             0x9d589f10d6e3a674ull);
-  EXPECT_EQ(digest(fixture_warm_entry()), 0x35552ebcfc098018ull);
   EXPECT_EQ(digest(daemon::encode_frame(fixture_message())),
             0x81943324dde4106eull);
 }
@@ -215,8 +206,9 @@ TEST(EnvelopeChecksum, EveryFlipTruncationAndAppendedByteIsRejected) {
 // same damage is applied to all of them. Two framings exist
 // (common/envelope.h):
 //   kSealed   magic | version | body | checksum  (snapshot, spec, job file,
-//             result archive, warm entry — a warm entry's rejection is a
-//             store miss that deletes the entry);
+//             result archive, warm entry — a warm entry is a snapshot put
+//             in a WarmStore, and its rejection is a store miss that
+//             deletes the entry);
 //   kFrame    len | magic | version | message | checksum(payload)
 //             (MFLUSNET).
 
@@ -263,9 +255,11 @@ T read_at(std::span<const std::uint8_t> b, std::size_t at) {
   return v;
 }
 
-Format snapshot_format() {
-  // Small caches and predictor tables keep the snapshot (~380 KB instead
-  // of ~2 MB) cheap enough to fuzz in sanitizer builds.
+constexpr std::uint64_t kSnapshotMagic = 0x4d464c5553534e50ull;  // MFLUSSNP
+
+/// The harness's small snapshot. Small caches and predictor tables keep it
+/// (~380 KB instead of ~2 MB) cheap enough to fuzz in sanitizer builds.
+std::vector<std::uint8_t> small_snapshot() {
   const Workload w = *workloads::by_name("2W1");
   SimConfig cfg = SimConfig::paper_default(w.num_cores(), /*seed=*/1);
   cfg.mem.l2_bytes = 48 * 1024;
@@ -276,9 +270,12 @@ Format snapshot_format() {
   cfg.core.btb_entries = 64;
   CmpSimulator donor(cfg, w, PolicySpec::icount());
   donor.run(1'000);
-  return {"snapshot", Kind::kSealed, 0x4d464c5553534e50ull,
-          snapshot::kFormatVersion, snapshot::capture(donor),
-          [](std::span<const std::uint8_t> b) {
+  return snapshot::capture(donor);
+}
+
+Format snapshot_format() {
+  return {"snapshot", Kind::kSealed, kSnapshotMagic, snapshot::kFormatVersion,
+          small_snapshot(), [](std::span<const std::uint8_t> b) {
             return verdict_of([&] { (void)snapshot::make(b); });
           }};
 }
@@ -335,20 +332,27 @@ Format result_archive_format() {
           }};
 }
 
+constexpr std::uint64_t kFixtureWarmKey = 0x1122334455667788ull;
+
+/// A warm entry is the parent's snapshot as captured, so the row's bytes
+/// are the small snapshot. WarmStore::lookup checks its seal and header; a
+/// state that does not fit (a byte appended under a valid seal) is for
+/// the restore to reject, which every consumer of an entry runs.
 Format warm_entry_format() {
   const std::string dir = scratch_dir("fuzz-warm").string();
-  return {"warm_entry", Kind::kSealed, 0x4d464c555357524dull,
-          warmstore::kFormatVersion, fixture_warm_entry(),
+  return {"warm_entry", Kind::kSealed, kSnapshotMagic,
+          snapshot::kFormatVersion, small_snapshot(),
           [dir](std::span<const std::uint8_t> b) {
             std::vector<std::string> events;
             WarmStore::Options opts;
             opts.on_event = [&](const std::string& e) { events.push_back(e); };
-            WarmStore store(dir, opts);  // fresh: no memo, reads the disk
+            WarmStore store(dir, opts);
             const std::string path = store.path_of(kFixtureWarmKey);
             fsio::write_file_atomic(path, b);
             if (const auto snap = store.lookup(kFixtureWarmKey)) {
-              EXPECT_EQ(*snap, fake_snapshot());
-              return Outcome{Verdict::kAccepted, {}};
+              EXPECT_TRUE(std::equal(snap->begin(), snap->end(), b.begin(),
+                                     b.end()));
+              return verdict_of([&] { (void)snapshot::make(*snap); });
             }
             // A rejected entry is a counted, narrated miss that heals the
             // slot.

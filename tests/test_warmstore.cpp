@@ -6,16 +6,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/envelope.h"
 #include "common/fsio.h"
 #include "core/factory.h"
 #include "sim/backend.h"
@@ -62,6 +65,17 @@ void expect_identical_results(const std::vector<RunResult>& a,
     // Full SimMetrics equality — the warm-store bit-identity contract.
     EXPECT_TRUE(a[i].metrics == b[i].metrics);
   }
+}
+
+/// The capture of warm_job_of(fork), warmed by hand (fixed memory, as
+/// warm_job_of builds it) without touching the registry.
+std::shared_ptr<const std::vector<std::uint8_t>> parent_by_hand(
+    const JobSpec& fork) {
+  const JobSpec w = warmstore::warm_job_of(fork);
+  CmpSimulator sim(w.workload, w.policy, w.seed);
+  sim.run(w.warmup);
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      snapshot::capture(sim));
 }
 
 class WarmStoreTest : public ::testing::Test {
@@ -130,21 +144,34 @@ TEST_F(WarmStoreTest, ParentOfAForkNamesTheSameWarmKey) {
   }
 }
 
+TEST_F(WarmStoreTest, WarmKeyIsTheParentJobsCampaignKey) {
+  // The warm store hashes nothing itself: a parent is named by the one
+  // content hash every job has, on fixed memory and on DRAM alike.
+  ExperimentSpec dram = sampled_spec(400);
+  dram.mem_model = MemModelKind::BankedDram;
+  for (const ExperimentSpec& spec : {sampled_spec(400), dram}) {
+    for (const JobSpec& fork : spec.expand()) {
+      JobSpec parent = warmstore::warm_job_of(fork);
+      parent.parent_key = 0;
+      EXPECT_EQ(warmstore::warm_key(fork), campaign::job_key(parent));
+    }
+  }
+}
+
 // -------------------------------------------------------------- round trips
 
 TEST_F(WarmStoreTest, PutLookupRoundTripsAcrossInstances) {
   const std::uint64_t key = 0x0123456789abcdefull;
-  auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
-      std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef, 0x00, 0x42});
+  const auto bytes = parent_by_hand(sampled_spec(400).expand()[0]);
 
   WarmStore writer(dir_.string());
   EXPECT_FALSE(writer.contains(key));
   writer.put(key, bytes);
   EXPECT_TRUE(writer.contains(key));
   EXPECT_EQ(writer.stats().stored, 1u);
-  EXPECT_GT(writer.stats().bytes_written, bytes->size());
+  // The entry is the snapshot itself: no framing around it.
+  EXPECT_EQ(writer.stats().bytes_written, bytes->size());
 
-  // A fresh instance has no memo: this is a real disk read.
   WarmStore reader(dir_.string());
   const auto got = reader.lookup(key);
   ASSERT_NE(got, nullptr);
@@ -158,6 +185,29 @@ TEST_F(WarmStoreTest, PutLookupRoundTripsAcrossInstances) {
   again.put(key, bytes);
   EXPECT_EQ(again.stats().stored, 0u);
   EXPECT_EQ(again.stats().bytes_written, 0u);
+}
+
+TEST_F(WarmStoreTest, StoredEntryIsTheParentsCapture) {
+  // A cold run stores each parent it warms. The entry on disk is that
+  // parent's capture byte for byte, so it loads like any snapshot file.
+  const ExperimentSpec spec = sampled_spec(483);
+  WarmStore store(dir_.string());
+  RunOptions ro;
+  ro.warm_store = &store;
+  SerialBackend serial;
+  ResultSink sink;
+  (void)run_experiment(spec, serial, sink, ro);
+  ASSERT_EQ(store.stats().stored, 2u);
+  for (const JobSpec& fork : spec.expand()) {
+    SCOPED_TRACE("fork " + std::to_string(fork.id));
+    const std::string path = store.path_of(fork.parent_key);
+    const auto capture = parent_by_hand(fork);
+    EXPECT_TRUE(fsio::read_file_bytes(path, "warm entry") == *capture);
+    const auto chip = snapshot::load_file(path);
+    EXPECT_EQ(chip->workload().name, fork.workload.name);
+    EXPECT_EQ(chip->policy(), fork.policy);
+    EXPECT_TRUE(snapshot::capture(*chip) == *capture);
+  }
 }
 
 TEST_F(WarmStoreTest, JobAndResultArchivesCarryWarmFields) {
@@ -241,63 +291,91 @@ TEST_F(WarmStoreTest, ExpandPerformsNoWarmupSimulation) {
 // -------------------------------------------------------------- corruption
 
 TEST_F(WarmStoreTest, CorruptEntryIsDiscardedAndRewarmed) {
-  const ExperimentSpec spec = sampled_spec(777);
-  const std::vector<JobSpec> jobs = spec.expand();
+  // Two kinds of bad entry: a flipped byte, which the trailing checksum
+  // catches, and an entry of the previous snapshot version under a valid
+  // checksum, which the snapshot's header check catches. Each gets its own
+  // warmup, so the registry is cold for both.
+  struct Damage {
+    const char* name;
+    Cycle warmup;
+    void (*apply)(std::vector<std::uint8_t>&);
+    const char* narrated;
+  };
+  const Damage damages[] = {
+      {"flipped byte", 777,
+       [](std::vector<std::uint8_t>& raw) { raw[raw.size() / 2] ^= 0xff; },
+       "corrupt"},
+      {"stale snapshot version", 778,
+       [](std::vector<std::uint8_t>& raw) {
+         const std::uint32_t stale = snapshot::kFormatVersion - 1;
+         std::memcpy(raw.data() + sizeof(std::uint64_t), &stale,
+                     sizeof(stale));
+         const std::uint64_t seal = envelope::checksum(
+             std::span(raw).first(raw.size() - sizeof(std::uint64_t)));
+         std::memcpy(raw.data() + raw.size() - sizeof(seal), &seal,
+                     sizeof(seal));
+       },
+       "version"},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.name);
+    const fs::path dir = dir_ / std::to_string(damage.warmup);
+    const ExperimentSpec spec = sampled_spec(damage.warmup);
+    const std::vector<JobSpec> jobs = spec.expand();
 
-  // Seed the store by hand-warming each parent exactly as a fork group
-  // would (WarmStore::put does not feed the in-process registry, so the
-  // heal below must go through the disk path).
-  WarmStore seeded(dir_.string());
-  for (const JobSpec& j : jobs) {
-    if (seeded.contains(j.parent_key)) continue;
-    CmpSimulator sim(j.workload, j.policy, j.seed);
-    sim.run(j.warmup);
-    seeded.put(j.parent_key,
-               std::make_shared<const std::vector<std::uint8_t>>(
-                   snapshot::capture(sim)));
+    // Seed the store by hand-warming each parent exactly as a fork group
+    // would (WarmStore::put does not feed the in-process registry, so the
+    // heal below must go through the disk path).
+    WarmStore seeded(dir.string());
+    for (const JobSpec& j : jobs) {
+      if (seeded.contains(j.parent_key)) continue;
+      seeded.put(j.parent_key, parent_by_hand(j));
+    }
+    EXPECT_EQ(seeded.stats().stored, 2u);
+
+    const std::string victim = seeded.path_of(jobs[0].parent_key);
+    auto raw = fsio::read_file_bytes(victim, "warm entry");
+    damage.apply(raw);
+    fsio::write_file_atomic(victim, raw, /*durable=*/false);
+
+    std::vector<std::string> events;
+    WarmStore::Options wopts;
+    wopts.on_event = [&](const std::string& e) { events.push_back(e); };
+    WarmStore healed(dir.string(), std::move(wopts));
+    RunOptions ropts;
+    ropts.warm_store = &healed;
+    SerialBackend serial;
+    ResultSink sink;
+    const auto results = run_experiment(spec, serial, sink, ropts);
+
+    EXPECT_EQ(healed.stats().corrupt_discarded, 1u);
+    EXPECT_EQ(healed.stats().hits, 1u);    // the intact parent
+    EXPECT_EQ(healed.stats().misses, 1u);  // the discarded one
+    EXPECT_EQ(healed.stats().stored, 1u);  // the healed slot, rewritten
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_NE(events[0].find("corrupt"), std::string::npos) << events[0];
+    EXPECT_NE(events[0].find(damage.narrated), std::string::npos)
+        << events[0];
+
+    // The rewritten entry reads back cleanly from a third instance.
+    WarmStore after(dir.string());
+    EXPECT_NE(after.lookup(jobs[0].parent_key), nullptr);
+    EXPECT_EQ(after.stats().corrupt_discarded, 0u);
+
+    // And the run itself never noticed: bit-identical to a plain serial
+    // run.
+    ResultSink ref_sink;
+    const auto expected = run_experiment(spec, serial, ref_sink);
+    expect_identical_results(results, expected);
   }
-  EXPECT_EQ(seeded.stats().stored, 2u);
-
-  // Flip a byte in the middle of one entry: the trailing checksum must
-  // catch it on the next read.
-  const std::string victim = seeded.path_of(jobs[0].parent_key);
-  auto raw = fsio::read_file_bytes(victim, "warm entry");
-  raw[raw.size() / 2] ^= 0xff;
-  fsio::write_file_atomic(victim, raw, /*durable=*/false);
-
-  std::vector<std::string> events;
-  WarmStore::Options wopts;
-  wopts.on_event = [&](const std::string& e) { events.push_back(e); };
-  WarmStore healed(dir_.string(), std::move(wopts));
-  RunOptions ropts;
-  ropts.warm_store = &healed;
-  SerialBackend serial;
-  ResultSink sink;
-  const auto results = run_experiment(spec, serial, sink, ropts);
-
-  EXPECT_EQ(healed.stats().corrupt_discarded, 1u);
-  EXPECT_EQ(healed.stats().hits, 1u);    // the intact parent
-  EXPECT_EQ(healed.stats().stored, 1u);  // the healed slot, rewritten
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_NE(events[0].find("corrupt"), std::string::npos);
-
-  // The rewritten entry reads back cleanly from a third instance.
-  WarmStore after(dir_.string());
-  EXPECT_NE(after.lookup(jobs[0].parent_key), nullptr);
-  EXPECT_EQ(after.stats().corrupt_discarded, 0u);
-
-  // And the run itself never noticed: bit-identical to a plain serial run.
-  ResultSink ref_sink;
-  const auto expected = run_experiment(spec, serial, ref_sink);
-  expect_identical_results(results, expected);
 }
 
 TEST_F(WarmStoreTest, TruncatedEntryIsAMissNotAnError) {
   const std::uint64_t key = 0x1111222233334444ull;
-  auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
-      std::vector<std::uint8_t>(64, 0xab));
   WarmStore writer(dir_.string());
-  writer.put(key, bytes);
+  writer.put(key, parent_by_hand(sampled_spec(400).expand()[0]));
+  // The whole entry reads back: only the truncation below is rejected.
+  ASSERT_NE(writer.lookup(key), nullptr);
 
   const std::string path = writer.path_of(key);
   auto raw = fsio::read_file_bytes(path, "warm entry");
@@ -477,17 +555,6 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
 }
 
 // ------------------------------------------------------ forks warm parents
-
-/// The capture of warm_job_of(fork), warmed by hand (fixed memory, as
-/// warm_job_of builds it) without touching the registry.
-std::shared_ptr<const std::vector<std::uint8_t>> parent_by_hand(
-    const JobSpec& fork) {
-  const JobSpec w = warmstore::warm_job_of(fork);
-  CmpSimulator sim(w.workload, w.policy, w.seed);
-  sim.run(w.warmup);
-  return std::make_shared<const std::vector<std::uint8_t>>(
-      snapshot::capture(sim));
-}
 
 /// `jobs` with each fork's parent attached the way the warm phase used to
 /// resolve it (parent_by_hand).

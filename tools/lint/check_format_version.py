@@ -3,9 +3,9 @@
 
 The binary archive has no framing — field order IS the format — so any
 change to a serialized layout silently invalidates every stored artifact
-(snapshots, warm-store entries, campaign cache entries, worker wire messages)
-unless the matching format-version constant is bumped and old artifacts are
-rejected at load time.
+(snapshots, which warm-store entries are; campaign cache entries; worker
+wire messages) unless the matching format-version constant is bumped and
+old artifacts are rejected at load time.
 
 This gate compares two git revisions (typically the PR base and HEAD):
 
@@ -54,7 +54,6 @@ import mflush_lint  # noqa: E402
 DOMAINS = {
     "snapshot": ("src/sim/snapshot.h", "kFormatVersion"),
     "campaign": ("src/sim/campaign.h", "kFormatVersion"),
-    "warmstore": ("src/sim/warmstore.h", "kFormatVersion"),
     "worker": ("src/sim/backend.h", "kProtocolVersion"),
     "daemon": ("src/sim/wire.h", "kProtocolVersion"),
     "trace": ("src/trace/trace_io.h", "kTraceVersion"),
@@ -63,13 +62,12 @@ DOMAINS = {
 
 # Domain -> the outermost serialized types of its artifacts; `Type.method`
 # fingerprints that entry method instead of the type's walk. A root the base
-# does not have yet is new, not changed. The warm entry and the trace file
-# are hand-written codecs of scalars (the warm entry's bytes are pinned by
-# the golden digests in tests/test_envelope.cpp).
+# does not have yet is new, not changed. The trace file is a hand-written
+# codec of scalars. A warm-store entry is a snapshot, stored as captured,
+# under the campaign job key of its parent: it has no domain of its own.
 ROOTS = {
     "snapshot": ["Header", "CmpSimulator"],
     "campaign": ["JobSpec.save_content"],
-    "warmstore": [],
     "worker": ["JobSpec.save", "RunResult"],
     "daemon": ["Message"],
     "trace": [],
