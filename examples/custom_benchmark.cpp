@@ -1,8 +1,5 @@
-/// Define a custom benchmark profile (instead of the SPEC2000 catalog),
-/// run it through the full CMP simulator, and show the trace-file API for
-/// users who want to bring their own traces.
-#include <cstdio>
-#include <filesystem>
+/// Define a custom benchmark profile (instead of the SPEC2000 catalog) and
+/// run it through the full CMP simulator.
 #include <iostream>
 #include <vector>
 
@@ -10,7 +7,6 @@
 #include "sim/backend.h"
 #include "sim/report.h"
 #include "trace/generator.h"
-#include "trace/trace_io.h"
 
 int main() {
   using namespace mflush;
@@ -71,19 +67,5 @@ int main() {
               << m.per_thread_ipc[1] << "), " << m.flush_events
               << " flushes\n";
   }
-
-  // Trace-file round trip: capture a slice of the synthetic stream in the
-  // portable binary format (users can write this format from their own
-  // tooling and replay it through VectorTraceSource).
-  SyntheticTraceSource source(chaser, /*seed=*/7, /*window=*/4096);
-  std::vector<TraceInstr> slice;
-  for (SeqNo s = 0; s < 10'000; ++s) slice.push_back(source.at(s));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "chaser.mflt").string();
-  write_trace(path, slice);
-  const auto loaded = read_trace(path);
-  std::cout << "\nwrote+reloaded " << loaded.size() << " instructions via "
-            << path << "\n";
-  std::remove(path.c_str());
   return 0;
 }

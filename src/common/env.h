@@ -1,11 +1,12 @@
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "common/number.h"
 
 /// Environment-variable parsing shared by every MFLUSH_* knob.
 ///
@@ -24,18 +25,14 @@ namespace mflush::env {
     std::uint64_t max = ~std::uint64_t{0}) {
   const char* raw = std::getenv(var);
   if (raw == nullptr) return fallback;
-  const std::string_view s(raw);
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size() || v < min ||
-      v > max) {
+  const auto v = parse_unsigned<std::uint64_t>(raw);
+  if (!v || *v < min || *v > max) {
     throw std::runtime_error(std::string(var) +
                              ": expected an integer in [" +
                              std::to_string(min) + ", " +
-                             std::to_string(max) + "], got '" +
-                             std::string(s) + "'");
+                             std::to_string(max) + "], got '" + raw + "'");
   }
-  return v;
+  return *v;
 }
 
 /// Parse `var` as a boolean flag. Returns `fallback` when the variable is

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 
+#include "common/number.h"
 #include "core/counts.h"
 #include "core/icount.h"
 #include "core/long_latency.h"
@@ -44,13 +44,10 @@ std::optional<PolicySpec> PolicySpec::parse(std::string_view s) {
   if (lower == "mflush-np") return mflush_no_preventive();
   if (lower == "flush-ns") return flush_ns();
 
+  // A zero trigger is not a policy.
   auto parse_number = [](std::string_view tail) -> std::optional<Cycle> {
-    Cycle v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(tail.data(), tail.data() + tail.size(), v);
-    if (ec != std::errc{} || ptr != tail.data() + tail.size() || v == 0)
-      return std::nullopt;
-    return v;
+    const auto v = parse_unsigned<Cycle>(tail);
+    return v == Cycle{0} ? std::nullopt : v;
   };
 
   if (lower.starts_with("mflush-h")) {
@@ -71,8 +68,8 @@ std::optional<PolicySpec> PolicySpec::parse(std::string_view s) {
       agg = McRegAgg::Avg;
       tail.remove_suffix(3);
     }
-    if (const auto h = parse_number(tail)) {
-      PolicySpec p = mflush_history(static_cast<std::uint32_t>(*h), agg);
+    if (const auto h = parse_unsigned<std::uint32_t>(tail); h && *h != 0) {
+      PolicySpec p = mflush_history(*h, agg);
       p.preventive = preventive;
       return p;
     }

@@ -3,10 +3,8 @@
 #include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -104,12 +102,6 @@ int spawn_and_wait(const std::string& bin,
 
 }  // namespace proc
 
-ScratchGuard::~ScratchGuard() {
-  if (keep_) return;
-  std::error_code ec;
-  for (const std::string& p : paths_) std::filesystem::remove(p, ec);
-}
-
 // --------------------------------------------------------------- ResultSink
 
 void ResultSink::push(const JobSpec& job, RunResult result) {
@@ -182,14 +174,10 @@ void InProcessBackend::run(const std::vector<JobSpec>& jobs,
   }
   pool_->for_each_index(groups.size(), [&](std::size_t g) {
     const auto [begin, end] = groups[g];
-    if (end - begin == 1) {
-      sink.push(jobs[begin], run_job(jobs[begin]));
-      return;
-    }
-    run_fork_group(std::span(jobs).subspan(begin, end - begin),
-                   [&](std::size_t k, RunResult r) {
-                     sink.push(jobs[begin + k], std::move(r));
-                   });
+    worker::run_jobs(std::span(jobs).subspan(begin, end - begin), nullptr,
+                     [&](std::size_t k, RunResult r) {
+                       sink.push(jobs[begin + k], std::move(r));
+                     });
   });
 }
 
@@ -233,6 +221,20 @@ std::string default_worker_binary() {
 
 namespace {
 
+/// A parent's bytes from the process registry, else from `store` (may be
+/// null); null when neither holds it. A registry hit reads no store entry:
+/// a put-if-absent heals the entry when it is missing.
+std::shared_ptr<const std::vector<std::uint8_t>> known_parent(
+    std::uint64_t key, WarmStore* store) {
+  auto bytes = warmstore::recall(key);
+  if (store == nullptr) return bytes;
+  if (bytes) {
+    store->put(key, bytes);
+    return bytes;
+  }
+  return store->lookup(key);
+}
+
 /// What the warm phase found: the distinct by-reference parents, and the
 /// ones neither the warm store nor the registry held (first-seen order).
 struct ParentScan {
@@ -251,15 +253,8 @@ ParentScan attach_known_parents(std::vector<JobSpec>& jobs,
     const auto [it, fresh] = known.try_emplace(j.parent_key);
     if (fresh) {
       ++scan.parents;
-      auto& b = it->second;
-      if (options.warm_store) b = options.warm_store->lookup(j.parent_key);
-      if (!b) {
-        b = warmstore::recall(j.parent_key);
-        // A recall with a store configured means the disk entry is missing
-        // (or was just discarded as corrupt): heal it from memory.
-        if (b && options.warm_store) options.warm_store->put(j.parent_key, b);
-      }
-      if (!b) scan.cold.push_back(j.parent_key);
+      it->second = known_parent(j.parent_key, options.warm_store);
+      if (!it->second) scan.cold.push_back(j.parent_key);
     }
     j.snapshot = it->second;
   }
@@ -369,15 +364,6 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 
 namespace worker {
 
-std::string scratch_stem(const std::string& dir, std::uint32_t job_id) {
-  static std::atomic<std::uint64_t> counter{0};
-  return (std::filesystem::path(dir) /
-          ("mflush-" + std::to_string(::getpid()) + "-" +
-           std::to_string(counter.fetch_add(1)) + "-job" +
-           std::to_string(job_id)))
-      .string();
-}
-
 void write_job_file(const std::string& path,
                     const std::vector<JobSpec>& jobs) {
   ArchiveWriter ar;
@@ -435,62 +421,75 @@ std::vector<std::pair<std::uint32_t, RunResult>> read_result_file(
                         path);
 }
 
+void run_jobs(std::span<const JobSpec> jobs, WarmStore* store,
+              const ForkResultFn& on_result) {
+  if (store != nullptr) {
+    // Install every embedded parent before anything runs: batch-internal
+    // order must not matter, and one upload has to serve every later
+    // batch on this host.
+    for (const JobSpec& job : jobs) {
+      if (job.parent_key != 0 && job.snapshot)
+        store->put(job.parent_key, job.snapshot);
+    }
+  }
+  // Jobs run serially: the caller's thread or process is the unit of
+  // parallelism, and serial execution keeps each result bit-identical to
+  // run_job. Each fork group is one pass, so the parent is taken once per
+  // group instead of once per fork.
+  for (std::size_t begin = 0; begin < jobs.size();) {
+    const std::size_t end = fork_group_end(jobs, begin);
+    std::span<const JobSpec> group = jobs.subspan(begin, end - begin);
+    const JobSpec& head = group.front();
+    if (head.parent_key == 0) {
+      on_result(begin, run_job(head));
+      begin = end;
+      continue;
+    }
+    // A by-reference group with a host store attaches its parent before
+    // the pass; on a miss the group warms it here, and once the group's
+    // first result is out (whichever fork's window ends first) the capture
+    // goes into the store, so every later batch on this host finds it.
+    std::vector<JobSpec> attached;
+    bool store_missed = false;
+    if (store != nullptr && !head.snapshot) {
+      if (auto bytes = known_parent(head.parent_key, store)) {
+        attached.assign(group.begin(), group.end());
+        attached.front().snapshot = std::move(bytes);
+        group = attached;
+      } else {
+        store_missed = true;
+      }
+    }
+    run_fork_group(group, [&](std::size_t k, RunResult r) {
+      on_result(begin + k, std::move(r));
+      if (!store_missed) return;
+      store->put(head.parent_key, warmstore::recall(head.parent_key));
+      store_missed = false;
+    });
+    begin = end;
+  }
+}
+
 int run_worker(const std::string& job_path, const std::string& result_path,
                const std::string& store_dir, bool write_parts) {
   try {
-    std::vector<JobSpec> jobs = read_job_file(job_path);
+    const std::vector<JobSpec> jobs = read_job_file(job_path);
     std::optional<WarmStore> store;
-    if (!store_dir.empty()) {
-      store.emplace(store_dir);
-      // Install every embedded parent snapshot before anything runs —
-      // batch-internal order must not matter, and one upload has to serve
-      // every later batch on this host.
-      for (const JobSpec& job : jobs) {
-        if (job.parent_key != 0 && job.snapshot)
-          store->put(job.parent_key, job.snapshot);
-      }
-    }
+    if (!store_dir.empty()) store.emplace(store_dir);
     std::vector<std::pair<std::uint32_t, RunResult>> results;
     results.reserve(jobs.size());
     // Streaming transports watch for these one-entry part files; the
     // atomic rename inside write_result_file is what makes existence
     // imply completeness on the coordinator side.
-    const auto finish = [&](const JobSpec& job, RunResult r) {
-      results.emplace_back(job.id, std::move(r));
-      if (write_parts) {
-        write_result_file(result_path + ".r" + std::to_string(job.id),
-                          {results.back()});
-      }
-    };
-    // Jobs run serially: the worker *process* is the unit of parallelism,
-    // and serial execution keeps the worker bit-identical to run_job. Each
-    // fork group is one pass (run_fork_group), so the parent is taken once
-    // per group instead of once per fork.
-    for (std::size_t begin = 0; begin < jobs.size();) {
-      const std::size_t end = fork_group_end(jobs, begin);
-      JobSpec& head = jobs[begin];
-      if (head.parent_key == 0) {
-        finish(head, run_job(head));
-        begin = end;
-        continue;
-      }
-      // A by-reference group takes its parent from the host store; on a
-      // miss the group warms it here, and once the group's first result is
-      // out (whichever fork's window ends first) the capture goes into the
-      // store, so every later batch on this host finds it.
-      if (store && !head.snapshot)
-        head.snapshot = store->lookup(head.parent_key);
-      bool store_missed = store && !head.snapshot;
-      run_fork_group(std::span(jobs).subspan(begin, end - begin),
-                     [&](std::size_t k, RunResult r) {
-                       finish(jobs[begin + k], std::move(r));
-                       if (!store_missed) return;
-                       store->put(head.parent_key,
-                                  warmstore::recall(head.parent_key));
-                       store_missed = false;
-                     });
-      begin = end;
-    }
+    run_jobs(jobs, store ? &*store : nullptr,
+             [&](std::size_t k, RunResult r) {
+               results.emplace_back(jobs[k].id, std::move(r));
+               if (write_parts) {
+                 write_result_file(
+                     result_path + ".r" + std::to_string(jobs[k].id),
+                     {results.back()});
+               }
+             });
     write_result_file(result_path, results);
     return 0;
   } catch (const std::exception& e) {

@@ -105,24 +105,6 @@ class InProcessBackend final : public ExperimentBackend {
   ParallelRunner* pool_;
 };
 
-/// Removes its paths on destruction unless told to keep them — the remote
-/// backend wraps every scratch .mfj/.mfr pair in one of these so
-/// protocol files cannot leak when a worker dies, writes a corrupt result,
-/// or a transport throws (the old post-success remove() calls were
-/// unreachable on those paths).
-class ScratchGuard {
- public:
-  explicit ScratchGuard(std::vector<std::string> paths, bool keep = false)
-      : paths_(std::move(paths)), keep_(keep) {}
-  ~ScratchGuard();
-  ScratchGuard(const ScratchGuard&) = delete;
-  ScratchGuard& operator=(const ScratchGuard&) = delete;
-
- private:
-  std::vector<std::string> paths_;
-  bool keep_;
-};
-
 namespace proc {
 
 /// Run `bin args...` to completion (PATH lookup via posix_spawnp) and
@@ -225,12 +207,6 @@ namespace worker {
 /// v5: both files are sealed by the word-wise envelope::checksum.
 inline constexpr std::uint32_t kProtocolVersion = 5;
 
-/// Per-process unique scratch-file stem inside `dir` (pid + monotonic
-/// counter + leading job id), used by the remote backend so concurrent
-/// attempts can never collide on a file name.
-[[nodiscard]] std::string scratch_stem(const std::string& dir,
-                                       std::uint32_t job_id);
-
 void write_job_file(const std::string& path,
                     const std::vector<JobSpec>& jobs);
 [[nodiscard]] std::vector<JobSpec> read_job_file(const std::string& path);
@@ -253,25 +229,34 @@ read_result_file(const std::string& path);
 [[nodiscard]] std::vector<std::pair<std::uint32_t, RunResult>>
 decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 
-/// The `mflushsim --worker` entry point: read the job file, run every job,
-/// write the result file. Returns a process exit code (0 on success).
+/// The one job loop of every executor that runs a batch on this thread:
+/// worker processes (run_worker), in-thread transport slots
+/// (remote::InProcessTransport) and InProcessBackend's per-group tasks.
+/// on_result(k, result) receives jobs[k]'s result the moment it lands.
 ///
 /// Each fork group (fork_group_end) runs as one pass through
-/// run_fork_group; every other job through run_job.
-/// A non-empty `store_dir` opens the host-side WarmStore
-/// (`--worker-store`): embedded parent snapshots are installed into it
+/// run_fork_group; every other job through run_job. A non-null `store` is
+/// the host's WarmStore: embedded parent snapshots are installed into it
 /// before anything runs (so one upload serves every later batch on this
-/// host), by-reference fork groups resolve their bytes from it, and a
-/// parent a group had to warm here is stored once the group's first fork
-/// has its result. Without a store, by-ref forks still warm their parent
-/// in-process.
+/// host); a by-reference group takes its parent from the process registry
+/// (healing a missing store entry from it), else from the store, else
+/// warms it here, and a parent warmed here is stored once the group's
+/// first result is out. Without a store, by-reference groups still take
+/// or warm their parent through the registry.
+void run_jobs(std::span<const JobSpec> jobs, WarmStore* store,
+              const ForkResultFn& on_result);
+
+/// The `mflushsim --worker` entry point: read the job file, run_jobs over
+/// it (a non-empty `store_dir` opens the host store, `--worker-store`),
+/// write the result file. Returns a process exit code (0 on success).
 /// With `write_parts` (`--worker-parts`), every job's result is
 /// additionally written — atomically, as a one-entry result archive — to
 /// `result_path + ".r<job_id>"` the moment the job finishes, so a
-/// coordinator sharing the filesystem (LocalTransport) can stream results
-/// before the batch completes. The part entry is the same RunResult the
-/// final file carries, encoded by the same writer: byte-identical. The
-/// final result file remains authoritative; parts are never the only copy.
+/// coordinator sharing the filesystem (remote::LocalTransport) can stream
+/// results before the batch completes. The part entry is the same
+/// RunResult the final file carries, encoded by the same writer:
+/// byte-identical. The final result file remains authoritative; parts are
+/// never the only copy.
 int run_worker(const std::string& job_path, const std::string& result_path,
                const std::string& store_dir = {}, bool write_parts = false);
 

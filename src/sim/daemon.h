@@ -24,8 +24,8 @@
 /// the tenant with the fewest jobs dispatched so far — so a late 4-job
 /// sweep is not starved behind an early 400-job one — and retries,
 /// bisects and retires hosts per campaign round. Without a host pool the
-/// backend has one `local` host whose slots run the worker in-thread
-/// (remote::InProcessTransport). Results stream back to following clients
+/// backend has one `local` host whose slots run each batch in-thread and
+/// in memory (remote::InProcessTransport). Results stream back to following clients
 /// as RESULT frames the moment they are durable.
 ///
 /// Restart contract: every campaign directory holding a spec.mfc is

@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "common/envelope.h"
 #include "common/fsio.h"
+#include "common/number.h"
 #include "sim/cmp.h"
 #include "sim/snapshot.h"
 #include "sim/warmstore.h"
@@ -393,20 +394,18 @@ ExperimentSpec ExperimentSpec::from_text(std::string_view text) {
       throw std::runtime_error("experiment spec line " +
                                std::to_string(lineno) + ": " + why);
     };
-    // Strict non-negative integer tokens: istream >> uint64 would wrap
-    // "-1" into 2^64-1 instead of failing, so parse via from_chars.
-    const auto parse_u64 = [&](const std::string& token,
-                               std::uint64_t& out) -> bool {
-      const auto [ptr, ec] = std::from_chars(
-          token.data(), token.data() + token.size(), out);
-      return ec == std::errc{} && ptr == token.data() + token.size();
-    };
-    const auto value_u64 = [&]() -> std::uint64_t {
+    // Strict unsigned tokens that fit their field: istream >> uint64
+    // would wrap "-1" into 2^64-1, and a cast would wrap 2^32 + 1 into 1.
+    const auto value = [&]<class T>(T& out) {
       std::string token;
-      std::uint64_t v = 0;
-      if (!(ls >> token) || !parse_u64(token, v))
-        fail("'" + key + "' expects a non-negative integer");
-      return v;
+      ls >> token;
+      const auto v = parse_unsigned<T>(token);
+      if (!v) {
+        fail("'" + key + "' expects an integer in [0, " +
+             std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+             token + "'");
+      }
+      out = *v;
     };
 
     if (key == "name") {
@@ -422,16 +421,16 @@ ExperimentSpec ExperimentSpec::from_text(std::string_view text) {
         fail("unknown mode '" + m + "' (full_run or sampled)");
       }
     } else if (key == "warmup") {
-      spec.warmup = value_u64();
+      value(spec.warmup);
     } else if (key == "measure") {
-      spec.measure = value_u64();
+      value(spec.measure);
     } else if (key == "seeds" || key == "seed") {
       std::string token;
       while (ls >> token) {
-        std::uint64_t s = 0;
-        if (!parse_u64(token, s))
+        const auto s = parse_unsigned<std::uint64_t>(token);
+        if (!s)
           fail("'seeds' expects non-negative integers, got '" + token + "'");
-        spec.seeds.push_back(s);
+        spec.seeds.push_back(*s);
       }
       if (spec.seeds.empty()) fail("'seeds' expects at least one integer");
     } else if (key == "workload") {
@@ -445,15 +444,15 @@ ExperimentSpec ExperimentSpec::from_text(std::string_view text) {
       if (!p) fail("unknown policy '" + token + "'");
       spec.policies.push_back(*p);
     } else if (key == "forks") {
-      spec.sampled.forks = static_cast<std::uint32_t>(value_u64());
+      value(spec.sampled.forks);
     } else if (key == "fork_stride") {
-      spec.sampled.fork_stride = value_u64();
+      value(spec.sampled.fork_stride);
     } else if (key == "target_half_width") {
       double v = 0.0;
       if (!(ls >> v)) fail("'target_half_width' expects a number");
       spec.sampled.target_half_width = v;
     } else if (key == "max_rounds") {
-      spec.sampled.max_rounds = static_cast<std::uint32_t>(value_u64());
+      value(spec.sampled.max_rounds);
     } else if (key == "mem_model") {
       std::string m;
       if (!(ls >> m)) fail("'mem_model' expects fixed or dram");
@@ -465,25 +464,25 @@ ExperimentSpec ExperimentSpec::from_text(std::string_view text) {
         fail("unknown mem_model '" + m + "' (fixed or dram)");
       }
     } else if (key == "dram_channels") {
-      spec.dram.channels = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.channels);
     } else if (key == "dram_banks_per_channel") {
-      spec.dram.banks_per_channel = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.banks_per_channel);
     } else if (key == "dram_row_bytes") {
-      spec.dram.row_bytes = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.row_bytes);
     } else if (key == "dram_t_row_hit") {
-      spec.dram.t_row_hit = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.t_row_hit);
     } else if (key == "dram_t_row_miss") {
-      spec.dram.t_row_miss = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.t_row_miss);
     } else if (key == "dram_t_row_conflict") {
-      spec.dram.t_row_conflict = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.t_row_conflict);
     } else if (key == "dram_channel_gap") {
-      spec.dram.channel_gap = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.channel_gap);
     } else if (key == "dram_far_base") {
-      spec.dram.far_base = value_u64();
+      value(spec.dram.far_base);
     } else if (key == "dram_far_bytes") {
-      spec.dram.far_bytes = value_u64();
+      value(spec.dram.far_bytes);
     } else if (key == "dram_far_extra") {
-      spec.dram.far_extra = static_cast<std::uint32_t>(value_u64());
+      value(spec.dram.far_extra);
     } else {
       fail("unknown key '" + key + "'");
     }

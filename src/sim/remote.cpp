@@ -12,6 +12,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <thread>
@@ -19,6 +20,7 @@
 #include <unordered_set>
 
 #include "common/env.h"
+#include "common/number.h"
 #include "sim/campaign.h"
 #include "sim/parallel.h"
 #include "sim/warmstore.h"
@@ -33,21 +35,13 @@ namespace {
 
 unsigned parse_count(const std::string& entry, std::string_view key,
                      std::string_view value, bool allow_zero) {
-  std::uint64_t out = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9')
-      bad_host(entry, std::string(key) + " expects an integer, got '" +
-                          std::string(value) + "'");
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-    if (out > std::numeric_limits<unsigned>::max())
-      bad_host(entry, std::string(key) + " value out of range: '" +
-                          std::string(value) + "'");
+  const auto v = parse_unsigned<unsigned>(value);
+  if (!v) {
+    bad_host(entry, std::string(key) + " expects an integer below 2^32, got '" +
+                        std::string(value) + "'");
   }
-  if (value.empty())
-    bad_host(entry, std::string(key) + " expects an integer");
-  if (out == 0 && !allow_zero)
-    bad_host(entry, std::string(key) + " must be >= 1");
-  return static_cast<unsigned>(out);
+  if (*v == 0 && !allow_zero) bad_host(entry, std::string(key) + " must be >= 1");
+  return *v;
 }
 
 /// Quote for the remote shell ssh runs the command line through: single
@@ -93,6 +87,12 @@ void run_tool_or_throw(const std::string& tool,
   }
 }
 
+/// `dir`, or the system temp dir when `dir` is empty.
+std::filesystem::path dir_or_temp(const std::string& dir) {
+  return dir.empty() ? std::filesystem::temp_directory_path()
+                     : std::filesystem::path(dir);
+}
+
 /// Simulated core-cycles of one fork group, at least 1 (see batch_ranges).
 std::uint64_t group_cost(std::span<const JobSpec> group) {
   const JobSpec& head = group.front();
@@ -106,6 +106,64 @@ std::uint64_t group_cost(std::span<const JobSpec> group) {
   const Cycle warm = head.snapshot ? 0 : head.warmup;
   return std::max<std::uint64_t>(1, cores * (warm + pass));
 }
+
+/// One batch's local protocol files in a scratch dir: `<stem>.mfj`,
+/// `<stem>.mfr` and, when asked for, one `<stem>.mfr.r<id>` part per job.
+/// The stem (pid, the first job id, a process-wide counter) is unique per
+/// batch attempt, so no attempt ever reads another's files. Every file is
+/// removed on destruction, so a dead worker, a corrupt result or a
+/// throwing transport leaks none.
+struct ScratchFiles {
+  ScratchFiles(const std::string& dir, const std::vector<JobSpec>& jobs,
+               bool with_parts) {
+    static std::atomic<std::uint64_t> counter{0};
+    const std::string stem =
+        (dir_or_temp(dir) / ("mflush-" + std::to_string(::getpid()) +
+                             "-job" + std::to_string(jobs.front().id) + "-" +
+                             std::to_string(counter.fetch_add(1))))
+            .string();
+    job = stem + ".mfj";
+    result = stem + ".mfr";
+    if (with_parts) {
+      for (const JobSpec& j : jobs)
+        parts.push_back(result + ".r" + std::to_string(j.id));
+    }
+  }
+  ~ScratchFiles() {
+    std::error_code ec;
+    for (const std::string* p : {&job, &result})
+      std::filesystem::remove(*p, ec);
+    for (const std::string& p : parts) std::filesystem::remove(p, ec);
+  }
+  ScratchFiles(const ScratchFiles&) = delete;
+  ScratchFiles& operator=(const ScratchFiles&) = delete;
+
+  std::string job;
+  std::string result;
+  std::vector<std::string> parts;  ///< by job index
+};
+
+/// Wakes a part-file watcher the moment its worker exits, so a batch end
+/// never waits out the scan interval.
+struct WorkerExit {
+  std::mutex m;
+  std::condition_variable cv;
+  bool exited = false;  ///< guarded by m
+
+  void signal() {
+    {
+      const std::lock_guard lk(m);
+      exited = true;
+    }
+    cv.notify_all();
+  }
+  /// Sleep one scan interval or until the worker exits; true once it has.
+  [[nodiscard]] bool wait_scan() {
+    std::unique_lock lk(m);
+    return cv.wait_for(lk, std::chrono::milliseconds(10),
+                       [&] { return exited; });
+  }
+};
 
 }  // namespace
 
@@ -239,44 +297,100 @@ std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
 
 // ------------------------------------------------------------- transports
 
-void LocalTransport::prepare(const HostSpec&) {}
+LocalTransport::LocalTransport(std::string worker_binary,
+                               std::string scratch_dir)
+    : bin_(std::move(worker_binary)), scratch_(std::move(scratch_dir)) {}
 
 void LocalTransport::run_batch(const HostSpec& host,
-                               const std::string& job_path,
-                               const std::string& result_path,
+                               const std::vector<JobSpec>& jobs,
+                               const BatchResultFn& on_result,
                                const std::string& what) {
   if (dispatched_.fetch_add(1) < host.fail_batches) {
     throw TransportError(host.label() + ": injected transport failure on " +
                          what);
   }
-  std::vector<std::string> args = {"--worker", job_path, "--worker-out",
-                                   result_path, "--worker-parts"};
+  const ScratchFiles files(scratch_, jobs, /*with_parts=*/true);
+  worker::write_job_file(files.job, jobs);
+  std::vector<std::string> args = {"--worker", files.job, "--worker-out",
+                                   files.result, "--worker-parts"};
   if (!host.warm_store_dir.empty())
     args.insert(args.end(), {"--worker-store", host.warm_store_dir});
-  const int code = proc::spawn_and_wait(bin_, args, what);
+
+  // While the worker runs, hand over each per-job part that appears. A
+  // part is one atomically-renamed one-entry MFLUSRES file, so existence
+  // implies completeness; one that does not decode to its job is left to
+  // the result file below. `streamed` holds the ids a part delivered.
+  std::unordered_set<std::uint32_t> streamed;
+  std::exception_ptr watch_error;
+  int code = 0;
+  {
+    WorkerExit worker_exit;
+    std::thread watcher([&] {
+      try {
+        do {
+          for (std::size_t i = 0; i < jobs.size(); ++i) {
+            std::error_code ec;
+            if (streamed.contains(jobs[i].id) ||
+                !std::filesystem::exists(files.parts[i], ec))
+              continue;
+            std::vector<std::pair<std::uint32_t, RunResult>> part;
+            try {
+              part = worker::read_result_file(files.parts[i]);
+            } catch (const std::exception&) {
+              continue;
+            }
+            if (part.size() != 1 || part.front().first != jobs[i].id)
+              continue;
+            streamed.insert(jobs[i].id);
+            on_result(jobs[i].id, std::move(part.front().second));
+          }
+        } while (streamed.size() < jobs.size() && !worker_exit.wait_scan());
+      } catch (...) {
+        watch_error = std::current_exception();
+      }
+    });
+    // Joined however the spawn ends; from then on this thread alone calls
+    // on_result.
+    struct WatcherJoin {
+      WorkerExit& exit;
+      std::thread& t;
+      ~WatcherJoin() {
+        exit.signal();
+        t.join();
+      }
+    } watcher_join{worker_exit, watcher};
+    code = proc::spawn_and_wait(bin_, args, what);
+  }
+  if (watch_error) std::rethrow_exception(watch_error);
   if (code != 0) {
     throw TransportError("worker exited with code " + std::to_string(code) +
-                         " on " + what + " (" + job_path + ")");
+                         " on " + what);
   }
+  for (auto& [id, result] : worker::read_result_file(files.result))
+    if (!streamed.contains(id)) on_result(id, std::move(result));
 }
 
 void InProcessTransport::run_batch(const HostSpec& host,
-                                   const std::string& job_path,
-                                   const std::string& result_path,
-                                   const std::string& what) {
-  // run_worker reports its own failure on stderr.
-  if (worker::run_worker(job_path, result_path, host.warm_store_dir) != 0)
-    throw TransportError(host.label() + ": in-process worker failed on " +
-                         what);
+                                   const std::vector<JobSpec>& jobs,
+                                   const BatchResultFn& on_result,
+                                   const std::string&) {
+  std::optional<WarmStore> store;
+  if (!host.warm_store_dir.empty()) store.emplace(host.warm_store_dir);
+  worker::run_jobs(jobs, store ? &*store : nullptr,
+                   [&](std::size_t k, RunResult r) {
+                     on_result(jobs[k].id, std::move(r));
+                   });
 }
 
-SshTransport::SshTransport(std::string worker_binary, unsigned timeout_s)
+SshTransport::SshTransport(std::string worker_binary, unsigned timeout_s,
+                           std::string scratch_dir)
     : bin_(std::move(worker_binary)),
       timeout_s_(timeout_s != 0
                      ? timeout_s
                      : static_cast<unsigned>(env::u64_or(
                            "MFLUSH_SSH_TIMEOUT", 600, 1,
-                           std::numeric_limits<unsigned>::max()))) {}
+                           std::numeric_limits<unsigned>::max()))),
+      scratch_(std::move(scratch_dir)) {}
 
 void SshTransport::prepare(const HostSpec& host) {
   std::vector<std::string> mkdir = kSshOpts;
@@ -299,18 +413,20 @@ void SshTransport::prepare(const HostSpec& host) {
 }
 
 void SshTransport::run_batch(const HostSpec& host,
-                             const std::string& job_path,
-                             const std::string& result_path,
+                             const std::vector<JobSpec>& jobs,
+                             const BatchResultFn& on_result,
                              const std::string& what) {
   namespace fs = std::filesystem;
+  const ScratchFiles files(scratch_, jobs, /*with_parts=*/false);
+  worker::write_job_file(files.job, jobs);
   const std::string rjob =
-      host.remote_dir + "/" + fs::path(job_path).filename().string();
+      host.remote_dir + "/" + fs::path(files.job).filename().string();
   const std::string rres =
-      host.remote_dir + "/" + fs::path(result_path).filename().string();
+      host.remote_dir + "/" + fs::path(files.result).filename().string();
 
   std::vector<std::string> push = {"-q"};
   push.insert(push.end(), kSshOpts.begin(), kSshOpts.end());
-  push.insert(push.end(), {job_path, host.name + ":" + rjob});
+  push.insert(push.end(), {files.job, host.name + ":" + rjob});
   run_tool_or_throw("scp", push, host, "pushing " + what, timeout_s_);
 
   std::string cmd = shq(remote_worker_bin(host)) + " --worker " + shq(rjob) +
@@ -323,7 +439,7 @@ void SshTransport::run_batch(const HostSpec& host,
 
   std::vector<std::string> pull = {"-q"};
   pull.insert(pull.end(), kSshOpts.begin(), kSshOpts.end());
-  pull.insert(pull.end(), {host.name + ":" + rres, result_path});
+  pull.insert(pull.end(), {host.name + ":" + rres, files.result});
   run_tool_or_throw("scp", pull, host, "pulling results of " + what,
                     timeout_s_);
 
@@ -335,6 +451,8 @@ void SshTransport::run_batch(const HostSpec& host,
     (void)proc::spawn_and_wait("ssh", clean, what, timeout_s_);
   } catch (const std::exception&) {
   }
+  for (auto& [id, result] : worker::read_result_file(files.result))
+    on_result(id, std::move(result));
 }
 
 }  // namespace remote
@@ -421,32 +539,9 @@ struct UploadRecord {
   std::size_t bytes = 0;
 };
 
-/// Wakes a part-file watcher the moment its worker exits, so a batch end
-/// never waits out the scan interval.
-struct WorkerExit {
-  std::mutex m;
-  std::condition_variable cv;
-  bool exited = false;  ///< guarded by m
-
-  void signal() {
-    {
-      const std::lock_guard lk(m);
-      exited = true;
-    }
-    cv.notify_all();
-  }
-  /// Sleep one scan interval or until the worker exits; true once it has.
-  [[nodiscard]] bool wait_scan() {
-    std::unique_lock lk(m);
-    return cv.wait_for(lk, std::chrono::milliseconds(10),
-                       [&] { return exited; });
-  }
-};
-
-/// Job ids already streamed into the sink this round. Incremental partial
-/// streaming means a failed batch may have delivered some of its results
-/// before dying — and its retry (or split halves) will produce them
-/// again. Results are deterministic, but ResultSink::push throws on a
+/// Job ids already streamed into the sink this round. Per-job streaming
+/// means a failed batch may have delivered some of its results before
+/// dying — and its retry (or split halves) will produce them again. Results are deterministic, but ResultSink::push throws on a
 /// duplicate slot, so every push is gated by claim(): exactly one copy of
 /// each job's result enters the sink no matter how many attempts touched
 /// it.
@@ -511,19 +606,14 @@ struct Round {
   }
 };
 
-std::filesystem::path scratch_dir_of(const RemoteBackend::Options& opts) {
-  return opts.scratch_dir.empty() ? std::filesystem::temp_directory_path()
-                                  : std::filesystem::path(opts.scratch_dir);
-}
-
-/// One attempt of one batch: stage the job file, move it through the
-/// transport, validate and stream the results. Throws on any failure with
-/// the batch untouched; the scratch pair never outlives the attempt.
+/// One attempt of one batch: strip or upload its parents for the host's
+/// store, move it through the transport, and stream each result into the
+/// sink as it arrives. Throws on any failure; results already pushed stay
+/// (they are deterministic, and the retry's copies are claim()-gated).
 /// `st` is the host's store when the round references parents; `pool_m`
 /// guards its sets.
 void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
                     const Batch& batch, const std::vector<JobSpec>& all_jobs,
-                    const std::filesystem::path& scratch, bool keep_files,
                     std::vector<UploadRecord>& uploads, Delivered& delivered,
                     ResultSink& sink) {
   host.ensure_prepared();
@@ -531,33 +621,13 @@ void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
       all_jobs.begin() + static_cast<std::ptrdiff_t>(batch.begin);
   const auto last =
       all_jobs.begin() + static_cast<std::ptrdiff_t>(batch.end);
-  const std::string stem =
-      worker::scratch_stem(scratch.string(), first->id) + "-a" +
-      std::to_string(batch.attempts);
-  const std::string job_path = stem + ".mfj";
-  const std::string result_path = stem + ".mfr";
 
-  // Per-job partial results (transports that stream them): the worker
-  // writes `result_path.r<id>` atomically as each measured job finishes.
-  // The attempt-unique stem keeps one attempt's parts from ever being
-  // read as another's.
-  const bool streaming = host.transport->streams_partials();
-  std::vector<std::pair<const JobSpec*, std::string>> parts;
-  std::vector<std::string> guard_paths = {job_path, result_path};
-  if (streaming) {
-    for (auto it = first; it != last; ++it) {
-      parts.emplace_back(&*it, result_path + ".r" + std::to_string(it->id));
-      guard_paths.push_back(parts.back().second);
-    }
-  }
-  const ScratchGuard guard(std::move(guard_paths), keep_files);
-
-  // The only copy of the slice, alive just while staging the job file
-  // (the snapshot payloads inside are shared_ptr-shared, not duplicated).
-  // With a host-side warm store this copy is also where fork snapshots are
-  // stripped: a local store takes attached parents directly, and an ssh
-  // host already holding a parent (or receiving it once earlier in this
-  // same batch) gets its content hash alone.
+  // The batch's own copy of its slice (the snapshot payloads inside are
+  // shared_ptr-shared, not duplicated). With a host-side warm store this
+  // copy is also where fork snapshots are stripped: a local store takes
+  // attached parents directly, and an ssh host already holding a parent
+  // (or receiving it once earlier in this same batch) gets its content
+  // hash alone.
   std::vector<JobSpec> slice(first, last);
   HostSpec spec = host.spec;
   if (st != nullptr) spec.warm_store_dir = st->dir;
@@ -581,91 +651,31 @@ void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
       }
     }
   }
-  worker::write_job_file(job_path, slice);
 
-  // While the worker runs, stream any per-job part that appears. Each
-  // part is one atomically-renamed one-entry MFLUSRES file, so existence
-  // implies completeness; a part that fails to decode is ignored (the
-  // authoritative batch file catches up below, or the attempt fails).
-  // Every push is claim()-gated — the final loop below claims whatever
-  // the watcher did not.
-  WorkerExit worker_exit;
-  std::thread watcher;
-  if (!parts.empty()) {
-    watcher = std::thread([&] {
-      std::vector<bool> seen(parts.size(), false);
-      std::size_t remaining = parts.size();
-      for (;;) {
-        for (std::size_t i = 0; i < parts.size(); ++i) {
-          if (seen[i]) continue;
-          std::error_code ec;
-          if (!std::filesystem::exists(parts[i].second, ec)) continue;
-          seen[i] = true;
-          --remaining;
-          const JobSpec& job = *parts[i].first;
-          try {
-            auto part = worker::read_result_file(parts[i].second);
-            if (part.size() != 1 || part.front().first != job.id)
-              throw std::runtime_error("part/job mismatch");
-            if (delivered.claim(job.id))
-              sink.push(job, std::move(part.front().second));
-          } catch (const std::exception&) {
-            // Not an attempt failure: the batch file stays authoritative.
-          }
+  // Each result must answer a job of this batch that this attempt has not
+  // answered yet; every push is claim()-gated across attempts.
+  const std::string what = batch.describe(all_jobs);
+  std::unordered_map<std::uint32_t, const JobSpec*> unanswered;
+  for (auto it = first; it != last; ++it) unanswered.emplace(it->id, &*it);
+  host.transport->run_batch(
+      spec, slice,
+      [&](std::uint32_t id, RunResult result) {
+        const auto it = unanswered.find(id);
+        if (it == unanswered.end()) {
+          throw std::runtime_error("worker result for unexpected or "
+                                   "duplicate job " +
+                                   std::to_string(id) + " in " + what);
         }
-        if (remaining == 0 || worker_exit.wait_scan()) return;
-      }
-    });
-  }
-  struct WatcherJoin {
-    WorkerExit& exit;
-    std::thread& t;
-    ~WatcherJoin() {
-      exit.signal();
-      if (t.joinable()) t.join();
-    }
-  } watcher_join{worker_exit, watcher};
-
-  host.transport->run_batch(spec, job_path, result_path,
-                            batch.describe(all_jobs));
-
-  // Quiesce the watcher before touching the final file: from here on this
-  // thread owns all pushes for the batch.
-  worker_exit.signal();
-  if (watcher.joinable()) watcher.join();
-
-  auto results = worker::read_result_file(result_path);
+        const JobSpec& job = *it->second;
+        unanswered.erase(it);
+        if (delivered.claim(job.id)) sink.push(job, std::move(result));
+      },
+      what);
   const std::size_t expected = batch.end - batch.begin;
-  if (results.size() != expected) {
-    throw std::runtime_error("worker answered " +
-                             std::to_string(results.size()) + " of " +
-                             std::to_string(expected) + " jobs in " +
-                             batch.describe(all_jobs));
-  }
-  // Validate the whole answer set before pushing from it: a malformed
-  // result file must fail the attempt cleanly, never half-poison the sink
-  // ahead of the retry. (Parts the watcher already streamed were each
-  // validated individually — an id-matching one-entry archive — and
-  // results are deterministic, so a part surviving a failed attempt is
-  // still the correct result for its job.)
-  std::unordered_map<std::uint32_t, const JobSpec*> by_id;
-  for (auto it = first; it != last; ++it) by_id.emplace(it->id, &*it);
-  std::vector<const JobSpec*> answered;
-  answered.reserve(results.size());
-  for (const auto& [id, result] : results) {
-    const auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      throw std::runtime_error("worker result for unexpected or duplicate "
-                               "job " +
-                               std::to_string(id) + " in " +
-                               batch.describe(all_jobs));
-    }
-    answered.push_back(it->second);
-    by_id.erase(it);
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (delivered.claim(answered[i]->id))
-      sink.push(*answered[i], std::move(results[i].second));
+  if (!unanswered.empty()) {
+    throw std::runtime_error(
+        "worker answered " + std::to_string(expected - unanswered.size()) +
+        " of " + std::to_string(expected) + " jobs in " + what);
   }
 }
 
@@ -692,7 +702,6 @@ struct RemoteBackend::Pool {
   const Options& opts;
   std::once_flag started;
   std::atomic<std::uint64_t> next_tenant{0};
-  std::filesystem::path scratch;
   std::vector<std::unique_ptr<HostState>> hosts;
   std::size_t total_slots = 0;
   bool has_local = false;
@@ -737,17 +746,17 @@ struct RemoteBackend::Pool {
       if (opts.transport_factory) {
         h->transport = opts.transport_factory(h->spec);
       } else if (h->spec.is_local()) {
-        h->transport = std::make_unique<remote::LocalTransport>(bin);
+        h->transport =
+            std::make_unique<remote::LocalTransport>(bin, opts.scratch_dir);
       } else {
         h->transport =
-            std::make_unique<remote::SshTransport>(bin, opts.ssh_timeout);
+            std::make_unique<remote::SshTransport>(bin, 0, opts.scratch_dir);
       }
       built.push_back(std::move(h));
     }
     // Warm stores: all local hosts share one; each ssh host has its own
     // under remote_dir. A round uses them only when it references parents,
     // so each parent warms (or uploads) at most once per store.
-    scratch = scratch_dir_of(opts);
     hosts = std::move(built);
     host_stores.resize(hosts.size());
     for (auto& h : hosts) {
@@ -802,9 +811,8 @@ struct RemoteBackend::Pool {
       std::exception_ptr error;
       std::string error_text;
       try {
-        run_batch_once(m, host, st, batch, *round->jobs, scratch,
-                       opts.keep_files, uploads, round->delivered,
-                       *round->sink);
+        run_batch_once(m, host, st, batch, *round->jobs, uploads,
+                       round->delivered, *round->sink);
       } catch (const std::exception& e) {
         error = std::current_exception();
         error_text = e.what();
@@ -904,7 +912,7 @@ RemoteBackend::RemoteBackend(Options options)
 
 RemoteBackend::~RemoteBackend() {
   pool_.reset();
-  if (!session_store_ || opts_.keep_files) return;
+  if (!session_store_) return;
   std::error_code ec;
   std::filesystem::remove_all(session_store_->dir(), ec);
 }
@@ -919,7 +927,7 @@ WarmStore& RemoteBackend::local_warm_store() {
   if (!session_store_) {
     static std::atomic<std::uint64_t> sessions{0};
     session_store_ = std::make_unique<WarmStore>(
-        (scratch_dir_of(opts_) /
+        (remote::dir_or_temp(opts_.scratch_dir) /
          ("mflush-warm-" + std::to_string(::getpid()) + "-" +
           std::to_string(sessions.fetch_add(1))))
             .string());

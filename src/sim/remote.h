@@ -16,15 +16,16 @@
 /// Fault-tolerant distributed sweep backend.
 ///
 /// RemoteBackend schedules *batches* of JobSpecs over a pool of hosts
-/// through a pluggable Transport. A batch travels as one job file
-/// (MFLUSJOB), runs as one `mflushsim --worker` invocation on its host, and
-/// comes back as one result file (MFLUSRES) — amortizing process-spawn and
-/// serialization overhead that dominates one-subprocess-per-job fan-out.
+/// through a pluggable Transport, which hands each job's result back as it
+/// lands. A subprocess or ssh batch is one job file, one `mflushsim
+/// --worker` invocation and one result file, amortizing the process-spawn
+/// and serialization overhead that dominates one-subprocess-per-job
+/// fan-out; an in-thread batch stays in memory.
 /// The scheduler work-steals: every host slot pulls the next batch from a
 /// shared queue, a failed or unreachable host's batch is re-queued onto
 /// healthy hosts (bounded attempts per batch), and a host that keeps
 /// failing is retired while at least one other host survives. Results
-/// stream into the ResultSink as each batch lands. A batch holds whole
+/// stream into the ResultSink as each job lands. A batch holds whole
 /// fork groups (fork_group_end), so a cold parent warms where its one
 /// batch runs and its bytes never travel to the coordinator; in a run
 /// without failures each parent warms once per host store. Only a failed
@@ -121,11 +122,15 @@ class TransportError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Receives one job's result, named by its job id, as soon as the
+/// transport has it.
+using BatchResultFn = std::function<void(std::uint32_t id, RunResult result)>;
+
 /// Moves one batch through one host. Implementations must be safe to call
 /// concurrently from that host's slots; `what` describes the batch for
 /// error messages ("batch 2 (jobs 4-7)"). Any failure — spawn, network,
-/// nonzero exit, death by signal — throws TransportError so the scheduler
-/// can re-queue the batch.
+/// nonzero exit, death by signal — throws so the scheduler can re-queue
+/// the batch.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -136,65 +141,63 @@ class Transport {
   /// failure and is retried on the host's next batch.
   virtual void prepare(const HostSpec& host) = 0;
 
-  /// Run the job file at `job_path` so that the result file appears at
-  /// `result_path` (both local paths).
-  virtual void run_batch(const HostSpec& host, const std::string& job_path,
-                         const std::string& result_path,
+  /// Run `jobs` on `host`, handing each job's result to `on_result` from
+  /// one thread at a time. A transport that cannot see results before the
+  /// batch ends hands them all over at the end; a throw from `on_result`
+  /// fails the batch.
+  virtual void run_batch(const HostSpec& host, const std::vector<JobSpec>& jobs,
+                         const BatchResultFn& on_result,
                          const std::string& what) = 0;
-
-  /// Whether run_batch makes per-job partial results visible at
-  /// `result_path + ".r<job_id>"` *while the batch runs* (one-entry
-  /// MFLUSRES archives, written atomically as each measured job lands).
-  /// The scheduler then streams each job into the ResultSink the moment
-  /// its part validates instead of waiting for the whole batch file —
-  /// which stays authoritative: parts are an optimization, never the only
-  /// copy. Transports whose results only exist locally after the batch
-  /// completes (ssh: the file is pulled at the end) report false.
-  [[nodiscard]] virtual bool streams_partials() const { return false; }
 };
 
 /// Loopback transport: the batch runs as a `mflushsim --worker` subprocess
 /// on this machine (used by tests and CI, and the default for `local`
-/// hosts). Honours HostSpec::fail_batches by failing the host's first N
-/// batches before spawning anything — the CI fault-injection hook.
+/// hosts). The batch travels as one job file (MFLUSJOB) and comes back as
+/// one result file (MFLUSRES) in `scratch_dir`, with a per-job part file
+/// (--worker-parts) that is streamed to `on_result` the moment it appears;
+/// the result file stays authoritative for anything no part delivered.
+/// Every file of a batch is removed when run_batch ends, however it ends.
+/// Honours HostSpec::fail_batches by failing the host's first N batches
+/// before spawning anything — the CI fault-injection hook.
 class LocalTransport final : public Transport {
  public:
-  explicit LocalTransport(std::string worker_binary)
-      : bin_(std::move(worker_binary)) {}
+  /// An empty `scratch_dir` is the system temp dir.
+  explicit LocalTransport(std::string worker_binary,
+                          std::string scratch_dir = {});
 
   [[nodiscard]] std::string name() const override { return "local"; }
-  void prepare(const HostSpec& host) override;
-  void run_batch(const HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
+  void prepare(const HostSpec&) override {}
+  void run_batch(const HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const BatchResultFn& on_result,
                  const std::string& what) override;
-
-  /// The worker writes straight into the coordinator's scratch dir, so
-  /// its per-job part files are observable live (--worker-parts).
-  [[nodiscard]] bool streams_partials() const override { return true; }
 
  private:
   std::string bin_;
+  std::string scratch_;
   std::atomic<unsigned> dispatched_{0};
 };
 
-/// In-thread transport: the batch runs through worker::run_worker on the
-/// slot thread itself — the full job/result file protocol, host store
-/// included, without a subprocess or a worker binary. mflushd serves
-/// through it when no host pool is given.
+/// In-thread transport: the batch runs through worker::run_jobs on the
+/// slot thread itself, in memory — no file, no subprocess, no worker
+/// binary — with the host store (HostSpec::warm_store_dir) opened as a
+/// worker would. Each result reaches `on_result` as it lands. mflushd
+/// serves through it when no host pool is given.
 class InProcessTransport final : public Transport {
  public:
   [[nodiscard]] std::string name() const override { return "inprocess"; }
   void prepare(const HostSpec&) override {}
-  void run_batch(const HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
+  void run_batch(const HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const BatchResultFn& on_result,
                  const std::string& what) override;
 };
 
 /// ssh/scp transport: prepare() ships the worker binary once per host
-/// (mkdir -p; scp; chmod +x), run_batch() copies the job file over, runs
-/// the worker remotely, copies the result file back, and best-effort
-/// removes the remote pair. BatchMode ssh: an unreachable or
-/// password-prompting host fails fast and its batches re-queue elsewhere.
+/// (mkdir -p; scp; chmod +x), run_batch() writes the job file into
+/// `scratch_dir` (empty: the system temp dir), copies it over, runs the
+/// worker remotely, copies the result file back, hands over its results,
+/// and best-effort removes the remote pair. BatchMode ssh: an unreachable
+/// or password-prompting host fails fast and its batches re-queue
+/// elsewhere.
 ///
 /// Every ssh/scp invocation runs under a wall-clock deadline on top of
 /// ConnectTimeout: ConnectTimeout only covers the TCP handshake, so a link
@@ -205,17 +208,19 @@ class InProcessTransport final : public Transport {
 /// values are a hard error, env.h policy).
 class SshTransport final : public Transport {
  public:
-  explicit SshTransport(std::string worker_binary, unsigned timeout_s = 0);
+  explicit SshTransport(std::string worker_binary, unsigned timeout_s = 0,
+                        std::string scratch_dir = {});
 
   [[nodiscard]] std::string name() const override { return "ssh"; }
   void prepare(const HostSpec& host) override;
-  void run_batch(const HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
+  void run_batch(const HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const BatchResultFn& on_result,
                  const std::string& what) override;
 
  private:
   std::string bin_;
   unsigned timeout_s_;
+  std::string scratch_;
 };
 
 /// One tenant's fair-share count and cancel flag (defined in remote.cpp).
@@ -232,7 +237,9 @@ class RemoteBackend final : public ExperimentBackend {
     std::vector<remote::HostSpec> hosts;
     /// Worker binary shipped/spawned; empty means default_worker_binary().
     std::string worker_binary;
-    /// Local staging dir for job/result files; empty = system temp dir.
+    /// Local staging dir for the job/result files of subprocess and ssh
+    /// transports, and for the session warm store; empty = system temp
+    /// dir.
     std::string scratch_dir;
     /// Jobs per batch; 0 = auto (see remote::batch_ranges).
     std::size_t batch_jobs = 0;
@@ -242,13 +249,6 @@ class RemoteBackend final : public ExperimentBackend {
     /// Failures before a host is retired. The last surviving host is
     /// never retired — its batches just run out their attempts.
     unsigned host_max_failures = 2;
-    /// Per-ssh/scp-command wall-clock deadline in seconds for
-    /// SshTransport; 0 resolves MFLUSH_SSH_TIMEOUT (default 600). See the
-    /// SshTransport comment — this is what turns a wedged link into an
-    /// ordinary host failure.
-    unsigned ssh_timeout = 0;
-    /// Keep the local protocol files after the run (debugging).
-    bool keep_files = false;
     /// Transport per host, made once on the first run(); null means
     /// LocalTransport for `local` hosts and SshTransport otherwise (the
     /// worker binary is only resolved then). mflushd picks

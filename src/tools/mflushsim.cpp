@@ -96,7 +96,6 @@
 ///     --csv                   machine-readable one-line-per-run output
 ///     --debug                 full component dump after the run
 ///                             (single-point runs only)
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -108,6 +107,7 @@
 #include <string>
 #include <vector>
 
+#include "common/number.h"
 #include "common/table.h"
 #include "core/factory.h"
 #include "sim/backend.h"
@@ -226,16 +226,14 @@ std::vector<std::string> split_commas(const std::string& list) {
 template <class T>
 bool parse_count(std::string_view flag, std::string_view text, T& out,
                  T min = 0) {
-  T v{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc{} || ptr != text.data() + text.size() || v < min) {
+  const auto v = parse_unsigned<T>(text);
+  if (!v || *v < min) {
     std::cerr << "error: " << flag << " expects a "
               << (min > 0 ? "positive" : "non-negative") << " integer, got '"
               << text << "'\n";
     return false;
   }
-  out = v;
+  out = *v;
   return true;
 }
 
@@ -471,7 +469,8 @@ int main(int argc, char** argv) {
       for (const std::string& token : split_commas(policy_arg)) {
         const auto p = PolicySpec::parse(token);
         if (!p) {
-          std::cerr << "unknown policy: " << token << '\n';
+          std::cerr << "error: --policy: unknown policy '" << token
+                    << "' (see --list-policies)\n";
           return 2;
         }
         spec.policies.push_back(*p);

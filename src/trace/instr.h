@@ -1,6 +1,10 @@
 #pragma once
 
 #include <array>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 
@@ -54,6 +58,31 @@ class TraceSource {
 
   /// Human-readable identity (benchmark name).
   [[nodiscard]] virtual const char* name() const noexcept = 0;
+};
+
+/// TraceSource over an in-memory instruction vector. Finite traces wrap
+/// around (the simulator runs for a fixed cycle budget, as in the paper).
+class VectorTraceSource final : public TraceSource {
+ public:
+  VectorTraceSource(std::vector<TraceInstr> instrs, std::string name)
+      : instrs_(std::move(instrs)), name_(std::move(name)) {
+    if (instrs_.empty())
+      throw std::invalid_argument("VectorTraceSource: empty trace");
+  }
+
+  [[nodiscard]] const TraceInstr& at(SeqNo seq) override {
+    return instrs_[seq % instrs_.size()];
+  }
+  void retire_up_to(SeqNo /*seq*/) override {}
+  [[nodiscard]] const char* name() const noexcept override {
+    return name_.c_str();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return instrs_.size(); }
+
+ private:
+  std::vector<TraceInstr> instrs_;
+  std::string name_;
 };
 
 }  // namespace mflush

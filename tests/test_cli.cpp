@@ -59,6 +59,9 @@ TEST(CliFlags, MalformedNumbersExitTwoNamingTheFlag) {
       {"--seed", "7x"},
       {"--jobs", "0"},
       {"--jobs", "2.5"},
+      {"--jobs", "4294967297"},  // 2^32 + 1: would wrap to 1
+      // 2^32 + 4 as a history depth would wrap to MFLUSH-H4.
+      {"--policy", "mflush-h4294967300"},
   };
   for (const auto& [flag, value] : bad) {
     SCOPED_TRACE(flag + " '" + value + "'");

@@ -175,6 +175,17 @@ TEST(ExperimentSpec, RejectsMalformedText) {
                std::runtime_error);
   EXPECT_THROW((void)ExperimentSpec::from_text("seeds 1 -2 3\n"),
                std::runtime_error);
+  // A value its field cannot hold is a typo, not a wrapped request:
+  // 2^32 + 1 forks would silently run one.
+  EXPECT_THROW((void)ExperimentSpec::from_text("workload 2W1\n"
+                                               "mode sampled\n"
+                                               "forks 4294967297\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)ExperimentSpec::from_text("dram_far_extra 4294967296\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)ExperimentSpec::from_text("workload 2W1\n"
+                                               "policy mflush-h4294967300\n"),
+               std::runtime_error);
   // Valid keys but an empty study must still fail validation.
   EXPECT_THROW((void)ExperimentSpec::from_text("name empty\n"),
                std::runtime_error);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "trace/generator.h"
+#include "trace/instr.h"
 #include "trace/spec2000.h"
 
 namespace mflush {
@@ -221,6 +222,31 @@ TEST(Generator, RegionsAccessorIsConsistent) {
 TEST(Generator, NameComesFromProfile) {
   SyntheticTraceSource src(test_profile(), 1, 1024, 0);
   EXPECT_STREQ(src.name(), "gzip");
+}
+
+/// The first `n` instructions of gzip's synthetic stream.
+std::vector<TraceInstr> sample_trace(std::size_t n) {
+  SyntheticTraceSource src(test_profile(), 3, 1024, 0);
+  std::vector<TraceInstr> v;
+  for (SeqNo s = 0; s < n; ++s) v.push_back(src.at(s));
+  return v;
+}
+
+TEST(VectorSource, WrapsAround) {
+  auto instrs = sample_trace(10);
+  VectorTraceSource src(instrs, "wrap");
+  for (SeqNo s = 0; s < 35; ++s)
+    EXPECT_EQ(src.at(s).pc, instrs[s % 10].pc);
+}
+
+TEST(VectorSource, RejectsEmpty) {
+  EXPECT_THROW(VectorTraceSource({}, "empty"), std::invalid_argument);
+}
+
+TEST(VectorSource, Name) {
+  VectorTraceSource src(sample_trace(4), "myname");
+  EXPECT_STREQ(src.name(), "myname");
+  EXPECT_EQ(src.size(), 4u);
 }
 
 }  // namespace

@@ -243,6 +243,9 @@ TEST(PolicySpec, ParseRejectsGarbage) {
   EXPECT_FALSE(PolicySpec::parse("flush-s0").has_value());
   EXPECT_FALSE(PolicySpec::parse("flush-sXX").has_value());
   EXPECT_FALSE(PolicySpec::parse("superpolicy").has_value());
+  // A history depth beyond 2^32 - 1 would wrap (2^32 + 4 to MFLUSH-H4).
+  EXPECT_FALSE(PolicySpec::parse("mflush-h4294967300").has_value());
+  EXPECT_FALSE(PolicySpec::parse("mflush-h0").has_value());
 }
 
 TEST(Factory, BuildsEveryKind) {

@@ -21,6 +21,7 @@
 #include "core/factory.h"
 #include "sim/backend.h"
 #include "sim/remote.h"
+#include "sim/warmstore.h"
 #include "sim/workloads.h"
 
 namespace mflush {
@@ -289,8 +290,9 @@ class BrokenTransport final : public remote::Transport {
       throw remote::TransportError(host.label() + ": host unreachable");
     }
   }
-  void run_batch(const remote::HostSpec& host, const std::string&,
-                 const std::string&, const std::string& what) override {
+  void run_batch(const remote::HostSpec& host, const std::vector<JobSpec>&,
+                 const remote::BatchResultFn&,
+                 const std::string& what) override {
     if (rendezvous_ != nullptr) rendezvous_->bump();
     throw remote::TransportError(host.label() + ": lost contact during " +
                                  what);
@@ -309,11 +311,11 @@ class GatedInProcessTransport final : public remote::Transport {
       : rendezvous_(rendezvous) {}
   [[nodiscard]] std::string name() const override { return "test-gated"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
+  void run_batch(const remote::HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const remote::BatchResultFn& on_result,
                  const std::string& what) override {
     rendezvous_.await_gate();
-    inner_.run_batch(host, job_path, result_path, what);
+    inner_.run_batch(host, jobs, on_result, what);
   }
 
  private:
@@ -398,8 +400,9 @@ class PairedBrokenTransport final : public remote::Transport {
       : rendezvous_(rendezvous) {}
   [[nodiscard]] std::string name() const override { return "test-paired"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec& host, const std::string&,
-                 const std::string&, const std::string& what) override {
+  void run_batch(const remote::HostSpec& host, const std::vector<JobSpec>&,
+                 const remote::BatchResultFn&,
+                 const std::string& what) override {
     rendezvous_.bump();
     rendezvous_.await(2);
     throw remote::TransportError(host.label() + ": dropped " + what);
@@ -481,61 +484,141 @@ TEST(RemoteBackendTest, ExhaustedAttemptsSurfaceTheTransportError) {
   }
 }
 
+/// In-process transport that reports, at every result it hands over,
+/// whether `dir` holds any file, and marks when its batch has returned.
+class WatchingTransport final : public remote::Transport {
+ public:
+  WatchingTransport(fs::path dir, std::atomic<bool>& saw_file,
+                    std::atomic<bool>& returned)
+      : dir_(std::move(dir)), saw_file_(saw_file), returned_(returned) {}
+  [[nodiscard]] std::string name() const override { return "test-watch"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const remote::BatchResultFn& on_result,
+                 const std::string& what) override {
+    returned_ = false;
+    inner_.run_batch(
+        host, jobs,
+        [&](std::uint32_t id, RunResult r) {
+          if (!fs::is_empty(dir_)) saw_file_ = true;
+          on_result(id, std::move(r));
+        },
+        what);
+    returned_ = true;
+  }
+
+ private:
+  fs::path dir_;
+  std::atomic<bool>& saw_file_;
+  std::atomic<bool>& returned_;
+  remote::InProcessTransport inner_;
+};
+
+/// Two parents of three forks each, sampled in memory-friendly sizes.
+std::vector<JobSpec> sampled_jobs(Cycle warmup, std::uint32_t forks) {
+  ExperimentSpec spec;
+  spec.workloads = {*workloads::by_name("2W1")};
+  spec.policies = {PolicySpec::icount(), PolicySpec::mflush()};
+  spec.warmup = warmup;
+  spec.measure = 400;
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = forks;
+  spec.sampled.fork_stride = 100;
+  return spec.expand();
+}
+
+TEST(RemoteBackendTest, InThreadRunLeavesScratchEmptyAndMatchesSerial) {
+  // In-thread slots pass jobs and results in memory: no protocol file
+  // ever appears in the scratch dir, not even while results land.
+  const fs::path dir = fs::path(::testing::TempDir()) / "remote-inthread-test";
+  fs::remove_all(dir);
+  const fs::path scratch = dir / "scratch";
+  fs::create_directories(scratch);
+  WarmStore store((dir / "warm").string());
+  std::atomic<bool> saw_file{false};
+  std::atomic<bool> returned{false};
+  RemoteBackend::Options opts;
+  remote::HostSpec local;
+  local.name = "local";
+  local.slots = 2;
+  opts.hosts = {local};
+  opts.scratch_dir = scratch.string();
+  opts.warm_store = &store;
+  opts.batch_jobs = 2;
+  opts.transport_factory = [&](const remote::HostSpec&) {
+    return std::make_unique<WatchingTransport>(scratch, saw_file, returned);
+  };
+  RemoteBackend backend(opts);
+  SerialBackend serial;
+  for (const std::vector<JobSpec>& jobs :
+       {small_grid_jobs(), sampled_jobs(341, 3)}) {
+    expect_identical_runs(serial.run_collect(jobs), backend.run_collect(jobs));
+    EXPECT_TRUE(fs::is_empty(scratch));
+  }
+  EXPECT_FALSE(saw_file) << "a file appeared in the scratch dir mid-batch";
+  fs::remove_all(dir);
+}
+
+TEST(RemoteBackendTest, InThreadGroupPushesEachResultBeforeItsBatchEnds) {
+  // One parent's four forks are one batch; each fork's result reaches the
+  // sink while that batch is still running.
+  const std::vector<JobSpec> jobs = sampled_jobs(343, 4);
+  ASSERT_EQ(fork_group_end(jobs, 0), 4u);
+  const fs::path dir = fs::path(::testing::TempDir()) / "remote-stream-test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::atomic<bool> saw_file{false};
+  std::atomic<bool> returned{false};
+  RemoteBackend::Options opts;
+  remote::HostSpec local;
+  local.name = "local";
+  opts.hosts = {local};
+  opts.scratch_dir = dir.string();
+  opts.transport_factory = [&](const remote::HostSpec&) {
+    return std::make_unique<WatchingTransport>(dir, saw_file, returned);
+  };
+  std::vector<bool> before_end;
+  ResultSink sink([&](const JobSpec&, const RunResult&) {
+    before_end.push_back(!returned);
+  });
+  {
+    RemoteBackend backend(opts);
+    backend.run(jobs, sink);
+  }
+  ASSERT_EQ(before_end.size(), jobs.size());
+  for (std::size_t i = 0; i < before_end.size(); ++i)
+    EXPECT_TRUE(before_end[i]) << "result " << i << " waited for its batch";
+  expect_identical_runs(SerialBackend().run_collect(jobs), sink.collect());
+  fs::remove_all(dir);
+}
+
 TEST(RemoteBackendTest, ScratchDirLeftCleanOnSuccessAndFailure) {
+  if (default_worker_binary().empty()) {
+    GTEST_SKIP() << "mflushsim binary not found next to the test binary";
+  }
+  // The subprocess transport stages a job file, a result file and one
+  // part per job in the scratch dir, and removes them all however the
+  // batch ends.
   const fs::path scratch =
       fs::path(::testing::TempDir()) / "remote-scratch-test";
   fs::remove_all(scratch);
   fs::create_directories(scratch);
 
   RemoteBackend::Options opts;
-  opts.worker_binary = "unused-by-injected-transports";
   opts.scratch_dir = scratch.string();
   opts.batch_jobs = 2;
-  opts.transport_factory = [](const remote::HostSpec&) {
-    return std::make_unique<remote::InProcessTransport>();
-  };
-  const std::vector<JobSpec> jobs = small_grid_jobs();
-  (void)RemoteBackend(opts).run_collect(jobs);
-  EXPECT_TRUE(fs::is_empty(scratch)) << "success leaked protocol files";
-
-  // Failure path: the job file is staged before the transport throws, and
-  // the guard must still scrub it.
-  opts.max_attempts = 1;
-  opts.transport_factory = [](const remote::HostSpec&) {
-    return std::make_unique<BrokenTransport>(/*fail_prepare=*/false);
-  };
-  EXPECT_THROW((void)RemoteBackend(opts).run_collect(jobs),
-               std::exception);
-  EXPECT_TRUE(fs::is_empty(scratch)) << "failure leaked protocol files";
-
-  fs::remove_all(scratch);
-}
-
-TEST(RemoteBackendTest, KeepFilesLeavesTheProtocolPairs) {
-  const fs::path scratch =
-      fs::path(::testing::TempDir()) / "remote-keep-test";
-  fs::remove_all(scratch);
-  fs::create_directories(scratch);
-
-  RemoteBackend::Options opts;
-  opts.worker_binary = "unused-by-injected-transports";
-  opts.scratch_dir = scratch.string();
-  opts.batch_jobs = 4;
-  opts.keep_files = true;
-  opts.transport_factory = [](const remote::HostSpec&) {
-    return std::make_unique<remote::InProcessTransport>();
-  };
   std::vector<JobSpec> jobs = small_grid_jobs();
   jobs.resize(4);
   (void)RemoteBackend(opts).run_collect(jobs);
+  EXPECT_TRUE(fs::is_empty(scratch)) << "success leaked protocol files";
 
-  std::size_t job_files = 0, result_files = 0;
-  for (const auto& entry : fs::directory_iterator(scratch)) {
-    if (entry.path().extension() == ".mfj") ++job_files;
-    if (entry.path().extension() == ".mfr") ++result_files;
-  }
-  EXPECT_EQ(job_files, 1u);
-  EXPECT_EQ(result_files, 1u);
+  // Failure path: the job file is staged before the worker fails, and
+  // the transport must still scrub it.
+  opts.worker_binary = "/bin/false";
+  opts.max_attempts = 1;
+  EXPECT_THROW((void)RemoteBackend(opts).run_collect(jobs), std::exception);
+  EXPECT_TRUE(fs::is_empty(scratch)) << "failure leaked protocol files";
+
   fs::remove_all(scratch);
 }
 
@@ -617,11 +700,11 @@ class HookedTransport final : public remote::Transport {
   explicit HookedTransport(const Hook& hook) : hook_(hook) {}
   [[nodiscard]] std::string name() const override { return "test-hooked"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
+  void run_batch(const remote::HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const remote::BatchResultFn& on_result,
                  const std::string& what) override {
-    hook_(host, worker::read_job_file(job_path));
-    inner_.run_batch(host, job_path, result_path, what);
+    hook_(host, jobs);
+    inner_.run_batch(host, jobs, on_result, what);
   }
 
  private:
@@ -781,14 +864,14 @@ class FlakyTransport final : public remote::Transport {
       : rendezvous_(rendezvous), failures_(failures) {}
   [[nodiscard]] std::string name() const override { return "test-flaky"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
+  void run_batch(const remote::HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const remote::BatchResultFn& on_result,
                  const std::string& what) override {
     if (failures_.fetch_sub(1) > 0) {
       rendezvous_.bump();
       throw remote::TransportError(host.label() + ": flaked on " + what);
     }
-    inner_.run_batch(host, job_path, result_path, what);
+    inner_.run_batch(host, jobs, on_result, what);
     rendezvous_.bump();
   }
 
@@ -941,50 +1024,64 @@ TEST(RemoteBackendTest, MatchesSerialWithMidRunHostFailure) {
   expect_identical_runs(serial.run_collect(jobs), backend.run_collect(jobs));
 }
 
-/// Streaming transport whose worker answers after 1 ms, once the part
-/// watcher is asleep: it writes a result file of empty results and no
-/// part files, so only the watcher can hold a batch's end back.
-class InstantStreamingTransport final : public remote::Transport {
- public:
-  [[nodiscard]] std::string name() const override { return "test-instant"; }
-  void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec&, const std::string& job_path,
-                 const std::string& result_path, const std::string&) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::vector<std::pair<std::uint32_t, RunResult>> results;
-    for (const JobSpec& j : worker::read_job_file(job_path))
-      results.emplace_back(j.id, RunResult{});
-    worker::write_result_file(result_path, results);
-  }
-  [[nodiscard]] bool streams_partials() const override { return true; }
-};
-
 TEST(RemoteBackendTest, BatchEndDoesNotWaitOutThePartScan) {
-  // The part watcher scans every 10 ms; the worker's exit must wake it,
-  // or each of these batches would take a whole scan interval.
-  constexpr std::size_t kBatches = 50;
-  RemoteBackend::Options opts;
+  // LocalTransport scans for part files every 10 ms; the worker's exit
+  // must wake it, or each batch would wait out a scan interval. This
+  // worker copies a ready result file and writes no part, so only the
+  // scan can hold a batch's end back beyond the spawn itself.
+  const fs::path dir = fs::path(::testing::TempDir()) / "local-scan-test";
+  fs::remove_all(dir);
+  const fs::path scratch = dir / "scratch";
+  fs::create_directories(scratch);
+  const std::string canned = (dir / "canned.mfr").string();
+  worker::write_result_file(canned, {{0, RunResult{}}});
+  const std::string script = (dir / "worker.sh").string();
+  {
+    std::ofstream out(script);
+    // argv: --worker JOB --worker-out RESULT --worker-parts
+    out << "#!/bin/sh\nexec cp '" << canned << "' \"$4\"\n";
+  }
+  fs::permissions(script, fs::perms::owner_all);
+  constexpr int kBatches = 30;
+  using Clock = std::chrono::steady_clock;
+
+  const std::string direct_out = (dir / "direct.mfr").string();
+  auto t0 = Clock::now();
+  for (int i = 0; i < kBatches; ++i) {
+    ASSERT_EQ(proc::spawn_and_wait(script, {"--worker", "-", "--worker-out",
+                                            direct_out}),
+              0);
+  }
+  const auto direct = Clock::now() - t0;
+
   remote::HostSpec host;
   host.name = "local";
-  opts.hosts = {host};
-  opts.batch_jobs = 1;
-  opts.transport_factory = [](const remote::HostSpec&) {
-    return std::make_unique<InstantStreamingTransport>();
-  };
-  RemoteBackend backend(opts);
-  std::vector<JobSpec> jobs(kBatches);
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    jobs[i].id = static_cast<std::uint32_t>(i);
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(backend.run_collect(jobs).size(), kBatches);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(elapsed, std::chrono::milliseconds(10) * kBatches / 2)
-      << std::chrono::duration<double, std::milli>(elapsed).count()
-      << " ms for " << kBatches << " batches";
+  remote::LocalTransport transport(script, scratch.string());
+  JobSpec job;
+  int results = 0;
+  t0 = Clock::now();
+  for (int i = 0; i < kBatches; ++i) {
+    transport.run_batch(
+        host, {job},
+        [&](std::uint32_t id, RunResult) {
+          EXPECT_EQ(id, 0u);
+          ++results;
+        },
+        "batch");
+  }
+  const auto through = Clock::now() - t0;
+  EXPECT_EQ(results, kBatches);
+  EXPECT_LT(through, direct + std::chrono::milliseconds(5) * kBatches)
+      << std::chrono::duration<double, std::milli>(through).count()
+      << " ms for " << kBatches << " batches against "
+      << std::chrono::duration<double, std::milli>(direct).count()
+      << " ms of bare spawns";
+  EXPECT_TRUE(fs::is_empty(scratch));
+  fs::remove_all(dir);
 }
 
-/// In-process transport that logs when each batch (named by its job
-/// file) starts and ends, in one order shared by every host.
+/// In-process transport that logs when each batch (named by its job ids)
+/// starts and ends, in one order shared by every host.
 class RecordingTransport final : public remote::Transport {
  public:
   struct Log {
@@ -994,14 +1091,13 @@ class RecordingTransport final : public remote::Transport {
   explicit RecordingTransport(Log& log) : log_(log) {}
   [[nodiscard]] std::string name() const override { return "test-record"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
+  void run_batch(const remote::HostSpec& host, const std::vector<JobSpec>& jobs,
+                 const remote::BatchResultFn& on_result,
                  const std::string& what) override {
     std::vector<std::uint32_t> ids;
-    for (const JobSpec& j : worker::read_job_file(job_path))
-      ids.push_back(j.id);
+    for (const JobSpec& j : jobs) ids.push_back(j.id);
     record(true, ids);
-    inner_.run_batch(host, job_path, result_path, what);
+    inner_.run_batch(host, jobs, on_result, what);
     record(false, ids);
   }
 

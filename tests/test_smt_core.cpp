@@ -6,7 +6,7 @@
 #include "core/icount.h"
 #include "mem/hierarchy.h"
 #include "pipeline/smt_core.h"
-#include "trace/trace_io.h"
+#include "trace/instr.h"
 
 namespace mflush {
 namespace {

@@ -56,21 +56,19 @@ DOMAINS = {
     "campaign": ("src/sim/campaign.h", "kFormatVersion"),
     "worker": ("src/sim/backend.h", "kProtocolVersion"),
     "daemon": ("src/sim/wire.h", "kProtocolVersion"),
-    "trace": ("src/trace/trace_io.h", "kTraceVersion"),
     "spec": ("src/sim/experiment_spec.cpp", "kSpecVersion"),
 }
 
 # Domain -> the outermost serialized types of its artifacts; `Type.method`
 # fingerprints that entry method instead of the type's walk. A root the base
-# does not have yet is new, not changed. The trace file is a hand-written
-# codec of scalars. A warm-store entry is a snapshot, stored as captured,
-# under the campaign job key of its parent: it has no domain of its own.
+# does not have yet is new, not changed. A warm-store entry is a snapshot,
+# stored as captured, under the campaign job key of its parent: it has no
+# domain of its own.
 ROOTS = {
     "snapshot": ["Header", "CmpSimulator"],
     "campaign": ["JobSpec.save_content"],
     "worker": ["JobSpec.save", "RunResult"],
     "daemon": ["Message"],
-    "trace": [],
     "spec": ["ExperimentSpec"],
 }
 
