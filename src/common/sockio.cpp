@@ -81,7 +81,7 @@ int listen_on(const std::string& address, int backlog) {
   if (is_unix_address(address)) {
     const std::string path = unix_path_of(address);
     const sockaddr_un sa = unix_sockaddr(address, path);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) fail("socket", address);
     ::unlink(path.c_str());  // a SIGKILLed daemon leaves its socket behind
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
@@ -94,7 +94,7 @@ int listen_on(const std::string& address, int backlog) {
     return fd;
   }
   const sockaddr_in sa = tcp_sockaddr(address, /*listening=*/true);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) fail("socket", address);
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -110,7 +110,7 @@ int listen_on(const std::string& address, int backlog) {
 
 int accept_on(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd >= 0) return fd;
     if (errno == EINTR || errno == ECONNABORTED) continue;
     return -1;  // fd shut down or closed: the serve loop is stopping
@@ -120,7 +120,7 @@ int accept_on(int listen_fd) {
 int connect_to(const std::string& address) {
   if (is_unix_address(address)) {
     const sockaddr_un sa = unix_sockaddr(address, unix_path_of(address));
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) fail("socket", address);
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) !=
         0) {
@@ -132,7 +132,7 @@ int connect_to(const std::string& address) {
     return fd;
   }
   const sockaddr_in sa = tcp_sockaddr(address, /*listening=*/false);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) fail("socket", address);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0) {
     const int saved = errno;

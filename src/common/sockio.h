@@ -17,7 +17,9 @@
 ///
 /// All functions throw std::runtime_error naming the address on failure.
 /// Writes use MSG_NOSIGNAL so a vanished peer surfaces as an error, never
-/// as SIGPIPE killing the daemon.
+/// as SIGPIPE killing the daemon. Every fd made here is close-on-exec, so
+/// a spawned worker never holds the daemon's listen socket or a client
+/// connection open.
 namespace mflush::sockio {
 
 /// Whether `address` names a Unix-domain socket under the grammar above.

@@ -1,8 +1,11 @@
 #include "sim/backend.h"
 
+#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -18,6 +21,7 @@
 #include "common/env.h"
 #include "common/envelope.h"
 #include "common/fsio.h"
+#include "common/sockio.h"
 #include "sim/parallel.h"
 #include "sim/warmstore.h"
 
@@ -31,6 +35,34 @@ namespace {
 constexpr std::uint64_t kJobMagic = 0x4d464c55534a4f42ull;     // "MFLUSJOB"
 constexpr std::uint64_t kResultMagic = 0x4d464c5553524553ull;  // "MFLUSRES"
 
+/// A longer result frame is damage, not bytes still in flight.
+constexpr std::size_t kMaxResultFrame = 64u << 20;
+
+/// The jobs of a job archive; errors name `what`.
+std::vector<JobSpec> decode_jobs(std::span<const std::uint8_t> bytes,
+                                 const std::string& what) {
+  const std::string name = "mflush job file " + what;
+  ArchiveReader ar(envelope::unseal(bytes, name));
+  envelope::expect_header(ar, kJobMagic, worker::kProtocolVersion, name);
+  const auto n = ar.get<std::uint64_t>();
+  std::vector<JobSpec> jobs;
+  jobs.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) jobs.push_back(JobSpec::load(ar));
+  if (!ar.done()) throw std::runtime_error(name + ": trailing bytes");
+  return jobs;
+}
+
+/// All of stdin, read to EOF in large chunks (an ssh batch's archive can
+/// carry multi-MB parent snapshots).
+std::vector<std::uint8_t> read_stdin() {
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t chunk[64 * 1024];
+  while (const std::size_t n = std::fread(chunk, 1, sizeof(chunk), stdin))
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  if (std::ferror(stdin)) throw std::runtime_error("cannot read <stdin>");
+  return bytes;
+}
+
 /// argv[0] recorded at startup (record_argv0), the off-Linux fallback for
 /// default_worker_binary.
 std::string& argv0_recorded() {
@@ -43,61 +75,147 @@ std::string& argv0_recorded() {
 // ------------------------------------------------------ process spawning
 
 namespace proc {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The one spawn path: a child of posix_spawnp (PATH lookup). With
+/// `piped`, its stdin and stdout are one end of a close-on-exec socketpair
+/// and `fd` is the other, so no sibling spawned meanwhile holds it open. A
+/// child that wait() did not reap is killed and reaped on destruction.
+struct Child {
+  Child(const std::string& bin, const std::vector<std::string>& args,
+        const std::string& what, unsigned timeout_s, bool piped)
+      : name("worker '" + bin + "'"),
+        context(what.empty() ? "" : " on " + what),
+        timeout_s(timeout_s),
+        deadline(timeout_s == 0
+                     ? Clock::time_point::max()
+                     : Clock::now() + std::chrono::seconds(timeout_s)) {
+    std::vector<char*> argv = {const_cast<char*>(bin.c_str())};
+    for (const std::string& a : args)
+      argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    int ends[2] = {-1, -1};
+    if (piped &&
+        ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0)
+      fail("socketpair failed for", errno);
+    posix_spawn_file_actions_t actions;
+    ::posix_spawn_file_actions_init(&actions);
+    for (const int stdio : {STDIN_FILENO, STDOUT_FILENO})
+      if (piped) ::posix_spawn_file_actions_adddup2(&actions, ends[1], stdio);
+    const int rc = ::posix_spawnp(&pid, bin.c_str(), &actions, nullptr,
+                                  argv.data(), environ);
+    ::posix_spawn_file_actions_destroy(&actions);
+    if (piped) ::close(ends[1]);
+    if (rc != 0) {
+      if (piped) ::close(ends[0]);  // no destructor runs for this throw
+      fail("failed to spawn", rc);
+    }
+    fd = ends[0];
+  }
+  ~Child() {
+    if (fd >= 0) ::close(fd);
+    kill_and_reap();
+  }
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+
+  [[noreturn]] void fail(const std::string& why, int err) const {
+    throw std::runtime_error(why + " " + name + context + ": " +
+                             std::strerror(err));
+  }
+
+  void kill_and_reap() noexcept {
+    if (pid < 0) return;
+    ::kill(pid, SIGKILL);
+    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    pid = -1;
+  }
+
+  /// At the deadline: kill, reap, and report the timeout.
+  [[noreturn]] void time_out() {
+    kill_and_reap();
+    throw std::runtime_error(name + " timed out after " +
+                             std::to_string(timeout_s) + "s" + context);
+  }
+
+  /// Reap the child and return its exit code. With a deadline, poll with
+  /// WNOHANG so a wedged child cannot block the caller forever.
+  int wait() {
+    const bool bounded = deadline != Clock::time_point::max();
+    int status = 0;
+    for (;;) {
+      const pid_t r = ::waitpid(pid, &status, bounded ? WNOHANG : 0);
+      if (r == pid) break;
+      if (r < 0 && errno != EINTR) fail("waitpid failed for", errno);
+      if (r == 0 && Clock::now() >= deadline) time_out();
+      if (r == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    pid = -1;
+    if (WIFSIGNALED(status)) {
+      throw std::runtime_error(name + " killed by signal " +
+                               std::to_string(WTERMSIG(status)) + context);
+    }
+    return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
+  }
+
+  std::string name;     ///< "worker '<bin>'"
+  std::string context;  ///< " on <what>", or empty
+  unsigned timeout_s;
+  Clock::time_point deadline;
+  pid_t pid = -1;  ///< -1 once reaped
+  int fd = -1;
+};
+
+}  // namespace
 
 int spawn_and_wait(const std::string& bin,
                    const std::vector<std::string>& args,
                    const std::string& what, unsigned timeout_s) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 2);
-  argv.push_back(const_cast<char*>(bin.c_str()));
-  for (const std::string& a : args)
-    argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  const std::string context = what.empty() ? "" : " on " + what;
+  return Child(bin, args, what, timeout_s, /*piped=*/false).wait();
+}
 
-  pid_t pid = 0;
-  if (const int rc = ::posix_spawnp(&pid, bin.c_str(), nullptr, nullptr,
-                                    argv.data(), environ);
-      rc != 0) {
-    throw std::runtime_error("failed to spawn worker '" + bin + "'" +
-                             context + ": " + std::strerror(rc));
-  }
-
-  int status = 0;
-  if (timeout_s == 0) {
-    while (::waitpid(pid, &status, 0) < 0) {
-      if (errno != EINTR)
-        throw std::runtime_error("waitpid failed for worker '" + bin + "'" +
-                                 context + ": " + std::strerror(errno));
-    }
-  } else {
-    // Deadline mode: poll with WNOHANG so a wedged child cannot block the
-    // scheduler forever; at the deadline, kill it and reap the corpse so
-    // the throw below leaves no zombie behind.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(timeout_s);
-    for (;;) {
-      const pid_t r = ::waitpid(pid, &status, WNOHANG);
-      if (r == pid) break;
-      if (r < 0 && errno != EINTR) {
-        throw std::runtime_error("waitpid failed for worker '" + bin + "'" +
-                                 context + ": " + std::strerror(errno));
+int spawn_piped(const std::string& bin, const std::vector<std::string>& args,
+                const std::string& what, unsigned timeout_s,
+                std::span<const std::uint8_t> input,
+                std::vector<std::uint8_t>& output,
+                const std::function<void()>& on_output) {
+  Child child(bin, args, what, timeout_s, /*piped=*/true);
+  std::size_t sent = 0;
+  if (input.empty()) ::shutdown(child.fd, SHUT_WR);
+  // Writing and reading share one poll loop, so a child that answers
+  // before it has read everything cannot deadlock the exchange.
+  for (;;) {
+    const bool writing = sent < input.size();
+    pollfd p{child.fd, static_cast<short>(POLLIN | (writing ? POLLOUT : 0)),
+             0};
+    // Under a deadline, wake every 100 ms to check it.
+    const bool bounded = child.deadline != Clock::time_point::max();
+    const int ready = ::poll(&p, 1, bounded ? 100 : -1);
+    if (ready < 0 && errno != EINTR) child.fail("poll failed for", errno);
+    if (Clock::now() >= child.deadline) child.time_out();
+    if (ready <= 0) continue;
+    if (writing && (p.revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
+      // A child that stopped reading drops the rest of `input`: it is
+      // judged by what it wrote and how it exited.
+      const ssize_t n = ::send(child.fd, input.data() + sent,
+                               input.size() - sent,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+      } else if (errno != EINTR && errno != EAGAIN) {
+        sent = input.size();
       }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        ::kill(pid, SIGKILL);
-        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        throw std::runtime_error("worker '" + bin + "' timed out after " +
-                                 std::to_string(timeout_s) + "s" + context);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (sent == input.size()) ::shutdown(child.fd, SHUT_WR);
+      continue;
     }
+    if ((p.revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
+    if (sockio::read_some(child.fd, output) == 0) break;
+    on_output();
   }
-  if (WIFSIGNALED(status)) {
-    throw std::runtime_error("worker '" + bin + "' killed by signal " +
-                             std::to_string(WTERMSIG(status)) + context);
-  }
-  return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
+  return child.wait();
 }
 
 }  // namespace proc
@@ -364,29 +482,24 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 
 namespace worker {
 
-void write_job_file(const std::string& path,
-                    const std::vector<JobSpec>& jobs) {
+std::vector<std::uint8_t> encode_jobs(const std::vector<JobSpec>& jobs) {
   ArchiveWriter ar;
   envelope::put_header(ar, kJobMagic, kProtocolVersion);
   ar.put<std::uint64_t>(jobs.size());
   for (const JobSpec& j : jobs) j.save(ar);
   envelope::seal(ar);
-  // Scratch protocol files skip the fsync: durable results are the
-  // campaign layer's job. The atomic rename still hides partial files.
-  fsio::write_file_atomic(path, ar.bytes(), /*durable=*/false);
+  return ar.take();
+}
+
+void write_job_file(const std::string& path,
+                    const std::vector<JobSpec>& jobs) {
+  // Protocol files skip the fsync: durable results are the campaign
+  // layer's job. The atomic rename still hides partial files.
+  fsio::write_file_atomic(path, encode_jobs(jobs), /*durable=*/false);
 }
 
 std::vector<JobSpec> read_job_file(const std::string& path) {
-  const auto bytes = fsio::read_file_bytes(path, "mflush job file");
-  const std::string what = "mflush job file " + path;
-  ArchiveReader ar(envelope::unseal(bytes, what));
-  envelope::expect_header(ar, kJobMagic, kProtocolVersion, what);
-  const auto n = ar.get<std::uint64_t>();
-  std::vector<JobSpec> jobs;
-  jobs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) jobs.push_back(JobSpec::load(ar));
-  if (!ar.done()) throw std::runtime_error(what + ": trailing bytes");
-  return jobs;
+  return decode_jobs(fsio::read_file_bytes(path, "mflush job file"), path);
 }
 
 std::vector<std::uint8_t> encode_results(
@@ -419,6 +532,34 @@ std::vector<std::pair<std::uint32_t, RunResult>> read_result_file(
     const std::string& path) {
   return decode_results(fsio::read_file_bytes(path, "mflush result file"),
                         path);
+}
+
+std::vector<std::uint8_t> frame_result(std::uint32_t id,
+                                       const RunResult& result) {
+  return envelope::frame(encode_results({{id, result}}));
+}
+
+std::vector<std::pair<std::uint32_t, RunResult>> take_results(
+    std::vector<std::uint8_t>& buffer, const std::string& what) {
+  std::vector<std::pair<std::uint32_t, RunResult>> out;
+  std::size_t at = 0;
+  for (;;) {
+    const envelope::Unframed u =
+        envelope::unframe(std::span(buffer).subspan(at), kMaxResultFrame);
+    if (u.status == envelope::FrameStatus::kNeedMore) break;
+    if (u.status == envelope::FrameStatus::kBad)
+      throw std::runtime_error("result stream of " + what + ": " + u.error);
+    auto entry = decode_results(u.payload, "frame of " + what);
+    if (entry.size() != 1) {
+      throw std::runtime_error("result stream of " + what + ": a frame holds " +
+                               std::to_string(entry.size()) + " results");
+    }
+    out.push_back(std::move(entry.front()));
+    at += u.consumed;
+  }
+  buffer.erase(buffer.begin(),
+               buffer.begin() + static_cast<std::ptrdiff_t>(at));
+  return out;
 }
 
 void run_jobs(std::span<const JobSpec> jobs, WarmStore* store,
@@ -471,26 +612,28 @@ void run_jobs(std::span<const JobSpec> jobs, WarmStore* store,
 }
 
 int run_worker(const std::string& job_path, const std::string& result_path,
-               const std::string& store_dir, bool write_parts) {
+               const std::string& store_dir) {
+  const bool stream = job_path == "-";
   try {
-    const std::vector<JobSpec> jobs = read_job_file(job_path);
+    const std::vector<JobSpec> jobs =
+        stream ? decode_jobs(read_stdin(), "<stdin>") : read_job_file(job_path);
     std::optional<WarmStore> store;
     if (!store_dir.empty()) store.emplace(store_dir);
     std::vector<std::pair<std::uint32_t, RunResult>> results;
-    results.reserve(jobs.size());
-    // Streaming transports watch for these one-entry part files; the
-    // atomic rename inside write_result_file is what makes existence
-    // imply completeness on the coordinator side.
     run_jobs(jobs, store ? &*store : nullptr,
              [&](std::size_t k, RunResult r) {
-               results.emplace_back(jobs[k].id, std::move(r));
-               if (write_parts) {
-                 write_result_file(
-                     result_path + ".r" + std::to_string(jobs[k].id),
-                     {results.back()});
+               if (stream) {
+                 // Flushed per frame: the coordinator takes it now.
+                 const auto frame = frame_result(jobs[k].id, r);
+                 if (std::fwrite(frame.data(), 1, frame.size(), stdout) !=
+                         frame.size() ||
+                     std::fflush(stdout) != 0)
+                   throw std::runtime_error("cannot write to stdout");
+               } else {
+                 results.emplace_back(jobs[k].id, std::move(r));
                }
              });
-    write_result_file(result_path, results);
+    if (!stream) write_result_file(result_path, results);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mflushsim --worker: %s\n", e.what());

@@ -119,6 +119,19 @@ int spawn_and_wait(const std::string& bin,
                    const std::vector<std::string>& args,
                    const std::string& what = {}, unsigned timeout_s = 0);
 
+/// spawn_and_wait (the same spawn path) with `input` on the child's stdin
+/// and its stdout appended to `output` as it arrives; `on_output` runs
+/// after each read and may consume bytes off the front of `output`. Both
+/// are one close-on-exec socketpair, so no other child inherits them, and
+/// a child that stops reading raises no SIGPIPE here (the rest of `input`
+/// is dropped). The timeout covers the whole exchange. On every way out,
+/// a throw from `on_output` included, the child is killed and reaped.
+int spawn_piped(const std::string& bin, const std::vector<std::string>& args,
+                const std::string& what, unsigned timeout_s,
+                std::span<const std::uint8_t> input,
+                std::vector<std::uint8_t>& output,
+                const std::function<void()>& on_output);
+
 }  // namespace proc
 
 /// Record argv[0] at process startup (mflushsim does this first thing in
@@ -195,17 +208,23 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 
 // ------------------------------------------------------ worker protocol
 //
-// Both files are sealed envelopes (common/envelope.h): magic, version,
-// u64 count, the entries, trailing checksum. Readers reject bad magic,
-// version skew, checksum mismatch and trailing bytes outright — a corrupt
-// job must fail loudly, never half-run.
+// The job archive (MFLUSJOB) and the result archive (MFLUSRES) are sealed
+// envelopes (common/envelope.h): magic, version, u64 count, the entries,
+// trailing checksum. Readers reject bad magic, version skew, checksum
+// mismatch and trailing bytes outright — a corrupt job must fail loudly,
+// never half-run. Every transport spawns the stream form, `mflushsim
+// --worker -` (run_worker); the file forms serve tools and tests.
 namespace worker {
 
 /// v2: JobSpec gained the warm-job flag + parent_key (with a by-reference
 /// snapshot tag) and RunResult gained the warm-job payload.
 /// v4: JobSpec lost the warm-job flag.
-/// v5: both files are sealed by the word-wise envelope::checksum.
+/// v5: both archives are sealed by the word-wise envelope::checksum.
 inline constexpr std::uint32_t kProtocolVersion = 5;
+
+/// The job file's bytes, as a stream worker reads them on stdin.
+[[nodiscard]] std::vector<std::uint8_t> encode_jobs(
+    const std::vector<JobSpec>& jobs);
 
 void write_job_file(const std::string& path,
                     const std::vector<JobSpec>& jobs);
@@ -229,6 +248,17 @@ read_result_file(const std::string& path);
 [[nodiscard]] std::vector<std::pair<std::uint32_t, RunResult>>
 decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 
+/// One streamed result: envelope::frame(encode_results({{id, result}})).
+[[nodiscard]] std::vector<std::uint8_t> frame_result(std::uint32_t id,
+                                                     const RunResult& result);
+
+/// The reader of a result stream: split every whole frame off the front of
+/// `buffer` and return the results they carry. A partial frame stays in
+/// `buffer`. Throws naming `what`, returning nothing, on a damaged frame or
+/// a payload that is not a one-entry result archive.
+[[nodiscard]] std::vector<std::pair<std::uint32_t, RunResult>> take_results(
+    std::vector<std::uint8_t>& buffer, const std::string& what);
+
 /// The one job loop of every executor that runs a batch on this thread:
 /// worker processes (run_worker), in-thread transport slots
 /// (remote::InProcessTransport) and InProcessBackend's per-group tasks.
@@ -246,19 +276,16 @@ decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 void run_jobs(std::span<const JobSpec> jobs, WarmStore* store,
               const ForkResultFn& on_result);
 
-/// The `mflushsim --worker` entry point: read the job file, run_jobs over
-/// it (a non-empty `store_dir` opens the host store, `--worker-store`),
-/// write the result file. Returns a process exit code (0 on success).
-/// With `write_parts` (`--worker-parts`), every job's result is
-/// additionally written — atomically, as a one-entry result archive — to
-/// `result_path + ".r<job_id>"` the moment the job finishes, so a
-/// coordinator sharing the filesystem (remote::LocalTransport) can stream
-/// results before the batch completes. The part entry is the same
-/// RunResult the final file carries, encoded by the same writer:
-/// byte-identical. The final result file remains authoritative; parts are
-/// never the only copy.
+/// The `mflushsim --worker` entry point: run_jobs over one job archive (a
+/// non-empty `store_dir` opens the host store, `--worker-store`). A
+/// `job_path` of "-" is the stream form every transport spawns: the
+/// archive is read from stdin to EOF and each result goes to stdout as one
+/// frame_result the moment it lands. Any other `job_path` is a job file,
+/// and the results go to the result file `result_path` at the end.
+/// Returns a process exit code (0 on success); a job archive that does
+/// not decode runs nothing.
 int run_worker(const std::string& job_path, const std::string& result_path,
-               const std::string& store_dir = {}, bool write_parts = false);
+               const std::string& store_dir = {});
 
 }  // namespace worker
 }  // namespace mflush

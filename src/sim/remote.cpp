@@ -87,12 +87,6 @@ void run_tool_or_throw(const std::string& tool,
   }
 }
 
-/// `dir`, or the system temp dir when `dir` is empty.
-std::filesystem::path dir_or_temp(const std::string& dir) {
-  return dir.empty() ? std::filesystem::temp_directory_path()
-                     : std::filesystem::path(dir);
-}
-
 /// Simulated core-cycles of one fork group, at least 1 (see batch_ranges).
 std::uint64_t group_cost(std::span<const JobSpec> group) {
   const JobSpec& head = group.front();
@@ -107,63 +101,47 @@ std::uint64_t group_cost(std::span<const JobSpec> group) {
   return std::max<std::uint64_t>(1, cores * (warm + pass));
 }
 
-/// One batch's local protocol files in a scratch dir: `<stem>.mfj`,
-/// `<stem>.mfr` and, when asked for, one `<stem>.mfr.r<id>` part per job.
-/// The stem (pid, the first job id, a process-wide counter) is unique per
-/// batch attempt, so no attempt ever reads another's files. Every file is
-/// removed on destruction, so a dead worker, a corrupt result or a
-/// throwing transport leaks none.
-struct ScratchFiles {
-  ScratchFiles(const std::string& dir, const std::vector<JobSpec>& jobs,
-               bool with_parts) {
-    static std::atomic<std::uint64_t> counter{0};
-    const std::string stem =
-        (dir_or_temp(dir) / ("mflush-" + std::to_string(::getpid()) +
-                             "-job" + std::to_string(jobs.front().id) + "-" +
-                             std::to_string(counter.fetch_add(1))))
-            .string();
-    job = stem + ".mfj";
-    result = stem + ".mfr";
-    if (with_parts) {
-      for (const JobSpec& j : jobs)
-        parts.push_back(result + ".r" + std::to_string(j.id));
-    }
+/// One batch through a worker speaking the stream protocol (see the
+/// worker namespace in backend.h) over proc::spawn_piped: the job archive
+/// goes in on stdin, each result goes to `on_result` as its frame arrives
+/// on stdout. Every failure — the spawn, a nonzero exit, a torn frame, an
+/// early EOF (answered k of n), the deadline, a throw from `on_result` —
+/// is a TransportError naming `host`, and the worker is reaped first.
+void stream_batch(const std::string& bin, const std::vector<std::string>& args,
+                  const HostSpec& host, const std::vector<JobSpec>& jobs,
+                  const BatchResultFn& on_result, const std::string& what,
+                  unsigned timeout_s) {
+  const auto error = [&](const std::string& why) {
+    return TransportError(host.label() + ": " + why);
+  };
+  std::vector<std::uint8_t> out;
+  std::size_t answered = 0;
+  int code = 0;
+  try {
+    code = proc::spawn_piped(bin, args, what, timeout_s,
+                             worker::encode_jobs(jobs), out, [&] {
+                               for (auto& [id, r] :
+                                    worker::take_results(out, what)) {
+                                 ++answered;
+                                 on_result(id, std::move(r));
+                               }
+                             });
+  } catch (const std::exception& e) {
+    throw error(e.what());
   }
-  ~ScratchFiles() {
-    std::error_code ec;
-    for (const std::string* p : {&job, &result})
-      std::filesystem::remove(*p, ec);
-    for (const std::string& p : parts) std::filesystem::remove(p, ec);
+  if (code != 0) {
+    throw error("'" + bin + "' exited with code " + std::to_string(code) +
+                " on " + what);
   }
-  ScratchFiles(const ScratchFiles&) = delete;
-  ScratchFiles& operator=(const ScratchFiles&) = delete;
-
-  std::string job;
-  std::string result;
-  std::vector<std::string> parts;  ///< by job index
-};
-
-/// Wakes a part-file watcher the moment its worker exits, so a batch end
-/// never waits out the scan interval.
-struct WorkerExit {
-  std::mutex m;
-  std::condition_variable cv;
-  bool exited = false;  ///< guarded by m
-
-  void signal() {
-    {
-      const std::lock_guard lk(m);
-      exited = true;
-    }
-    cv.notify_all();
+  if (!out.empty()) {
+    throw error("result stream of " + what + " truncated inside a frame (" +
+                std::to_string(out.size()) + " bytes left)");
   }
-  /// Sleep one scan interval or until the worker exits; true once it has.
-  [[nodiscard]] bool wait_scan() {
-    std::unique_lock lk(m);
-    return cv.wait_for(lk, std::chrono::milliseconds(10),
-                       [&] { return exited; });
+  if (answered < jobs.size()) {
+    throw error("worker answered " + std::to_string(answered) + " of " +
+                std::to_string(jobs.size()) + " jobs in " + what);
   }
-};
+}
 
 }  // namespace
 
@@ -297,9 +275,8 @@ std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
 
 // ------------------------------------------------------------- transports
 
-LocalTransport::LocalTransport(std::string worker_binary,
-                               std::string scratch_dir)
-    : bin_(std::move(worker_binary)), scratch_(std::move(scratch_dir)) {}
+LocalTransport::LocalTransport(std::string worker_binary)
+    : bin_(std::move(worker_binary)) {}
 
 void LocalTransport::run_batch(const HostSpec& host,
                                const std::vector<JobSpec>& jobs,
@@ -309,65 +286,10 @@ void LocalTransport::run_batch(const HostSpec& host,
     throw TransportError(host.label() + ": injected transport failure on " +
                          what);
   }
-  const ScratchFiles files(scratch_, jobs, /*with_parts=*/true);
-  worker::write_job_file(files.job, jobs);
-  std::vector<std::string> args = {"--worker", files.job, "--worker-out",
-                                   files.result, "--worker-parts"};
+  std::vector<std::string> args = {"--worker", "-"};
   if (!host.warm_store_dir.empty())
     args.insert(args.end(), {"--worker-store", host.warm_store_dir});
-
-  // While the worker runs, hand over each per-job part that appears. A
-  // part is one atomically-renamed one-entry MFLUSRES file, so existence
-  // implies completeness; one that does not decode to its job is left to
-  // the result file below. `streamed` holds the ids a part delivered.
-  std::unordered_set<std::uint32_t> streamed;
-  std::exception_ptr watch_error;
-  int code = 0;
-  {
-    WorkerExit worker_exit;
-    std::thread watcher([&] {
-      try {
-        do {
-          for (std::size_t i = 0; i < jobs.size(); ++i) {
-            std::error_code ec;
-            if (streamed.contains(jobs[i].id) ||
-                !std::filesystem::exists(files.parts[i], ec))
-              continue;
-            std::vector<std::pair<std::uint32_t, RunResult>> part;
-            try {
-              part = worker::read_result_file(files.parts[i]);
-            } catch (const std::exception&) {
-              continue;
-            }
-            if (part.size() != 1 || part.front().first != jobs[i].id)
-              continue;
-            streamed.insert(jobs[i].id);
-            on_result(jobs[i].id, std::move(part.front().second));
-          }
-        } while (streamed.size() < jobs.size() && !worker_exit.wait_scan());
-      } catch (...) {
-        watch_error = std::current_exception();
-      }
-    });
-    // Joined however the spawn ends; from then on this thread alone calls
-    // on_result.
-    struct WatcherJoin {
-      WorkerExit& exit;
-      std::thread& t;
-      ~WatcherJoin() {
-        exit.signal();
-        t.join();
-      }
-    } watcher_join{worker_exit, watcher};
-    code = proc::spawn_and_wait(bin_, args, what);
-  }
-  if (watch_error) std::rethrow_exception(watch_error);
-  if (code != 0) {
-    throw TransportError("worker exited with code " + std::to_string(code) +
-                         " on " + what);
-  }
-  for (auto& [id, result] : worker::read_result_file(files.result))
-    if (!streamed.contains(id)) on_result(id, std::move(result));
+  stream_batch(bin_, args, host, jobs, on_result, what, /*timeout_s=*/0);
 }
 
 void InProcessTransport::run_batch(const HostSpec& host,
@@ -382,21 +304,19 @@ void InProcessTransport::run_batch(const HostSpec& host,
                    });
 }
 
-SshTransport::SshTransport(std::string worker_binary, unsigned timeout_s,
-                           std::string scratch_dir)
+SshTransport::SshTransport(std::string worker_binary, unsigned timeout_s)
     : bin_(std::move(worker_binary)),
       timeout_s_(timeout_s != 0
                      ? timeout_s
                      : static_cast<unsigned>(env::u64_or(
                            "MFLUSH_SSH_TIMEOUT", 600, 1,
-                           std::numeric_limits<unsigned>::max()))),
-      scratch_(std::move(scratch_dir)) {}
+                           std::numeric_limits<unsigned>::max()))) {}
 
 void SshTransport::prepare(const HostSpec& host) {
   std::vector<std::string> mkdir = kSshOpts;
   mkdir.insert(mkdir.end(),
                {host.name, "mkdir -p " + shq(host.remote_dir)});
-  run_tool_or_throw("ssh", mkdir, host, "preparing the scratch dir",
+  run_tool_or_throw("ssh", mkdir, host, "preparing the host dir",
                     timeout_s_);
 
   std::vector<std::string> ship = {"-q"};
@@ -416,43 +336,14 @@ void SshTransport::run_batch(const HostSpec& host,
                              const std::vector<JobSpec>& jobs,
                              const BatchResultFn& on_result,
                              const std::string& what) {
-  namespace fs = std::filesystem;
-  const ScratchFiles files(scratch_, jobs, /*with_parts=*/false);
-  worker::write_job_file(files.job, jobs);
-  const std::string rjob =
-      host.remote_dir + "/" + fs::path(files.job).filename().string();
-  const std::string rres =
-      host.remote_dir + "/" + fs::path(files.result).filename().string();
-
-  std::vector<std::string> push = {"-q"};
-  push.insert(push.end(), kSshOpts.begin(), kSshOpts.end());
-  push.insert(push.end(), {files.job, host.name + ":" + rjob});
-  run_tool_or_throw("scp", push, host, "pushing " + what, timeout_s_);
-
-  std::string cmd = shq(remote_worker_bin(host)) + " --worker " + shq(rjob) +
-                    " --worker-out " + shq(rres);
+  // ssh hands the one command string to the host's shell and relays its
+  // stdin and stdout: the same stream a local worker speaks.
+  std::string cmd = shq(remote_worker_bin(host)) + " --worker -";
   if (!host.warm_store_dir.empty())
     cmd += " --worker-store " + shq(host.warm_store_dir);
-  std::vector<std::string> exec = kSshOpts;
-  exec.insert(exec.end(), {host.name, std::move(cmd)});
-  run_tool_or_throw("ssh", exec, host, "running " + what, timeout_s_);
-
-  std::vector<std::string> pull = {"-q"};
-  pull.insert(pull.end(), kSshOpts.begin(), kSshOpts.end());
-  pull.insert(pull.end(), {host.name + ":" + rres, files.result});
-  run_tool_or_throw("scp", pull, host, "pulling results of " + what,
-                    timeout_s_);
-
-  // Best-effort remote cleanup; a failure here is not a batch failure.
-  std::vector<std::string> clean = kSshOpts;
-  clean.insert(clean.end(),
-               {host.name, "rm -f " + shq(rjob) + " " + shq(rres)});
-  try {
-    (void)proc::spawn_and_wait("ssh", clean, what, timeout_s_);
-  } catch (const std::exception&) {
-  }
-  for (auto& [id, result] : worker::read_result_file(files.result))
-    on_result(id, std::move(result));
+  std::vector<std::string> args = kSshOpts;
+  args.insert(args.end(), {host.name, std::move(cmd)});
+  stream_batch("ssh", args, host, jobs, on_result, what, timeout_s_);
 }
 
 }  // namespace remote
@@ -671,12 +562,6 @@ void run_batch_once(std::mutex& pool_m, HostState& host, StoreState* st,
         if (delivered.claim(job.id)) sink.push(job, std::move(result));
       },
       what);
-  const std::size_t expected = batch.end - batch.begin;
-  if (!unanswered.empty()) {
-    throw std::runtime_error(
-        "worker answered " + std::to_string(expected - unanswered.size()) +
-        " of " + std::to_string(expected) + " jobs in " + what);
-  }
 }
 
 }  // namespace
@@ -747,10 +632,10 @@ struct RemoteBackend::Pool {
         h->transport = opts.transport_factory(h->spec);
       } else if (h->spec.is_local()) {
         h->transport =
-            std::make_unique<remote::LocalTransport>(bin, opts.scratch_dir);
+            std::make_unique<remote::LocalTransport>(bin);
       } else {
         h->transport =
-            std::make_unique<remote::SshTransport>(bin, 0, opts.scratch_dir);
+            std::make_unique<remote::SshTransport>(bin);
       }
       built.push_back(std::move(h));
     }
@@ -926,10 +811,12 @@ WarmStore& RemoteBackend::local_warm_store() {
   if (opts_.warm_store != nullptr) return *opts_.warm_store;
   if (!session_store_) {
     static std::atomic<std::uint64_t> sessions{0};
+    const std::filesystem::path dir =
+        opts_.scratch_dir.empty() ? std::filesystem::temp_directory_path()
+                                  : std::filesystem::path(opts_.scratch_dir);
     session_store_ = std::make_unique<WarmStore>(
-        (remote::dir_or_temp(opts_.scratch_dir) /
-         ("mflush-warm-" + std::to_string(::getpid()) + "-" +
-          std::to_string(sessions.fetch_add(1))))
+        (dir / ("mflush-warm-" + std::to_string(::getpid()) + "-" +
+                std::to_string(sessions.fetch_add(1))))
             .string());
   }
   return *session_store_;

@@ -17,10 +17,12 @@
 ///
 /// RemoteBackend schedules *batches* of JobSpecs over a pool of hosts
 /// through a pluggable Transport, which hands each job's result back as it
-/// lands. A subprocess or ssh batch is one job file, one `mflushsim
-/// --worker` invocation and one result file, amortizing the process-spawn
-/// and serialization overhead that dominates one-subprocess-per-job
-/// fan-out; an in-thread batch stays in memory.
+/// lands. A subprocess or ssh batch is one `mflushsim --worker -` process
+/// that reads the batch's job archive on stdin and writes each result as
+/// one frame on stdout the moment it lands (the stream protocol, see the
+/// worker namespace in backend.h), amortizing the process-spawn overhead
+/// that dominates one-subprocess-per-job fan-out; an in-thread batch stays
+/// in memory. No transport writes a protocol file.
 /// The scheduler work-steals: every host slot pulls the next batch from a
 /// shared queue, a failed or unreachable host's batch is re-queued onto
 /// healthy hosts (bounded attempts per batch), and a host that keeps
@@ -56,8 +58,9 @@ namespace remote {
 ///   slots=N   concurrent batches on this host (default 1)
 ///   fail=N    test/CI fault injection — LocalTransport fails this host's
 ///             first N batches, exercising the re-queue path (default 0)
-///   dir=PATH  ssh scratch directory on the host
-///             (default /tmp/mflush-remote)
+///   dir=PATH  directory on an ssh host holding the shipped worker
+///             binary and the host's warm store (default
+///             /tmp/mflush-remote)
 /// The name `local` (or `localhost`) selects the loopback LocalTransport;
 /// anything else is an ssh destination (`host`, `user@host`).
 struct HostSpec {
@@ -136,34 +139,29 @@ class Transport {
   virtual ~Transport() = default;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// One-time per-host setup (ship the worker binary, make the scratch
+  /// One-time per-host setup (ship the worker binary, make the host
   /// dir). Called before the host's first batch; a throw counts as a host
   /// failure and is retried on the host's next batch.
   virtual void prepare(const HostSpec& host) = 0;
 
-  /// Run `jobs` on `host`, handing each job's result to `on_result` from
-  /// one thread at a time. A transport that cannot see results before the
-  /// batch ends hands them all over at the end; a throw from `on_result`
-  /// fails the batch.
+  /// Run `jobs` on `host`, handing each job's result to `on_result` as it
+  /// lands, from one thread at a time. Returns only once every job was
+  /// answered, else throws (a worker that answered k of n); a throw from
+  /// `on_result` fails the batch.
   virtual void run_batch(const HostSpec& host, const std::vector<JobSpec>& jobs,
                          const BatchResultFn& on_result,
                          const std::string& what) = 0;
 };
 
-/// Loopback transport: the batch runs as a `mflushsim --worker` subprocess
-/// on this machine (used by tests and CI, and the default for `local`
-/// hosts). The batch travels as one job file (MFLUSJOB) and comes back as
-/// one result file (MFLUSRES) in `scratch_dir`, with a per-job part file
-/// (--worker-parts) that is streamed to `on_result` the moment it appears;
-/// the result file stays authoritative for anything no part delivered.
-/// Every file of a batch is removed when run_batch ends, however it ends.
-/// Honours HostSpec::fail_batches by failing the host's first N batches
-/// before spawning anything — the CI fault-injection hook.
+/// Loopback transport: the batch runs as a `mflushsim --worker -`
+/// subprocess on this machine (the default for `local` hosts), its job
+/// archive written to the worker's stdin and each result handed to
+/// `on_result` as its frame arrives on the worker's stdout. Honours
+/// HostSpec::fail_batches by failing the host's first N batches before
+/// spawning anything — the fault-injection hook of tests.
 class LocalTransport final : public Transport {
  public:
-  /// An empty `scratch_dir` is the system temp dir.
-  explicit LocalTransport(std::string worker_binary,
-                          std::string scratch_dir = {});
+  explicit LocalTransport(std::string worker_binary);
 
   [[nodiscard]] std::string name() const override { return "local"; }
   void prepare(const HostSpec&) override {}
@@ -173,7 +171,6 @@ class LocalTransport final : public Transport {
 
  private:
   std::string bin_;
-  std::string scratch_;
   std::atomic<unsigned> dispatched_{0};
 };
 
@@ -191,13 +188,13 @@ class InProcessTransport final : public Transport {
                  const std::string& what) override;
 };
 
-/// ssh/scp transport: prepare() ships the worker binary once per host
-/// (mkdir -p; scp; chmod +x), run_batch() writes the job file into
-/// `scratch_dir` (empty: the system temp dir), copies it over, runs the
-/// worker remotely, copies the result file back, hands over its results,
-/// and best-effort removes the remote pair. BatchMode ssh: an unreachable
-/// or password-prompting host fails fast and its batches re-queue
-/// elsewhere.
+/// ssh transport: prepare() ships the worker binary once per host
+/// (mkdir -p; scp; chmod +x), run_batch() runs `ssh host '<shipped bin>'
+/// --worker -` over the same stream a local worker speaks — the job
+/// archive goes up ssh's stdin and each result frame comes back on its
+/// stdout as it lands — so a batch copies no file and leaves none on
+/// either side. BatchMode ssh: an unreachable or password-prompting host
+/// fails fast and its batches re-queue elsewhere.
 ///
 /// Every ssh/scp invocation runs under a wall-clock deadline on top of
 /// ConnectTimeout: ConnectTimeout only covers the TCP handshake, so a link
@@ -208,8 +205,7 @@ class InProcessTransport final : public Transport {
 /// values are a hard error, env.h policy).
 class SshTransport final : public Transport {
  public:
-  explicit SshTransport(std::string worker_binary, unsigned timeout_s = 0,
-                        std::string scratch_dir = {});
+  explicit SshTransport(std::string worker_binary, unsigned timeout_s = 0);
 
   [[nodiscard]] std::string name() const override { return "ssh"; }
   void prepare(const HostSpec& host) override;
@@ -220,7 +216,6 @@ class SshTransport final : public Transport {
  private:
   std::string bin_;
   unsigned timeout_s_;
-  std::string scratch_;
 };
 
 /// One tenant's fair-share count and cancel flag (defined in remote.cpp).
@@ -237,9 +232,8 @@ class RemoteBackend final : public ExperimentBackend {
     std::vector<remote::HostSpec> hosts;
     /// Worker binary shipped/spawned; empty means default_worker_binary().
     std::string worker_binary;
-    /// Local staging dir for the job/result files of subprocess and ssh
-    /// transports, and for the session warm store; empty = system temp
-    /// dir.
+    /// Where the session warm store lives (the store every local host
+    /// shares when warm_store is null); empty = system temp dir.
     std::string scratch_dir;
     /// Jobs per batch; 0 = auto (see remote::batch_ranges).
     std::size_t batch_jobs = 0;
@@ -262,7 +256,7 @@ class RemoteBackend final : public ExperimentBackend {
     std::function<void(const std::string&)> on_event;
     /// Coordinator-side warm store. All local hosts share it directly
     /// (their workers read and fill the same directory, so no bytes ever
-    /// ride the job file); without it they share one session store that
+    /// ride the job archive); without it they share one session store that
     /// lives as long as this backend. Each ssh host keeps a store under its
     /// remote_dir, and an attached parent snapshot is uploaded to it at
     /// most once — later batches ship the 8-byte hash instead.

@@ -69,14 +69,14 @@
 ///     --cancel ID             ask the daemon to cancel a running campaign
 ///     --list                  print every campaign the daemon knows
 ///     --shutdown              drain running campaigns, then stop the daemon
-///     --worker JOBFILE        worker mode: run a job file, write the
-///                             result file, exit (the worker/remote
-///                             backend subprocess entry point)
-///     --worker-out FILE       result path for --worker
+///     --worker -              worker mode, the worker/remote backend
+///                             subprocess entry point: read a job archive
+///                             on stdin, write each result to stdout as
+///                             one frame the moment it lands, exit
+///     --worker JOBFILE        worker mode over files: run a job file,
+///                             write the result file, exit
+///     --worker-out FILE       result path for --worker JOBFILE
 ///                             (default JOBFILE.result)
-///     --worker-parts          with --worker: also write each measured
-///                             job's result to FILE.r<id> as it lands
-///                             (streaming transports watch these)
 ///     --worker-store DIR      host-side warm store for --worker: embedded
 ///                             parent snapshots are installed here,
 ///                             by-hash forks resolve from here, and a
@@ -136,9 +136,8 @@ void usage(const char* argv0) {
          "       [--serve ADDR --data DIR [--hosts FILE] [--jobs N]]\n"
          "       [--connect ADDR (--submit SPEC [--follow] | --status ID |\n"
          "                        --cancel ID | --list | --shutdown)]\n"
-         "       [--worker JOBFILE [--worker-out FILE] [--worker-store "
-         "DIR]\n"
-         "        [--worker-parts]]\n"
+         "       [--worker - | --worker JOBFILE [--worker-out FILE]]\n"
+         "        [--worker-store DIR]\n"
          "       [--worker-bin PATH]\n"
          "       [--list-workloads] [--list-policies]\n"
          "       [--save-snapshot PATH] [--load-snapshot PATH]\n"
@@ -265,7 +264,6 @@ int main(int argc, char** argv) {
   bool follow = false;
   bool list_campaigns = false;
   bool shutdown_daemon = false;
-  bool worker_parts = false;
   bool resume = false;
   std::string save_snapshot;
   std::string load_snapshot;
@@ -312,8 +310,6 @@ int main(int argc, char** argv) {
       worker_store = value();
     } else if (arg == "--worker-bin") {
       worker_bin = value();
-    } else if (arg == "--worker-parts") {
-      worker_parts = true;
     } else if (arg == "--serve") {
       serve_addr = value();
     } else if (arg == "--data") {
@@ -364,11 +360,11 @@ int main(int argc, char** argv) {
   }
 
   // Worker mode: the remote backend's subprocess entry point. Everything the
-  // run needs is inside the job file.
+  // run needs is inside the job archive (stdin for `--worker -`).
   if (!worker_job.empty()) {
     return worker::run_worker(
         worker_job, worker_out.empty() ? worker_job + ".result" : worker_out,
-        worker_store, worker_parts);
+        worker_store);
   }
 
   // ------------------------------------------------------- mflushd server

@@ -367,9 +367,10 @@ TEST(Backend, SampledFixedForksMatchesDirectForkRuns) {
 //
 // Fake worker executables (shell scripts standing in for mflushsim) drive
 // every failure mode a real distributed sweep hits: death by signal,
-// nonzero exit, corrupt or truncated result files. After each, the scratch
-// directory must hold no leaked .mfj/.mfr protocol files — the RAII guard
-// fix — and the surfaced error must name the job, not just the binary.
+// nonzero exit, a corrupt or truncated result stream. After each, the
+// scratch directory must hold no .mfj/.mfr protocol file — no transport
+// writes one — and the surfaced error must name the job, not just the
+// binary.
 
 namespace fs = std::filesystem;
 
@@ -395,7 +396,7 @@ class FakeWorkerTest : public ::testing::Test {
     return path.string();
   }
 
-  /// Leaked protocol files in the scratch dir.
+  /// Protocol files in the scratch dir.
   [[nodiscard]] std::size_t scratch_files() const {
     std::size_t n = 0;
     for (const auto& entry : fs::directory_iterator(dir_)) {
@@ -456,15 +457,17 @@ TEST_F(FakeWorkerTest, NonzeroExitSurfacesTheCodeAndCleansScratch) {
 }
 
 TEST_F(FakeWorkerTest, CorruptResultFileIsRejectedAndCleaned) {
-  // The worker "succeeds" but writes garbage where the result file should
-  // be: the checksum gate must reject it, not half-read it.
+  // The worker "succeeds" but writes garbage where its result frames
+  // should be: the frame gate must reject it, not half-read it.
   const std::string script =
-      write_script("printf 'garbage-result' > \"$4\"\nexit 0\n");
-  expect_failure_containing(script_options(script), {"result file"});
+      write_script("cat > /dev/null\nprintf 'garbage-result'\nexit 0\n");
+  expect_failure_containing(script_options(script), {"result stream"});
 }
 
 TEST_F(FakeWorkerTest, TruncatedResultFileIsRejectedAndCleaned) {
-  const std::string script = write_script(": > \"$4\"\nexit 0\n");
+  // A 16-byte frame announced, 3 bytes sent, then EOF.
+  const std::string script = write_script(
+      "cat > /dev/null\nprintf '\\020\\000\\000\\000abc'\nexit 0\n");
   expect_failure_containing(script_options(script), {"truncated"});
 }
 
@@ -497,14 +500,16 @@ TEST_F(FakeWorkerTest, PoisonJobOnlySinksItsOwnBatchMates) {
   if (real.empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  // The scratch stem embeds the batch's first job id, so the script can
-  // tell the post-split poison single (-job1-) apart; the initial 2-job
-  // batch (-job0-, poisoned by membership) fails via the first-run marker.
-  const std::string marker = (dir_ / "pair-batch-ran").string();
+  // The script reads the job archive off stdin: after the 12-byte header
+  // comes the u64 job count, then the first job's u32 id. A batch of two
+  // holds job 1 by membership; a single holds it when it is job 1.
+  const std::string job = (dir_ / "job").string();
   const std::string script = write_script(
-      "case \"$2\" in *-job1-*) exit 9;; esac\n"
-      "if [ ! -e \"" + marker + "\" ]; then : > \"" + marker +
-      "\"; exit 9; fi\nexec \"" + real + "\" \"$@\"\n");
+      "cat > \"" + job + "\"\n"
+      "count=$(od -An -tu8 -j12 -N8 \"" + job + "\" | tr -d ' ')\n"
+      "first=$(od -An -tu4 -j20 -N4 \"" + job + "\" | tr -d ' ')\n"
+      "if [ \"$count\" != 1 ] || [ \"$first\" = 1 ]; then exit 9; fi\n"
+      "exec \"" + real + "\" \"$@\" < \"" + job + "\"\n");
   RemoteBackend::Options opts = script_options(script);
   opts.batch_jobs = 2;
   opts.max_attempts = 2;
@@ -531,9 +536,8 @@ TEST_F(FakeWorkerTest, TransientFailureRetriesThenSucceeds) {
   if (real.empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  // First invocation dies before touching the protocol files; the retry
-  // (fresh scratch stem) execs the real worker and the sweep completes
-  // bit-identical to serial.
+  // First invocation dies before reading its job archive; the retry execs
+  // the real worker and the sweep completes bit-identical to serial.
   const std::string marker = (dir_ / "first-attempt").string();
   const std::string script = write_script(
       "if [ ! -e \"" + marker + "\" ]; then : > \"" + marker +

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "common/fsio.h"
 #include "sim/backend.h"
 #include "sim/cmp.h"
+#include "sim/remote.h"
 #include "sim/snapshot.h"
 #include "sim/warmstore.h"
 #include "sim/wire.h"
@@ -140,6 +142,9 @@ TEST(EnvelopeGolden, EveryFormatIsByteIdenticalToItsPinnedDigest) {
             0x9d589f10d6e3a674ull);
   EXPECT_EQ(digest(daemon::encode_frame(fixture_message())),
             0x81943324dde4106eull);
+  const auto results = fixture_results();
+  EXPECT_EQ(digest(worker::frame_result(results[0].first, results[0].second)),
+            0xd4392c9522c683f4ull);
 }
 
 // ----------------------------------------------------------- the checksum
@@ -204,15 +209,19 @@ TEST(EnvelopeChecksum, EveryFlipTruncationAndAppendedByteIsRejected) {
 //
 // One table of every checksummed format, each with a decoder probe; the
 // same damage is applied to all of them. Two framings exist
-// (common/envelope.h):
+// (common/envelope.h), and one nests them:
 //   kSealed   magic | version | body | checksum  (snapshot, spec, job file,
 //             result archive, warm entry — a warm entry is a snapshot put
 //             in a WarmStore, and its rejection is a store miss that
 //             deletes the entry);
 //   kFrame    len | magic | version | message | checksum(payload)
-//             (MFLUSNET).
+//             (MFLUSNET);
+//   kSealedFrame  len | sealed archive | checksum(payload) (a worker's
+//             result stream: each frame carries a one-entry result
+//             archive, read back by the coordinator's
+//             worker::take_results).
 
-enum class Kind { kSealed, kFrame };
+enum class Kind { kSealed, kFrame, kSealedFrame };
 
 enum class Verdict { kAccepted, kRejected, kNeedMore };
 
@@ -235,8 +244,8 @@ struct Format {
 
 /// The table below, in order (test names are fixed before it is built).
 constexpr const char* kFormatNames[] = {
-    "snapshot",   "spec",       "job_file", "result_archive",
-    "warm_entry", "wire_frame"};
+    "snapshot",   "spec",       "job_file",     "result_archive",
+    "warm_entry", "wire_frame", "result_stream"};
 
 template <class F>
 Outcome verdict_of(F&& decode) {
@@ -383,11 +392,35 @@ Format wire_frame_format() {
           }};
 }
 
+/// The coordinator's reader of a worker's stdout: every whole frame is
+/// delivered, a partial one waits for more bytes, damage throws and
+/// delivers nothing.
+Outcome read_result_stream(std::span<const std::uint8_t> b) {
+  std::vector<std::uint8_t> buffer(b.begin(), b.end());
+  try {
+    const auto got = worker::take_results(buffer, "fuzz");
+    if (got.empty()) return {Verdict::kNeedMore, {}};
+    EXPECT_EQ(got.size(), 1u);
+    EXPECT_TRUE(buffer.empty());
+    return {Verdict::kAccepted, {}};
+  } catch (const std::exception& e) {
+    return {Verdict::kRejected, e.what()};
+  }
+}
+
+Format result_stream_format() {
+  return {"result_stream", Kind::kSealedFrame, 0x4d464c5553524553ull,
+          worker::kProtocolVersion,
+          worker::frame_result(7, fixture_results().front().second),
+          read_result_stream};
+}
+
 /// Builders in kFormatNames order. ctest runs every case in its own
 /// process, so each format is built on first use only.
 constexpr Format (*kBuilders[])() = {
     snapshot_format,       spec_format,       job_file_format,
-    result_archive_format, warm_entry_format, wire_frame_format};
+    result_archive_format, warm_entry_format, wire_frame_format,
+    result_stream_format};
 
 const Format& format_at(std::size_t i) {
   static std::unique_ptr<Format> built[std::size(kBuilders)];
@@ -411,26 +444,34 @@ std::vector<std::size_t> offsets(std::size_t size) {
 
 /// Where the magic + version sit: after the length prefix of a frame.
 std::size_t header_at(const Format& f) {
-  return f.kind == Kind::kFrame ? sizeof(std::uint32_t) : 0;
+  return f.kind == Kind::kSealed ? 0 : sizeof(std::uint32_t);
 }
 
-/// Apply `edit` under the checksum, then re-checksum, so only the header
-/// and body checks can reject the result.
-std::vector<std::uint8_t> edit_sealed(
-    const Format& f,
-    const std::function<void(std::vector<std::uint8_t>&)>& edit) {
-  const std::span<const std::uint8_t> b(f.bytes);
-  if (f.kind == Kind::kFrame) {
-    std::vector<std::uint8_t> payload(b.begin() + 4, b.end() - 8);
-    edit(payload);
-    return envelope::frame(payload);
-  }
-  std::vector<std::uint8_t> body(b.begin(), b.end() - 8);
+using Edit = std::function<void(std::vector<std::uint8_t>&)>;
+
+/// `edit` applied to a sealed archive's body, resealed.
+std::vector<std::uint8_t> reseal(std::span<const std::uint8_t> sealed,
+                                 const Edit& edit) {
+  std::vector<std::uint8_t> body(sealed.begin(), sealed.end() - 8);
   edit(body);
   ArchiveWriter ar;
   ar.put_bytes(body.data(), body.size());
   envelope::seal(ar);
   return ar.take();
+}
+
+/// Apply `edit` under every checksum, then re-checksum, so only the header
+/// and body checks can reject the result.
+std::vector<std::uint8_t> edit_sealed(const Format& f, const Edit& edit) {
+  const std::span<const std::uint8_t> b(f.bytes);
+  if (f.kind == Kind::kSealed) return reseal(b, edit);
+  std::vector<std::uint8_t> payload(b.begin() + 4, b.end() - 8);
+  if (f.kind == Kind::kSealedFrame) {
+    payload = reseal(payload, edit);
+  } else {
+    edit(payload);
+  }
+  return envelope::frame(payload);
 }
 
 class EnvelopeHarness : public ::testing::TestWithParam<std::size_t> {
@@ -456,6 +497,10 @@ TEST_P(EnvelopeHarness, ValidBytesDecodeAndHaveTheSharedLayout) {
       EXPECT_EQ(read_at<std::uint64_t>(b, b.size() - 8),
                 envelope::checksum(b.first(b.size() - 8)));
       break;
+    case Kind::kSealedFrame:
+      EXPECT_EQ(read_at<std::uint64_t>(b, b.size() - 16),
+                envelope::checksum(b.subspan(4, b.size() - 20)));
+      [[fallthrough]];
     case Kind::kFrame:
       EXPECT_EQ(read_at<std::uint32_t>(b, 0), b.size() - 12);
       EXPECT_EQ(read_at<std::uint64_t>(b, b.size() - 8),
@@ -474,6 +519,7 @@ TEST_P(EnvelopeHarness, EveryTruncationIsRejected) {
         ASSERT_EQ(o.verdict, Verdict::kRejected);
         break;
       case Kind::kFrame:
+      case Kind::kSealedFrame:
         // An honest truncation is bytes still in flight, never damage.
         ASSERT_EQ(o.verdict, Verdict::kNeedMore);
         break;
@@ -497,6 +543,7 @@ TEST_P(EnvelopeHarness, EveryFlipIsRejected) {
           ASSERT_EQ(o.verdict, Verdict::kRejected);
           break;
         case Kind::kFrame:
+        case Kind::kSealedFrame:
           // A flipped length prefix may announce a longer frame (need
           // more); anywhere else the frame is damage. Never a frame.
           ASSERT_NE(o.verdict, Verdict::kAccepted);
@@ -568,6 +615,143 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return std::string(kFormatNames[info.param]);
     });
+
+// -------------------------------------------------- the result stream
+//
+// The harness row above fuzzes the frame reader on one frame. Here the
+// whole coordinator end runs: a LocalTransport whose script worker cats
+// prepared bytes to stdout, and mflushsim itself reading stdin.
+
+/// Install an executable /bin/sh script at `path`.
+std::string write_script(const fs::path& path, const std::string& body) {
+  {
+    std::ofstream out(path);
+    out << "#!/bin/sh\n" << body;
+  }
+  fs::permissions(path, fs::perms::owner_all);
+  return path.string();
+}
+
+/// Run one batch of job 7 through a worker that reads its jobs and cats
+/// `stream`; returns the ids delivered and the batch's error ("" if none).
+std::pair<std::vector<std::uint32_t>, std::string> run_stream(
+    const fs::path& dir, const std::vector<std::uint8_t>& stream) {
+  fsio::write_file_atomic((dir / "stream").string(), stream);
+  const std::string script = write_script(
+      dir / "worker.sh",
+      "cat > /dev/null\nexec cat '" + (dir / "stream").string() + "'\n");
+  remote::HostSpec host;
+  host.name = "local";
+  JobSpec job;
+  job.id = 7;
+  std::vector<std::uint32_t> ids;
+  try {
+    remote::LocalTransport(script).run_batch(
+        host, {job}, [&](std::uint32_t id, RunResult) { ids.push_back(id); },
+        "batch");
+  } catch (const remote::TransportError& e) {
+    return {ids, e.what()};
+  }
+  return {ids, ""};
+}
+
+TEST(ResultStream, DamageFailsTheBatchAndIsNeverDelivered) {
+  const fs::path dir = scratch_dir("stream-damage");
+  const std::vector<std::uint8_t> frame =
+      worker::frame_result(7, fixture_results().front().second);
+  ASSERT_EQ(run_stream(dir, frame),
+            std::make_pair(std::vector<std::uint32_t>{7}, std::string()));
+
+  // Under the checksum, at the length prefix, and in the checksum itself.
+  for (const std::size_t at : {std::size_t{2}, std::size_t{13},
+                               frame.size() / 2, frame.size() - 3}) {
+    SCOPED_TRACE("flip at byte " + std::to_string(at));
+    std::vector<std::uint8_t> damaged = frame;
+    damaged[at] ^= 0x10;
+    const auto [ids, error] = run_stream(dir, damaged);
+    EXPECT_TRUE(ids.empty());
+    EXPECT_NE(error.find("result stream"), std::string::npos) << error;
+  }
+  for (const std::size_t cut : {std::size_t{3}, frame.size() - 1}) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    const auto [ids, error] =
+        run_stream(dir, std::vector(frame.begin(), frame.begin() + cut));
+    EXPECT_TRUE(ids.empty());
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  }
+  // A byte after a whole frame: the frame is intact and delivered, the
+  // byte is the start of a frame that never comes.
+  std::vector<std::uint8_t> grown = frame;
+  grown.push_back(0);
+  const auto [ids, error] = run_stream(dir, grown);
+  EXPECT_EQ(ids, std::vector<std::uint32_t>{7});
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+}
+
+TEST(ResultStream, AFrameOfAnotherBatchFailsTheBatch) {
+  // The worker answers job 99, which this batch (job 7) never sent: the
+  // scheduler refuses it, delivers nothing and fails the sweep.
+  const fs::path dir = scratch_dir("stream-foreign");
+  fsio::write_file_atomic((dir / "stream").string(),
+                          worker::frame_result(99, RunResult{}));
+  RemoteBackend::Options opts;
+  opts.worker_binary = write_script(
+      dir / "worker.sh",
+      "cat > /dev/null\nexec cat '" + (dir / "stream").string() + "'\n");
+  opts.max_attempts = 1;
+  JobSpec job;
+  job.id = 0;
+  job.workload = *workloads::by_name("2W1");
+  ResultSink sink;
+  try {
+    RemoteBackend(opts).run({job}, sink);
+    ADD_FAILURE() << "a foreign result was accepted";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected or duplicate job 99"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sink.completed(), 0u);
+}
+
+TEST(ResultStream, MalformedStdinRunsNothingAndNamesStdin) {
+  const std::string bin = default_worker_binary();
+  if (bin.empty()) {
+    GTEST_SKIP() << "mflushsim binary not found next to the test binary";
+  }
+  const fs::path dir = scratch_dir("stream-stdin");
+  const std::vector<std::uint8_t> archive =
+      worker::encode_jobs({fixture_job()});
+  std::vector<std::uint8_t> flipped = archive;
+  flipped[archive.size() / 2] ^= 0x01;
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> inputs =
+      {{"empty", {}},
+       {"garbage", {'n', 'o', 't', ' ', 'j', 'o', 'b', 's'}},
+       {"truncated", std::vector(archive.begin(), archive.end() - 9)},
+       {"flipped", flipped}};
+  for (const auto& [name, bytes] : inputs) {
+    SCOPED_TRACE(name);
+    const std::string in = (dir / (name + ".in")).string();
+    fsio::write_file_atomic(in, bytes);
+    const fs::path store = dir / (name + ".store");
+    const std::string out = (dir / (name + ".out")).string();
+    const std::string err = (dir / (name + ".err")).string();
+    const int rc = proc::spawn_and_wait(
+        "/bin/sh",
+        {"-c",
+         "exec \"$0\" --worker - --worker-store \"$1\" < \"$2\" > \"$3\" "
+         "2> \"$4\"",
+         bin, store.string(), in, out, err},
+        "mflushsim --worker -", 60);
+    EXPECT_NE(rc, 0);
+    const auto said = fsio::read_file_bytes(err, "stderr");
+    EXPECT_NE(std::string(said.begin(), said.end()).find("stdin"),
+              std::string::npos)
+        << std::string(said.begin(), said.end());
+    EXPECT_EQ(fs::file_size(out), 0u) << "a result was written";
+    EXPECT_FALSE(fs::exists(store)) << "the worker opened its store";
+  }
+}
 
 // ------------------------------------------------------------ file reads
 

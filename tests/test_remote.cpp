@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -18,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
+#include "common/sockio.h"
 #include "core/factory.h"
 #include "sim/backend.h"
 #include "sim/remote.h"
@@ -527,6 +534,88 @@ std::vector<JobSpec> sampled_jobs(Cycle warmup, std::uint32_t forks) {
   return spec.expand();
 }
 
+// ------------------------------------------------ stream worker scripts
+
+/// Install an executable /bin/sh script at `path`.
+std::string write_script(const fs::path& path, const std::string& body) {
+  {
+    std::ofstream out(path);
+    out << "#!/bin/sh\n" << body;
+  }
+  fs::permissions(path, fs::perms::owner_all);
+  return path.string();
+}
+
+/// A file holding one result frame for job `id`, for a script to cat.
+std::string write_frame(const fs::path& path, std::uint32_t id) {
+  const std::vector<std::uint8_t> bytes = worker::frame_result(id, RunResult{});
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  return path.string();
+}
+
+/// Whether this process has no child left, running or unreaped.
+bool no_children() {
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+/// Stand-ins for ssh and scp, first on PATH while this lives: there is no
+/// sshd to test against. `ssh` drops its -o options and the host and runs
+/// the command here under `env -i`; `scp` drops its options and `host:`
+/// prefixes and copies here. A host whose name contains "down" is
+/// unreachable: both exit 255 for it, as ssh does. Every worker command
+/// the ssh shim ran leaves a file in exits_dir() once it has exited.
+class ShimHost {
+ public:
+  explicit ShimHost(const fs::path& dir)
+      : bin_(dir / "shim"), exits_(dir / "exits"), path_(env::str_or("PATH")) {
+    fs::create_directories(bin_);
+    fs::create_directories(exits_);
+    write_script(bin_ / "ssh",
+                 "[ \"$1\" = --shim-probe ] && exit 42\n"
+                 "while [ \"$1\" = -o ]; do shift 2; done\n"
+                 "case \"$1\" in *down*) exit 255;; esac\n"
+                 "shift\n"
+                 "env -i /bin/sh -c \"exec $*\"\n"
+                 "rc=$?\n"
+                 "case \"$*\" in *--worker*) : > '" +
+                     exits_.string() + "/'$$;; esac\n"
+                 "exit $rc\n");
+    write_script(bin_ / "scp",
+                 "while :; do case \"$1\" in -q) shift;; -o) shift 2;; "
+                 "*) break;; esac; done\n"
+                 "case \"$1$2\" in *down*:*) exit 255;; esac\n"
+                 "exec cp \"${1#*:}\" \"${2#*:}\"\n");
+    ::setenv("PATH", (bin_.string() + ":" + path_).c_str(), 1);
+    // Never reach for a real ssh: the shim must be the one on PATH.
+    if (proc::spawn_and_wait("ssh", {"--shim-probe"}) != 42)
+      throw std::runtime_error("the ssh shim is not first on PATH");
+  }
+  ~ShimHost() { ::setenv("PATH", path_.c_str(), 1); }
+  ShimHost(const ShimHost&) = delete;
+  ShimHost& operator=(const ShimHost&) = delete;
+
+  /// An ssh host entry whose dir= is `dir`.
+  [[nodiscard]] static remote::HostSpec host(const std::string& name,
+                                             const fs::path& dir) {
+    remote::HostSpec h = remote::parse_host(name);
+    h.remote_dir = dir.string();
+    return h;
+  }
+
+  /// Worker commands the ssh shim has run to their exit.
+  [[nodiscard]] std::size_t exits() const {
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator(exits_), fs::directory_iterator()));
+  }
+
+ private:
+  fs::path bin_;
+  fs::path exits_;
+  std::string path_;
+};
+
 TEST(RemoteBackendTest, InThreadRunLeavesScratchEmptyAndMatchesSerial) {
   // In-thread slots pass jobs and results in memory: no protocol file
   // ever appears in the scratch dir, not even while results land.
@@ -596,30 +685,37 @@ TEST(RemoteBackendTest, ScratchDirLeftCleanOnSuccessAndFailure) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  // The subprocess transport stages a job file, a result file and one
-  // part per job in the scratch dir, and removes them all however the
-  // batch ends.
-  const fs::path scratch =
-      fs::path(::testing::TempDir()) / "remote-scratch-test";
-  fs::remove_all(scratch);
+  // Neither subprocess transport writes a protocol file: the scratch dir
+  // (and an ssh host's dir=) stays empty whether the batch succeeds or
+  // its worker fails. The ssh host runs through the shim (see
+  // ShimHost).
+  const fs::path dir = fs::path(::testing::TempDir()) / "remote-scratch-test";
+  fs::remove_all(dir);
+  const fs::path scratch = dir / "scratch";
   fs::create_directories(scratch);
-
-  RemoteBackend::Options opts;
-  opts.scratch_dir = scratch.string();
-  opts.batch_jobs = 2;
+  const ShimHost shim(dir);
   std::vector<JobSpec> jobs = small_grid_jobs();
   jobs.resize(4);
-  (void)RemoteBackend(opts).run_collect(jobs);
-  EXPECT_TRUE(fs::is_empty(scratch)) << "success leaked protocol files";
+  for (const bool ssh : {false, true}) {
+    SCOPED_TRACE(ssh ? "ssh" : "local");
+    RemoteBackend::Options opts;
+    opts.scratch_dir = scratch.string();
+    opts.batch_jobs = 2;
+    if (ssh) opts.hosts = {shim.host("node-a", dir / "host-a")};
+    (void)RemoteBackend(opts).run_collect(jobs);
+    EXPECT_TRUE(fs::is_empty(scratch)) << "success left protocol files";
 
-  // Failure path: the job file is staged before the worker fails, and
-  // the transport must still scrub it.
-  opts.worker_binary = "/bin/false";
-  opts.max_attempts = 1;
-  EXPECT_THROW((void)RemoteBackend(opts).run_collect(jobs), std::exception);
-  EXPECT_TRUE(fs::is_empty(scratch)) << "failure leaked protocol files";
-
-  fs::remove_all(scratch);
+    opts.worker_binary = "/bin/false";
+    opts.max_attempts = 1;
+    EXPECT_THROW((void)RemoteBackend(opts).run_collect(jobs), std::exception);
+    EXPECT_TRUE(fs::is_empty(scratch)) << "failure left protocol files";
+  }
+  // The ssh host's dir= holds the shipped binary and nothing else.
+  std::vector<std::string> left;
+  for (const auto& e : fs::directory_iterator(dir / "host-a"))
+    left.push_back(e.path().filename().string());
+  EXPECT_EQ(left, std::vector<std::string>{"mflushsim.0"});
+  fs::remove_all(dir);
 }
 
 /// An ssh-style store (non-`local` host name) learns each attached parent
@@ -1025,38 +1121,29 @@ TEST(RemoteBackendTest, MatchesSerialWithMidRunHostFailure) {
 }
 
 TEST(RemoteBackendTest, BatchEndDoesNotWaitOutThePartScan) {
-  // LocalTransport scans for part files every 10 ms; the worker's exit
-  // must wake it, or each batch would wait out a scan interval. This
-  // worker copies a ready result file and writes no part, so only the
-  // scan can hold a batch's end back beyond the spawn itself.
+  // A batch through LocalTransport costs the worker's spawn and little
+  // else: no scan interval, no file round trip. The worker reads its job
+  // archive and writes one frame; the bare spawns do the same work with
+  // /dev/null for stdin and stdout.
   const fs::path dir = fs::path(::testing::TempDir()) / "local-scan-test";
   fs::remove_all(dir);
-  const fs::path scratch = dir / "scratch";
-  fs::create_directories(scratch);
-  const std::string canned = (dir / "canned.mfr").string();
-  worker::write_result_file(canned, {{0, RunResult{}}});
-  const std::string script = (dir / "worker.sh").string();
-  {
-    std::ofstream out(script);
-    // argv: --worker JOB --worker-out RESULT --worker-parts
-    out << "#!/bin/sh\nexec cp '" << canned << "' \"$4\"\n";
-  }
-  fs::permissions(script, fs::perms::owner_all);
+  fs::create_directories(dir);
+  const std::string frame = write_frame(dir / "frame", 0);
+  const std::string script = write_script(
+      dir / "worker.sh",
+      "if [ \"$1\" = --bare ]; then exec < /dev/null > /dev/null; fi\n"
+      "cat > /dev/null\nexec cat '" + frame + "'\n");
   constexpr int kBatches = 30;
   using Clock = std::chrono::steady_clock;
 
-  const std::string direct_out = (dir / "direct.mfr").string();
   auto t0 = Clock::now();
-  for (int i = 0; i < kBatches; ++i) {
-    ASSERT_EQ(proc::spawn_and_wait(script, {"--worker", "-", "--worker-out",
-                                            direct_out}),
-              0);
-  }
+  for (int i = 0; i < kBatches; ++i)
+    ASSERT_EQ(proc::spawn_and_wait(script, {"--bare"}), 0);
   const auto direct = Clock::now() - t0;
 
   remote::HostSpec host;
   host.name = "local";
-  remote::LocalTransport transport(script, scratch.string());
+  remote::LocalTransport transport(script);
   JobSpec job;
   int results = 0;
   t0 = Clock::now();
@@ -1076,7 +1163,256 @@ TEST(RemoteBackendTest, BatchEndDoesNotWaitOutThePartScan) {
       << " ms for " << kBatches << " batches against "
       << std::chrono::duration<double, std::milli>(direct).count()
       << " ms of bare spawns";
+  fs::remove_all(dir);
+}
+
+TEST(StreamTransport, AResultArrivesWhileItsWorkerStillRuns) {
+  // The worker writes its one frame, then lingers for a second: the
+  // result must reach on_result at once, not when the worker exits —
+  // through LocalTransport and through ssh alike.
+  const fs::path dir = fs::path(::testing::TempDir()) / "stream-early-test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const ShimHost shim(dir);
+  const std::string script = write_script(
+      dir / "worker.sh", "cat > /dev/null\ncat '" +
+                             write_frame(dir / "frame", 0) + "'\nsleep 1\n");
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  remote::LocalTransport local(script);
+  remote::SshTransport ssh(script, /*timeout_s=*/60);
+  remote::HostSpec local_host;
+  local_host.name = "local";
+  const remote::HostSpec ssh_host = ShimHost::host("node-a", dir / "host-a");
+  ssh.prepare(ssh_host);
+  for (auto [transport, host] :
+       {std::pair<remote::Transport*, const remote::HostSpec*>{&local,
+                                                               &local_host},
+        {&ssh, &ssh_host}}) {
+    SCOPED_TRACE(transport->name());
+    const auto t0 = Clock::now();
+    double at = -1.0;
+    transport->run_batch(
+        *host, {JobSpec{}},
+        [&](std::uint32_t, RunResult) { at = seconds(Clock::now() - t0); },
+        "batch");
+    const double returned = seconds(Clock::now() - t0);
+    EXPECT_GE(returned, 1.0);
+    EXPECT_GE(at, 0.0);
+    EXPECT_LT(at, 0.5) << "the result waited for its worker's exit";
+  }
+  EXPECT_EQ(shim.exits(), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(StreamTransport, NoWorkerOutlivesItsBatch) {
+  // However a batch ends, its worker is reaped before run_batch returns,
+  // and this process survives a worker that never reads its jobs.
+  const fs::path dir = fs::path(::testing::TempDir()) / "stream-reap-test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string frame = write_frame(dir / "frame", 0);
+  remote::HostSpec host;
+  host.name = "local";
+  JobSpec small;
+  JobSpec large;  // a job archive far beyond any pipe or socket buffer
+  large.parent_key = 1;
+  large.snapshot = std::make_shared<const std::vector<std::uint8_t>>(
+      std::size_t{4} << 20, std::uint8_t{7});
+  struct Path {
+    const char* name;
+    std::string body;
+    JobSpec job;
+    const char* error;  ///< nullptr: the batch succeeds
+  };
+  const std::vector<Path> paths = {
+      {"success", "cat > /dev/null\nexec cat '" + frame + "'\n", small,
+       nullptr},
+      {"nonzero exit", "cat > /dev/null\nexit 3\n", small, "code 3"},
+      {"torn frame", "cat > /dev/null\nexec head -c 10 '" + frame + "'\n",
+       small, "truncated"},
+      {"frame of another job", "cat > /dev/null\nexec cat '" +
+                                   write_frame(dir / "frame7", 7) + "'\n",
+       small, "job 7"},
+      {"unread large archive", "exit 0\n", large, "answered 0 of 1"},
+  };
+  for (const Path& p : paths) {
+    SCOPED_TRACE(p.name);
+    remote::LocalTransport transport(
+        write_script(dir / "worker.sh", p.body));
+    try {
+      transport.run_batch(
+          host, {p.job},
+          [&](std::uint32_t id, RunResult) {
+            // As the scheduler does for an id the batch did not send.
+            if (id != p.job.id)
+              throw std::runtime_error("unexpected job " + std::to_string(id));
+          },
+          "batch");
+      EXPECT_EQ(p.error, nullptr) << "the batch succeeded";
+    } catch (const remote::TransportError& e) {
+      ASSERT_NE(p.error, nullptr) << e.what();
+      EXPECT_NE(std::string(e.what()).find(p.error), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(no_children());
+  }
+
+  // A wedged ssh link: the deadline kills the transport's child. (The
+  // shim cannot hang up on the worker as sshd would, so the sleep outlives
+  // it briefly, holding nothing of this process's but its stream.)
+  const ShimHost shim(dir);
+  remote::SshTransport ssh(
+      write_script(dir / "wedged.sh", "exec sleep 5 2> /dev/null\n"),
+      /*timeout_s=*/1);
+  const remote::HostSpec node = ShimHost::host("node-a", dir / "host-a");
+  ssh.prepare(node);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    ssh.run_batch(node, {small}, [](std::uint32_t, RunResult) {}, "batch");
+    ADD_FAILURE() << "a wedged worker did not time out";
+  } catch (const remote::TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  EXPECT_TRUE(no_children());
+  fs::remove_all(dir);
+}
+
+TEST(SshShim, BatchesMatchSerialAndLeaveNoProtocolFile) {
+  const std::string bin = default_worker_binary();
+  if (bin.empty()) {
+    GTEST_SKIP() << "mflushsim binary not found next to the test binary";
+  }
+  const fs::path dir = fs::path(::testing::TempDir()) / "ssh-shim-test";
+  fs::remove_all(dir);
+  const fs::path scratch = dir / "scratch";
+  fs::create_directories(scratch);
+  const ShimHost shim(dir);
+  RemoteBackend::Options opts;
+  opts.hosts = {ShimHost::host("node-a slots=2", dir / "host-a")};
+  opts.scratch_dir = scratch.string();
+  opts.batch_jobs = 2;
+  RemoteBackend backend(opts);
+  SerialBackend serial;
+  for (const std::vector<JobSpec>& jobs :
+       {small_grid_jobs(), sampled_jobs(345, 3)}) {
+    expect_identical_runs(serial.run_collect(jobs), backend.run_collect(jobs));
+  }
+  EXPECT_GT(shim.exits(), 0u);
+
+  // prepare() shipped the binary once; the batches copied nothing.
+  EXPECT_EQ(fs::file_size(dir / "host-a" / "mflushsim.0"), fs::file_size(bin));
   EXPECT_TRUE(fs::is_empty(scratch));
+  for (const auto& e : fs::recursive_directory_iterator(dir / "host-a")) {
+    const std::string ext = e.path().extension().string();
+    EXPECT_TRUE(ext != ".mfj" && ext != ".mfr") << e.path();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(SshShim, AnUnreachableHostIsRetiredAndItsBatchesRequeue) {
+  if (default_worker_binary().empty()) {
+    GTEST_SKIP() << "mflushsim binary not found next to the test binary";
+  }
+  const fs::path dir = fs::path(::testing::TempDir()) / "ssh-down-test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const ShimHost shim(dir);
+  RemoteBackend::Options opts;
+  opts.hosts = {ShimHost::host("node-a", dir / "host-a"),
+                ShimHost::host("node-down slots=2", dir / "host-down")};
+  opts.batch_jobs = 2;
+  opts.host_max_failures = 2;
+  std::vector<std::string> events;
+  opts.on_event = [&](const std::string& e) { events.push_back(e); };
+  const std::vector<JobSpec> jobs = small_grid_jobs();
+  expect_identical_runs(SerialBackend().run_collect(jobs),
+                        RemoteBackend(opts).run_collect(jobs));
+  const auto has = [&](const std::string& needle) {
+    return std::any_of(events.begin(), events.end(), [&](const auto& e) {
+      return e.find(needle) != std::string::npos;
+    });
+  };
+  EXPECT_TRUE(has("node-down#1 retired")) << "no retirement event";
+  EXPECT_TRUE(has("code 255")) << "the failures were not ssh's 255";
+  EXPECT_FALSE(fs::exists(dir / "host-down"));
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------------------ fd hygiene
+
+bool cloexec(int fd) { return (::fcntl(fd, F_GETFD) & FD_CLOEXEC) != 0; }
+
+TEST(FdHygiene, EverySockioFdIsCloseOnExec) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "fd-cloexec-test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<std::string> addresses = {"unix:" + (dir / "s").string()};
+  // A TCP port on the loopback interface: the first free one of a few.
+  for (int port = 47310; port < 47330; ++port) {
+    try {
+      sockio::close_fd(sockio::listen_on("127.0.0.1:" + std::to_string(port)));
+      addresses.push_back("127.0.0.1:" + std::to_string(port));
+      break;
+    } catch (const std::runtime_error&) {
+    }
+  }
+  for (const std::string& address : addresses) {
+    SCOPED_TRACE(address);
+    const int listening = sockio::listen_on(address);
+    const int client = sockio::connect_to(address);
+    const int served = sockio::accept_on(listening);
+    EXPECT_TRUE(cloexec(listening));
+    EXPECT_TRUE(cloexec(client));
+    EXPECT_TRUE(cloexec(served));
+    for (const int fd : {served, client, listening}) sockio::close_fd(fd);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(FdHygiene, AWorkerInheritsOnlyStdio) {
+  // A daemon's listen socket is open while its LocalTransport spawns a
+  // worker; the worker must not hold it (or any other fd of this process).
+  const fs::path dir = fs::path(::testing::TempDir()) / "fd-inherit-test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // What this process inherited from its own parent is not ours to judge.
+  for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(e.path().filename().string());
+    if (fd > 2) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  }
+  const int listening = sockio::listen_on("unix:" + (dir / "d.sock").string());
+  const std::string record = (dir / "fds").string();
+  const std::string script = write_script(
+      dir / "worker.sh", "cat > /dev/null\n(ls -l /proc/$$/fd) > '" + record +
+                             "'\nexec cat '" + write_frame(dir / "frame", 0) +
+                             "'\n");
+  remote::HostSpec host;
+  host.name = "local";
+  EXPECT_NO_THROW(remote::LocalTransport(script).run_batch(
+      host, {JobSpec{}}, [](std::uint32_t, RunResult) {}, "batch"));
+  sockio::close_fd(listening);
+
+  // `ls -l` lines end "N -> TARGET". Besides stdio, the shell holds its
+  // own handle on the script it runs. (The subshell keeps the shell from
+  // saving a copy of its stdout while `> record` is in force.)
+  std::ifstream in(record);
+  std::size_t fds = 0;
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t arrow = line.find(" -> ");
+    if (arrow == std::string::npos) continue;
+    ++fds;
+    const std::string target = line.substr(arrow + 4);
+    const std::string head = line.substr(0, arrow);
+    const std::string fd = head.substr(head.rfind(' ') + 1);
+    EXPECT_TRUE(fd == "0" || fd == "1" || fd == "2" || target == script)
+        << "the worker inherited " << line;
+  }
+  EXPECT_GE(fds, 3u) << "no fd listing recorded";
   fs::remove_all(dir);
 }
 

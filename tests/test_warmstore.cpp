@@ -738,8 +738,7 @@ std::vector<JobSpec> group_forks(Cycle warmup, MemModelKind mem,
 }
 
 /// Runs `batches` in order through worker::run_worker over one host store
-/// (with part files, as the local transport asks for) and returns the
-/// results by job id.
+/// and returns the results by job id.
 std::unordered_map<std::uint32_t, RunResult> run_worker_batches(
     const fs::path& dir, const std::vector<std::vector<JobSpec>>& batches) {
   fs::create_directories(dir);
@@ -748,16 +747,9 @@ std::unordered_map<std::uint32_t, RunResult> run_worker_batches(
     const std::string job = (dir / ("b" + std::to_string(b) + ".mfj")).string();
     const std::string res = (dir / ("b" + std::to_string(b) + ".mfr")).string();
     worker::write_job_file(job, batches[b]);
-    EXPECT_EQ(worker::run_worker(job, res, (dir / "store").string(),
-                                 /*write_parts=*/true),
-              0);
-    for (auto& [id, r] : worker::read_result_file(res)) {
-      // Each part file carries the same result the batch file does.
-      const auto part = worker::read_result_file(res + ".r" +
-                                                 std::to_string(id));
-      EXPECT_TRUE(part.size() == 1 && part[0].second.metrics == r.metrics);
+    EXPECT_EQ(worker::run_worker(job, res, (dir / "store").string()), 0);
+    for (auto& [id, r] : worker::read_result_file(res))
       out.emplace(id, std::move(r));
-    }
   }
   return out;
 }
